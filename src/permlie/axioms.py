@@ -12,6 +12,10 @@ every probed input and every output key inside the box.
 
 from __future__ import annotations
 
+import ast
+import itertools
+import operator
+import re
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -20,7 +24,6 @@ from .kernel import (
     CheckReport,
     FormalVector,
     Fresh,
-    InsufficientWindowError,
     TemplateSeries,
     Window,
     apply_product_slot,
@@ -114,27 +117,6 @@ class _Recorder:
         return out
 
 
-def _vec_terms(v: FormalVector):
-    return tuple(v.sorted_items())
-
-
-def _bilinear(product):
-    """Extend a key-level product returning FormalVector to vectors."""
-
-    def ext(va: FormalVector, vb: FormalVector) -> FormalVector:
-        out = FormalVector()
-        for ka, ca in va.items():
-            for kb, cb in vb.items():
-                out.add_vec(product(ka, kb), ca * cb)
-        return out
-
-    return ext
-
-
-# ---------------------------------------------------------------------------
-# Algebra laws.
-
-
 def _memo_one(one: Callable) -> Callable:
     """Memoize a single-term product (key, key) -> (coeff, key) | None."""
     cache: dict = {}
@@ -151,244 +133,198 @@ def _memo_one(one: Callable) -> Callable:
     return call
 
 
-class _ProdIndex:
-    """Interns keys as ints and memoizes single-term products as
-    (coeff, key index) so the cube loops hash int pairs only.  Integer
-    coefficients are stored as plain ints (machine arithmetic on them is
-    still exact); violations wrap them back into Fractions."""
+# ---------------------------------------------------------------------------
+# Algebra laws.
 
-    __slots__ = ("one", "keys", "index", "table")
-
-    def __init__(self, one, keys):
-        self.one = one
-        self.keys = list(keys)
-        self.index = {k: i for i, k in enumerate(self.keys)}
-        self.table: dict = {}
-
-    def intern(self, key) -> int:
-        i = self.index.get(key)
-        if i is None:
-            i = len(self.keys)
-            self.keys.append(key)
-            self.index[key] = i
-        return i
-
-    def prod(self, ia: int, ib: int):
-        try:
-            return self.table[(ia, ib)]
-        except KeyError:
-            r = self.one(self.keys[ia], self.keys[ib])
-            if r is not None:
-                c = r[0]
-                if c.__class__ is Fraction and c.denominator == 1:
-                    c = c.numerator
-                r = (c, self.intern(r[1]))
-            self.table[(ia, ib)] = r
-            return r
+# Each law once, as (label, lhs, rhs) rows.  A side is a signed sum of
+# bracketings of the inputs a, b, c ("0" is the empty sum); a row holds when
+# both sides agree on every input tuple.
+LAW_PLANS = {
+    LawId.Perm: (("assoc", "(ab)c", "a(bc)"), ("left-comm", "(ab)c", "(ba)c")),
+    LawId.PreLie: (("pre-lie", "(ab)c - a(bc)", "(ba)c - b(ac)"),),
+    LawId.Novikov: (
+        ("pre-lie", "(ab)c - a(bc)", "(ba)c - b(ac)"),
+        ("right-comm", "(ab)c", "(ac)b"),
+    ),
+    LawId.LieJacobi: (("jacobi", "(ab)c + (bc)a + (ca)b", "0"),),
+    LawId.LieSkew: (("skew", "ab + ba", "0"),),
+}
 
 
-def _fast_perm_cube(keys, one, rec: _Recorder):
-    keys = list(keys)
-    px = _ProdIndex(one, keys)
-    prod = px.prod
-    idxs = range(len(keys))
+def _bracketing(text: str):
+    """'(ab)c' -> ((0, 1), 2): each input letter becomes its position."""
+    text = text.translate(str.maketrans("abc", "012"))
+    return ast.literal_eval("(" + re.sub(r"(?<=[\d)])(?=[\d(])", ",", text) + ")")
+
+
+def _side(text: str) -> tuple:
+    """'(ab)c - a(bc)' -> ((1, ((0, 1), 2)), (-1, (0, (1, 2))))."""
+    terms = re.findall(r"([+-]?)\s*([abc()]+)", text)
+    return tuple((-1 if sign == "-" else 1, _bracketing(t)) for sign, t in terms)
+
+
+def _pairs(v):
+    return zip(v[::2], v[1::2])
+
+
+def _vector(acc: dict) -> tuple:
+    return tuple(x for kc in sorted(acc.items()) if kc[1] for x in kc)
+
+
+def _axpy(x, y, s):
+    """x + s y."""
+    acc = dict(_pairs(x))
+    for k, c in _pairs(y):
+        acc[k] = acc.get(k, 0) + s * c
+    return _vector(acc)
+
+
+def _law_residuals(law: LawId, keys, terms: Callable, rec: _Recorder) -> int:
+    """Evaluate every row of LAW_PLANS[law] on all input tuples over keys.
+
+    terms(ka, kb) lists the (key, coeff) terms of the product ka kb.  Every
+    input but the last is fixed in turn; each side then becomes a list over
+    the last input, built from memoised product rows, and the two lists are
+    compared in one step.  Residuals are built only where they differ.
+
+    A vector is the flat tuple k1, c1, k2, c2, ... of its key indices and
+    nonzero coefficients, sorted by index, so equal vectors compare equal.
+    Integer coefficients are kept as ints (still exact); residuals wrap them
+    back into Fractions.
+    """
+    plan = LAW_PLANS.get(law)
+    if plan is None:
+        raise ValueError(f"not an algebra law: {law}")
+    rows = [(label, _side(lhs), _side(rhs)) for label, lhs, rhs in plan]
+    last = max("abc".index(ch) for _, lhs, rhs in plan for ch in lhs + rhs if ch in "abc")
+    ks = list(keys)
+    n = len(ks)
+    index: dict = {}  # a repeated input key keeps its first index
+    for i, k in enumerate(ks):
+        index.setdefault(k, i)
+    prod_rows: dict = {}  # i -> [product of key i with input j, for each j]
+    prod_far: dict = {}  # (i, j) -> product, for j past the inputs
+    zeros = [()] * n
+
+    def vec(ka, kb):
+        acc = {}
+        for k, c in terms(ka, kb):
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            i = index.get(k)
+            if i is None:
+                i = index[k] = len(ks)
+                ks.append(k)
+            acc[i] = c
+        return _vector(acc)
+
+    def row(i):
+        r = prod_rows.get(i)
+        if r is None:
+            ki = ks[i]
+            r = prod_rows[i] = [vec(ki, kj) for kj in ks[:n]]
+        return r
+
+    def prod(i, j):
+        if j < n:
+            return row(i)[j]
+        r = prod_far.get((i, j))
+        if r is None:
+            r = prod_far[(i, j)] = vec(ks[i], ks[j])
+        return r
+
+    def mul(x, y):
+        acc: dict = {}
+        for i, f in _pairs(x):
+            for j, g in _pairs(y):
+                for k, h in _pairs(prod(i, j)):
+                    acc[k] = acc.get(k, 0) + f * g * h
+        return _vector(acc)
+
+    # mul and _axpy over whole lists, with the single-term case inline:
+    # these loops run for every input tuple.
+    def times(x, vs):
+        if len(x) != 2:
+            return [mul(x, v) for v in vs]
+        i, f = x
+        r = row(i)
+        out = []
+        for v in vs:
+            if len(v) != 2:
+                out.append(v and mul(x, v))
+                continue
+            j, g = v
+            p = r[j] if j < n else prod(i, j)
+            g *= f
+            if g != 1 and p:
+                p = (p[0], g * p[1]) if len(p) == 2 else mul(x, v)
+            out.append(p)
+        return out
+
+    def plus(us, vs, s):
+        if us is zeros and s == 1:
+            return vs
+        out = []
+        for u, v in zip(us, vs):
+            if not v:
+                out.append(u)
+            elif not u and len(v) == 2:
+                out.append(v if s == 1 else (v[0], s * v[1]))
+            elif len(u) == len(v) == 2 and u[0] == v[0]:
+                c = u[1] + s * v[1]
+                out.append((u[0], c) if c else ())
+            else:
+                out.append(_axpy(u, v, s))
+        return out
+
+    def ev(t, fixed):
+        """Bracketing t at the fixed inputs: a vector if t omits the last
+        input, else a list of vectors over it."""
+        if t.__class__ is int:
+            return (fixed[t], 1)
+        left, right = t
+        if right == last:
+            acc = zeros
+            for i, f in _pairs(ev(left, fixed)):
+                acc = plus(acc, row(i), f)
+            return acc
+        if left == last:
+            y = ev(right, fixed)
+            return [mul((i, 1), y) for i in range(n)]
+        x, y = ev(left, fixed), ev(right, fixed)
+        if x.__class__ is list:
+            return [mul(u, y) for u in x]
+        if y.__class__ is list:
+            return times(x, y)
+        return mul(x, y)
+
+    def side(summands, fixed):
+        acc = zeros
+        for s, t in summands:
+            acc = plus(acc, ev(t, fixed), s)
+        return acc
+
     checked = 0
-    for p in idxs:
-        for q in idxs:
-            pq = prod(p, q)
-            qp = prod(q, p)
-            for r in idxs:
-                checked += 1
-                t_right = None
-                qr = prod(q, r)
-                if qr is not None:
-                    nxt = prod(p, qr[1])
-                    if nxt is not None:
-                        c = qr[0]
-                        t_right = nxt if c == 1 else (c * nxt[0], nxt[1])
-                t_left = None
-                if pq is not None:
-                    nxt = prod(pq[1], r)
-                    if nxt is not None:
-                        c = pq[0]
-                        t_left = nxt if c == 1 else (c * nxt[0], nxt[1])
-                if t_left != t_right:
-                    rec.add(
-                        "assoc",
-                        (keys[p], keys[q], keys[r]),
-                        _one_diff(px, t_left, t_right),
-                    )
-                t_swap = None
-                if qp is not None:
-                    nxt = prod(qp[1], r)
-                    if nxt is not None:
-                        c = qp[0]
-                        t_swap = nxt if c == 1 else (c * nxt[0], nxt[1])
-                if t_left != t_swap:
-                    rec.add(
-                        "left-comm",
-                        (keys[p], keys[q], keys[r]),
-                        _one_diff(px, t_left, t_swap),
-                    )
-    return checked
-
-
-def _fast_prelie_cube(keys, one, rec: _Recorder, novikov: bool = False):
-    keys = list(keys)
-    px = _ProdIndex(one, keys)
-    prod = px.prod
-    idxs = range(len(keys))
-    checked = 0
-    for a in idxs:
-        for b in idxs:
-            ab = prod(a, b)
-            ba = prod(b, a)
-            for c in idxs:
-                checked += 1
-                t1 = None  # (a b) c
-                if ab is not None:
-                    nxt = prod(ab[1], c)
-                    if nxt is not None:
-                        f = ab[0]
-                        t1 = nxt if f == 1 else (f * nxt[0], nxt[1])
-                t2 = None  # a (b c)
-                bc = prod(b, c)
-                if bc is not None:
-                    nxt = prod(a, bc[1])
-                    if nxt is not None:
-                        f = bc[0]
-                        t2 = nxt if f == 1 else (f * nxt[0], nxt[1])
-                t3 = None  # (b a) c
-                if ba is not None:
-                    nxt = prod(ba[1], c)
-                    if nxt is not None:
-                        f = ba[0]
-                        t3 = nxt if f == 1 else (f * nxt[0], nxt[1])
-                t4 = None  # b (a c)
-                ac = prod(a, c)
-                if ac is not None:
-                    nxt = prod(b, ac[1])
-                    if nxt is not None:
-                        f = ac[0]
-                        t4 = nxt if f == 1 else (f * nxt[0], nxt[1])
-                if not (t1 is None and t2 is None and t3 is None and t4 is None):
-                    if (
-                        t1 is not None
-                        and t2 is not None
-                        and t3 is not None
-                        and t4 is not None
-                        and t1[1] == t2[1] == t3[1] == t4[1]
-                    ):
-                        if t1[0] - t2[0] - t3[0] + t4[0]:
-                            rec.add(
-                                "pre-lie",
-                                (keys[a], keys[b], keys[c]),
-                                (
-                                    (
-                                        px.keys[t1[1]],
-                                        Fraction(t1[0] - t2[0] - t3[0] + t4[0]),
-                                    ),
-                                ),
-                            )
-                    else:
-                        acc: dict = {}
-                        for sign, t in ((1, t1), (-1, t2), (-1, t3), (1, t4)):
-                            if t is None:
-                                continue
-                            cur = acc.get(t[1], ZERO) + sign * t[0]
-                            if cur:
-                                acc[t[1]] = cur
-                            else:
-                                acc.pop(t[1], None)
-                        if acc:
-                            rec.add(
-                                "pre-lie",
-                                (keys[a], keys[b], keys[c]),
-                                _resolve_items(px, acc),
-                            )
-                if novikov:
-                    t5 = None  # (a c) b
-                    if ac is not None:
-                        nxt = prod(ac[1], b)
-                        if nxt is not None:
-                            f = ac[0]
-                            t5 = nxt if f == 1 else (f * nxt[0], nxt[1])
-                    if t1 != t5:
-                        rec.add(
-                            "right-comm",
-                            (keys[a], keys[b], keys[c]),
-                            _one_diff(px, t1, t5),
-                        )
-    return checked
-
-
-def _one_diff(px: "_ProdIndex", t1, t2):
-    acc: dict = {}
-    for sign, t in ((1, t1), (-1, t2)):
-        if t is None:
-            continue
-        cur = acc.get(t[1], ZERO) + sign * t[0]
-        if cur:
-            acc[t[1]] = cur
-        else:
-            acc.pop(t[1], None)
-    return _resolve_items(px, acc)
-
-
-def _resolve_items(px: "_ProdIndex", acc: dict):
-    return tuple(sorted((px.keys[i], Fraction(c)) for i, c in acc.items()))
-
-
-def _vector_algebra_residuals(law: LawId, keys, product, rec: _Recorder):
-    """Generic path: product(k1, k2) -> FormalVector."""
-    ext = _bilinear(product)
-    checked = 0
-    if law == LawId.LieSkew:
-        for a in keys:
-            for b in keys:
-                checked += 1
-                res = product(a, b) + product(b, a)
-                if res:
-                    rec.add("skew", (a, b), _vec_terms(res))
-        return checked
-    for a in keys:
-        for b in keys:
-            ab = product(a, b)
-            ba = product(b, a)
-            for c in keys:
-                checked += 1
-                cv = FormalVector.single(c)
-                if law == LawId.Perm:
-                    bc = product(b, c)
-                    assoc = ext(ab, cv) - ext(FormalVector.single(a), bc)
-                    if assoc:
-                        rec.add("assoc", (a, b, c), _vec_terms(assoc))
-                    lcomm = ext(ab, cv) - ext(ba, cv)
-                    if lcomm:
-                        rec.add("left-comm", (a, b, c), _vec_terms(lcomm))
-                elif law in (LawId.PreLie, LawId.Novikov):
-                    bc = product(b, c)
-                    ac = product(a, c)
-                    res = (
-                        ext(ab, cv)
-                        - ext(FormalVector.single(a), bc)
-                        - ext(ba, cv)
-                        + ext(FormalVector.single(b), ac)
-                    )
-                    if res:
-                        rec.add("pre-lie", (a, b, c), _vec_terms(res))
-                    if law == LawId.Novikov:
-                        rc = ext(ab, cv) - ext(ac, FormalVector.single(b))
-                        if rc:
-                            rec.add("right-comm", (a, b, c), _vec_terms(rc))
-                elif law == LawId.LieJacobi:
-                    av = FormalVector.single(a)
-                    bv = FormalVector.single(b)
-                    res = ext(ab, cv) + ext(product(b, c), av) + ext(product(c, a), bv)
-                    if res:
-                        rec.add("jacobi", (a, b, c), _vec_terms(res))
-                else:
-                    raise ValueError(f"not an algebra law: {law}")
+    for fixed in itertools.product(range(n), repeat=last):
+        checked += n
+        found = []
+        for r, (label, lhs, rhs) in enumerate(rows):
+            lv, rv = side(lhs, fixed), side(rhs, fixed)
+            if lv == rv:
+                continue
+            if len(rec.items) == rec.cap:  # nothing more is kept: count only
+                rec.total += sum(map(operator.ne, lv, rv))
+            else:
+                found.extend((c, r, label, lv[c], rv[c]) for c in range(n) if lv[c] != rv[c])
+        if len(rows) > 1:
+            found.sort(key=lambda f: f[:2])
+        for c, _, label, lc, rc in found:
+            at = tuple(ks[i] for i in fixed) + (ks[c],)
+            diff = _pairs(_axpy(lc, rc, -1))
+            rec.add(label, at, tuple(sorted((ks[k], Fraction(v)) for k, v in diff)))
+    # ev reaches itself through its closure: unbinding it frees the product
+    # memo now, not at the next full garbage collection.
+    del ev
     return checked
 
 
@@ -403,34 +339,36 @@ def check_algebra(
     margin: Optional[int] = None,
 ) -> CheckReport:
     """Quantify an algebra law over key triples (pairs for LieSkew)."""
-    rec = _Recorder()
     if family is not None:
         if window is None:
             raise ValueError("graded family checks need a window")
         if margin is None:
             margin = default_margin(law, graded=True)
         window = Window(window.n, margin)
-        ks = list(keys) if keys is not None else family.interior_keys(window, law.value)
-        if law == LawId.Perm:
-            checked = _fast_perm_cube(ks, family.product_one, rec)
-        elif law in (LawId.PreLie, LawId.Novikov):
-            checked = _fast_prelie_cube(
-                ks, family.product_one, rec, novikov=(law == LawId.Novikov)
-            )
-        else:
-            checked = _vector_algebra_residuals(law, ks, family.product, rec)
-        return CheckReport.build(law.value, window, checked, rec.items, rec.extra())
-    if alg is not None:
-        ks = list(keys) if keys is not None else alg.basis_keys()
+        if keys is None:
+            keys = family.interior_keys(window, law.value)
+        one = family.product_one
+
+        def terms(ka, kb):
+            r = one(ka, kb)
+            return () if r is None else ((r[1], r[0]),)
+
+    else:
+        if alg is not None:
+            product = alg.product
+            if keys is None:
+                keys = alg.basis_keys()
+        elif product is None or keys is None:
+            raise ValueError("need family, alg, or product+keys")
+        elif margin is not None:
+            window = Window((window or Window(0, 0)).n, margin)
         window = window or Window(0, 0)
-        checked = _vector_algebra_residuals(law, ks, alg.product, rec)
-        return CheckReport.build(law.value, window, checked, rec.items, rec.extra())
-    if product is None or keys is None:
-        raise ValueError("need family, alg, or product+keys")
-    window = window or Window(0, 0)
-    if margin is not None:
-        window = Window(window.n, margin)
-    checked = _vector_algebra_residuals(law, list(keys), product, rec)
+
+        def terms(ka, kb):
+            return product(ka, kb).items()
+
+    rec = _Recorder()
+    checked = _law_residuals(law, keys, terms, rec)
     return CheckReport.build(law.value, window, checked, rec.items, rec.extra())
 
 
@@ -1229,7 +1167,7 @@ def check_preperm(alg: FiniteAlgebra) -> CheckReport:
                 ):
                     res = x - y
                     if res:
-                        rec.add(label, (i, j, k), _vec_terms(res))
+                        rec.add(label, (i, j, k), tuple(res.sorted_items()))
     return CheckReport.build(
         LawId.PrePerm.value, Window(0, 0), checked, rec.items, rec.extra()
     )

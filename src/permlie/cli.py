@@ -33,7 +33,6 @@ from .kernel import (
 from .families import (
     FiniteAlgebra,
     FormalVector,
-    TensorElement,
     a_ts_product,
     adjoint_representation,
     ats_family,
@@ -1164,25 +1163,40 @@ def _add_common(p):
 
 
 def _merge_config(args, suite=None) -> SuiteConfig:
+    """Each setting from its flag, else from the --config file, else its
+    default.  Raises ValueError on an unreadable config or a bad value."""
     fromfile = {}
     if args.config:
-        with open(args.config) as f:
-            fromfile = json.load(f)
+        try:
+            with open(args.config) as f:
+                fromfile = json.load(f)
+        except (OSError, ValueError) as err:
+            raise ValueError(f"bad config {args.config}: {err}") from None
+        if not isinstance(fromfile, dict):
+            raise ValueError(f"bad config {args.config}: not a JSON object")
 
-    def pick(name, default):
+    def pick(name, default, conv):
         v = getattr(args, name, None)
-        if v is not None:
-            return v
-        return fromfile.get(name, default)
+        if v is None:
+            v = fromfile.get(name, default)
+        try:
+            return None if v is None else conv(v)
+        except (TypeError, ValueError):
+            raise ValueError(f"bad {name}: {v!r}") from None
 
-    return SuiteConfig(
+    cfg = SuiteConfig(
         suite=suite,
-        window=int(pick("window", 6)),
-        margin=pick("margin", None),
-        seed=int(pick("seed", 0)),
-        fmt=pick("format", "text"),
-        out=pick("out", None),
+        window=pick("window", 6, int),
+        margin=pick("margin", None, int),
+        seed=pick("seed", 0, int),
+        fmt=pick("format", "text", str),
+        out=pick("out", None, str),
     )
+    if cfg.margin is not None and cfg.margin < 0:
+        raise ValueError(f"bad margin: {cfg.margin} (must be at least 0)")
+    if cfg.fmt not in ("text", "json"):
+        raise ValueError(f"bad format: {cfg.fmt!r}")
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -1212,11 +1226,16 @@ def main(argv=None) -> int:
     _add_common(p_exp)
 
     args = parser.parse_args(argv)
+    try:
+        cfg = _merge_config(args, suite=getattr(args, "suite", None))
+    except ValueError as err:
+        print(f"permlie: {err}", file=sys.stderr)
+        return 2
     if args.command == "verify":
-        return cmd_verify(_merge_config(args, suite=args.suite))
+        return cmd_verify(cfg)
     if args.command == "residual":
-        return cmd_residual(args.kind, args.algebra, args.input, _merge_config(args))
-    return cmd_export(args.object_id, _merge_config(args))
+        return cmd_residual(args.kind, args.algebra, args.input, cfg)
+    return cmd_export(args.object_id, cfg)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .kernel import (
-    Aff,
     Fresh,
     FormalVector,
     Poly,
@@ -37,7 +36,6 @@ from .kernel import (
     av,
     ess,
     fin,
-    key_degree,
     mono,
     pat_const,
     pat_ess,
@@ -71,8 +69,7 @@ class GradedFamily:
     dual_pairs: Optional[Callable] = None  # fresh -> [(vars, e_pat, f_pat, sign)]
 
     def keys(self, window: Window):
-        lo, hi = -window.n, window.n
-        return [k for k in self.keys_fn(window.n)]
+        return self.keys_fn(window.n)
 
     def interior_keys(self, window: Window, law: str = "enumeration"):
         lo, hi = window.require_interior(law)
@@ -380,18 +377,6 @@ def wn_codelta(n: int, key) -> TemplateSeries:
 # Small exact matrices (tuples of row tuples) for finite-dimensional work.
 
 
-def mat_zero(nrows: int, ncols: int):
-    return tuple((ZERO,) * ncols for _ in range(nrows))
-
-
-def mat_id(n: int):
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -442,10 +427,6 @@ class FiniteAlgebra:
 
     def basis_keys(self):
         return [fin(self.space, i) for i in range(self.dim)]
-
-    def product_one(self, k1, k2):
-        # products may have several terms; this returns the full vector
-        return self.product(k1, k2)
 
     def product(self, k1, k2) -> FormalVector:
         out = FormalVector()
@@ -675,15 +656,6 @@ def mat_inv(a):
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         r += 1
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def dual_delta_of_mul(mul: dict, dim: int) -> dict:
-    """Coproduct table read off a product table by transposition."""
-    delta: dict = {k: [] for k in range(dim)}
-    for (i, j), terms in mul.items():
-        for k, c in terms:
-            delta[k].append((i, j, c))
-    return {k: tuple(sorted(v)) for k, v in delta.items() if v}
 
 
 def mul_of_dual_delta(delta: dict, dim: int) -> dict:

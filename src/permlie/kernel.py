@@ -12,10 +12,9 @@ select which keys get probed; they never truncate anything.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 Scalar = Fraction
 
@@ -698,24 +697,20 @@ class TemplateSeries:
         exact accumulated coefficient at each.  Tuples absent from the result
         have coefficient exactly zero inside the box.
 
-        Coefficients of integer polynomials accumulate as machine ints (still
-        exact) and are wrapped into Fractions once at the end."""
+        Integer coefficients accumulate as machine ints (still exact) and are
+        wrapped into Fractions once at the end."""
         acc: dict = {}
         for t in self.templates:
             plan = _compile_box_plan(t)
             builders = plan[3]
             poly_plan = plan[4]
-            integral = plan[5]
             for env in _box_env_tuples(plan, bound):
-                if integral:
-                    c = 0
-                    for co, pows in poly_plan:
-                        m = co
-                        for pos, e in pows:
-                            m *= env[pos] ** e
-                        c += m
-                else:
-                    c = _poly_plan_eval(poly_plan, integral, env)
+                c = 0
+                for co, pows in poly_plan:
+                    m = co
+                    for pos, e in pows:
+                        m *= env[pos] ** e
+                    c += m
                 if not c:
                     continue
                 keys = tuple(b(env) for b in builders)
@@ -766,8 +761,8 @@ def _compile_box_plan(t: Template):
     """One-time compilation of a template for box enumeration.
 
     Variables become positions in an env tuple.  Returns
-    (var count, elimination steps, slot plans, key builders,
-     poly plan, poly plan is all-integer) where each slot plan is
+    (var count, elimination steps, slot plans, key builders, poly plan)
+    where the poly plan keeps integer coefficients as ints, each slot plan is
     (const, ((pos, coeff), ...)) and each step is
     (pos, ((const, rest terms, coeff of pos), ...)) giving the box bounds of
     the variable once earlier positions are fixed.  A variable appearing in
@@ -818,12 +813,10 @@ def _compile_box_plan(t: Template):
         remaining.remove(chosen[0])
     builders = tuple(_compile_pat_builder(p, vpos) for p in t.keys)
     poly_plan = tuple(
-        (co, tuple((vpos[v], e) for v, e in mo)) for mo, co in t.coeff.m
+        (co.numerator if co.denominator == 1 else co, tuple((vpos[v], e) for v, e in mo))
+        for mo, co in t.coeff.m
     )
-    integral = all(co.denominator == 1 for co, _ in poly_plan)
-    if integral:
-        poly_plan = tuple((co.numerator, pows) for co, pows in poly_plan)
-    return (len(t.vars), tuple(steps), tuple(plans), builders, poly_plan, integral)
+    return (len(t.vars), tuple(steps), tuple(plans), builders, poly_plan)
 
 
 def _compile_pat_builder(p, vpos: dict):
@@ -863,24 +856,6 @@ def _aff_plan_eval(pl, env) -> int:
     return v
 
 
-def _poly_plan_eval(poly_plan, integral: bool, env) -> Fraction:
-    if integral:
-        total = 0
-        for co, pows in poly_plan:
-            m = co
-            for pos, e in pows:
-                m *= env[pos] ** e
-            total += m
-        return Fraction(total)
-    total = ZERO
-    for co, pows in poly_plan:
-        m = co
-        for pos, e in pows:
-            m = m * (env[pos] ** e)
-        total = total + m
-    return total
-
-
 def _step_range(cands, env, bound: int):
     """[lo, hi] for a step's variable once earlier positions are fixed."""
     lo = hi = None
@@ -906,7 +881,7 @@ def _box_env_tuples(plan, bound: int) -> Iterator[tuple]:
     Each variable-bearing slot is enforced exactly by the step bounds at the
     step fixing its last variable, so only constant slots need a check here.
     """
-    nv, steps, slot_plans, _, _, _ = plan
+    nv, steps, slot_plans, _, _ = plan
     for const, terms in slot_plans:
         if not terms and (const > bound or const < -bound):
             return
@@ -948,26 +923,10 @@ def _box_env_tuples(plan, bound: int) -> Iterator[tuple]:
     yield from rec(0)
 
 
-def _enumerate_box(t: Template, bound: int) -> Iterator[dict]:
-    """Integer assignments of t.vars putting every slot in [-bound, bound]."""
-    plan = _compile_box_plan(t)
-    for env in _box_env_tuples(plan, bound):
-        yield {v: env[i] for i, v in enumerate(t.vars)}
-
-
 # ---------------------------------------------------------------------------
 # Symbolic composition.  A symbolic product rule maps two patterns to a list
 # of (Poly, pattern) branches; a symbolic coproduct maps (pattern, fresh) to a
 # list of (new vars, Poly, (pattern, pattern)) branches.
-
-
-def series_map_bilinear(vec_terms, sym_rule):
-    """Linear extension of a symbolic rule over concrete (key,key,coeff)."""
-    out = FormalVector()
-    for ka, kb, c in vec_terms:
-        for poly, p in sym_rule(pat_const(ka), pat_const(kb)):
-            out.add_term(pat_eval(p, {}), c * poly.eval({}))
-    return out
 
 
 def expand_slot(series: TemplateSeries, idx: int, sym_co, fresh: Fresh) -> TemplateSeries:

@@ -27,7 +27,10 @@ def parse_scalar(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {s!r}") from None
     raise ValueError(f"not a scalar: {s!r}")
 
 

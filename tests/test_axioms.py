@@ -1,5 +1,7 @@
 """Law checkers: algebra, coalgebra, form, matched pair, O-operator."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from permlie.kernel import (
     tee,
 )
 from permlie.families import (
+    FiniteAlgebra,
     FormalVector,
     a_ts_product,
     adjoint_representation,
@@ -24,6 +27,7 @@ from permlie.families import (
     delta_p_family,
     finite_catalog,
     perm_p_family,
+    random_table,
     wn_family,
 )
 from permlie.axioms import (
@@ -36,6 +40,7 @@ from permlie.axioms import (
     check_preperm,
     check_representation,
 )
+from permlie.cli import _perturbed_ats_product
 from permlie.doubles import canonical_dual_actions, dual_perm_algebra
 
 F = Fraction
@@ -109,6 +114,110 @@ class TestAlgebraNegatives:
         assert not rep.passed
         assert len(rep.violations) == 25
         assert rep.violations[0][0] == "pre-lie"
+
+
+def _oracle(law, keys, product):
+    """A law checked straight from its textbook identity, with plain
+    FormalVector sums: (passed, checked, extra, violations) as check_algebra
+    reports them, keeping the first 25 violations in (a, b, c, label) order."""
+    memo = {}
+
+    def mul(u, v):
+        out = FormalVector()
+        for ka, ca in u.items():
+            for kb, cb in v.items():
+                if (ka, kb) not in memo:
+                    memo[(ka, kb)] = product(ka, kb)
+                out.add_vec(memo[(ka, kb)], ca * cb)
+        return out
+
+    def identities(a, b, c=None):
+        if law == LawId.LieSkew:
+            return [("skew", mul(a, b) + mul(b, a))]
+        abc = mul(mul(a, b), c)
+        if law == LawId.LieJacobi:
+            return [("jacobi", abc + mul(mul(b, c), a) + mul(mul(c, a), b))]
+        if law == LawId.Perm:
+            return [
+                ("assoc", abc - mul(a, mul(b, c))),
+                ("left-comm", abc - mul(mul(b, a), c)),
+            ]
+        rows = [("pre-lie", abc - mul(a, mul(b, c)) - mul(mul(b, a), c) + mul(b, mul(a, c)))]
+        if law == LawId.Novikov:
+            rows.append(("right-comm", abc - mul(mul(a, c), b)))
+        return rows
+
+    arity = 2 if law == LawId.LieSkew else 3
+    found = []
+    for at in itertools.product(keys, repeat=arity):
+        for label, res in identities(*(FormalVector.single(k) for k in at)):
+            if res:
+                found.append((label, at, tuple(res.sorted_items())))
+    extra = {"violations_total": len(found)}
+    if len(found) > 25:
+        extra["violations_truncated"] = True
+    kept = sorted(found[:25], key=lambda v: (v[0], v[1]))
+    return (not found, len(keys) ** arity, extra, kept)
+
+
+def _vector_product(one):
+    def product(a, b):
+        r = one(a, b)
+        return FormalVector() if r is None else FormalVector.single(r[1], r[0])
+
+    return product
+
+
+ALGEBRA_LAWS = [LawId.Perm, LawId.PreLie, LawId.Novikov, LawId.LieJacobi, LawId.LieSkew]
+
+
+def _random_algebras():
+    rng = random.Random(2409)
+    return [
+        FiniteAlgebra(
+            id=f"rand{t}",
+            space=f"R{t}",
+            dim=2 + t % 2,
+            labels=tuple(f"e{i}" for i in range(2 + t % 2)),
+            kind="none",
+            mul=random_table(rng, 2 + t % 2),
+        )
+        for t in range(40)
+    ]
+
+
+class TestLawOracle:
+    """check_algebra against the oracle on every input kind."""
+
+    def assert_matches(self, rep, law, keys, product):
+        assert (rep.passed, rep.checked, rep.extra, rep.violations) == _oracle(
+            law, keys, product
+        )
+
+    @pytest.mark.parametrize("law", ALGEBRA_LAWS)
+    def test_catalog_and_random_tables(self, law):
+        algs = list(finite_catalog().values()) + _random_algebras()
+        for alg in algs:
+            rep = check_algebra(law, alg=alg)
+            self.assert_matches(rep, law, alg.basis_keys(), alg.product)
+
+    @pytest.mark.parametrize("law", ALGEBRA_LAWS)
+    def test_perturbed_ats_product(self, law):
+        keys = ats_family().interior_keys(Window(4), law.value)
+        rep = check_algebra(law, product=_perturbed_ats_product, keys=keys)
+        self.assert_matches(rep, law, keys, _perturbed_ats_product)
+
+    # One passing and one failing two-row law: the oracle needs about ten
+    # seconds for each of these 125,000-triple cubes.
+    @pytest.mark.parametrize(
+        "fam, law",
+        [(perm_p_family(), LawId.Perm), (wn_family(2), LawId.Novikov)],
+        ids=["permP-Perm", "w2-Novikov"],
+    )
+    def test_families_at_margin_zero(self, fam, law):
+        rep = check_algebra(law, family=fam, window=Window(2), margin=0)
+        keys = fam.keys(Window(2))
+        self.assert_matches(rep, law, keys, _vector_product(fam.product_one))
 
 
 class TestCoalgebra:

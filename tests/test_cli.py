@@ -180,3 +180,40 @@ class TestExport:
     def test_unknown_object(self):
         p = run("export", "nothing")
         assert p.returncode == 2
+
+
+class TestMalformedInput:
+    """Each malformed input exits 2 with a one-line message, no traceback."""
+
+    def assert_usage_error(self, p):
+        assert p.returncode == 2
+        assert "Traceback" not in p.stderr
+        assert len(p.stderr.strip().splitlines()) == 1
+
+    def test_config_bad_json(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"window": 3,')
+        self.assert_usage_error(run("verify", "ybe", "--config", str(cfg)))
+
+    def test_config_missing_file(self, tmp_path):
+        cfg = tmp_path / "absent.json"
+        self.assert_usage_error(run("verify", "ybe", "--config", str(cfg)))
+
+    def test_config_window_not_a_number(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window": "x"}))
+        self.assert_usage_error(run("verify", "ybe", "--config", str(cfg)))
+
+    def test_residual_zero_denominator(self, tmp_path):
+        f = tmp_path / "r.json"
+        f.write_text('[[0, 1, "1/0"]]')
+        p = run("residual", "perm-ybe", "--algebra", "ex-sd2", "--input", str(f))
+        self.assert_usage_error(p)
+
+    def test_negative_margin_flag(self):
+        self.assert_usage_error(run("verify", "ybe", "--window", "3", "--margin", "-3"))
+
+    def test_negative_margin_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window": 3, "margin": -3}))
+        self.assert_usage_error(run("verify", "ybe", "--config", str(cfg)))

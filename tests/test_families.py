@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from permlie.kernel import Window, ess, key_degree, mono, tee, wn
+from permlie.kernel import Window, ess, key_degree, mono, pat_const, pat_eval, tee, wn
 from permlie.families import (
     FiniteAlgebra,
+    FormalVector,
     a_ts_product,
     ats_family,
     conjugated_table,
@@ -21,6 +22,7 @@ from permlie.families import (
     wn_family,
 )
 from permlie.axioms import LawId, check_algebra, check_preperm
+from permlie.doubles import restricted_dual_double
 
 F = Fraction
 
@@ -139,6 +141,45 @@ class TestForms:
             for a in fam.keys(Window(2)):
                 for b, c in fam.form_partners(a):
                     assert fam.form(a, b) == c
+
+
+def _cross_check_families():
+    return [
+        ats_family(),
+        perm_p_family(),
+        wn_family(1),
+        wn_family(2),
+        restricted_dual_double(wn_family(1)),
+    ]
+
+
+class TestConcreteMatchesSymbolic:
+    """The concrete product and form partners of each family against its
+    symbolic product and its form, on every Window(2) key."""
+
+    @pytest.mark.parametrize("fam", _cross_check_families(), ids=lambda f: f.name)
+    def test_product_one_is_sym_product_at_constants(self, fam):
+        keys = fam.keys(Window(2))
+        for a in keys:
+            for b in keys:
+                want = FormalVector()
+                for poly, p in fam.sym_product(pat_const(a), pat_const(b)):
+                    want.add_term(pat_eval(p, {}), poly.eval({}))
+                r = fam.product_one(a, b)
+                got = FormalVector() if r is None else FormalVector.single(r[1], r[0])
+                assert got == want, (a, b)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [f for f in _cross_check_families() if f.form is not None],
+        ids=lambda f: f.name,
+    )
+    def test_form_partners_are_the_nonzero_form_entries(self, fam):
+        keys = fam.keys(Window(2))
+        inside = set(keys)
+        for a in keys:
+            partners = {b: c for b, c in fam.form_partners(a) if b in inside}
+            assert partners == {b: fam.form(a, b) for b in keys if fam.form(a, b)}, a
 
 
 class TestCatalog:
