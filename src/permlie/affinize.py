@@ -16,10 +16,12 @@ from .kernel import (
     CheckReport,
     FormalVector,
     Fresh,
+    ONE,
     Poly,
     Template,
     TemplateSeries,
     Window,
+    ZERO,
     pair,
     pat_const,
     pat_fin,
@@ -27,9 +29,6 @@ from .kernel import (
 )
 from .families import FiniteAlgebra, GradedFamily
 from .axioms import LawId, check_algebra, check_coalgebra, _Recorder, _memo_one
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def pair_keys(alg: FiniteAlgebra, family: GradedFamily, window: Window):

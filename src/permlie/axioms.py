@@ -24,8 +24,10 @@ from .kernel import (
     CheckReport,
     FormalVector,
     Fresh,
+    ONE,
     TemplateSeries,
     Window,
+    ZERO,
     apply_product_slot,
     expand_slot,
     key_degree,
@@ -39,11 +41,7 @@ from .families import (
     mat_mul,
     mat_sub,
     mat_vec,
-    mono,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LawId(str, Enum):
@@ -585,6 +583,107 @@ def _ad_apply(series: TemplateSeries, x, sym_bracket, slot: int) -> TemplateSeri
 # ---------------------------------------------------------------------------
 # Bilinear forms.
 
+# Each form law once, as (label, identity) rows.  An identity is a signed sum
+# of pairings (x|y) of the inputs a, b, c and their products that must vanish:
+# the first row over every window pair (a, b), the second over every interior
+# triple (a, b, c).
+_SKEW = ("skew", "(a|b) + (b|a)")
+FORM_PLANS = {
+    LawId.QuadPermForm: (_SKEW, ("invariance", "(ab|c) - (a|bc) + (a|cb)")),
+    LawId.QuadPreLieForm: (_SKEW, ("invariance", "(ab|c) + (b|ac) - (b|ca)")),
+    LawId.ManinPermKd: (_SKEW, ("invariance", "(ab|c) - (a|bc) + (a|cb)")),
+    LawId.ManinLieB: (("symmetric", "(a|b) - (b|a)"), ("invariance", "(ab|c) - (a|bc)")),
+    LawId.SymplecticLie: (_SKEW, ("closed", "(ab|c) + (bc|a) + (ca|b)")),
+}
+
+
+def _int(c):
+    """An integral Fraction as an int: exact, and faster to add and multiply."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
+def _pairings(text: str) -> tuple:
+    """'(ab|c) - (a|bc)' -> ((1, 'ab', 'c'), (-1, 'a', 'bc'))."""
+    terms = re.findall(r"([+-]?)\s*\((\w+)\|(\w+)\)", text)
+    return tuple((-1 if sign == "-" else 1, x, y) for sign, x, y in terms)
+
+
+def _form_residuals(row, keys, form: Callable, product: Callable, rec: _Recorder) -> int:
+    """Evaluate a triple row of FORM_PLANS on all input triples over keys.
+
+    product(ka, kb) is a FormalVector.  With a and b fixed, each pairing is
+    nonzero at a few c only:
+
+    - (xy|c) or (c|xy), x and y fixed: each key of x y pairs with the c that
+      a scan of form against the inputs finds, done once per key;
+    - (z|uc), (z|cu), (uc|z) or (cu|z), z and u fixed: an index, built once
+      per u for all such pairings of z and u, maps each input z to the c
+      whose product with u has a key pairing with z.
+
+    Residuals are summed over those c, and violations are added in
+    (a, b, c) order.  Integral values are summed as ints (still exact).
+    """
+    label, text = row
+    by_scan = []  # (sign, x, y, left): x, y index the fixed inputs (a, b)
+    by_index: dict = {}  # (z, u) -> ((sign, c on the right, left), ...)
+    for s, x, y in _pairings(text):
+        left = len(x) == 2  # the product stands left of the bar
+        single, prod = (y, x) if left else (x, y)
+        if single == "c" and len(prod) == 2 and "c" not in prod:
+            by_scan.append((s, "ab".index(prod[0]), "ab".index(prod[1]), left))
+        elif single in ("a", "b") and prod in ("ac", "bc", "ca", "cb"):
+            zu = ("ab".index(single), "ab".index(prod.replace("c", "")))
+            by_index[zu] = by_index.get(zu, ()) + ((s, prod[1] == "c", left),)
+        else:
+            raise ValueError(f"unsupported pairing ({x}|{y}) in {text!r}")
+    ks = list(keys)
+    n = len(ks)
+    scans: dict = {}  # (key, left) -> [(i, (key|ks[i]) if left else (ks[i]|key))]
+    index: dict = {}  # (u, pairings) -> {z: (c1, value1, c2, value2, ...)}
+
+    def scan(k, left):
+        r = scans.get((k, left))
+        if r is None:
+            ys = itertools.repeat(k)
+            vals = map(form, ys, ks) if left else map(form, ks, ys)
+            r = scans[(k, left)] = [(i, _int(v)) for i, v in enumerate(vals) if v]
+        return r
+
+    def solved(u, pairings):
+        r = index.get((u, pairings))
+        if r is None:
+            acc: dict = {}
+            for i, kc in enumerate(ks):
+                for s, c_right, left in pairings:
+                    for k, f in (product(ks[u], kc) if c_right else product(kc, ks[u])).items():
+                        f = s * _int(f)
+                        for z, v in scan(k, left):
+                            row_z = acc.setdefault(z, {})
+                            row_z[i] = row_z.get(i, 0) + f * v
+            r = index[(u, pairings)] = {
+                z: tuple(x for iv in row_z.items() if iv[1] for x in iv)
+                for z, row_z in acc.items()
+            }
+        return r
+
+    for a in range(n):
+        for b in range(n):
+            fixed = (a, b)
+            acc: dict = {}
+            for s, x, y, left in by_scan:
+                for k, f in product(ks[fixed[x]], ks[fixed[y]]).items():
+                    f = s * _int(f)
+                    for i, v in scan(k, left):
+                        acc[i] = acc.get(i, 0) + f * v
+            for (z, u), pairings in by_index.items():
+                found = solved(fixed[u], pairings).get(fixed[z], ())
+                for i, v in zip(found[::2], found[1::2]):
+                    acc[i] = acc.get(i, 0) + v
+            for i in sorted(acc):
+                if acc[i]:
+                    rec.add(label, (ks[a], ks[b], ks[i]), ((("scalar",), Fraction(acc[i])),))
+    return n ** 3
+
 
 def check_form(
     law: LawId,
@@ -598,7 +697,10 @@ def check_form(
     weight: Optional[int] = None,
     check_nondegenerate: bool = True,
 ) -> CheckReport:
-    """Skew symmetry, graded weight, invariance, window nondegeneracy."""
+    """Symmetry sense, graded weight, invariance, window nondegeneracy."""
+    plan = FORM_PLANS.get(law)
+    if plan is None:
+        raise ValueError(f"not a form law: {law}")
     graded = family is not None
     if graded:
         form = family.form
@@ -614,153 +716,33 @@ def check_form(
         margin = default_margin(law, graded)
     window = Window(window.n, margin)
     rec = _Recorder()
-    checked = 0
 
-    # Symmetry sense and single graded weight over all window pairs.  The
-    # Lie-level Manin form is symmetric; every other form law here is skew.
-    symmetric = law == LawId.ManinLieB
+    # The pair row and the single graded weight over all window pairs.
+    (pair_label, pair_text), triple_row = plan
+    pair_terms = [(s, "ab".index(x), "ab".index(y)) for s, x, y in _pairings(pair_text)]
     for a in box_keys:
         for b in box_keys:
-            checked += 1
-            v = form(a, b)
-            w = form(b, a)
-            bad = v - w if symmetric else v + w
+            ab = (a, b)
+            bad = sum(s * v for s, x, y in pair_terms if (v := form(ab[x], ab[y])))
             if bad:
-                rec.add("symmetric" if symmetric else "skew", (a, b), ((("scalar",), bad),))
+                rec.add(pair_label, ab, ((("scalar",), bad),))
+            v = form(a, b)
             if v and weight is not None and key_degree(a) + key_degree(b) != weight:
-                rec.add("graded-weight", (a, b), ((("scalar",), v),))
+                rec.add("graded-weight", ab, ((("scalar",), v),))
 
-    # Invariance.
-    if graded:
-        inner = family.interior_keys(window, law.value)
-    else:
-        inner = box_keys
-    if law == LawId.QuadPermForm and graded and family.name == "permP":
-        checked += _perm_invariance_sparse(family, inner, rec)
-    else:
-        for a in inner:
-            for b in inner:
-                ab = product(a, b)
-                for c in inner:
-                    checked += 1
-                    if law == LawId.QuadPreLieForm:
-                        # form(a b, c) = -form(b, a c - c a)
-                        res = _form_on(form, ab, c) + _form_on(
-                            form, product(a, c) - product(c, a), b, swap=True
-                        )
-                        label = "invariance"
-                    elif law in (LawId.QuadPermForm, LawId.ManinPermKd):
-                        # form(a b, c) = form(a, b c - c b)
-                        res = _form_on(form, ab, c) - _form_on(
-                            form, product(b, c) - product(c, b), a, swap=True
-                        )
-                        label = "invariance"
-                    elif law == LawId.ManinLieB:
-                        # form([a, b], c) = form(a, [b, c])
-                        res = _form_on(form, ab, c) - _form_on(
-                            form, product(b, c), a, swap=True
-                        )
-                        label = "invariance"
-                    elif law == LawId.SymplecticLie:
-                        res = (
-                            _form_on(form, ab, c)
-                            + _form_on(form, product(b, c), a)
-                            + _form_on(form, product(c, a), b)
-                        )
-                        label = "closed"
-                    else:
-                        raise ValueError(f"not a form law: {law}")
-                    if res:
-                        rec.add(label, (a, b, c), ((("scalar",), res),))
+    inner = family.interior_keys(window, law.value) if graded else box_keys
+    checked = len(box_keys) ** 2 + _form_residuals(triple_row, inner, form, product, rec)
 
-    extra = rec.extra()
+    gram = {}
     if check_nondegenerate:
         rank = _gram_rank(box_keys, form)
-        extra["gram_rank"] = rank
-        extra["gram_size"] = len(box_keys)
+        gram = {"gram_rank": rank, "gram_size": len(box_keys)}
         if rank < len(box_keys):
             rec.add("degenerate", (), ((("rank",), Fraction(rank)),))
-            extra = rec.extra()
-            extra["gram_rank"] = rank
-            extra["gram_size"] = len(box_keys)
+    extra = {**rec.extra(), **gram}
     if weight is not None:
         extra["weight"] = weight
     return CheckReport.build(law.value, window, checked, rec.items, extra)
-
-
-def _form_on(form, arg, other, swap: bool = False) -> Fraction:
-    """form(arg, other) extended linearly in a FormalVector argument.
-
-    With swap=True computes form(other, arg)."""
-    if isinstance(arg, FormalVector):
-        total = ZERO
-        for k, c in arg.items():
-            total += c * (form(other, k) if swap else form(k, other))
-        return total
-    return form(other, arg) if swap else form(arg, other)
-
-
-def _perm_invariance_sparse(family: GradedFamily, inner, rec: _Recorder) -> int:
-    """Invariance sweep using the solved candidate set for the third key.
-
-    For fixed (a, b) the residual form(a b, c) - form(a, b c) + form(a, c b)
-    can only be nonzero when c pairs against a b, or b c / c b pairs against
-    a; those c are recovered exactly by inverting the product on its key, so
-    skipping the rest loses nothing.
-    """
-    inner_set = set(inner)
-    form = family.form
-    one = family.product_one
-    partners = family.form_partners
-    checked = 0
-    for a in inner:
-        pa = [k for k, _ in partners(a)]
-        for b in inner:
-            checked += len(inner)
-            cands = set()
-            ab = one(a, b)
-            if ab is not None:
-                for k, _ in partners(ab[1]):
-                    cands.add(k)
-            for target in pa:
-                for c in _mono_solve_right(b, target):
-                    cands.add(c)
-                for c in _mono_solve_left(b, target):
-                    cands.add(c)
-            for c in cands:
-                if c not in inner_set:
-                    continue
-                res = ZERO
-                if ab is not None:
-                    res += ab[0] * form(ab[1], c)
-                bc = one(b, c)
-                if bc is not None:
-                    res -= bc[0] * form(a, bc[1])
-                cb = one(c, b)
-                if cb is not None:
-                    res += cb[0] * form(a, cb[1])
-                if res:
-                    rec.add("invariance", (a, b, c), ((("scalar",), res),))
-    return checked
-
-
-def _mono_solve_right(b, out):
-    """Keys c with (b c) = out at key level for the monomial perm family."""
-    _, b1, b2, s = b
-    _, o1, o2, od = out
-    return [mono(o1 - b1 - (1 if s == 1 else 0), o2 - b2 - (1 if s == 2 else 0), od)]
-
-
-def _mono_solve_left(b, out):
-    """Keys c with (c b) = out at key level for the monomial perm family."""
-    _, b1, b2, sb = b
-    _, o1, o2, od = out
-    if od != sb:
-        return []
-    return [
-        mono(o1 - b1 - (1 if cd == 1 else 0), o2 - b2 - (1 if cd == 2 else 0), cd)
-        for cd in (1, 2)
-    ]
 
 
 def _gram_rank(keys, form) -> int:
@@ -769,7 +751,6 @@ def _gram_rank(keys, form) -> int:
     Fast path: an injective partner assignment (each key sees exactly one
     nonzero column, all distinct) is a scaled permutation, hence full rank."""
     n = len(keys)
-    idx = {k: i for i, k in enumerate(keys)}
     rows = []
     partner_cols = []
     injective = True

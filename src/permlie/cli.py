@@ -14,10 +14,12 @@ from .kernel import (
     CheckReport,
     Fresh,
     InsufficientWindowError,
+    ONE,
     Poly,
     Template,
     TemplateSeries,
     Window,
+    ZERO,
     av,
     ess,
     fin,
@@ -97,8 +99,6 @@ from .serialize import (
     three_tensor_to_json,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 MIN_WINDOW = 3
 
 

@@ -18,9 +18,10 @@ from typing import Callable, Optional
 
 from .kernel import (
     CheckReport,
-    FormalVector,
     InsufficientWindowError,
+    ONE,
     Window,
+    ZERO,
     ess,
     fin,
     forced_zero_columns,
@@ -59,9 +60,6 @@ from .axioms import (
     check_representation,
 )
 from .affinize import induced_lie_bracket, pair_keys
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,28 +146,6 @@ def semidirect_perm(
     if not perm.passed:
         raise ValueError(f"semidirect table fails the perm law: {perm.summary()}")
     return out
-
-
-def matched_pair_assemble(
-    alg1: FiniteAlgebra,
-    alg2: FiniteAlgebra,
-    l12,
-    r12,
-    l21,
-    r21,
-    space: str = "MP",
-) -> FiniteAlgebra:
-    """Assemble the direct-sum perm algebra of two mutually acting algebras.
-
-    l12[i], r12[i] act on alg2's space (one matrix per alg1 basis index);
-    l21[j], r21[j] act on alg1's space.  Raises with the violated condition
-    labels when the ten compatibility identities do not hold.
-    """
-    rep = check_matched_pair(alg1, alg2, l12, r12, l21, r21)
-    if not rep.passed:
-        bad = ", ".join(sorted({v[0] for v in rep.violations}))
-        raise ValueError(f"not a matched pair: {bad}")
-    return _assemble_matched_pair(alg1, alg2, l12, r12, l21, r21, space=space)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,12 @@ from typing import Callable, Optional
 from .kernel import (
     Fresh,
     FormalVector,
+    ONE,
     Poly,
     TemplateSeries,
     Template,
     Window,
+    ZERO,
     av,
     ess,
     fin,
@@ -46,9 +48,6 @@ from .kernel import (
     tee,
     wn,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------

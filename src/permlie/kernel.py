@@ -51,13 +51,15 @@ def ess(i: int):
 
 
 def mono(i1: int, i2: int, d: int):
-    assert d in (1, 2)
+    if d not in (1, 2):
+        raise ValueError(f"Mono derivation must be 1 or 2, not {d!r}")
     return ("Mono", i1, i2, d)
 
 
 def wn(exps, d: int):
     exps = tuple(exps)
-    assert 1 <= d <= len(exps)
+    if not 1 <= d <= len(exps):
+        raise ValueError(f"Wn derivation must be in 1..{len(exps)}, not {d!r}")
     return ("Wn", exps, d)
 
 

@@ -53,22 +53,35 @@ def key_to_json(key) -> dict:
     raise ValueError(f"not a key: {key!r}")
 
 
+def _field(data: dict, name: str, kind=int):
+    """data[name], which must be present and of the given JSON kind."""
+    if name not in data:
+        raise ValueError(f"key object lacks {name!r}: {data!r}")
+    v = data[name]
+    if not isinstance(v, kind) or isinstance(v, bool):
+        raise ValueError(f"key field {name!r} must be a JSON {kind.__name__}: {data!r}")
+    return v
+
+
 def key_from_json(data) -> tuple:
     if not isinstance(data, dict) or "t" not in data:
         raise ValueError(f"not a key object: {data!r}")
     tag = data["t"]
     if tag == "Tee":
-        return tee(int(data["i"]))
+        return tee(_field(data, "i"))
     if tag == "Ess":
-        return ess(int(data["i"]))
+        return ess(_field(data, "i"))
     if tag == "Mono":
-        return mono(int(data["i1"]), int(data["i2"]), int(data["d"]))
+        return mono(_field(data, "i1"), _field(data, "i2"), _field(data, "d"))
     if tag == "Wn":
-        return wn(tuple(int(e) for e in data["e"]), int(data["d"]))
+        e = _field(data, "e", list)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in e):
+            raise ValueError(f"Wn exponents must be JSON ints: {data!r}")
+        return wn(e, _field(data, "d"))
     if tag == "Fin":
-        return fin(str(data["space"]), int(data["idx"]))
+        return fin(_field(data, "space", str), _field(data, "idx"))
     if tag == "Pair":
-        return pair(key_from_json(data["l"]), key_from_json(data["r"]))
+        return pair(key_from_json(_field(data, "l", dict)), key_from_json(_field(data, "r", dict)))
     raise ValueError(f"unknown key tag: {tag!r}")
 
 
@@ -115,9 +128,12 @@ def three_tensor_to_json(t) -> list:
 
 
 def tensor_from_json(data, alg: FiniteAlgebra = None) -> TensorElement:
-    """Decode [[key, key, coeff], ...]; bare integers index alg's basis."""
+    """Decode [[key, key, coeff], ...]; bare integers index alg's basis.
+
+    With an algebra, every key must be one of its basis keys."""
     if not isinstance(data, list):
         raise ValueError("tensor must be a JSON array of terms")
+    basis = None if alg is None else set(alg.basis_keys())
     terms = []
     for row in data:
         if not isinstance(row, list) or len(row) != 3:
@@ -133,7 +149,10 @@ def tensor_from_json(data, alg: FiniteAlgebra = None) -> TensorElement:
                     raise ValueError(f"basis index out of range: {cell}")
                 keys.append(alg.key(cell))
             else:
-                keys.append(key_from_json(cell))
+                key = key_from_json(cell)
+                if basis is not None and key not in basis:
+                    raise ValueError(f"not a basis key of {alg.id}: {cell!r}")
+                keys.append(key)
         terms.append((keys[0], keys[1], parse_scalar(row[2])))
     return TensorElement.of(terms)
 

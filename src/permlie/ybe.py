@@ -16,13 +16,14 @@ from typing import Callable, Optional
 
 from .kernel import (
     CheckReport,
-    FormalVector,
     Fresh,
     InsufficientWindowError,
+    ONE,
     Poly,
     Template,
     TemplateSeries,
     Window,
+    ZERO,
     apply_product_slot,
     pat_const,
     pat_fin,
@@ -38,9 +39,6 @@ from .families import (
 )
 from .axioms import check_o_operator
 from .doubles import dual_rep, semidirect_perm
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Law checkers: algebra, coalgebra, form, matched pair, O-operator."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,8 @@ from permlie.kernel import (
     TemplateSeries,
     Window,
     ess,
+    key_degree,
+    mono,
     pat_const,
     tee,
 )
@@ -41,7 +44,11 @@ from permlie.axioms import (
     check_representation,
 )
 from permlie.cli import _perturbed_ats_product
-from permlie.doubles import canonical_dual_actions, dual_perm_algebra
+from permlie.doubles import (
+    canonical_dual_actions,
+    dual_perm_algebra,
+    restricted_dual_double,
+)
 
 F = Fraction
 ONE = F(1)
@@ -278,6 +285,143 @@ class TestCoalgebra:
         assert not rep.passed
         assert rep.violations
         assert all(v[0] == "co-pre-lie" for v in rep.violations)
+
+
+FORM_LAWS = [
+    LawId.QuadPermForm,
+    LawId.QuadPreLieForm,
+    LawId.ManinPermKd,
+    LawId.ManinLieB,
+    LawId.SymplecticLie,
+]
+
+
+def _form_oracle(law, box, inner, form, product, weight=None):
+    """A form law checked straight from its textbook identities, with plain
+    FormalVector sums: (passed, checked, extra, violations) as check_form
+    reports them without the Gram rank, keeping the first 25 violations in
+    pair order, then (a, b, c) order."""
+    memo = {}
+
+    def mul(x, y):
+        if (x, y) not in memo:
+            memo[(x, y)] = product(x, y)
+        return memo[(x, y)]
+
+    def pairing(u, v):
+        return sum(
+            (cu * cv * form(ku, kv) for ku, cu in u.items() for kv, cv in v.items()),
+            F(0),
+        )
+
+    found = []
+    for a, b in itertools.product(box, repeat=2):
+        v = form(a, b)
+        if law == LawId.ManinLieB:
+            label, bad = "symmetric", v - form(b, a)
+        else:
+            label, bad = "skew", v + form(b, a)
+        if bad:
+            found.append((label, (a, b), ((("scalar",), bad),)))
+        if v and weight is not None and key_degree(a) + key_degree(b) != weight:
+            found.append(("graded-weight", (a, b), ((("scalar",), v),)))
+    for a, b, c in itertools.product(inner, repeat=3):
+        ea, eb, ec = (FormalVector.single(k) for k in (a, b, c))
+        ab, bc, cb, ac, ca = mul(a, b), mul(b, c), mul(c, b), mul(a, c), mul(c, a)
+        label = "invariance"
+        if law in (LawId.QuadPermForm, LawId.ManinPermKd):
+            # B(ab, c) = B(a, bc - cb)
+            res = pairing(ab, ec) - pairing(ea, bc - cb)
+        elif law == LawId.QuadPreLieForm:
+            # B(ab, c) = -B(b, [a, c])
+            res = pairing(ab, ec) + pairing(eb, ac - ca)
+        elif law == LawId.ManinLieB:
+            # B([a, b], c) = B(a, [b, c])
+            res = pairing(ab, ec) - pairing(ea, bc)
+        else:
+            # dB = 0: B([a, b], c) + B([b, c], a) + B([c, a], b) = 0
+            label = "closed"
+            res = pairing(ab, ec) + pairing(bc, ea) + pairing(ca, eb)
+        if res:
+            found.append((label, (a, b, c), ((("scalar",), res),)))
+    extra = {"violations_total": len(found)}
+    if len(found) > 25:
+        extra["violations_truncated"] = True
+    if weight is not None:
+        extra["weight"] = weight
+    kept = sorted(found[:25], key=lambda v: (v[0], v[1]))
+    return (not found, len(box) ** 2 + len(inner) ** 3, extra, kept)
+
+
+def _random_grams(dims):
+    """One seeded random Gram matrix per dimension, every other one skew."""
+    rng = random.Random(3001)
+    grams = []
+    for t, d in enumerate(dims):
+        g = [[F(rng.randint(-2, 2)) if rng.random() < 0.5 else F(0) for _ in range(d)]
+             for _ in range(d)]
+        if t % 2:
+            g = [[g[i][j] - g[j][i] for j in range(d)] for i in range(d)]
+        grams.append(g)
+    return grams
+
+
+def _perturbed_perm_p():
+    """permP, except that a d1-left product lands on the other derivation."""
+
+    def one(k1, k2):
+        _, i1, i2, s = k1
+        _, j1, j2, t = k2
+        if s == 1:
+            return (ONE, mono(i1 + j1 + 1, i2 + j2, 3 - t))
+        return (ONE, mono(i1 + j1, i2 + j2 + 1, t))
+
+    return dataclasses.replace(perm_p_family(), product_one=one)
+
+
+class TestFormOracle:
+    """check_form against the oracle on every input kind."""
+
+    def assert_matches(self, rep, law, box, inner, form, product, weight=None):
+        assert (rep.passed, rep.checked, rep.extra, rep.violations) == _form_oracle(
+            law, box, inner, form, product, weight
+        )
+
+    @pytest.mark.parametrize("law", FORM_LAWS)
+    def test_catalog_and_random_tables(self, law):
+        algs = [a for a in finite_catalog().values() for _ in range(5)]
+        algs += _random_algebras()
+        for alg, gram in zip(algs, _random_grams([a.dim for a in algs])):
+
+            def form(k1, k2, gram=gram):
+                return gram[k1[2]][k2[2]]
+
+            keys = alg.basis_keys()
+            rep = check_form(
+                law, form=form, product=alg.product, keys=keys, check_nondegenerate=False
+            )
+            self.assert_matches(rep, law, keys, keys, form, alg.product)
+
+    @pytest.mark.parametrize("law", FORM_LAWS)
+    @pytest.mark.parametrize(
+        "fam",
+        [ats_family(), restricted_dual_double(wn_family(1))],
+        ids=["ats", "w1-restricted-dual"],
+    )
+    def test_families(self, fam, law):
+        rep = check_form(law, family=fam, window=Window(3), check_nondegenerate=False)
+        box = fam.keys(Window(3))
+        inner = fam.interior_keys(Window(3, rep.margin), law.value)
+        self.assert_matches(rep, law, box, inner, fam.form, fam.product, fam.form_m)
+
+    def test_perturbed_perm_p_keeps_its_name(self):
+        fam = _perturbed_perm_p()
+        assert fam.name == "permP"
+        law = LawId.QuadPermForm
+        rep = check_form(law, family=fam, window=Window(3), check_nondegenerate=False)
+        box = fam.keys(Window(3))
+        inner = fam.interior_keys(Window(3, 1), law.value)
+        self.assert_matches(rep, law, box, inner, fam.form, fam.product, fam.form_m)
 
 
 class TestForms:

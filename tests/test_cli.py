@@ -217,3 +217,20 @@ class TestMalformedInput:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"window": 3, "margin": -3}))
         self.assert_usage_error(run("verify", "ybe", "--config", str(cfg)))
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            [{"t": "Tee"}, 0, "1"],
+            [{"t": "Mono", "i1": 0, "i2": 0, "d": 3}, 0, "1"],
+            [{"t": "Wn", "e": [], "d": 1}, 0, "1"],
+            [{"t": "Fin", "space": "SD2", "idx": 0}, {"t": "Tee", "i": 1}, "1"],
+            [{"t": "Fin", "space": "SD2", "idx": 7}, 0, "1"],
+        ],
+        ids=["missing-field", "mono-derivation", "wn-derivation", "foreign-key", "fin-index"],
+    )
+    def test_residual_bad_key(self, tmp_path, term):
+        f = tmp_path / "r.json"
+        f.write_text(json.dumps([term]))
+        p = run("residual", "perm-ybe", "--algebra", "ex-sd2", "--input", str(f))
+        self.assert_usage_error(p)
