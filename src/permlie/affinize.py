@@ -22,6 +22,7 @@ from .kernel import (
     TemplateSeries,
     Window,
     ZERO,
+    coproduct_at,
     pair,
     pat_const,
     pat_fin,
@@ -87,25 +88,7 @@ def _fin_branches(alg: FiniteAlgebra, p1, p2):
 def delta_bullet(alg: FiniteAlgebra, family: GradedFamily, key) -> TemplateSeries:
     """(id - flip) of the positionwise pairing of the finite coproduct with
     the graded coproduct, at one Pair key."""
-    _, f, a = key
-    assert f[0] == "Fin"
-    da = family.delta(a)
-    tpls = []
-    for i, j, c in alg.delta_terms(f[2]):
-        for t in da.templates:
-            pl, pr = t.keys
-            tpls.append(
-                Template(
-                    t.vars,
-                    t.coeff * Poly.const(c),
-                    (
-                        pat_pair(pat_fin(alg.space, i), pl),
-                        pat_pair(pat_fin(alg.space, j), pr),
-                    ),
-                )
-            )
-    s = TemplateSeries(2, tpls)
-    return s - s.flip_hat()
+    return coproduct_at(_delta_bullet_sym(alg, family), key)
 
 
 def delta_bullet_rule(alg: FiniteAlgebra, family: GradedFamily):
@@ -114,6 +97,10 @@ def delta_bullet_rule(alg: FiniteAlgebra, family: GradedFamily):
     def delta(key) -> TemplateSeries:
         return delta_bullet(alg, family, key)
 
+    return delta, _delta_bullet_sym(alg, family)
+
+
+def _delta_bullet_sym(alg: FiniteAlgebra, family: GradedFamily):
     def sym_co(p, fresh: Fresh):
         _, pf, pa = p
         assert pf[0] == "Fin"
@@ -126,7 +113,7 @@ def delta_bullet_rule(alg: FiniteAlgebra, family: GradedFamily):
                 out.append((new_vars, Poly.const(-c) * poly, (kr, kl)))
         return out
 
-    return delta, sym_co
+    return sym_co
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +145,7 @@ def coproduct_from_form(family: GradedFamily, side: Optional[str] = None):
     """
     if side is None:
         side = "Perm" if family.kind == "Perm" else "PreLie"
-    assert family.dual_pairs is not None
+    assert family.partner is not None
 
     def delta(key) -> TemplateSeries:
         fresh = Fresh("j")

@@ -21,11 +21,11 @@ from .kernel import (
     Window,
     ZERO,
     av,
+    coproduct_at,
     ess,
     fin,
     key_str,
     pair,
-    pat_const,
     pat_ess,
     pat_fin,
     pat_pair,
@@ -35,7 +35,6 @@ from .kernel import (
 from .families import (
     FiniteAlgebra,
     FormalVector,
-    a_ts_product,
     adjoint_representation,
     ats_family,
     delta_a_family,
@@ -500,13 +499,7 @@ def _ybe_diagram_report(bound: int) -> CheckReport:
 
 
 def _perturbed_ats_delta(key) -> TemplateSeries:
-    return TemplateSeries(
-        2,
-        tuple(
-            Template(tuple(v), poly, pats)
-            for v, poly, pats in _perturbed_ats_sym_co(pat_const(key), Fresh("j"))
-        ),
-    )
+    return coproduct_at(_perturbed_ats_sym_co, key)
 
 
 def _perturbed_ats_sym_co(p, fresh):
@@ -519,12 +512,12 @@ def _perturbed_ats_sym_co(p, fresh):
     return out
 
 
+_ATS = ats_family()
+
+
 def _perturbed_ats_product(k1, k2) -> FormalVector:
     # t^i . t^j gains a spurious t^(i+j) term
-    out = FormalVector()
-    r = a_ts_product(k1, k2)
-    if r is not None:
-        out.add_term(r[1], r[0])
+    out = _ATS.product(k1, k2)
     if k1[0] == "Tee" and k2[0] == "Tee":
         out.add_term(tee(k1[1] + k2[1]), Fraction(1))
     return out
@@ -1181,7 +1174,7 @@ def _merge_config(args, suite=None) -> SuiteConfig:
             v = fromfile.get(name, default)
         try:
             return None if v is None else conv(v)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"bad {name}: {v!r}") from None
 
     cfg = SuiteConfig(

@@ -27,9 +27,6 @@ from .kernel import (
     forced_zero_columns,
     key_str,
     pair,
-    pat_ess,
-    pat_tee,
-    pat_wn,
     sparse_rref,
     tee,
     wn,
@@ -45,9 +42,7 @@ from .families import (
     mat_sub,
     mat_transpose,
     mul_of_dual_delta,
-    sym_wn_product,
     wn_family,
-    wn_product,
 )
 from .axioms import (
     LawId,
@@ -466,81 +461,49 @@ def restricted_dual_double(arg):
 
 
 def _w1_restricted_double() -> GradedFamily:
-    def pairing(s_exp, t_exp) -> Fraction:
-        return ONE if s_exp + t_exp == 0 else ZERO
+    w1 = wn_family(1).rule
 
-    def _dual_action(a_exp, s_exp, minus_left):
-        # Transpose against the probe t^c the pairing can see; both products
-        # land on exponent a_exp + c - 1, so c is forced to 1 - a_exp - s_exp.
-        c = 1 - a_exp - s_exp
-        val = ZERO
-        p = wn_product(wn((c,), 1), wn((a_exp,), 1))
-        if p is not None:
-            val += p[0] * pairing(s_exp, p[1][1][0])
+    def pairing(f):
+        """<s^i, t^j> = delta_(i+j,0): s^i pairs with t^(-i) only, value 1."""
+        return (1, tee(-f[1]))
+
+    def transposed(g, f, minus_left):
+        # <R*(g) f, t^c> = <f, t^c g> and <L*(g) f, t^c> = <f, g t^c>.  Both
+        # products of t^c with g land on exponent c + (exponent of g) - 1, so
+        # the one probe t^c the pairing sees lands on f's partner h; its dual
+        # s^(-c) carries the value.
+        v, h = pairing(f)
+        c = h[1] - g[1] + 1
+        coeff = w1(wn((c,), 1), wn((g[1],), 1))[0]
         if minus_left:
-            p = wn_product(wn((a_exp,), 1), wn((c,), 1))
-            if p is not None:
-                val -= p[0] * pairing(s_exp, p[1][1][0])
-        return val
+            coeff = coeff - w1(wn((g[1],), 1), wn((c,), 1))[0]
+        return (coeff * v, ess(-c))
 
-    def product_one(k1, k2):
-        t1, i = k1[0], k1[1]
-        t2, j = k2[0], k2[1]
-        if t1 == "Tee" and t2 == "Tee":
-            r = wn_product(wn((i,), 1), wn((j,), 1))
-            if r is None:
-                return None
-            return (r[0], tee(r[1][1][0]))
-        if t1 == "Tee" and t2 == "Ess":
-            val = _dual_action(i, j, minus_left=True)
-            return (val, ess(i + j - 1)) if val else None
-        if t1 == "Ess" and t2 == "Tee":
-            val = _dual_action(j, i, minus_left=False)
-            return (val, ess(i + j - 1)) if val else None
-        return None
+    def rule(x, y):
+        if x[0] == "Tee" and y[0] == "Tee":
+            c, z = w1(wn((x[1],), 1), wn((y[1],), 1))
+            return (c, tee(z[1][0]))
+        if x[0] == "Tee":  # a x b° = (R* - L*)(a) b°
+            return transposed(x, y, minus_left=True)
+        if y[0] == "Tee":  # a° x b = R*(b) a°
+            return transposed(y, x, minus_left=False)
+        return None  # a° x b° = 0
 
-    def sym_product(p1, p2):
-        t1, a = p1[0], p1[1]
-        t2, b = p2[0], p2[1]
-        if t1 == "Tee" and t2 == "Tee":
-            return [
-                (c, pat_tee(p[1][0]))
-                for c, p in sym_wn_product(pat_wn((a,), 1), pat_wn((b,), 1))
-            ]
-        if t1 == "Tee" and t2 == "Ess":
-            c = 1 - a - b
-            r_part = sym_wn_product(pat_wn((c,), 1), pat_wn((a,), 1))
-            l_part = sym_wn_product(pat_wn((a,), 1), pat_wn((c,), 1))
-            return [(r_part[0][0] - l_part[0][0], pat_ess(a + b - 1))]
-        if t1 == "Ess" and t2 == "Tee":
-            c = 1 - a - b
-            r_part = sym_wn_product(pat_wn((c,), 1), pat_wn((b,), 1))
-            return [(r_part[0][0], pat_ess(a + b - 1))]
-        return []
-
-    def form(k1, k2) -> Fraction:
-        if k1[0] == "Ess" and k2[0] == "Tee":
-            return pairing(k1[1], k2[1])
-        if k1[0] == "Tee" and k2[0] == "Ess":
-            return -pairing(k2[1], k1[1])
-        return ZERO
-
-    def form_partners(key):
-        tag, i = key[0], key[1]
-        if tag == "Ess":
-            return [(tee(-i), pairing(i, -i))]
-        return [(ess(-i), -pairing(-i, i))]
+    def partner(x):
+        # w(a + a°, b + b°) = <a°, b> - <b°, a>
+        if x[0] == "Ess":
+            return pairing(x)
+        f = ess(-x[1])
+        return (-pairing(f)[0], f)
 
     return GradedFamily(
         name="w1-dual-double",
         kind="PreLie",
         keys_fn=_ats_keys,
-        product_one=product_one,
-        sym_product=sym_product,
-        form=form,
+        rule=rule,
+        partner=partner,
         # pairing support: deg s^i + deg t^(-i) = (i - 1) + (-i - 1)
         form_m=-2,
-        form_partners=form_partners,
     )
 
 

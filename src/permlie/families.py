@@ -1,7 +1,14 @@
 """Concrete structure families.
 
-Graded families (all products and coproducts are exact closed forms, so no
-window ever truncates a value):
+A graded family is one product rule, one partner rule and one symbolic
+coproduct ``sym_co``.  The product rule ``rule(x, y) -> (coeff, z) | None``
+gives the single term of x y; the partner rule ``partner(x) -> (value, z)``
+gives the one key z with form(x, z) = value != 0.  Both are written with slot
+arithmetic only and branch on key shape (tags, derivation indices), never on
+a slot value, so the same function runs on keys (int slots) and on patterns
+(``Aff`` slots).  ``GradedFamily`` reads them on keys as ``product_one``,
+``form`` and ``form_partners`` and on patterns as ``sym_product`` and
+``dual_pairs``.
 
 * ``ats``: completed pre-Lie family on keys t^i, s^i with
   t^i * t^j = j t^(i+j-1), t^i * s^j = (2i+j-1) s^(i+j-1),
@@ -16,8 +23,9 @@ window ever truncates a value):
   u d_i * v d_j = u (d_i v) d_j, graded by deg = |e| - 1.  n = 1 matches
   ``ats`` restricted to t-keys.
 
-Finite algebras live in a small catalog keyed by id; their structure
-constants are exact rationals.
+All products and coproducts are exact closed forms, so no window ever
+truncates a value.  Finite algebras live in a small catalog keyed by id;
+their structure constants are exact rationals.
 """
 
 from __future__ import annotations
@@ -32,14 +40,14 @@ from .kernel import (
     ONE,
     Poly,
     TemplateSeries,
-    Template,
     Window,
     ZERO,
     av,
+    coproduct_at,
     ess,
     fin,
+    key_slots,
     mono,
-    pat_const,
     pat_ess,
     pat_fin,
     pat_mono,
@@ -47,6 +55,7 @@ from .kernel import (
     pat_wn,
     tee,
     wn,
+    with_slots,
 )
 
 
@@ -56,16 +65,44 @@ from .kernel import (
 
 @dataclass
 class GradedFamily:
+    """A graded family read off its product rule and its partner rule.
+
+    ``keys_fn(bound)`` lists the keys with every slot in [-bound, bound], so
+    ``keys_fn(0)`` has one key per shape.  Without a partner rule the family
+    has no form: ``form`` and ``form_partners`` are None.
+    """
+
     name: str
     kind: str  # "Perm" or "PreLie" (wn(1) additionally satisfies Novikov)
-    keys_fn: Callable  # bound -> list of keys with all slots in [-bound, bound]
-    product_one: Callable  # (key, key) -> (Fraction, key) | None
-    sym_product: Callable  # (pat, pat) -> list[(Poly, pat)]
-    form: Optional[Callable] = None  # (key, key) -> Fraction
+    keys_fn: Callable
+    rule: Callable  # (x, y) -> (coeff, z) | None, on keys and on patterns
+    partner: Optional[Callable] = None  # x -> (value, z), form(x, z) = value
     form_m: Optional[int] = None  # the single weight with deg a + deg b = m
-    form_partners: Optional[Callable] = None  # key -> list[(key, Fraction)]
     sym_co: Optional[Callable] = None  # (pat, fresh) -> [(vars, Poly, (pat, pat))]
-    dual_pairs: Optional[Callable] = None  # fresh -> [(vars, e_pat, f_pat, sign)]
+    # The readings on keys, derived from the rules in __post_init__.
+    product_one: Callable = field(init=False, repr=False, compare=False)
+    form: Optional[Callable] = field(init=False, repr=False, compare=False)
+    form_partners: Optional[Callable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rule = self.rule
+        exact: dict = {}  # int coefficient -> its Fraction, built once
+
+        def product_one(x, y):
+            """(Fraction, key) or None: the rule on keys, zero dropped."""
+            r = rule(x, y)
+            if r is None or not r[0]:
+                return None
+            c = r[0]
+            f = exact.get(c)
+            if f is None:
+                f = exact[c] = Fraction(c)
+            return (f, r[1])
+
+        self.product_one = product_one
+        self.form = self.form_partners = None
+        if self.partner is not None:
+            self.form, self.form_partners = _form_readings(self.partner)
 
     def keys(self, window: Window):
         return self.keys_fn(window.n)
@@ -81,14 +118,49 @@ class GradedFamily:
             return FormalVector()
         return FormalVector.single(r[1], r[0])
 
+    def sym_product(self, p1, p2):
+        """The rule on patterns: [(Poly, pattern)], or [] where it has no term."""
+        r = self.rule(p1, p2)
+        return [] if r is None else [(Poly.of(r[0]), r[1])]
+
+    def dual_pairs(self, fresh: Fresh):
+        """[(vars, e, f, form(f, e))]: per key shape, e has a fresh variable
+        in every slot (the shapes share them) and f is its partner.  Summed
+        over the variables, each key pair with a nonzero form appears once."""
+        shapes = self.keys_fn(0)
+        names = [fresh() for _ in range(max(len(key_slots(k)) for k in shapes))]
+        out = []
+        for k in shapes:
+            vs = tuple(names[: len(key_slots(k))])
+            e = with_slots(k, map(av, vs))
+            f = self.partner(e)[1]
+            out.append((vs, e, f, Poly.of(self.partner(f)[0])))
+        return out
+
     def delta(self, key) -> TemplateSeries:
         """Coproduct of a single key as a genuine template series."""
         assert self.sym_co is not None
-        fresh = Fresh("j")
-        tpls = []
-        for new_vars, poly, (pl, pr) in self.sym_co(pat_const(key), fresh):
-            tpls.append(Template(tuple(new_vars), poly, (pl, pr)))
-        return TemplateSeries(2, tpls)
+        return coproduct_at(self.sym_co, key)
+
+
+def _form_readings(partner):
+    """form and form_partners on keys, with one partner lookup per key."""
+    memo: dict = {}
+
+    def lookup(x):
+        v, z = partner(x)
+        r = memo[x] = (Fraction(v), z)
+        return r
+
+    def form(x, y) -> Fraction:
+        v, z = memo.get(x) or lookup(x)
+        return v if z == y else ZERO
+
+    def form_partners(x):
+        v, z = memo.get(x) or lookup(x)
+        return [(z, v)] if v else []
+
+    return form, form_partners
 
 
 # ---------------------------------------------------------------------------
@@ -104,53 +176,23 @@ def _ats_keys(bound: int):
     return out
 
 
-def a_ts_product(k1, k2):
-    """Single-term product; returns (coeff, key) or None."""
-    t1, i = k1[0], k1[1]
-    t2, j = k2[0], k2[1]
-    if t1 == "Tee" and t2 == "Tee":
-        if j == 0:
-            return None
-        return (Fraction(j), tee(i + j - 1))
-    if t1 == "Tee" and t2 == "Ess":
-        c = 2 * i + j - 1
-        if c == 0:
-            return None
-        return (Fraction(c), ess(i + j - 1))
-    if t1 == "Ess" and t2 == "Tee":
-        if j == 0:
-            return None
-        return (Fraction(j), ess(i + j - 1))
+def _ats_rule(x, y):
+    (s, a), (t, b) = x, y
+    if s == "Tee":
+        if t == "Tee":
+            return (b, tee(a + b - 1))
+        return (2 * a + b - 1, ess(a + b - 1))
+    if t == "Tee":
+        return (b, ess(a + b - 1))
     return None
 
 
-def sym_ats_product(p1, p2):
-    t1, a = p1[0], p1[1]
-    t2, b = p2[0], p2[1]
-    if t1 == "Tee" and t2 == "Tee":
-        return [(Poly.of(b), pat_tee(a + b - 1))]
-    if t1 == "Tee" and t2 == "Ess":
-        return [(Poly.of(2 * a + b - 1), pat_ess(a + b - 1))]
-    if t1 == "Ess" and t2 == "Tee":
-        return [(Poly.of(b), pat_ess(a + b - 1))]
-    return []
-
-
-def omega_a(k1, k2) -> Fraction:
-    t1, i = k1[0], k1[1]
-    t2, j = k2[0], k2[1]
-    if t1 == "Ess" and t2 == "Tee":
-        return ONE if i + j == 0 else ZERO
-    if t1 == "Tee" and t2 == "Ess":
-        return -ONE if i + j == 0 else ZERO
-    return ZERO
-
-
-def _omega_partners(key):
-    tag, i = key[0], key[1]
+def _ats_partner(x):
+    """w(s^i, t^(-i)) = 1 and w(t^i, s^(-i)) = -1."""
+    tag, i = x
     if tag == "Ess":
-        return [(tee(-i), ONE)]
-    return [(ess(-i), -ONE)]
+        return (1, tee(-i))
+    return (-1, ess(-i))
 
 
 def delta_a_sym(p, fresh: Fresh):
@@ -169,27 +211,15 @@ def delta_a_sym(p, fresh: Fresh):
     raise ValueError(f"not an ats pattern: {p!r}")
 
 
-def _ats_dual_pairs(fresh: Fresh):
-    """Pairs (e, f) with form(f, e) = 1, summed over the whole basis."""
-    i = fresh()
-    return [
-        ((i,), pat_tee(av(i)), pat_ess(-av(i)), Poly.const(1)),
-        ((i,), pat_ess(av(i)), pat_tee(-av(i)), Poly.const(-1)),
-    ]
-
-
 def ats_family() -> GradedFamily:
     return GradedFamily(
         name="ats",
         kind="PreLie",
         keys_fn=_ats_keys,
-        product_one=a_ts_product,
-        sym_product=sym_ats_product,
-        form=omega_a,
+        rule=_ats_rule,
+        partner=_ats_partner,
         form_m=-2,
-        form_partners=_omega_partners,
         sym_co=delta_a_sym,
-        dual_pairs=_ats_dual_pairs,
     )
 
 
@@ -210,39 +240,20 @@ def _perm_p_keys(bound: int):
     return out
 
 
-def perm_p_product(k1, k2):
-    _, i1, i2, s = k1
-    _, j1, j2, t = k2
+def _perm_p_rule(x, y):
+    _, a1, a2, s = x
+    _, b1, b2, t = y
     if s == 1:
-        return (ONE, mono(i1 + j1 + 1, i2 + j2, t))
-    return (ONE, mono(i1 + j1, i2 + j2 + 1, t))
+        return (1, mono(a1 + b1 + 1, a2 + b2, t))
+    return (1, mono(a1 + b1, a2 + b2 + 1, t))
 
 
-def sym_perm_p_product(p1, p2):
-    _, a1, a2, s = p1
-    _, b1, b2, t = p2
+def _perm_p_partner(x):
+    """kappa(u d_2, u^(-1) d_1) = 1 and kappa(u d_1, u^(-1) d_2) = -1."""
+    _, a1, a2, s = x
     if s == 1:
-        return [(Poly.const(1), pat_mono(a1 + b1 + 1, a2 + b2, t))]
-    return [(Poly.const(1), pat_mono(a1 + b1, a2 + b2 + 1, t))]
-
-
-def kappa_p(k1, k2) -> Fraction:
-    _, i1, i2, s = k1
-    _, j1, j2, t = k2
-    if i1 + j1 != 0 or i2 + j2 != 0:
-        return ZERO
-    if s == 2 and t == 1:
-        return ONE
-    if s == 1 and t == 2:
-        return -ONE
-    return ZERO
-
-
-def _kappa_partners(key):
-    _, i1, i2, s = key
-    if s == 1:
-        return [(mono(-i1, -i2, 2), -ONE)]
-    return [(mono(-i1, -i2, 1), ONE)]
+        return (-1, mono(-a1, -a2, 2))
+    return (1, mono(-a1, -a2, 1))
 
 
 def delta_p_sym(p, fresh: Fresh):
@@ -263,27 +274,15 @@ def delta_p_sym(p, fresh: Fresh):
     ]
 
 
-def _kappa_dual_pairs(fresh: Fresh):
-    m, n = fresh(), fresh()
-    a, b = av(m), av(n)
-    return [
-        ((m, n), pat_mono(a, b, 1), pat_mono(-a, -b, 2), Poly.const(1)),
-        ((m, n), pat_mono(a, b, 2), pat_mono(-a, -b, 1), Poly.const(-1)),
-    ]
-
-
 def perm_p_family() -> GradedFamily:
     return GradedFamily(
         name="permP",
         kind="Perm",
         keys_fn=_perm_p_keys,
-        product_one=perm_p_product,
-        sym_product=sym_perm_p_product,
-        form=kappa_p,
+        rule=_perm_p_rule,
+        partner=_perm_p_partner,
         form_m=2,
-        form_partners=_kappa_partners,
         sym_co=delta_p_sym,
-        dual_pairs=_kappa_dual_pairs,
     )
 
 
@@ -314,26 +313,13 @@ def _wn_keys_fn(n: int):
     return keys
 
 
-def wn_product(k1, k2):
-    """u d_i * v d_j = u (d_i v) d_j, a single term or zero."""
-    _, u, i = k1
-    _, v, j = k2
-    c = v[i - 1]
-    if c == 0:
-        return None
-    exps = list(u)
-    for t in range(len(u)):
-        exps[t] += v[t]
-    exps[i - 1] -= 1
-    return (Fraction(c), wn(exps, j))
-
-
-def sym_wn_product(p1, p2):
-    _, u, i = p1
-    _, v, j = p2
+def _wn_rule(x, y):
+    """u d_i * v d_j = u (d_i v) d_j."""
+    _, u, i = x
+    _, v, j = y
     exps = [a + b for a, b in zip(u, v)]
     exps[i - 1] = exps[i - 1] - 1
-    return [(Poly.of(v[i - 1]), pat_wn(exps, j))]
+    return (v[i - 1], wn(exps, j))
 
 
 def wn_codelta_sym(n: int):
@@ -362,8 +348,7 @@ def wn_family(n: int) -> GradedFamily:
         name=f"w{n}",
         kind="PreLie",
         keys_fn=_wn_keys_fn(n),
-        product_one=wn_product,
-        sym_product=sym_wn_product,
+        rule=_wn_rule,
         sym_co=wn_codelta_sym(n),
     )
 

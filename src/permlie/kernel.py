@@ -88,7 +88,8 @@ def key_degree(key) -> int:
 
 
 def key_slots(key) -> tuple:
-    """All integer index slots of a key, in canonical order."""
+    """All integer index slots of a key (or the Aff slots of a pattern), in
+    canonical order."""
     tag = key[0]
     if tag == "Tee" or tag == "Ess":
         return (key[1],)
@@ -104,7 +105,7 @@ def key_slots(key) -> tuple:
 
 
 def key_shape(key) -> tuple:
-    """Everything about a key except its integer slots."""
+    """Everything about a key (or a pattern) except its integer slots."""
     tag = key[0]
     if tag == "Tee" or tag == "Ess":
         return (tag,)
@@ -435,80 +436,39 @@ def pat_pair(left, right):
     return ("Pair", left, right)
 
 
+def with_slots(key, slots):
+    """The key or pattern of key's shape whose integer slots, in key_slots
+    order, are the given ints or Aff expressions."""
+    it = iter(slots)
+
+    def build(k):
+        tag = k[0]
+        if tag == "Tee" or tag == "Ess":
+            return (tag, next(it))
+        if tag == "Mono":
+            return ("Mono", next(it), next(it), k[3])
+        if tag == "Wn":
+            return ("Wn", tuple(next(it) for _ in k[1]), k[2])
+        if tag == "Fin":
+            return k
+        if tag == "Pair":
+            return ("Pair", build(k[1]), build(k[2]))
+        raise ValueError(f"unknown key {k!r}")
+
+    return build(key)
+
+
 def pat_const(key):
     """Pattern with constant slots matching exactly one key."""
-    tag = key[0]
-    if tag == "Tee" or tag == "Ess":
-        return (tag, Aff.of(key[1]))
-    if tag == "Mono":
-        return ("Mono", Aff.of(key[1]), Aff.of(key[2]), key[3])
-    if tag == "Wn":
-        return ("Wn", tuple(Aff.of(e) for e in key[1]), key[2])
-    if tag == "Fin":
-        return key
-    if tag == "Pair":
-        return ("Pair", pat_const(key[1]), pat_const(key[2]))
-    raise ValueError(f"unknown key {key!r}")
-
-
-def pat_shape(p) -> tuple:
-    tag = p[0]
-    if tag == "Tee" or tag == "Ess":
-        return (tag,)
-    if tag == "Mono":
-        return (tag, p[3])
-    if tag == "Wn":
-        return (tag, len(p[1]), p[2])
-    if tag == "Fin":
-        return p
-    if tag == "Pair":
-        return (tag, pat_shape(p[1]), pat_shape(p[2]))
-    raise ValueError(f"unknown pattern {p!r}")
-
-
-def pat_slots(p) -> tuple:
-    tag = p[0]
-    if tag == "Tee" or tag == "Ess":
-        return (p[1],)
-    if tag == "Mono":
-        return (p[1], p[2])
-    if tag == "Wn":
-        return p[1]
-    if tag == "Fin":
-        return ()
-    if tag == "Pair":
-        return pat_slots(p[1]) + pat_slots(p[2])
-    raise ValueError(f"unknown pattern {p!r}")
+    return with_slots(key, map(Aff.of, key_slots(key)))
 
 
 def pat_eval(p, env: dict):
-    tag = p[0]
-    if tag == "Tee" or tag == "Ess":
-        return (tag, p[1].eval(env))
-    if tag == "Mono":
-        return ("Mono", p[1].eval(env), p[2].eval(env), p[3])
-    if tag == "Wn":
-        return ("Wn", tuple(e.eval(env) for e in p[1]), p[2])
-    if tag == "Fin":
-        return p
-    if tag == "Pair":
-        return ("Pair", pat_eval(p[1], env), pat_eval(p[2], env))
-    raise ValueError(f"unknown pattern {p!r}")
+    return with_slots(p, [a.eval(env) for a in key_slots(p)])
 
 
 def pat_subst(p, env: dict):
-    tag = p[0]
-    if tag == "Tee" or tag == "Ess":
-        return (tag, p[1].subst(env))
-    if tag == "Mono":
-        return ("Mono", p[1].subst(env), p[2].subst(env), p[3])
-    if tag == "Wn":
-        return ("Wn", tuple(e.subst(env) for e in p[1]), p[2])
-    if tag == "Fin":
-        return p
-    if tag == "Pair":
-        return ("Pair", pat_subst(p[1], env), pat_subst(p[2], env))
-    raise ValueError(f"unknown pattern {p!r}")
+    return with_slots(p, [a.subst(env) for a in key_slots(p)])
 
 
 def poly_rename(poly: Poly, ren: dict) -> Poly:
@@ -659,7 +619,7 @@ class TemplateSeries:
             targets.extend(key_slots(k))
         total = ZERO
         for t in self.templates:
-            if tuple(pat_shape(p) for p in t.keys) != shapes:
+            if tuple(key_shape(p) for p in t.keys) != shapes:
                 continue
             nv = len(t.vars)
             vidx = {v: i for i, v in enumerate(t.vars)}
@@ -667,7 +627,7 @@ class TemplateSeries:
             ok = True
             slot_i = 0
             for p in t.keys:
-                for a in pat_slots(p):
+                for a in key_slots(p):
                     coeffs = [0] * nv
                     for v, c in a.terms:
                         if v not in vidx:
@@ -773,7 +733,7 @@ def _compile_box_plan(t: Template):
     vpos = {v: i for i, v in enumerate(t.vars)}
     slots = []
     for p in t.keys:
-        slots.extend(pat_slots(p))
+        slots.extend(key_slots(p))
     plans = []
     for a in slots:
         try:
@@ -929,6 +889,17 @@ def _box_env_tuples(plan, bound: int) -> Iterator[tuple]:
 # Symbolic composition.  A symbolic product rule maps two patterns to a list
 # of (Poly, pattern) branches; a symbolic coproduct maps (pattern, fresh) to a
 # list of (new vars, Poly, (pattern, pattern)) branches.
+
+
+def coproduct_at(sym_co, key) -> TemplateSeries:
+    """A symbolic coproduct read at one key: its branches at pat_const(key)."""
+    return TemplateSeries(
+        2,
+        (
+            Template(tuple(new_vars), poly, pats)
+            for new_vars, poly, pats in sym_co(pat_const(key), Fresh("j"))
+        ),
+    )
 
 
 def expand_slot(series: TemplateSeries, idx: int, sym_co, fresh: Fresh) -> TemplateSeries:

@@ -390,7 +390,7 @@ def affinize_r(
 
     emitted as a closed 2-leg template series.  When a window is given and r
     is symmetric, the output is verified pointwise skew on that window."""
-    if family.dual_pairs is None or family.form is None:
+    if family.form is None:
         raise ValueError("family has no invertible pairing")
     fresh = Fresh("i")
     tpls = []

@@ -5,6 +5,8 @@ rational arithmetic; a criterion passes only with zero violations.
 """
 
 import json
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -314,11 +316,11 @@ def test_criterion_09_negative_controls():
     assert not rep.passed and rep.violations
 
     # perturbed product: spurious t^(i+j) term
-    from permlie.families import FormalVector, a_ts_product
+    from permlie.families import FormalVector
 
     def bad_prod(a, b):
         out = FormalVector()
-        r = a_ts_product(a, b)
+        r = fam.product_one(a, b)
         if r is not None:
             out.add_term(r[1], r[0])
         if a[0] == "Tee" and b[0] == "Tee":
@@ -402,8 +404,12 @@ def test_criterion_12_determinism():
         sys.executable, "-m", "permlie.cli",
         "verify", "all", "--seed", "7", "--window", "6", "--format", "json",
     ]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    # The CLI runs from this checkout's src, installed or not.
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    a = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert a.returncode == 0, a.stderr[-500:]
     assert b.returncode == 0
     assert a.stdout == b.stdout

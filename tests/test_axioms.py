@@ -22,7 +22,6 @@ from permlie.kernel import (
 from permlie.families import (
     FiniteAlgebra,
     FormalVector,
-    a_ts_product,
     adjoint_representation,
     ats_family,
     delta_a_family,
@@ -71,7 +70,7 @@ class TestAlgebraPaths:
         fam = ats_family()
 
         def product(a, b):
-            r = a_ts_product(a, b)
+            r = fam.product_one(a, b)
             out = FormalVector()
             if r is not None:
                 out.add_term(r[1], r[0])
@@ -104,16 +103,17 @@ class TestAlgebraNegatives:
 
     def test_perturbed_ats_product_fails_prelie(self):
         # spurious t^(i+j) term added to t^i . t^j
+        fam = ats_family()
+
         def bad(a, b):
             out = FormalVector()
-            r = a_ts_product(a, b)
+            r = fam.product_one(a, b)
             if r is not None:
                 out.add_term(r[1], r[0])
             if a[0] == "Tee" and b[0] == "Tee":
                 out.add_term(tee(a[1] + b[1]), ONE)
             return out
 
-        fam = ats_family()
         w = Window(4)
         rep = check_algebra(
             LawId.PreLie, product=bad, keys=fam.interior_keys(w, "PreLie")
@@ -369,14 +369,14 @@ def _random_grams(dims):
 def _perturbed_perm_p():
     """permP, except that a d1-left product lands on the other derivation."""
 
-    def one(k1, k2):
-        _, i1, i2, s = k1
-        _, j1, j2, t = k2
+    def rule(x, y):
+        _, a1, a2, s = x
+        _, b1, b2, t = y
         if s == 1:
-            return (ONE, mono(i1 + j1 + 1, i2 + j2, 3 - t))
-        return (ONE, mono(i1 + j1, i2 + j2 + 1, t))
+            return (1, mono(a1 + b1 + 1, a2 + b2, 3 - t))
+        return (1, mono(a1 + b1, a2 + b2 + 1, t))
 
-    return dataclasses.replace(perm_p_family(), product_one=one)
+    return dataclasses.replace(perm_p_family(), rule=rule)
 
 
 class TestFormOracle:

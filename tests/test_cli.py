@@ -1,17 +1,29 @@
 """Command-line behaviors: exit codes, determinism, residuals, exports."""
 
+import contextlib
+import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from permlie import cli
 
 CMD = [sys.executable, "-m", "permlie.cli"]
+# The CLI runs from this checkout's src, installed or not.
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+PATH = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+ENV = {**os.environ, "PYTHONPATH": PATH}
 
 
 def run(*args, stdin=None):
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, input=stdin
+        CMD + list(args), capture_output=True, text=True, input=stdin, env=ENV
     )
 
 
@@ -204,6 +216,11 @@ class TestMalformedInput:
         cfg.write_text(json.dumps({"window": "x"}))
         self.assert_usage_error(run("verify", "ybe", "--config", str(cfg)))
 
+    def test_config_window_infinite(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"window": Infinity}')
+        self.assert_usage_error(run("verify", "ybe", "--config", str(cfg)))
+
     def test_residual_zero_denominator(self, tmp_path):
         f = tmp_path / "r.json"
         f.write_text('[[0, 1, "1/0"]]')
@@ -234,3 +251,82 @@ class TestMalformedInput:
         f.write_text(json.dumps([term]))
         p = run("residual", "perm-ybe", "--algebra", "ex-sd2", "--input", str(f))
         self.assert_usage_error(p)
+
+
+# Front-door fuzzing: generated config files and residual inputs go straight
+# into cli.main; whatever they hold, the exit code is one of the documented
+# four and no exception escapes.
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-10, 10)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["1/0", "3/4", "-2", "0", "x", "1/", "text", "json"])
+    | st.sampled_from([-3, 2.5, 1e300, float("inf"), float("-inf"), float("nan")])
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+# "out" is left out: any value for it names a file the CLI would write.
+_CONFIGS = st.dictionaries(
+    st.sampled_from(["window", "margin", "seed", "format", "other"]),
+    _SCALARS | _JSON,
+    max_size=4,
+)
+_KEYS = st.integers(-2, 4) | st.fixed_dictionaries(
+    {"t": st.sampled_from(["Fin", "Tee", "Mono", "Wn", "Pair", "x"])},
+    optional={
+        "space": st.sampled_from(["SD2", "N2", "P1", "PL2"]) | _SCALARS,
+        "idx": st.integers(-1, 3) | _SCALARS,
+        "i": _SCALARS,
+        "i1": _SCALARS,
+        "i2": _SCALARS,
+        "d": _SCALARS,
+        "e": _JSON,
+        "l": _JSON,
+        "r": _JSON,
+    },
+)
+_TERMS = st.lists(st.tuples(_KEYS, _KEYS, _SCALARS).map(list), max_size=4)
+
+
+def _main_on_file(argv, text):
+    """cli.main with the generated file as the last argument: (code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as f:
+            f.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv + [path])
+    return code, err.getvalue()
+
+
+class TestFrontDoorFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=_CONFIGS | _JSON, truncated=st.booleans())
+    def test_config(self, cfg, truncated):
+        text = json.dumps(cfg)[:-1] if truncated else json.dumps(cfg)
+        code, err = _main_on_file(["export", "ex-1p", "--config"], text)
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert len(err.strip().splitlines()) == 1
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        payload=_TERMS | _JSON,
+        kind=st.sampled_from(["perm-ybe", "s-eq"]),
+        alg=st.sampled_from(["ex-sd2", "ex-nilp2", "ex-1p", "ex-prelie-n2", "nope"]),
+    )
+    def test_residual_input(self, payload, kind, alg):
+        argv = ["residual", kind, "--algebra", alg, "--input"]
+        code, err = _main_on_file(argv, json.dumps(payload))
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert len(err.strip().splitlines()) == 1

@@ -1,14 +1,29 @@
 """Concrete graded families and the finite catalog."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from permlie.kernel import Window, ess, key_degree, mono, pat_const, pat_eval, tee, wn
+from permlie.kernel import (
+    Fresh,
+    Template,
+    TemplateSeries,
+    Window,
+    av,
+    ess,
+    key_degree,
+    key_slots,
+    mono,
+    pat_const,
+    pat_eval,
+    tee,
+    with_slots,
+    wn,
+)
 from permlie.families import (
     FiniteAlgebra,
     FormalVector,
-    a_ts_product,
     ats_family,
     conjugated_table,
     delta_a_family,
@@ -29,19 +44,19 @@ F = Fraction
 
 class TestAtsProduct:
     def test_tee_tee(self):
-        assert a_ts_product(tee(2), tee(3)) == (F(3), tee(4))
-        assert a_ts_product(tee(2), tee(0)) is None
+        assert ats_family().product_one(tee(2), tee(3)) == (F(3), tee(4))
+        assert ats_family().product_one(tee(2), tee(0)) is None
 
     def test_tee_ess(self):
         # coefficient 2i + j - 1
-        assert a_ts_product(tee(2), ess(3)) == (F(6), ess(4))
-        assert a_ts_product(tee(1), ess(-1)) is None
+        assert ats_family().product_one(tee(2), ess(3)) == (F(6), ess(4))
+        assert ats_family().product_one(tee(1), ess(-1)) is None
 
     def test_ess_tee(self):
-        assert a_ts_product(ess(2), tee(3)) == (F(3), ess(4))
+        assert ats_family().product_one(ess(2), tee(3)) == (F(3), ess(4))
 
     def test_ess_ess_vanishes(self):
-        assert a_ts_product(ess(2), ess(3)) is None
+        assert ats_family().product_one(ess(2), ess(3)) is None
 
     def test_product_degree_additive(self):
         # the grading constants are chosen so every family multiplies
@@ -154,8 +169,9 @@ def _cross_check_families():
 
 
 class TestConcreteMatchesSymbolic:
-    """The concrete product and form partners of each family against its
-    symbolic product and its form, on every Window(2) key."""
+    """The readings of each family's rules on keys against their readings on
+    patterns: the product on every Window(2) key pair, the form partners on
+    every Window(2) key, the dual pairs on the Window(3) box."""
 
     @pytest.mark.parametrize("fam", _cross_check_families(), ids=lambda f: f.name)
     def test_product_one_is_sym_product_at_constants(self, fam):
@@ -168,6 +184,42 @@ class TestConcreteMatchesSymbolic:
                 r = fam.product_one(a, b)
                 got = FormalVector() if r is None else FormalVector.single(r[1], r[0])
                 assert got == want, (a, b)
+
+    @pytest.mark.parametrize("fam", _cross_check_families(), ids=lambda f: f.name)
+    def test_product_one_is_sym_product_on_variable_patterns(self, fam):
+        # One symbolic product per shape pair, evaluated at every Window(2)
+        # slot assignment: a rule that branched on a slot value would give a
+        # pattern product that disagrees with some key product.
+        shapes = fam.keys_fn(0)
+        for x, y in itertools.product(shapes, shapes):
+            xs = [f"a{i}" for i in range(len(key_slots(x)))]
+            ys = [f"b{i}" for i in range(len(key_slots(y)))]
+            px, py = with_slots(x, map(av, xs)), with_slots(y, map(av, ys))
+            sym = fam.sym_product(px, py)
+            for vals in itertools.product(range(-2, 3), repeat=len(xs) + len(ys)):
+                env = dict(zip(xs + ys, vals))
+                want = FormalVector()
+                for poly, p in sym:
+                    want.add_term(pat_eval(p, env), poly.eval(env))
+                a, b = pat_eval(px, env), pat_eval(py, env)
+                r = fam.product_one(a, b)
+                got = FormalVector() if r is None else FormalVector.single(r[1], r[0])
+                assert got == want, (a, b)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [f for f in _cross_check_families() if f.form is not None],
+        ids=lambda f: f.name,
+    )
+    def test_dual_pairs_sum_to_the_form_once(self, fam):
+        box = fam.keys(Window(3))
+        got = {}
+        for names, e, f, value in fam.dual_pairs(Fresh("j")):
+            one = TemplateSeries(2, [Template(names, value, (f, e))])
+            for fe, c in one.support_in_box(3).items():
+                assert fe not in got, fe
+                got[fe] = c
+        assert got == {(x, y): fam.form(x, y) for x in box for y in box if fam.form(x, y)}
 
     @pytest.mark.parametrize(
         "fam",
