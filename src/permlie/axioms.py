@@ -374,6 +374,24 @@ def check_algebra(
 # Coalgebra laws.
 
 
+def coalgebra_residuals(law: LawId, d: TemplateSeries, sym_co: Callable) -> list:
+    """(label, residual series) for each identity of a coalgebra law at one
+    input key x, given d = delta(x); the law holds at x iff every residual
+    is zero."""
+    if law == LawId.CoLieSkew:
+        return [("co-skew", d + d.flip_hat())]
+    if law not in (LawId.CoPerm, LawId.CoPreLie, LawId.CoLieJacobi):
+        raise ValueError(f"not a coalgebra law: {law}")
+    fresh = Fresh("k")
+    a = expand_slot(d, 0, sym_co, fresh)
+    b = expand_slot(d, 1, sym_co, fresh)
+    if law == LawId.CoPerm:
+        return [("coassoc", a - b), ("left-cosym", a - a.permuted((1, 0, 2)))]
+    if law == LawId.CoPreLie:
+        return [("co-pre-lie", a - a.permuted((1, 0, 2)) - b + b.permuted((1, 0, 2)))]
+    return [("co-jacobi", b - b.permuted((1, 0, 2)) - a)]
+
+
 def check_coalgebra(
     law: LawId,
     *,
@@ -393,37 +411,10 @@ def check_coalgebra(
     checked = 0
     for x in keys:
         checked += 1
-        d = delta(x)
-        fresh = Fresh("k")
-        if law == LawId.CoPerm:
-            a = expand_slot(d, 0, sym_co, fresh)
-            b = expand_slot(d, 1, sym_co, fresh)
-            res = (a - b).support_in_box(box)
-            if res:
-                rec.add("coassoc", (x,), tuple(sorted(res.items())))
-            res = (a - a.permuted((1, 0, 2))).support_in_box(box)
-            if res:
-                rec.add("left-cosym", (x,), tuple(sorted(res.items())))
-        elif law == LawId.CoPreLie:
-            a = expand_slot(d, 0, sym_co, fresh)
-            b = expand_slot(d, 1, sym_co, fresh)
-            res = (
-                a - a.permuted((1, 0, 2)) - b + b.permuted((1, 0, 2))
-            ).support_in_box(box)
-            if res:
-                rec.add("co-pre-lie", (x,), tuple(sorted(res.items())))
-        elif law == LawId.CoLieSkew:
-            res = (d + d.flip_hat()).support_in_box(box)
-            if res:
-                rec.add("co-skew", (x,), tuple(sorted(res.items())))
-        elif law == LawId.CoLieJacobi:
-            e = expand_slot(d, 1, sym_co, fresh)
-            g = expand_slot(d, 0, sym_co, fresh)
-            res = (e - e.permuted((1, 0, 2)) - g).support_in_box(box)
-            if res:
-                rec.add("co-jacobi", (x,), tuple(sorted(res.items())))
-        else:
-            raise ValueError(f"not a coalgebra law: {law}")
+        for label, res in coalgebra_residuals(law, delta(x), sym_co):
+            support = res.support_in_box(box)
+            if support:
+                rec.add(label, (x,), tuple(sorted(support.items())))
     return CheckReport.build(law.value, window, checked, rec.items, rec.extra())
 
 

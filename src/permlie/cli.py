@@ -1168,14 +1168,20 @@ def _merge_config(args, suite=None) -> SuiteConfig:
         if not isinstance(fromfile, dict):
             raise ValueError(f"bad config {args.config}: not a JSON object")
 
-    def pick(name, default, conv):
+    def pick(name, default, kind):
+        # flags arrive typed by argparse; a config value must already be a
+        # JSON value of the setting's kind (a bool is not an int)
         v = getattr(args, name, None)
-        if v is None:
-            v = fromfile.get(name, default)
-        try:
-            return None if v is None else conv(v)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"bad {name}: {v!r}") from None
+        if v is not None:
+            return v
+        if name not in fromfile:
+            return default
+        v = fromfile[name]
+        if not isinstance(v, kind) or isinstance(v, bool):
+            raise ValueError(
+                f"bad {name}: {v!r} (must be a JSON {'integer' if kind is int else 'string'})"
+            )
+        return v
 
     cfg = SuiteConfig(
         suite=suite,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 Scalar = Fraction
@@ -659,10 +660,11 @@ class TemplateSeries:
         exact accumulated coefficient at each.  Tuples absent from the result
         have coefficient exactly zero inside the box.
 
-        Integer coefficients accumulate as machine ints (still exact) and are
-        wrapped into Fractions once at the end."""
+        Templates that cancel are merged away first (see collapsed), so only
+        the rest is enumerated.  Integer coefficients accumulate as machine
+        ints (still exact) and are wrapped into Fractions once at the end."""
         acc: dict = {}
-        for t in self.templates:
+        for t in self.collapsed().templates:
             plan = _compile_box_plan(t)
             builders = plan[3]
             poly_plan = plan[4]
@@ -688,6 +690,39 @@ class TemplateSeries:
         return {
             k: v if v.__class__ is Fraction else Fraction(v) for k, v in acc.items()
         }
+
+    def collapsed(self) -> "TemplateSeries":
+        """The same series with templates describing the same function merged.
+
+        A template with k variables whose first k linearly independent slots F
+        have a unimodular linear part A_F sums over the integer values f of
+        those slots, one match per f: its slots are R f + c' with
+        R = A A_F^-1 and c' = c - R c_F, and its coefficient is p(v) at
+        v = A_F^-1 (f - c_F).  Templates with the same slot shapes, R and c'
+        have their rewritten coefficients added; a sum that vanishes drops
+        out.  Every other template (a stray variable, rank below k, A_F not
+        unimodular) is kept as it is."""
+        forms: dict = {}
+        kept = []
+        for t in self.templates:
+            form = _canonical_form(t)
+            if form is None:
+                kept.append(t)
+                continue
+            key, coeff = form
+            cur = forms.get(key)
+            if cur is None:
+                forms[key] = (t.keys, coeff)
+                continue
+            total = cur[1]
+            for ex, c in coeff.items():
+                total[ex] = total.get(ex, 0) + c
+        merged = []
+        for (_, rows, consts), (proto, coeff) in forms.items():
+            template = _form_template(proto, rows, consts, coeff)
+            if template is not None:
+                merged.append(template)
+        return TemplateSeries(self.arity, merged + kept)
 
     def equal_on_box(self, other: "TemplateSeries", bound: int) -> bool:
         return (self - other).support_in_box(bound) == {}
@@ -717,6 +752,115 @@ def _pat_str(p) -> str:
     if tag == "Pair":
         return f"({_pat_str(p[1])})({_pat_str(p[2])})"
     return repr(p)
+
+
+@lru_cache(maxsize=4096)
+def _free_slot_transform(nvars: int, rows: tuple):
+    """(free slots F, A_F^-1, A A_F^-1) for the linear part A = rows of a
+    template's slots over nvars variables, or None unless the first nvars
+    linearly independent rows F make an A_F with an integral inverse."""
+    echelon: dict = {}  # pivot column -> row scaled to pivot 1
+    free = []
+    for s, row in enumerate(rows):
+        if len(free) == nvars:
+            break
+        vec = [Fraction(x) for x in row]
+        for col, b in echelon.items():
+            f = vec[col]
+            if f:
+                vec = [x - f * y for x, y in zip(vec, b)]
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is not None:
+            echelon[lead] = [x / vec[lead] for x in vec]
+            free.append(s)
+    if len(free) < nvars:
+        return None
+    cols = []
+    for j in range(nvars):
+        unit = [(rows[s], int(i == j)) for i, s in enumerate(free)]
+        _, col = _solve_affine(unit, nvars)
+        if any(x.denominator != 1 for x in col):
+            return None
+        cols.append([int(x) for x in col])
+    inv = tuple(tuple(col[i] for col in cols) for i in range(nvars))
+    r = tuple(
+        tuple(sum(a * col[i] for i, a in enumerate(row)) for col in cols)
+        for row in rows
+    )
+    return tuple(free), inv, r
+
+
+def _canonical_form(t: Template):
+    """((slot shapes, R, c'), coefficient as {exponents in f: coeff}) for a
+    template that qualifies for merging (see TemplateSeries.collapsed), or
+    None."""
+    vpos = {v: i for i, v in enumerate(t.vars)}
+    nv = len(t.vars)
+    rows = []
+    consts = []
+    for p in t.keys:
+        for a in key_slots(p):
+            row = [0] * nv
+            for v, c in a.terms:
+                i = vpos.get(v)
+                if i is None:
+                    return None
+                row[i] = c
+            rows.append(tuple(row))
+            consts.append(a.const)
+    transform = _free_slot_transform(nv, tuple(rows))
+    if transform is None:
+        return None
+    free, inv, r = transform
+    cf = [consts[s] for s in free]
+    new_consts = tuple(
+        c - sum(a * x for a, x in zip(row, cf)) for c, row in zip(consts, r)
+    )
+    # v = A_F^-1 (f - c_F), one affine form in f per variable
+    sub = [(-sum(a * x for a, x in zip(row, cf)), row) for row in inv]
+    one = (0,) * nv
+    coeff: dict = {}
+    for mo, co in t.coeff.m:
+        terms = {one: co.numerator if co.denominator == 1 else co}
+        for v, e in mo:
+            i = vpos.get(v)
+            if i is None:
+                return None
+            const, lin = sub[i]
+            for _ in range(e):
+                nxt: dict = {}
+                for ex, c in terms.items():
+                    if const:
+                        nxt[ex] = nxt.get(ex, 0) + c * const
+                    for j, a in enumerate(lin):
+                        if a:
+                            ex2 = ex[:j] + (ex[j] + 1,) + ex[j + 1 :]
+                            nxt[ex2] = nxt.get(ex2, 0) + c * a
+                terms = nxt
+        for ex, c in terms.items():
+            coeff[ex] = coeff.get(ex, 0) + c
+    shapes = tuple(key_shape(p) for p in t.keys)
+    return (shapes, r, new_consts), coeff
+
+
+def _form_template(proto, rows, consts, coeff):
+    """The template over variables f0, f1, ... with slots rows * f + consts
+    on the shapes of the patterns proto, or None if coeff vanishes."""
+    names = tuple(f"f{j}" for j in range(len(rows[0]) if rows else 0))
+    poly = Poly._norm(
+        {
+            tuple(sorted((names[j], e) for j, e in enumerate(ex) if e)): Fraction(c)
+            for ex, c in coeff.items()
+        }
+    )
+    if poly.is_zero():
+        return None
+    slots = iter(
+        Aff(c, tuple(sorted((names[j], a) for j, a in enumerate(row) if a)))
+        for row, c in zip(rows, consts)
+    )
+    keys = tuple(with_slots(p, [next(slots) for _ in key_slots(p)]) for p in proto)
+    return Template(names, poly, keys)
 
 
 def _compile_box_plan(t: Template):

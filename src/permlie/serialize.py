@@ -6,6 +6,7 @@ and reports are export-only.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .kernel import Aff, CheckReport, TemplateSeries, ess, fin, mono, pair, tee, wn
@@ -21,12 +22,20 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+SCALAR_STR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_scalar(s) -> Fraction:
+    """A JSON int, or a string "num" or "num/den" as frac_str writes it.
+    Other spellings Fraction would take ("1e4000000", "0.5") are refused:
+    an exponent can ask for an arbitrarily large integer."""
     if isinstance(s, bool):
         raise ValueError(f"not a scalar: {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
+        if not SCALAR_STR.fullmatch(s):
+            raise ValueError(f"not a scalar: {s!r}")
         try:
             return Fraction(s)
         except ZeroDivisionError:

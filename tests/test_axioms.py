@@ -30,19 +30,23 @@ from permlie.families import (
     finite_catalog,
     perm_p_family,
     random_table,
+    wn_codelta,
+    wn_codelta_sym,
     wn_family,
 )
 from permlie.axioms import (
     LawId,
     check_algebra,
     check_coalgebra,
+    coalgebra_residuals,
     check_form,
     check_matched_pair,
     check_o_operator,
     check_preperm,
     check_representation,
 )
-from permlie.cli import _perturbed_ats_product
+from box_reference import support_by_solving
+from permlie.cli import _perturbed_ats_delta, _perturbed_ats_product, _perturbed_ats_sym_co
 from permlie.doubles import (
     canonical_dual_actions,
     dual_perm_algebra,
@@ -285,6 +289,58 @@ class TestCoalgebra:
         assert not rep.passed
         assert rep.violations
         assert all(v[0] == "co-pre-lie" for v in rep.violations)
+
+
+def _coalgebra_case(name):
+    """(law, delta, sym_co, keys) of a coalgebra row at Window(2)."""
+    w = Window(2)
+    if name == "coperm:permP":
+        fam = perm_p_family()
+        return LawId.CoPerm, delta_p_family, fam.sym_co, fam.interior_keys(w, "CoPerm")
+    if name == "coprelie:ats":
+        fam = ats_family()
+        return LawId.CoPreLie, delta_a_family, fam.sym_co, fam.interior_keys(w, "CoPreLie")
+    if name == "coprelie:w1":
+        return (
+            LawId.CoPreLie,
+            lambda k: wn_codelta(1, k),
+            wn_codelta_sym(1),
+            wn_family(1).interior_keys(w, "CoPreLie"),
+        )
+    return (
+        LawId.CoPreLie,
+        _perturbed_ats_delta,
+        _perturbed_ats_sym_co,
+        ats_family().interior_keys(w, "CoPreLie"),
+    )
+
+
+class TestCoalgebraCollapse:
+    """The paper's co-side identities cancel template by template, so
+    support_in_box is left nothing to enumerate."""
+
+    @pytest.mark.parametrize("name", ["coperm:permP", "coprelie:ats", "coprelie:w1"])
+    def test_residuals_collapse_to_nothing(self, name):
+        law, delta, sym_co, keys = _coalgebra_case(name)
+        assert keys
+        for x in keys:
+            for label, res in coalgebra_residuals(law, delta(x), sym_co):
+                assert res.templates, (label, x)
+                assert res.collapsed().templates == (), (label, x)
+
+    def test_perturbed_ats_keeps_templates_and_witnesses(self):
+        law, delta, sym_co, keys = _coalgebra_case("neg:perturbed-ats")
+        expected = []
+        for x in keys:
+            for label, res in coalgebra_residuals(law, delta(x), sym_co):
+                support = support_by_solving(res, 2)
+                if support:
+                    assert res.collapsed().templates, (label, x)
+                    expected.append((label, (x,), tuple(sorted(support.items()))))
+        assert expected
+        rep = check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=Window(2))
+        assert not rep.passed
+        assert rep.violations == sorted(expected, key=lambda v: (v[0], v[1]))
 
 
 FORM_LAWS = [

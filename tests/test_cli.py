@@ -227,6 +227,23 @@ class TestMalformedInput:
         p = run("residual", "perm-ybe", "--algebra", "ex-sd2", "--input", str(f))
         self.assert_usage_error(p)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"window": 2.5}, {"window": True}, {"seed": "7"}, {"window": None}],
+        ids=["float-window", "bool-window", "string-seed", "null-window"],
+    )
+    def test_config_value_of_wrong_kind(self, tmp_path, cfg):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        self.assert_usage_error(run("verify", "ybe", "--config", str(f)))
+
+    @pytest.mark.parametrize("coeff", ["1e4000000", "0.5", " 3", "1_0"])
+    def test_residual_scalar_not_canonical(self, tmp_path, coeff):
+        f = tmp_path / "r.json"
+        f.write_text(json.dumps([[0, 1, coeff]]))
+        p = run("residual", "perm-ybe", "--algebra", "ex-sd2", "--input", str(f))
+        self.assert_usage_error(p)
+
     def test_negative_margin_flag(self):
         self.assert_usage_error(run("verify", "ybe", "--window", "3", "--margin", "-3"))
 

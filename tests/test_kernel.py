@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from permlie.kernel import (
     Aff,
@@ -24,6 +24,8 @@ from permlie.kernel import (
     pair,
     pat_const,
     pat_ess,
+    pat_mono,
+    pat_subst,
     pat_tee,
     sparse_rref,
     forced_zero_columns,
@@ -31,6 +33,7 @@ from permlie.kernel import (
     wn,
 )
 from permlie.families import delta_a_family
+from box_reference import support_by_solving
 
 F = Fraction
 
@@ -106,6 +109,146 @@ class TestTemplateSeries:
         for (a, b), c in d.support_in_box(3).items():
             assert abs(a[1]) <= 3 and abs(b[1]) <= 3
             assert c != 0
+
+
+# Random template series for the support_in_box cross-check.  Each template
+# has k <= 2 variables; k of its slots ("pivots") are triangular in the
+# variables, with a diagonal of +-1 or +-2, so every variable is pinned down
+# and the box enumerator can order them.  A diagonal +-2 (slots like 2j) makes
+# the slot map non-unimodular when the pivots are the free slots.
+BOX = 2
+SHAPES = {"Tee": 1, "Ess": 1, "Mono": 2}
+SWAP = {"Tee": "Ess", "Ess": "Tee"}
+
+
+def _pattern(tag, slots):
+    if tag == "Mono":
+        return pat_mono(slots[0], slots[1], 1)
+    return (pat_tee if tag == "Tee" else pat_ess)(slots[0])
+
+
+@st.composite
+def _template(draw, names, pivots_first=False):
+    shapes = draw(st.sampled_from([("Tee", "Ess"), ("Ess", "Tee"), ("Tee", "Tee"),
+                                   ("Mono", "Tee"), ("Ess", "Mono"), ("Ess", "Ess")]))
+    m = sum(SHAPES[s] for s in shapes)
+    k = draw(st.integers(0, 2))
+    if pivots_first:
+        pivots = list(range(k))
+    else:
+        pivots = sorted(draw(st.permutations(range(m)))[:k])
+    diag = st.sampled_from([1, -1] if pivots_first else [1, -1, 1, -1, 2, -2])
+    small = st.integers(-2, 2)
+    slots = []
+    for s in range(m):
+        if s in pivots:
+            i = pivots.index(s)
+            row = [draw(small) for _ in range(i)] + [draw(diag)] + [0] * (k - i - 1)
+        else:
+            row = [draw(small) for _ in range(k)]
+        slot = Aff.of(draw(small))
+        for v, c in zip(names, row):
+            slot = slot + c * av(v)
+        slots.append(slot)
+    coeff = Poly()
+    for _ in range(draw(st.integers(1, 3))):
+        mono_ = Poly.const(F(draw(st.integers(-3, 3)), draw(st.integers(1, 2))))
+        for _ in range(draw(st.integers(0, 2))):
+            if k:
+                mono_ = mono_ * Poly.var(names[draw(st.integers(0, k - 1))])
+        coeff = coeff + mono_
+    it = iter(slots)
+    keys = tuple(_pattern(s, [next(it) for _ in range(SHAPES[s])]) for s in shapes)
+    return Template(tuple(names[:k]), coeff, keys)
+
+
+@st.composite
+def _reparametrised(draw, t, names):
+    """t over new variables w, with v = U w + d for a random unimodular U."""
+    k = len(t.vars)
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 3)) if k else 0):
+        i, j = draw(st.permutations(range(k)))[:2] if k == 2 else (0, None)
+        if j is None or draw(st.booleans()):
+            u[i] = [-a for a in u[i]]
+        else:
+            f = draw(st.integers(-2, 2))
+            u[i] = [a + f * b for a, b in zip(u[i], u[j])]
+    env = {}
+    for v, row in zip(t.vars, u):
+        e = Aff.of(draw(st.integers(-2, 2)))
+        for w, c in zip(names, row):
+            e = e + c * av(w)
+        env[v] = e
+    coeff = Poly()
+    for mo, co in t.coeff.m:
+        term = Poly.const(co)
+        for v, e in mo:
+            for _ in range(e):
+                term = term * Poly.of(env[v])
+        coeff = coeff + term
+    return Template(tuple(names[:k]), coeff, tuple(pat_subst(p, env) for p in t.keys))
+
+
+def _negated(t, factor=-1):
+    return Template(t.vars, t.coeff * Poly.const(F(factor)), t.keys)
+
+
+def _reshaped(t):
+    """t on other slot shapes: Tee and Ess swapped, Mono d1 made d2."""
+    return Template(
+        t.vars,
+        t.coeff,
+        tuple(
+            pat_mono(p[1], p[2], 2) if p[0] == "Mono" else _pattern(SWAP[p[0]], [p[1]])
+            for p in t.keys
+        ),
+    )
+
+
+@st.composite
+def _series(draw):
+    templates = []
+    for n in range(draw(st.integers(1, 3))):
+        names = (f"a{n}", f"b{n}")
+        kind = draw(st.sampled_from(["alone", "cancel", "double", "reshape"]))
+        t = draw(_template(names, pivots_first=kind in ("cancel", "double")))
+        templates.append(t)
+        if kind == "cancel":
+            templates.append(_negated(draw(_reparametrised(t, (f"c{n}", f"d{n}")))))
+        elif kind == "double":
+            templates.append(_negated(draw(_reparametrised(t, (f"c{n}", f"d{n}"))), 2))
+        elif kind == "reshape":
+            templates.append(_negated(_reshaped(t)))
+    return TemplateSeries(2, draw(st.permutations(templates)))
+
+
+class TestCollapse:
+    """support_in_box merges equal templates before enumerating; the merge
+    must leave the box support exactly as coefficient_at reads it."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_series())
+    def test_support_matches_coefficient_at(self, series):
+        assert series.support_in_box(BOX) == support_by_solving(series, BOX)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_reparametrised_copy_cancels(self, data):
+        t = data.draw(_template(("a", "b"), pivots_first=True))
+        copy = data.draw(_reparametrised(t, ("c", "d")))
+        series = TemplateSeries(2, (t, _negated(copy)))
+        assert series.collapsed().templates == ()
+        assert series.support_in_box(BOX) == {}
+
+    def test_non_unimodular_template_is_kept(self):
+        j = av("j")
+        t = Template(("j",), Poly.var("j"), (pat_tee(2 * j), pat_ess(j + 1)))
+        series = TemplateSeries(2, (t,))
+        assert series.collapsed().templates == (t,)
+        assert series.support_in_box(3) == {
+            (tee(2 * v), ess(v + 1)): F(v) for v in (-1, 1)
+        }
 
 
 class TestIllPosed:

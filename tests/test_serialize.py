@@ -65,6 +65,11 @@ class TestScalars:
         with pytest.raises(ValueError):
             parse_scalar(True)
 
+    @pytest.mark.parametrize("s", ["1e4000000", "0.5", "1/2/3", "", " 3", "/2", "3/-4"])
+    def test_only_canonical_strings(self, s):
+        with pytest.raises(ValueError):
+            parse_scalar(s)
+
     @given(st.fractions(max_denominator=1000))
     def test_round_trip(self, q):
         assert parse_scalar(frac_str(q)) == q
