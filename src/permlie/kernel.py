@@ -4,10 +4,13 @@ affine key patterns, and template series.
 A template series is a finite list of summation templates, each carrying free
 integer variables, a polynomial coefficient in those variables, and a tuple of
 key patterns whose integer slots are affine expressions in the same variables.
-For every concrete key tuple the matching assignments form a finite set (the
-affine system per template has full column rank), so pointwise coefficients of
-elements of completed tensor products are exact finite rational sums.  Windows
-select which keys get probed; they never truncate anything.
+A template is well-posed when its variables are the only ones it mentions and
+its slots have full rank in them: then every concrete key tuple matches
+finitely many assignments (at most one), so pointwise coefficients of elements
+of completed tensor products are exact finite rational sums.  Box support is
+read through one canonical form per template, over the coset of its free-slot
+values given by a Hermite normal form.  Windows select which keys get probed;
+they never truncate anything.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 Scalar = Fraction
 
@@ -24,7 +27,9 @@ ONE = Fraction(1)
 
 
 class IllPosedTemplateError(ValueError):
-    """A template admits infinitely many matches for some key tuple."""
+    """A template admits infinitely many matches for some key tuple: it
+    mentions a variable it does not sum over (a stray variable), or its slots
+    have rank below its number of variables."""
 
 
 class InsufficientWindowError(ValueError):
@@ -440,23 +445,28 @@ def pat_pair(left, right):
 def with_slots(key, slots):
     """The key or pattern of key's shape whose integer slots, in key_slots
     order, are the given ints or Aff expressions."""
-    it = iter(slots)
+    return _slot_reader(key, 0)[0](list(slots))
 
-    def build(k):
-        tag = k[0]
-        if tag == "Tee" or tag == "Ess":
-            return (tag, next(it))
-        if tag == "Mono":
-            return ("Mono", next(it), next(it), k[3])
-        if tag == "Wn":
-            return ("Wn", tuple(next(it) for _ in k[1]), k[2])
-        if tag == "Fin":
-            return k
-        if tag == "Pair":
-            return ("Pair", build(k[1]), build(k[2]))
-        raise ValueError(f"unknown key {k!r}")
 
-    return build(key)
+def _slot_reader(p, pos: int):
+    """(vals -> the key of p's shape whose slots, in key_slots order, are
+    vals[pos], vals[pos + 1], ...; the position after them)."""
+    tag = p[0]
+    if tag == "Tee" or tag == "Ess":
+        return (lambda vals: (tag, vals[pos])), pos + 1
+    if tag == "Mono":
+        d = p[3]
+        return (lambda vals: ("Mono", vals[pos], vals[pos + 1], d)), pos + 2
+    if tag == "Wn":
+        end, d = pos + len(p[1]), p[2]
+        return (lambda vals: ("Wn", tuple(vals[pos:end]), d)), end
+    if tag == "Fin":
+        return (lambda vals: p), pos
+    if tag == "Pair":
+        left, mid = _slot_reader(p[1], pos)
+        right, end = _slot_reader(p[2], mid)
+        return (lambda vals: ("Pair", left(vals), right(vals))), end
+    raise ValueError(f"unknown key {p!r}")
 
 
 def pat_const(key):
@@ -624,8 +634,10 @@ class TemplateSeries:
                 continue
             nv = len(t.vars)
             vidx = {v: i for i, v in enumerate(t.vars)}
+            stray = t.coeff.vars() - vidx.keys()
+            if stray:
+                raise IllPosedTemplateError(f"stray variable {min(stray)}")
             rows = []
-            ok = True
             slot_i = 0
             for p in t.keys:
                 for a in key_slots(p):
@@ -660,24 +672,40 @@ class TemplateSeries:
         exact accumulated coefficient at each.  Tuples absent from the result
         have coefficient exactly zero inside the box.
 
-        Templates that cancel are merged away first (see collapsed), so only
-        the rest is enumerated.  Integer coefficients accumulate as machine
-        ints (still exact) and are wrapped into Fractions once at the end."""
+        The templates are merged into canonical forms first (see collapsed),
+        and only the forms that do not vanish are enumerated, each over its
+        lattice variables u (see _lattice_points).  Integer coefficients
+        accumulate as machine ints (still exact) and are wrapped into
+        Fractions once at the end."""
         acc: dict = {}
-        for t in self.collapsed().templates:
-            plan = _compile_box_plan(t)
-            builders = plan[3]
-            poly_plan = plan[4]
-            for env in _box_env_tuples(plan, bound):
+        for (_, rows, consts), (proto, coeff) in _merged_forms(self.templates).items():
+            readers = []
+            pos = 0
+            for p in proto:
+                reader, pos = _slot_reader(p, pos)
+                readers.append(reader)
+            slots = [
+                (c, tuple((j, a) for j, a in enumerate(row) if a))
+                for row, c in zip(rows, consts)
+            ]
+            monos = [
+                (c, tuple((j, e) for j, e in enumerate(ex) if e))
+                for ex, c in coeff.items()
+            ]
+            for u in _lattice_points(rows, consts, bound):
                 c = 0
-                for co, pows in poly_plan:
-                    m = co
-                    for pos, e in pows:
-                        m *= env[pos] ** e
+                for m, pows in monos:
+                    for j, e in pows:
+                        m *= u[j] ** e
                     c += m
                 if not c:
                     continue
-                keys = tuple(b(env) for b in builders)
+                vals = []
+                for v, terms in slots:
+                    for j, a in terms:
+                        v += a * u[j]
+                    vals.append(v)
+                keys = tuple(r(vals) for r in readers)
                 cur = acc.get(keys)
                 if cur is None:
                     acc[keys] = c
@@ -694,35 +722,25 @@ class TemplateSeries:
     def collapsed(self) -> "TemplateSeries":
         """The same series with templates describing the same function merged.
 
-        A template with k variables whose first k linearly independent slots F
-        have a unimodular linear part A_F sums over the integer values f of
-        those slots, one match per f: its slots are R f + c' with
-        R = A A_F^-1 and c' = c - R c_F, and its coefficient is p(v) at
-        v = A_F^-1 (f - c_F).  Templates with the same slot shapes, R and c'
+        A template with k variables sums over the integer values f of its
+        first k linearly independent slots F, one match per f; those values
+        make the coset c_F + A_F Z^k.  With H the Hermite normal form of A_F
+        and rho the representative of c_F reduced mod H, the template is
+        rewritten over lattice variables u with f = rho + H u: its slots
+        become integer-affine in u, and its coefficient p(v) is read at an
+        integer-affine v(u) (see _canonical_form).
+        Templates with the same slot shapes, slot rows and constants in u
         have their rewritten coefficients added; a sum that vanishes drops
-        out.  Every other template (a stray variable, rank below k, A_F not
-        unimodular) is kept as it is."""
-        forms: dict = {}
-        kept = []
-        for t in self.templates:
-            form = _canonical_form(t)
-            if form is None:
-                kept.append(t)
-                continue
-            key, coeff = form
-            cur = forms.get(key)
-            if cur is None:
-                forms[key] = (t.keys, coeff)
-                continue
-            total = cur[1]
-            for ex, c in coeff.items():
-                total[ex] = total.get(ex, 0) + c
-        merged = []
-        for (_, rows, consts), (proto, coeff) in forms.items():
-            template = _form_template(proto, rows, consts, coeff)
-            if template is not None:
-                merged.append(template)
-        return TemplateSeries(self.arity, merged + kept)
+        out.  A template with a stray variable or rank below k raises
+        IllPosedTemplateError."""
+        forms = _merged_forms(self.templates)
+        return TemplateSeries(
+            self.arity,
+            (
+                _form_template(proto, rows, consts, coeff)
+                for (_, rows, consts), (proto, coeff) in forms.items()
+            ),
+        )
 
     def equal_on_box(self, other: "TemplateSeries", bound: int) -> bool:
         return (self - other).support_in_box(bound) == {}
@@ -756,44 +774,56 @@ def _pat_str(p) -> str:
 
 @lru_cache(maxsize=4096)
 def _free_slot_transform(nvars: int, rows: tuple):
-    """(free slots F, A_F^-1, A A_F^-1) for the linear part A = rows of a
-    template's slots over nvars variables, or None unless the first nvars
-    linearly independent rows F make an A_F with an integral inverse."""
-    echelon: dict = {}  # pivot column -> row scaled to pivot 1
+    """(free slots F, U, rows of A U) for the linear part A = rows of a
+    template's slots over nvars variables, or None if A has rank below nvars.
+
+    Integer column operations, tracked in the unimodular U, bring A to its
+    Hermite normal form A U (H. Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4.2): F is the first nvars linearly independent rows,
+    and the rows F of A U make a lower-triangular H with a positive diagonal
+    and every entry left of it in [0, H_ii).  H depends only on the lattice
+    A_F Z^k, so templates summing over the same lattice get the same H."""
+    m = len(rows)
+    cols = [
+        [row[j] for row in rows] + [int(i == j) for i in range(nvars)]
+        for j in range(nvars)
+    ]
     free = []
-    for s, row in enumerate(rows):
-        if len(free) == nvars:
+    for s in range(m):
+        p = len(free)
+        if p == nvars:
             break
-        vec = [Fraction(x) for x in row]
-        for col, b in echelon.items():
-            f = vec[col]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, b)]
-        lead = next((j for j, x in enumerate(vec) if x), None)
-        if lead is not None:
-            echelon[lead] = [x / vec[lead] for x in vec]
-            free.append(s)
+        for j in range(p + 1, nvars):
+            while cols[j][s]:
+                q = cols[p][s] // cols[j][s]
+                cols[p] = [x - q * y for x, y in zip(cols[p], cols[j])]
+                cols[p], cols[j] = cols[j], cols[p]
+        if not cols[p][s]:
+            continue
+        if cols[p][s] < 0:
+            cols[p] = [-x for x in cols[p]]
+        for j in range(p):
+            q = cols[j][s] // cols[p][s]
+            if q:
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[p])]
+        free.append(s)
     if len(free) < nvars:
         return None
-    cols = []
-    for j in range(nvars):
-        unit = [(rows[s], int(i == j)) for i, s in enumerate(free)]
-        _, col = _solve_affine(unit, nvars)
-        if any(x.denominator != 1 for x in col):
-            return None
-        cols.append([int(x) for x in col])
-    inv = tuple(tuple(col[i] for col in cols) for i in range(nvars))
-    r = tuple(
-        tuple(sum(a * col[i] for i, a in enumerate(row)) for col in cols)
-        for row in rows
-    )
-    return tuple(free), inv, r
+    unimodular = tuple(tuple(col[m + i] for col in cols) for i in range(nvars))
+    lattice_rows = tuple(tuple(col[s] for col in cols) for s in range(m))
+    return tuple(free), unimodular, lattice_rows
 
 
 def _canonical_form(t: Template):
-    """((slot shapes, R, c'), coefficient as {exponents in f: coeff}) for a
-    template that qualifies for merging (see TemplateSeries.collapsed), or
-    None."""
+    """((slot shapes, slot rows in u, slot constants), coefficient as
+    {exponents in u: coeff}) for a template; see TemplateSeries.collapsed.
+
+    With U and F from _free_slot_transform, v = U w sends the integer w to
+    the template's points one to one, with slots A U w + c.  Shifting w by
+    the integer t that reduces the free slots' constants mod H gives u = w - t,
+    slots A U u + (c + A U t) and coefficient p(U u + U t).  Raises
+    IllPosedTemplateError for a stray variable or rank below k: both make
+    some key tuple match infinitely many points."""
     vpos = {v: i for i, v in enumerate(t.vars)}
     nv = len(t.vars)
     rows = []
@@ -804,20 +834,24 @@ def _canonical_form(t: Template):
             for v, c in a.terms:
                 i = vpos.get(v)
                 if i is None:
-                    return None
+                    raise IllPosedTemplateError(f"stray variable {v}")
                 row[i] = c
             rows.append(tuple(row))
             consts.append(a.const)
     transform = _free_slot_transform(nv, tuple(rows))
     if transform is None:
-        return None
-    free, inv, r = transform
-    cf = [consts[s] for s in free]
-    new_consts = tuple(
-        c - sum(a * x for a, x in zip(row, cf)) for c, row in zip(consts, r)
-    )
-    # v = A_F^-1 (f - c_F), one affine form in f per variable
-    sub = [(-sum(a * x for a, x in zip(row, cf)), row) for row in inv]
+        raise IllPosedTemplateError(
+            f"slots of the template with variables {t.vars} have rank below {nv}"
+        )
+    free, unimodular, lattice_rows = transform
+    shift = []
+    for i, s in enumerate(free):
+        q = -(consts[s] // lattice_rows[s][i])
+        shift.append(q)
+        if q:
+            consts = [c + q * row[i] for c, row in zip(consts, lattice_rows)]
+    # v = U (u + t), one affine form in u per variable
+    sub = [(sum(a * x for a, x in zip(row, shift)), row) for row in unimodular]
     one = (0,) * nv
     coeff: dict = {}
     for mo, co in t.coeff.m:
@@ -825,7 +859,7 @@ def _canonical_form(t: Template):
         for v, e in mo:
             i = vpos.get(v)
             if i is None:
-                return None
+                raise IllPosedTemplateError(f"stray variable {v}")
             const, lin = sub[i]
             for _ in range(e):
                 nxt: dict = {}
@@ -840,21 +874,41 @@ def _canonical_form(t: Template):
         for ex, c in terms.items():
             coeff[ex] = coeff.get(ex, 0) + c
     shapes = tuple(key_shape(p) for p in t.keys)
-    return (shapes, r, new_consts), coeff
+    return (shapes, lattice_rows, tuple(consts)), coeff
+
+
+def _merged_forms(templates) -> dict:
+    """{canonical key: (one template's patterns, coefficient)} over the
+    templates, with the coefficients of equal keys added and the forms whose
+    coefficient vanishes left out."""
+    forms: dict = {}
+    for t in templates:
+        key, coeff = _canonical_form(t)
+        cur = forms.get(key)
+        if cur is None:
+            forms[key] = (t.keys, coeff)
+            continue
+        total = cur[1]
+        for ex, c in coeff.items():
+            total[ex] = total.get(ex, 0) + c
+    merged = {}
+    for key, (proto, coeff) in forms.items():
+        coeff = {ex: c for ex, c in coeff.items() if c}
+        if coeff:
+            merged[key] = (proto, coeff)
+    return merged
 
 
 def _form_template(proto, rows, consts, coeff):
-    """The template over variables f0, f1, ... with slots rows * f + consts
-    on the shapes of the patterns proto, or None if coeff vanishes."""
-    names = tuple(f"f{j}" for j in range(len(rows[0]) if rows else 0))
+    """The template over variables u0, u1, ... with slots rows * u + consts
+    on the shapes of the patterns proto."""
+    names = tuple(f"u{j}" for j in range(len(rows[0]) if rows else 0))
     poly = Poly._norm(
         {
             tuple(sorted((names[j], e) for j, e in enumerate(ex) if e)): Fraction(c)
             for ex, c in coeff.items()
         }
     )
-    if poly.is_zero():
-        return None
     slots = iter(
         Aff(c, tuple(sorted((names[j], a) for j, a in enumerate(row) if a)))
         for row, c in zip(rows, consts)
@@ -863,170 +917,39 @@ def _form_template(proto, rows, consts, coeff):
     return Template(names, poly, keys)
 
 
-def _compile_box_plan(t: Template):
-    """One-time compilation of a template for box enumeration.
+def _lattice_points(rows, consts, bound: int) -> list:
+    """Every integer u putting each slot rows * u + consts in [-bound, bound].
 
-    Variables become positions in an env tuple.  Returns
-    (var count, elimination steps, slot plans, key builders, poly plan)
-    where the poly plan keeps integer coefficients as ints, each slot plan is
-    (const, ((pos, coeff), ...)) and each step is
-    (pos, ((const, rest terms, coeff of pos), ...)) giving the box bounds of
-    the variable once earlier positions are fixed.  A variable appearing in
-    no slot sums a continuum into the box: ill-posed.
-    """
-    vpos = {v: i for i, v in enumerate(t.vars)}
-    slots = []
-    for p in t.keys:
-        slots.extend(key_slots(p))
-    plans = []
-    for a in slots:
-        try:
-            terms = tuple((vpos[v], c) for v, c in a.terms)
-        except KeyError as err:
-            raise IllPosedTemplateError(f"stray variable {err.args[0]}")
-        plans.append((a.const, terms))
-    used = {pos for _, terms in plans for pos, _ in terms}
-    for v, i in vpos.items():
-        if i not in used:
-            raise IllPosedTemplateError(f"variable {v} appears in no key slot")
-    # Fix variables one at a time, always picking one appearing in a slot
-    # whose other variables are already fixed (every family template here
-    # admits such an order); the qualifying slots depend only on which
-    # variables are fixed, so the order compiles statically.
-    steps = []
-    fixed: set = set()
-    remaining = list(range(len(t.vars)))
-    while remaining:
-        chosen = None
-        for pos in remaining:
-            cands = []
-            for const, terms in plans:
-                unfixed = [p for p, _ in terms if p not in fixed]
-                if unfixed != [pos]:
-                    continue
-                c = dict(terms)[pos]
-                rest_terms = tuple((p, cc) for p, cc in terms if p != pos)
-                cands.append((const, rest_terms, c))
-            if cands:
-                chosen = (pos, tuple(cands))
-                break
-        if chosen is None:
-            raise IllPosedTemplateError(
-                f"no orderable variable among {remaining} for box enumeration"
-            )
-        steps.append(chosen)
-        fixed.add(chosen[0])
-        remaining.remove(chosen[0])
-    builders = tuple(_compile_pat_builder(p, vpos) for p in t.keys)
-    poly_plan = tuple(
-        (co.numerator if co.denominator == 1 else co, tuple((vpos[v], e) for v, e in mo))
-        for mo, co in t.coeff.m
-    )
-    return (len(t.vars), tuple(steps), tuple(plans), builders, poly_plan)
-
-
-def _compile_pat_builder(p, vpos: dict):
-    """env tuple -> concrete key, mirroring pat_eval key construction."""
-    tag = p[0]
-    if tag == "Tee" or tag == "Ess":
-        pl = _aff_plan(p[1], vpos)
-        return lambda env: (tag, _aff_plan_eval(pl, env))
-    if tag == "Mono":
-        p1, p2 = _aff_plan(p[1], vpos), _aff_plan(p[2], vpos)
-        d = p[3]
-        return lambda env: ("Mono", _aff_plan_eval(p1, env), _aff_plan_eval(p2, env), d)
-    if tag == "Wn":
-        pls = tuple(_aff_plan(e, vpos) for e in p[1])
-        d = p[2]
-        return lambda env: (
-            "Wn",
-            tuple(_aff_plan_eval(pl, env) for pl in pls),
-            d,
-        )
-    if tag == "Fin":
-        return lambda env: p
-    if tag == "Pair":
-        f1, f2 = _compile_pat_builder(p[1], vpos), _compile_pat_builder(p[2], vpos)
-        return lambda env: ("Pair", f1(env), f2(env))
-    raise ValueError(f"unknown pattern {p!r}")
-
-
-def _aff_plan(a: Aff, vpos: dict):
-    return (a.const, tuple((vpos[v], c) for v, c in a.terms))
-
-
-def _aff_plan_eval(pl, env) -> int:
-    v = pl[0]
-    for pos, c in pl[1]:
-        v += c * env[pos]
-    return v
-
-
-def _step_range(cands, env, bound: int):
-    """[lo, hi] for a step's variable once earlier positions are fixed."""
-    lo = hi = None
-    for const, rest_terms, c in cands:
-        r = const
-        for p2, cc in rest_terms:
-            r += cc * env[p2]
-        l2, h2 = (-bound - r), (bound - r)
-        if c < 0:
-            l2, h2, c2 = -h2, -l2, -c
-        else:
-            c2 = c
-        l2 = -((-l2) // c2)
-        h2 = h2 // c2
-        lo = l2 if lo is None else max(lo, l2)
-        hi = h2 if hi is None else min(hi, h2)
-    return lo, hi
-
-
-def _box_env_tuples(plan, bound: int) -> Iterator[tuple]:
-    """Integer env tuples putting every slot of the plan in [-bound, bound].
-
-    Each variable-bearing slot is enforced exactly by the step bounds at the
-    step fixing its last variable, so only constant slots need a check here.
-    """
-    nv, steps, slot_plans, _, _ = plan
-    for const, terms in slot_plans:
-        if not terms and (const > bound or const < -bound):
-            return
-    if nv == 0:
-        yield ()
-        return
-    if nv == 1:
-        lo, hi = _step_range(steps[0][1], (), bound)
-        for val in range(lo, hi + 1):
-            yield (val,)
-        return
-    if nv == 2:
-        (pa, ca), (pb, cb) = steps
-        env = [0, 0]
-        lo_a, hi_a = _step_range(ca, env, bound)
-        for va in range(lo_a, hi_a + 1):
-            env[pa] = va
-            lo_b, hi_b = _step_range(cb, env, bound)
-            if pa == 0:
-                for vb in range(lo_b, hi_b + 1):
-                    yield (va, vb)
-            else:
-                for vb in range(lo_b, hi_b + 1):
-                    yield (vb, va)
-        return
-    env = [0] * nv
-    nsteps = len(steps)
-
-    def rec(k: int) -> Iterator[tuple]:
-        if k == nsteps:
-            yield tuple(env)
-            return
-        pos, cands = steps[k]
-        lo, hi = _step_range(cands, env, bound)
-        for val in range(lo, hi + 1):
-            env[pos] = val
-            yield from rec(k + 1)
-
-    yield from rec(0)
+    Rows in Hermite normal form (see _free_slot_transform) give each u_i a
+    first slot, in F, that involves u_0..u_i only, with a positive
+    coefficient on u_i.  So fixing u_0, u_1, ... in order, u_i ranges over
+    the bounds of the slots whose last variable is u_i, and every slot is
+    checked exactly once.  The box is symmetric, so a slot with a negative
+    last coefficient is bounded through its negation."""
+    cuts = [[] for _ in (rows[0] if rows else ())]
+    for row, c in zip(rows, consts):
+        terms = [(j, a) for j, a in enumerate(row) if a]
+        if not terms:
+            if not -bound <= c <= bound:
+                return []
+            continue
+        j, a = terms.pop()
+        sign = 1 if a > 0 else -1
+        cuts[j].append((sign * c, tuple((i, sign * b) for i, b in terms), sign * a))
+    points = [()]
+    for cands in cuts:
+        nxt = []
+        for u in points:
+            ends = []
+            for c, rest, a in cands:
+                for i, b in rest:
+                    c += b * u[i]
+                ends.append((-((bound + c) // a), (bound - c) // a))
+            lo = max(l for l, _ in ends)
+            hi = min(h for _, h in ends)
+            nxt.extend([u + (x,) for x in range(lo, hi + 1)])
+        points = nxt
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from permlie.kernel import (
     Aff,
@@ -112,10 +112,11 @@ class TestTemplateSeries:
 
 
 # Random template series for the support_in_box cross-check.  Each template
-# has k <= 2 variables; k of its slots ("pivots") are triangular in the
-# variables, with a diagonal of +-1 or +-2, so every variable is pinned down
-# and the box enumerator can order them.  A diagonal +-2 (slots like 2j) makes
-# the slot map non-unimodular when the pivots are the free slots.
+# has k <= 2 variables and a slot map of rank k.  Half are triangular: k of
+# the slots ("pivots") are triangular in the variables with a diagonal of +-1
+# or +-2 (slots like 2j), the others arbitrary.  The rest draw every slot at
+# random and keep the maps whose first k independent slots F have
+# 1 <= |det A_F| <= 4, so A_F is in general neither triangular nor unimodular.
 BOX = 2
 SHAPES = {"Tee": 1, "Ess": 1, "Mono": 2}
 SWAP = {"Tee": "Ess", "Ess": "Tee"}
@@ -127,25 +128,40 @@ def _pattern(tag, slots):
     return (pat_tee if tag == "Tee" else pat_ess)(slots[0])
 
 
+def _free_det(rows, k):
+    """det A_F for the first k linearly independent rows F (k <= 2), or 0
+    when the rows have rank below k."""
+    if k == 0:
+        return 1
+    first = next((r for r in rows if any(r)), None)
+    if first is None or k == 1:
+        return first[0] if first else 0
+    return next((first[0] * r[1] - first[1] * r[0] for r in rows
+                 if first[0] * r[1] != first[1] * r[0]), 0)
+
+
 @st.composite
-def _template(draw, names, pivots_first=False):
+def _template(draw, names):
     shapes = draw(st.sampled_from([("Tee", "Ess"), ("Ess", "Tee"), ("Tee", "Tee"),
                                    ("Mono", "Tee"), ("Ess", "Mono"), ("Ess", "Ess")]))
     m = sum(SHAPES[s] for s in shapes)
     k = draw(st.integers(0, 2))
-    if pivots_first:
-        pivots = list(range(k))
-    else:
-        pivots = sorted(draw(st.permutations(range(m)))[:k])
-    diag = st.sampled_from([1, -1] if pivots_first else [1, -1, 1, -1, 2, -2])
     small = st.integers(-2, 2)
+    if draw(st.booleans()):
+        pivots = sorted(draw(st.permutations(range(m)))[:k])
+        rows = []
+        for s in range(m):
+            if s in pivots:
+                i = pivots.index(s)
+                diag = draw(st.sampled_from([1, -1, 2, -2]))
+                rows.append([draw(small) for _ in range(i)] + [diag] + [0] * (k - i - 1))
+            else:
+                rows.append([draw(small) for _ in range(k)])
+    else:
+        rows = [[draw(small) for _ in range(k)] for _ in range(m)]
+        assume(1 <= abs(_free_det(rows, k)) <= 4)
     slots = []
-    for s in range(m):
-        if s in pivots:
-            i = pivots.index(s)
-            row = [draw(small) for _ in range(i)] + [draw(diag)] + [0] * (k - i - 1)
-        else:
-            row = [draw(small) for _ in range(k)]
+    for row in rows:
         slot = Aff.of(draw(small))
         for v, c in zip(names, row):
             slot = slot + c * av(v)
@@ -180,6 +196,12 @@ def _reparametrised(draw, t, names):
         for w, c in zip(names, row):
             e = e + c * av(w)
         env[v] = e
+    return _substituted(t, names, env)
+
+
+def _substituted(t, names, env):
+    """t over the variables names[:k], with each of its variables v replaced
+    by the Aff env[v] in those names."""
     coeff = Poly()
     for mo, co in t.coeff.m:
         term = Poly.const(co)
@@ -187,7 +209,7 @@ def _reparametrised(draw, t, names):
             for _ in range(e):
                 term = term * Poly.of(env[v])
         coeff = coeff + term
-    return Template(tuple(names[:k]), coeff, tuple(pat_subst(p, env) for p in t.keys))
+    return Template(tuple(names[:len(t.vars)]), coeff, tuple(pat_subst(p, env) for p in t.keys))
 
 
 def _negated(t, factor=-1):
@@ -208,46 +230,83 @@ def _reshaped(t):
 
 @st.composite
 def _series(draw):
+    """(series, the most templates it can have once collapsed): a template
+    alone keeps one; with its reshaped copy, or minus its restriction to the
+    sublattice of even variables (same slot map, another lattice), two; minus
+    a reparametrised copy of itself none; and minus twice such a copy one."""
     templates = []
+    most = 0
     for n in range(draw(st.integers(1, 3))):
         names = (f"a{n}", f"b{n}")
-        kind = draw(st.sampled_from(["alone", "cancel", "double", "reshape"]))
-        t = draw(_template(names, pivots_first=kind in ("cancel", "double")))
+        kind = draw(st.sampled_from(["alone", "cancel", "double", "reshape", "sublattice"]))
+        t = draw(_template(names))
         templates.append(t)
+        most += {"alone": 1, "cancel": 0, "double": 1, "reshape": 2, "sublattice": 2}[kind]
         if kind == "cancel":
             templates.append(_negated(draw(_reparametrised(t, (f"c{n}", f"d{n}")))))
         elif kind == "double":
             templates.append(_negated(draw(_reparametrised(t, (f"c{n}", f"d{n}"))), 2))
         elif kind == "reshape":
             templates.append(_negated(_reshaped(t)))
-    return TemplateSeries(2, draw(st.permutations(templates)))
+        elif kind == "sublattice":
+            env = {v: 2 * av(w) for v, w in zip(t.vars, (f"c{n}", f"d{n}"))}
+            templates.append(_negated(_substituted(t, (f"c{n}", f"d{n}"), env)))
+    return TemplateSeries(2, draw(st.permutations(templates))), most
 
 
 class TestCollapse:
     """support_in_box merges equal templates before enumerating; the merge
-    must leave the box support exactly as coefficient_at reads it."""
+    must leave the box support exactly as coefficient_at reads it, and must
+    merge every template with its reparametrised copies."""
 
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
     @given(_series())
-    def test_support_matches_coefficient_at(self, series):
+    def test_support_matches_coefficient_at(self, drawn):
+        series, most = drawn
         assert series.support_in_box(BOX) == support_by_solving(series, BOX)
+        assert len(series.collapsed().templates) <= most
 
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_mixed_slots_support(self):
+        a, b = av("a"), av("b")
+        t = Template(("a", "b"), Poly.const(F(1)), (pat_tee(a + b), pat_ess(a - b)))
+        series = TemplateSeries(2, (t,))
+        support = series.support_in_box(2)
+        assert support == support_by_solving(series, 2)
+        assert support[(tee(2), ess(0))] == 1
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_reparametrised_copy_cancels(self, data):
-        t = data.draw(_template(("a", "b"), pivots_first=True))
+        t = data.draw(_template(("a", "b")))
         copy = data.draw(_reparametrised(t, ("c", "d")))
         series = TemplateSeries(2, (t, _negated(copy)))
         assert series.collapsed().templates == ()
         assert series.support_in_box(BOX) == {}
 
-    def test_non_unimodular_template_is_kept(self):
-        j = av("j")
+    def test_non_unimodular_copy_cancels(self):
+        j, w = av("j"), av("w")
         t = Template(("j",), Poly.var("j"), (pat_tee(2 * j), pat_ess(j + 1)))
-        series = TemplateSeries(2, (t,))
-        assert series.collapsed().templates == (t,)
-        assert series.support_in_box(3) == {
+        assert TemplateSeries(2, (t,)).support_in_box(3) == {
             (tee(2 * v), ess(v + 1)): F(v) for v in (-1, 1)
+        }
+        # the same sum under j = 1 - w
+        copy = Template(("w",), Poly.of(1 - w), (pat_tee(2 - 2 * w), pat_ess(2 - w)))
+        series = TemplateSeries(2, (t, _negated(copy)))
+        assert series.collapsed().templates == ()
+        assert series.support_in_box(3) == {}
+
+    def test_sublattice_is_kept_apart(self):
+        # sum_j t^j s^j - sum_j t^2j s^2j: equal slot maps in the free slot,
+        # over the lattices Z and 2Z, so only the odd j are left
+        j = av("j")
+        series = TemplateSeries(2, (
+            Template(("j",), Poly.const(F(1)), (pat_tee(j), pat_ess(j))),
+            Template(("j",), Poly.const(F(-1)), (pat_tee(2 * j), pat_ess(2 * j))),
+        ))
+        assert series.support_in_box(3) == {
+            (tee(v), ess(v)): F(1) for v in (-3, -1, 1, 3)
         }
 
 
@@ -258,7 +317,7 @@ class TestIllPosed:
         with pytest.raises(IllPosedTemplateError):
             s.support_in_box(2)
 
-    def test_unorderable_slot_raises(self):
+    def test_rank_deficient_raises(self):
         t = Template(
             ("a", "b"),
             Poly.const(F(1)),
@@ -267,6 +326,15 @@ class TestIllPosed:
         s = TemplateSeries(2, (t,))
         with pytest.raises(IllPosedTemplateError):
             s.support_in_box(2)
+
+    def test_stray_coefficient_variable_raises(self):
+        j = av("j")
+        t = Template(("j",), Poly.var("k"), (pat_tee(j), pat_ess(-j)))
+        s = TemplateSeries(2, (t,))
+        with pytest.raises(IllPosedTemplateError, match="stray variable k"):
+            s.support_in_box(2)
+        with pytest.raises(IllPosedTemplateError, match="stray variable k"):
+            s.coefficient_at((tee(1), ess(-1)))
 
 
 class TestWindow:
