@@ -305,33 +305,7 @@ def _pair_jacobi_report(
     gkeys = family.keys(window)
     dim = alg.dim
     prod = _memo_one(family.product_one)
-
-    # Finite-side products as coefficient tuples.
-    def fvec(i):
-        return tuple(ONE if k == i else ZERO for k in range(dim))
-
-    p2 = {}
-    for i in range(dim):
-        for j in range(dim):
-            acc = [ZERO] * dim
-            for k, c in alg.mul.get((i, j), ()):
-                acc[k] += c
-            p2[(i, j)] = tuple(acc)
-
-    def vmul(u, v):
-        acc = [ZERO] * dim
-        for i in range(dim):
-            if not u[i]:
-                continue
-            for j in range(dim):
-                f = u[i] * v[j]
-                if not f:
-                    continue
-                w = p2[(i, j)]
-                for k in range(dim):
-                    if w[k]:
-                        acc[k] += f * w[k]
-        return tuple(acc)
+    e = [alg.unit(i) for i in range(dim)]
 
     # For a finite triple (x, y, z) the Jacobi expansion uses, per cyclic
     # rotation, the four composites (uv)w, w(uv), (vu)w, w(vu).
@@ -341,15 +315,14 @@ def _pair_jacobi_report(
             for z in range(dim):
                 rows = []
                 for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                    uv = p2[(u, v)]
-                    vu = p2[(v, u)]
-                    wv = fvec(w)
+                    uv = alg.times(e[u], e[v])
+                    vu = alg.times(e[v], e[u])
                     rows.append(
                         (
-                            vmul(uv, wv),  # (u v) w
-                            vmul(wv, uv),  # w (u v)
-                            vmul(vu, wv),  # (v u) w
-                            vmul(wv, vu),  # w (v u)
+                            alg.times(uv, e[w]),  # (u v) w
+                            alg.times(e[w], uv),  # w (u v)
+                            alg.times(vu, e[w]),  # (v u) w
+                            alg.times(e[w], vu),  # w (v u)
                         )
                     )
                 fin_data[(x, y, z)] = rows

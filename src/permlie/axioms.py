@@ -873,12 +873,6 @@ def check_matched_pair(
     rec = _Recorder()
     d1, d2 = alg1.dim, alg2.dim
 
-    def vec1(i):
-        return tuple(ONE if k == i else ZERO for k in range(d1))
-
-    def vec2(i):
-        return tuple(ONE if k == i else ZERO for k in range(d2))
-
     def act(mats, vec, coeffs):
         # sum_k coeffs[k] mats[k] applied to vec
         out = [ZERO] * len(vec)
@@ -889,40 +883,14 @@ def check_matched_pair(
             out = [x + c * y for x, y in zip(out, col)]
         return tuple(out)
 
-    def mul1(u, v):
-        out = [ZERO] * d1
-        for i in range(d1):
-            if not u[i]:
-                continue
-            for j in range(d1):
-                f = u[i] * v[j]
-                if not f:
-                    continue
-                for k, c in alg1.mul.get((i, j), ()):
-                    out[k] += f * c
-        return tuple(out)
-
-    def mul2(u, v):
-        out = [ZERO] * d2
-        for i in range(d2):
-            if not u[i]:
-                continue
-            for j in range(d2):
-                f = u[i] * v[j]
-                if not f:
-                    continue
-                for k, c in alg2.mul.get((i, j), ()):
-                    out[k] += f * c
-        return tuple(out)
-
     checked = 0
     # Conditions quantified over (p1 in B1, p2, p2' in B2).
     for i in range(d1):
-        p1 = vec1(i)
+        p1 = alg1.unit(i)
         for a in range(d2):
-            p2 = vec2(a)
+            p2 = alg2.unit(a)
             for b in range(d2):
-                p2p = vec2(b)
+                p2p = alg2.unit(b)
                 checked += 1
                 l1p1_p2 = mat_vec(l12[i], p2)
                 r1p1_p2 = mat_vec(r12[i], p2)
@@ -931,12 +899,12 @@ def check_matched_pair(
                 r2p2_p1 = mat_vec(r21[a], p1)
                 l2p2_p1 = mat_vec(l21[a], p1)
                 r2p2p_p1 = mat_vec(r21[b], p1)
-                prod22 = mul2(p2, p2p)
+                prod22 = alg2.times(p2, p2p)
                 # pmp1: l1(p1)(p2 p2') = (l1(p1)p2) p2' + l1(r2(p2)p1) p2'
                 lhs = mat_vec(l12[i], prod22)
                 rhs = tuple(
                     x + y
-                    for x, y in zip(mul2(l1p1_p2, p2p), act(l12, p2p, r2p2_p1))
+                    for x, y in zip(alg2.times(l1p1_p2, p2p), act(l12, p2p, r2p2_p1))
                 )
                 _diff(rec, "pmp1", (i, a, b), lhs, rhs)
                 # pmp2: r1(p1)(p2 p2') = p2 (r1(p1)p2') + r1(l2(p2')p1) p2
@@ -944,42 +912,42 @@ def check_matched_pair(
                 l2p2p_p1 = mat_vec(l21[b], p1)
                 rhs = tuple(
                     x + y
-                    for x, y in zip(mul2(p2, r1p1_p2p), act(r12, p2, l2p2p_p1))
+                    for x, y in zip(alg2.times(p2, r1p1_p2p), act(r12, p2, l2p2p_p1))
                 )
                 _diff(rec, "pmp2", (i, a, b), lhs, rhs)
                 # pmp5: (r1(p1)p2) p2' + l1(l2(p2)p1) p2'
                 #     = p2 (l1(p1)p2') + r1(r2(p2')p1) p2
                 lhs = tuple(
                     x + y
-                    for x, y in zip(mul2(r1p1_p2, p2p), act(l12, p2p, l2p2_p1))
+                    for x, y in zip(alg2.times(r1p1_p2, p2p), act(l12, p2p, l2p2_p1))
                 )
                 rhs = tuple(
                     x + y
-                    for x, y in zip(mul2(p2, l1p1_p2p), act(r12, p2, r2p2p_p1))
+                    for x, y in zip(alg2.times(p2, l1p1_p2p), act(r12, p2, r2p2p_p1))
                 )
                 _diff(rec, "pmp5", (i, a, b), lhs, rhs)
                 # pmp7: (l1(p1)p2) p2' + l1(r2(p2)p1) p2'
                 #     = (r1(p1)p2) p2' + l1(l2(p2)p1) p2'
                 lhs = tuple(
                     x + y
-                    for x, y in zip(mul2(l1p1_p2, p2p), act(l12, p2p, r2p2_p1))
+                    for x, y in zip(alg2.times(l1p1_p2, p2p), act(l12, p2p, r2p2_p1))
                 )
                 rhs = tuple(
                     x + y
-                    for x, y in zip(mul2(r1p1_p2, p2p), act(l12, p2p, l2p2_p1))
+                    for x, y in zip(alg2.times(r1p1_p2, p2p), act(l12, p2p, l2p2_p1))
                 )
                 _diff(rec, "pmp7", (i, a, b), lhs, rhs)
                 # pmp9: r1(p1)(p2 p2') = r1(p1)(p2' p2)
                 lhs = mat_vec(r12[i], prod22)
-                rhs = mat_vec(r12[i], mul2(p2p, p2))
+                rhs = mat_vec(r12[i], alg2.times(p2p, p2))
                 _diff(rec, "pmp9", (i, a, b), lhs, rhs)
     # Conditions quantified over (p2 in B2, p1, p1' in B1).
     for a in range(d2):
-        p2 = vec2(a)
+        p2 = alg2.unit(a)
         for i in range(d1):
-            p1 = vec1(i)
+            p1 = alg1.unit(i)
             for j in range(d1):
-                p1p = vec1(j)
+                p1p = alg1.unit(j)
                 checked += 1
                 l2p2_p1 = mat_vec(l21[a], p1)
                 r2p2_p1 = mat_vec(r21[a], p1)
@@ -989,46 +957,46 @@ def check_matched_pair(
                 l1p1_p2 = mat_vec(l12[i], p2)
                 r1p1p_p2 = mat_vec(r12[j], p2)
                 l1p1p_p2 = mat_vec(l12[j], p2)
-                prod11 = mul1(p1, p1p)
+                prod11 = alg1.times(p1, p1p)
                 # pmp3: l2(p2)(p1 p1') = (l2(p2)p1) p1' + l2(r1(p1)p2) p1'
                 lhs = mat_vec(l21[a], prod11)
                 rhs = tuple(
                     x + y
-                    for x, y in zip(mul1(l2p2_p1, p1p), act(l21, p1p, r1p1_p2))
+                    for x, y in zip(alg1.times(l2p2_p1, p1p), act(l21, p1p, r1p1_p2))
                 )
                 _diff(rec, "pmp3", (a, i, j), lhs, rhs)
                 # pmp4: r2(p2)(p1 p1') = p1 (r2(p2)p1') + r2(l1(p1')p2) p1
                 lhs = mat_vec(r21[a], prod11)
                 rhs = tuple(
                     x + y
-                    for x, y in zip(mul1(p1, r2p2_p1p), act(r21, p1, l1p1p_p2))
+                    for x, y in zip(alg1.times(p1, r2p2_p1p), act(r21, p1, l1p1p_p2))
                 )
                 _diff(rec, "pmp4", (a, i, j), lhs, rhs)
                 # pmp6: (r2(p2)p1) p1' + l2(l1(p1)p2) p1'
                 #     = p1 (l2(p2)p1') + r2(r1(p1')p2) p1
                 lhs = tuple(
                     x + y
-                    for x, y in zip(mul1(r2p2_p1, p1p), act(l21, p1p, l1p1_p2))
+                    for x, y in zip(alg1.times(r2p2_p1, p1p), act(l21, p1p, l1p1_p2))
                 )
                 rhs = tuple(
                     x + y
-                    for x, y in zip(mul1(p1, l2p2_p1p), act(r21, p1, r1p1p_p2))
+                    for x, y in zip(alg1.times(p1, l2p2_p1p), act(r21, p1, r1p1p_p2))
                 )
                 _diff(rec, "pmp6", (a, i, j), lhs, rhs)
                 # pmp8: (l2(p2)p1) p1' + l2(r1(p1)p2) p1'
                 #     = (r2(p2)p1) p1' + l2(l1(p1)p2) p1'
                 lhs = tuple(
                     x + y
-                    for x, y in zip(mul1(l2p2_p1, p1p), act(l21, p1p, r1p1_p2))
+                    for x, y in zip(alg1.times(l2p2_p1, p1p), act(l21, p1p, r1p1_p2))
                 )
                 rhs = tuple(
                     x + y
-                    for x, y in zip(mul1(r2p2_p1, p1p), act(l21, p1p, l1p1_p2))
+                    for x, y in zip(alg1.times(r2p2_p1, p1p), act(l21, p1p, l1p1_p2))
                 )
                 _diff(rec, "pmp8", (a, i, j), lhs, rhs)
                 # pmp10: r2(p2)(p1 p1') = r2(p2)(p1' p1)
                 lhs = mat_vec(r21[a], prod11)
-                rhs = mat_vec(r21[a], mul1(p1p, p1))
+                rhs = mat_vec(r21[a], alg1.times(p1p, p1))
                 _diff(rec, "pmp10", (a, i, j), lhs, rhs)
 
     assembled = _assemble_matched_pair(alg1, alg2, l12, r12, l21, r21)
@@ -1062,16 +1030,7 @@ def check_o_operator(alg: FiniteAlgebra, rep: Representation, t) -> CheckReport:
         for b in range(m):
             checked += 1
             ta, tb = tcols[a], tcols[b]
-            lhs = [ZERO] * dim
-            for i in range(dim):
-                if not ta[i]:
-                    continue
-                for j in range(dim):
-                    f = ta[i] * tb[j]
-                    if not f:
-                        continue
-                    for k, c in alg.mul.get((i, j), ()):
-                        lhs[k] += f * c
+            lhs = alg.times(ta, tb)
             w = [ZERO] * m
             for k in range(dim):
                 if ta[k]:

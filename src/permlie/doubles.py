@@ -1,18 +1,24 @@
 """Structure-doubling constructions.
 
-Finite side: semidirect extensions of perm algebras by modules, dual modules,
-matched-pair assembly on a direct sum, the double of a perm bialgebra with
-its skew pairing, and the pre-Lie double with its symplectic split.  Graded
-side: lifting a finite double through a quadratic graded family into a
-completed Lie algebra with a symmetric invariant pairing, reading the
-cobracket back off that pairing, the restricted graded dual of the rank-one
-derivation family, finite symplectic <-> pre-Lie conversions, and an exact
-search for invariant skew forms on derivation families.
+Finite side: every finite double is one matched-pair assembly on a direct
+sum A + B (``axioms._assemble_matched_pair``); each construction supplies
+only its two summands and its four actions.  The transposed actions L*, R*
+come from ``dual_rep`` of an adjoint representation, and a module or an
+abelian half enters as a zero-product algebra acting by zero.  Built this
+way: the semidirect extension of a perm algebra by a module, the double of
+a perm bialgebra with its skew pairing, the restricted dual of a finite
+pre-Lie table, the pre-Lie double with its symplectic split, and the Lie
+algebra A + A* of a pre-Lie table.  Graded side: lifting a finite double
+through a quadratic graded family into a completed Lie algebra with a
+symmetric invariant pairing, reading the cobracket back off that pairing,
+the restricted graded dual of the rank-one derivation family, finite
+symplectic <-> pre-Lie conversions, and an exact search for invariant skew
+forms on derivation families.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -36,6 +42,7 @@ from .families import (
     GradedFamily,
     Representation,
     _ats_keys,
+    adjoint_representation,
     mat_inv,
     mat_mul,
     mat_scale,
@@ -81,24 +88,30 @@ def preperm_representation(alg: FiniteAlgebra) -> Representation:
     """The two partial actions of a pre-perm table on its own space:
     l(e_i) v = e_i > v and r(e_i) v = v < e_i."""
     assert alg.tri_left is not None and alg.tri_right is not None
-    dim = alg.dim
-
-    def mats(table, flip):
-        out = []
-        for i in range(dim):
-            rows = [[ZERO] * dim for _ in range(dim)]
-            for j in range(dim):
-                ij = (j, i) if flip else (i, j)
-                for k, c in table.get(ij, ()):
-                    rows[k][j] += c
-            out.append(tuple(tuple(r) for r in rows))
-        return tuple(out)
-
     return Representation(
         alg_id=alg.id,
-        module_dim=dim,
-        l=mats(alg.tri_left, flip=False),
-        r=mats(alg.tri_right, flip=True),
+        module_dim=alg.dim,
+        l=adjoint_representation(replace(alg, mul=alg.tri_left)).l,
+        r=adjoint_representation(replace(alg, mul=alg.tri_right)).r,
+    )
+
+
+def _zero_product(dim: int, labels) -> FiniteAlgebra:
+    """A module as a trivial algebra: the summand that acts by zero."""
+    return FiniteAlgebra(id="0", space="0", dim=dim, labels=tuple(labels), kind="none")
+
+
+def _no_action(alg: FiniteAlgebra, count: int) -> tuple:
+    """count zero matrices on alg's space."""
+    return (((ZERO,) * alg.dim,) * alg.dim,) * count
+
+
+def _prelie_actions(alg: FiniteAlgebra) -> tuple:
+    """(R* - L*, R*): the transposed actions of a pre-Lie algebra on its dual."""
+    star = dual_rep(adjoint_representation(alg))
+    return (
+        tuple(mat_scale(-ONE, m) for m in star.r),
+        tuple(mat_sub(lm, rm) for lm, rm in zip(star.l, star.r)),
     )
 
 
@@ -110,33 +123,23 @@ def semidirect_perm(
 ) -> FiniteAlgebra:
     """Perm product on algebra (+) module:
 
-    (p1 + v1)(p2 + v2) = p1 p2 + l(p1) v2 + r(p2) v1.
+    (p1 + v1)(p2 + v2) = p1 p2 + l(p1) v2 + r(p2) v1,
 
-    The representation is validated first and the assembled table is
-    re-checked against the perm law before it is returned.
+    the matched pair (alg, V, l, r, 0, 0) with V the module as a zero-product
+    algebra.  The representation is validated first and the assembled table
+    is re-checked against the perm law before it is returned.
     """
     ok = check_representation(alg, rep)
     if not ok.passed:
         bad = ", ".join(sorted({v[0] for v in ok.violations}))
         raise ValueError(f"not a representation of {alg.id}: {bad}")
-    d, m = alg.dim, rep.module_dim
-    mul = {ij: tuple(terms) for ij, terms in alg.mul.items()}
-    for i in range(d):
-        for b in range(m):
-            terms = tuple((d + k, rep.l[i][k][b]) for k in range(m) if rep.l[i][k][b])
-            if terms:
-                mul[(i, d + b)] = terms
-            terms = tuple((d + k, rep.r[i][k][b]) for k in range(m) if rep.r[i][k][b])
-            if terms:
-                mul[(d + b, i)] = terms
-    out = FiniteAlgebra(
-        id=f"{alg.id}+mod",
-        space=space or f"{alg.space}V",
-        dim=d + m,
-        labels=tuple(alg.labels) + tuple(module_labels or (f"v{b}" for b in range(m))),
-        kind="Perm",
-        mul=mul,
+    m = rep.module_dim
+    module = _zero_product(m, module_labels or (f"v{b}" for b in range(m)))
+    zero = _no_action(alg, m)
+    out = _assemble_matched_pair(
+        alg, module, rep.l, rep.r, zero, zero, space=space or f"{alg.space}V"
     )
+    out = replace(out, id=f"{alg.id}+mod", kind="Perm")
     perm = check_algebra(LawId.Perm, alg=out)
     if not perm.passed:
         raise ValueError(f"semidirect table fails the perm law: {perm.summary()}")
@@ -227,16 +230,8 @@ def dual_perm_algebra(alg: FiniteAlgebra, delta: Optional[dict] = None) -> Finit
 def canonical_dual_actions(alg: FiniteAlgebra, dual: FiniteAlgebra):
     """The four transposed-multiplication actions that pair a bialgebra's two
     halves: (L^T, L^T - R^T) of each algebra acting on the other's space."""
-    d = alg.dim
-    l12 = tuple(mat_transpose(alg.left_matrix(i)) for i in range(d))
-    r12 = tuple(
-        mat_sub(l12[i], mat_transpose(alg.right_matrix(i))) for i in range(d)
-    )
-    l21 = tuple(mat_transpose(dual.left_matrix(j)) for j in range(d))
-    r21 = tuple(
-        mat_sub(l21[j], mat_transpose(dual.right_matrix(j))) for j in range(d)
-    )
-    return l12, r12, l21, r21
+    star1, star2 = (dual_rep(adjoint_representation(x)) for x in (alg, dual))
+    return star1.l, star1.r, star2.l, star2.r
 
 
 def manin_double_from_bialgebra(
@@ -508,34 +503,15 @@ def _w1_restricted_double() -> GradedFamily:
 
 
 def _finite_restricted_double(alg: FiniteAlgebra):
-    """2d-dim quadratic pre-Lie table on e_0..e_(d-1), e_0°..e_(d-1)°."""
+    """2d-dim quadratic pre-Lie table on e_0..e_(d-1), e_0°..e_(d-1)°: the
+    matched pair (A, A°, R* - L*, R*, 0, 0) with A° of zero product."""
     d = alg.dim
-    mul = {ij: tuple(terms) for ij, terms in alg.mul.items()}
-    lmats = [alg.left_matrix(i) for i in range(d)]
-    rmats = [alg.right_matrix(i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            # e_i x e_j° = (R* - L*)(e_i) e_j°; (M^T)[k][j] = M[j][k]
-            terms = tuple(
-                (d + k, rmats[i][j][k] - lmats[i][j][k])
-                for k in range(d)
-                if rmats[i][j][k] != lmats[i][j][k]
-            )
-            if terms:
-                mul[(i, d + j)] = terms
-            # e_i° x e_j = R*(e_j) e_i°
-            terms = tuple((d + k, rmats[j][i][k]) for k in range(d) if rmats[j][i][k])
-            if terms:
-                mul[(d + i, j)] = terms
-    out = FiniteAlgebra(
-        id=f"{alg.id}+dual",
-        space=f"{alg.space}D",
-        dim=2 * d,
-        labels=tuple(alg.labels) + tuple(f"{x}°" for x in alg.labels),
-        kind="PreLie",
-        mul=mul,
+    dual = _zero_product(d, (f"{x}°" for x in alg.labels))
+    zero = _no_action(alg, d)
+    out = _assemble_matched_pair(
+        alg, dual, *_prelie_actions(alg), zero, zero, space=f"{alg.space}D"
     )
-    return out, dual_half_form(d)
+    return replace(out, id=f"{alg.id}+dual", kind="PreLie"), dual_half_form(d)
 
 
 # ---------------------------------------------------------------------------
@@ -549,46 +525,14 @@ def prelie_double(alg: FiniteAlgebra, delta: Optional[dict] = None):
                          + (a* b* - (L* - R*)(a) b* + R*(b) a*)
 
     where the starred operators are the transposed one-sided multiplications
-    of the opposite half.  Returns (table, skew pairing)."""
+    of the opposite half: the matched pair (A, A*, R* - L*, R*,
+    R*_(A*) - L*_(A*), R*_(A*)).  Returns (table, skew pairing)."""
     table = alg.delta if delta is None else delta
     dual = dual_perm_algebra(alg, table)
-    d = alg.dim
-    lt = [mat_transpose(alg.left_matrix(i)) for i in range(d)]
-    rt = [mat_transpose(alg.right_matrix(i)) for i in range(d)]
-    ldt = [mat_transpose(dual.left_matrix(j)) for j in range(d)]
-    rdt = [mat_transpose(dual.right_matrix(j)) for j in range(d)]
-    mul = {ij: tuple(terms) for ij, terms in alg.mul.items()}
-    for (i, j), terms in dual.mul.items():
-        mul[(d + i, d + j)] = tuple((d + k, c) for k, c in terms)
-    for i in range(d):
-        for j in range(d):
-            # e_i e_j* = -(L* - R*)(e_i) e_j* + R*(e_j*) e_i
-            terms = [
-                (d + k, rt[i][k][j] - lt[i][k][j])
-                for k in range(d)
-                if rt[i][k][j] != lt[i][k][j]
-            ]
-            terms += [(k, rdt[j][k][i]) for k in range(d) if rdt[j][k][i]]
-            if terms:
-                mul[(i, d + j)] = tuple(terms)
-            # e_j* e_i = -(L* - R*)(e_j*) e_i + R*(e_i) e_j*
-            terms = [
-                (k, rdt[j][k][i] - ldt[j][k][i])
-                for k in range(d)
-                if rdt[j][k][i] != ldt[j][k][i]
-            ]
-            terms += [(d + k, rt[i][k][j]) for k in range(d) if rt[i][k][j]]
-            if terms:
-                mul[(d + j, i)] = tuple(terms)
-    out = FiniteAlgebra(
-        id=f"{alg.id}+dbl",
-        space=f"{alg.space}P",
-        dim=2 * d,
-        labels=tuple(alg.labels) + tuple(f"{x}*" for x in alg.labels),
-        kind="PreLie",
-        mul=mul,
+    out = _assemble_matched_pair(
+        alg, dual, *_prelie_actions(alg), *_prelie_actions(dual), space=f"{alg.space}P"
     )
-    return out, dual_half_form(d)
+    return replace(out, id=f"{alg.id}+dbl", kind="PreLie"), dual_half_form(alg.dim)
 
 
 def para_kahler_reports(double: FiniteAlgebra, form) -> dict:
@@ -629,9 +573,9 @@ def prelie_to_symplectic(alg: FiniteAlgebra):
 
         [a, b] = a b - b a,   [a, b*] = -L*(a) b*,   [a*, b*] = 0,
 
-    plus the skew pairing, which the bracket keeps symplectic."""
+    the matched pair (commutator of A, A*, -L*, L*, 0, 0), plus the skew
+    pairing, which the bracket keeps symplectic."""
     d = alg.dim
-    lmats = [alg.left_matrix(i) for i in range(d)]
     mul = {}
     for i in range(d):
         for j in range(d):
@@ -643,18 +587,20 @@ def prelie_to_symplectic(alg: FiniteAlgebra):
             terms = tuple((k, c) for k, c in sorted(acc.items()) if c)
             if terms:
                 mul[(i, j)] = terms
-            terms = tuple((d + k, -lmats[i][j][k]) for k in range(d) if lmats[i][j][k])
-            if terms:
-                mul[(i, d + j)] = terms
-                mul[(d + j, i)] = tuple((k2, -c) for k2, c in terms)
-    out = FiniteAlgebra(
-        id=f"{alg.id}+cot",
+    lie = replace(alg, mul=mul)
+    dual = _zero_product(d, (f"{x}*" for x in alg.labels))
+    lstar = dual_rep(adjoint_representation(alg)).l
+    zero = _no_action(alg, d)
+    out = _assemble_matched_pair(
+        lie,
+        dual,
+        tuple(mat_scale(-ONE, m) for m in lstar),
+        lstar,
+        zero,
+        zero,
         space=f"{alg.space}T",
-        dim=2 * d,
-        labels=tuple(alg.labels) + tuple(f"{x}*" for x in alg.labels),
-        kind="Lie",
-        mul=mul,
     )
+    out = replace(out, id=f"{alg.id}+cot", kind="Lie")
     form = dual_half_form(d)
     jac = check_algebra(LawId.LieJacobi, alg=out)
     sym = check_form(LawId.SymplecticLie, form=form, product=out.product, keys=out.basis_keys())

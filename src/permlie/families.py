@@ -425,6 +425,23 @@ class FiniteAlgebra:
             for k, c in self.mul.get((p1[2], p2[2]), ())
         ]
 
+    # Coefficient tuples: u stands for sum_i u[i] e_i.
+    def unit(self, i: int) -> tuple:
+        return tuple(ONE if k == i else ZERO for k in range(self.dim))
+
+    def times(self, u, v) -> tuple:
+        out = [ZERO] * self.dim
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, b in enumerate(v):
+                f = a * b
+                if not f:
+                    continue
+                for k, c in self.mul.get((i, j), ()):
+                    out[k] += f * c
+        return tuple(out)
+
     def delta_terms(self, idx: int):
         if not self.delta:
             return ()

@@ -524,8 +524,9 @@ class Template:
 def _solve_affine(rows, nvars):
     """Exact solve of rows [(coeff list, rhs)] in nvars unknowns.
 
-    Returns ("none", None) if inconsistent, ("many", None) if the solution
-    space is positive-dimensional, ("one", values) for a unique rational
+    Returns ("many", None) if the rows have rank below nvars, consistent or
+    not, so a rank-deficient template is refused at every key; else
+    ("none", None) if inconsistent, ("one", values) for the unique rational
     solution (values may be non-integral; caller checks).
     """
     aug = [[Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows]
@@ -550,11 +551,11 @@ def _solve_affine(rows, nvars):
         r += 1
         if r == len(aug):
             break
+    if len(pivots) < nvars:
+        return ("many", None)
     for i in range(r, len(aug)):
         if aug[i][nvars]:
             return ("none", None)
-    if len(pivots) < nvars:
-        return ("many", None)
     values = [ZERO] * nvars
     for i, col in enumerate(pivots):
         values[col] = aug[i][nvars]

@@ -35,7 +35,7 @@ from .families import (
     GradedFamily,
     Representation,
     TensorElement,
-    mat_transpose,
+    adjoint_representation,
 )
 from .axioms import check_o_operator
 from .doubles import dual_rep, semidirect_perm
@@ -275,8 +275,7 @@ def r_sharp(alg: FiniteAlgebra, r: TensorElement):
     for ka, kb, c in r.terms:
         m[kb[2]][ka[2]] += c
     mat = tuple(tuple(row) for row in m)
-    lt = [mat_transpose(alg.left_matrix(i)) for i in range(d)]
-    rt = [mat_transpose(alg.right_matrix(i)) for i in range(d)]
+    star = dual_rep(adjoint_representation(alg))  # (L*, L* - R*)
     violations = []
     checked = 0
     for a in range(d):
@@ -284,25 +283,13 @@ def r_sharp(alg: FiniteAlgebra, r: TensorElement):
         for b in range(d):
             checked += 1
             xb = tuple(mat[k][b] for k in range(d))
-            lhs = [ZERO] * d
-            for i in range(d):
-                if not xa[i]:
-                    continue
-                for j in range(d):
-                    f = xa[i] * xb[j]
-                    if not f:
-                        continue
-                    for k, cc in alg.mul.get((i, j), ()):
-                        lhs[k] += f * cc
+            lhs = alg.times(xa, xb)
             arg = [ZERO] * d
             for i in range(d):
                 if xa[i]:
-                    arg = [u + xa[i] * lt[i][k][b] for k, u in enumerate(arg)]
+                    arg = [u + xa[i] * star.l[i][k][b] for k, u in enumerate(arg)]
                 if xb[i]:
-                    arg = [
-                        u + xb[i] * (lt[i][k][a] - rt[i][k][a])
-                        for k, u in enumerate(arg)
-                    ]
+                    arg = [u + xb[i] * star.r[i][k][a] for k, u in enumerate(arg)]
             rhs = [ZERO] * d
             for u in range(d):
                 if arg[u]:

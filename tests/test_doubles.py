@@ -1,5 +1,7 @@
 """Doubling constructions: semidirect products, Manin assembly, duals."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,10 +11,19 @@ from permlie.families import (
     FiniteAlgebra,
     adjoint_representation,
     ats_family,
+    conjugated_table,
     finite_catalog,
+    random_invertible,
+    random_table,
     wn_family,
 )
-from permlie.axioms import LawId, check_algebra, check_form
+from permlie.axioms import (
+    LawId,
+    _assemble_matched_pair,
+    check_algebra,
+    check_form,
+    check_representation,
+)
 from permlie.affinize import delta_bullet
 from permlie import doubles as D
 
@@ -84,6 +95,285 @@ class TestManinDouble:
         bad = finite_catalog()["ex-bad2"]
         with pytest.raises(ValueError):
             D.manin_double_from_bialgebra(bad, {})
+
+
+# ---------------------------------------------------------------------------
+# Every finite double against its defining formula.  The references read
+# products through alg.product only, and evaluate a starred operator through
+# the pairing <e_i*, x> = (coefficient of e_i in x):
+#     L*(a) e_j* = sum_k <e_j*, a e_k> e_k*,   R*(a) e_j* = sum_k <e_j*, e_k a> e_k*.
+
+
+def _dense(alg, vec):
+    out = [F(0)] * alg.dim
+    for k, c in vec.items():
+        out[k[2]] += c
+    return out
+
+
+def _table(alg):
+    """(i, j) -> coefficient list of e_i e_j."""
+    keys = alg.basis_keys()
+    return {
+        (i, j): _dense(alg, alg.product(a, b))
+        for i, a in enumerate(keys)
+        for j, b in enumerate(keys)
+    }
+
+
+def _dual_table(delta, d):
+    """(i, j) -> coefficient list of e_i* e_j*, with <e_i* e_j*, x> the
+    coefficient of e_i (x) e_j in delta(x)."""
+    out = {(i, j): [F(0)] * d for i in range(d) for j in range(d)}
+    for k, terms in delta.items():
+        for i, j, c in terms:
+            out[(i, j)][k] += c
+    return out
+
+
+def _stars(table, d):
+    """L*(e_i) e_j* and R*(e_i) e_j* as coefficient lists over the e_k*."""
+
+    def left(i, j):
+        return [table[(i, k)][j] for k in range(d)]
+
+    def right(i, j):
+        return [table[(k, i)][j] for k in range(d)]
+
+    return left, right
+
+
+def _minus(u, v):
+    return [x - y for x, y in zip(u, v)]
+
+
+def _ref_sum(d1, d2, p11, p22, ef, fe):
+    """Table on A + B from its four blocks; ef(i, j) = e_i f_j and
+    fe(j, i) = f_j e_i, each as (A part, B part)."""
+    out = {}
+    for x in range(d1 + d2):
+        for y in range(d1 + d2):
+            if x < d1 and y < d1:
+                a, b = p11(x, y), [F(0)] * d2
+            elif x >= d1 and y >= d1:
+                a, b = [F(0)] * d1, p22(x - d1, y - d1)
+            elif x < d1:
+                a, b = ef(x, y - d1)
+            else:
+                a, b = fe(x - d1, y)
+            out[(x, y)] = list(a) + list(b)
+    return out
+
+
+def _ref_prelie_double(alg, delta):
+    """(a + a*)(b + b*) = (a b - (L* - R*)(a*) b + R*(b*) a)
+    + (a* b* - (L* - R*)(a) b* + R*(b) a*)."""
+    d = alg.dim
+    p, q = _table(alg), _dual_table(delta, d)
+    la, ra = _stars(p, d)
+    lq, rq = _stars(q, d)
+    return _ref_sum(
+        d,
+        d,
+        lambda i, j: p[(i, j)],
+        lambda i, j: q[(i, j)],
+        lambda i, j: (rq(j, i), _minus(ra(i, j), la(i, j))),
+        lambda j, i: (_minus(rq(j, i), lq(j, i)), ra(i, j)),
+    )
+
+
+def _ref_perm_double(alg, delta):
+    """e_i f_j = L*(e_i) f_j + (L* - R*)(f_j) e_i and
+    f_j e_i = L*(f_j) e_i + (L* - R*)(e_i) f_j, with f_j = e_j*."""
+    d = alg.dim
+    p, q = _table(alg), _dual_table(delta, d)
+    la, ra = _stars(p, d)
+    lq, rq = _stars(q, d)
+    return _ref_sum(
+        d,
+        d,
+        lambda i, j: p[(i, j)],
+        lambda i, j: q[(i, j)],
+        lambda i, j: (_minus(lq(j, i), rq(j, i)), la(i, j)),
+        lambda j, i: (lq(j, i), _minus(la(i, j), ra(i, j))),
+    )
+
+
+def _ref_cotangent(alg):
+    """[a, b] = a b - b a, [a, b*] = -L*(a) b*, [a*, b*] = 0."""
+    d = alg.dim
+    p = _table(alg)
+    la, _ = _stars(p, d)
+    return _ref_sum(
+        d,
+        d,
+        lambda i, j: _minus(p[(i, j)], p[(j, i)]),
+        lambda i, j: [F(0)] * d,
+        lambda i, j: ([F(0)] * d, [-c for c in la(i, j)]),
+        lambda j, i: ([F(0)] * d, la(i, j)),
+    )
+
+
+def _ref_semidirect(alg, act_l, act_r, m):
+    """(p1 + v1)(p2 + v2) = p1 p2 + l(p1) v2 + r(p2) v1."""
+    d = alg.dim
+    p = _table(alg)
+    return _ref_sum(
+        d,
+        m,
+        lambda i, j: p[(i, j)],
+        lambda a, b: [F(0)] * m,
+        lambda i, b: ([F(0)] * d, act_l(i, b)),
+        lambda b, i: ([F(0)] * d, act_r(i, b)),
+    )
+
+
+def _random_delta(rng, d):
+    delta = {}
+    for k in range(d):
+        terms = []
+        for i in range(d):
+            for j in range(d):
+                c = rng.randint(-2, 2) if rng.random() < 0.4 else 0
+                if c:
+                    terms.append((i, j, F(c)))
+        if terms:
+            delta[k] = tuple(terms)
+    return delta
+
+
+def _double_inputs():
+    """(algebra, coproduct table): the catalog, then 30 seeded random tables
+    of dimension 1-3.  Every third random table is a random basis change of
+    a catalog perm algebra, so the perm-only constructors see passing
+    inputs beyond the catalog."""
+    cat = finite_catalog()
+    out = [(alg, alg.delta or {}) for alg in cat.values()]
+    perms = [cat["ex-1p"], cat["ex-sd2"], cat["ex-nilp2"]]
+    rng = random.Random(4177)
+    for t in range(30):
+        if t % 3 == 0:
+            base = perms[t // 3 % 3]
+            d = base.dim
+            s = random_invertible(rng, d)
+            mul, kind = conjugated_table(base.mul, s, d), "Perm"
+        else:
+            d = 1 + t % 3
+            mul, kind = random_table(rng, d), "none"
+        alg = FiniteAlgebra(
+            id=f"rnd{t}",
+            space=f"R{t}",
+            dim=d,
+            labels=tuple(f"x{i}" for i in range(d)),
+            kind=kind,
+            mul=mul,
+        )
+        if t % 2:
+            alg = replace(alg, tri_left=random_table(rng, d), tri_right=random_table(rng, d))
+        out.append((alg, _random_delta(rng, d)))
+    return out
+
+
+def _assert_table(out, want):
+    assert _table(out) == want, out.id
+
+
+class TestDoubleTables:
+    def test_times_is_the_bilinear_product(self):
+        rng = random.Random(61)
+        for alg, _ in _double_inputs():
+            p = _table(alg)
+            for (i, j), row in p.items():
+                assert alg.times(alg.unit(i), alg.unit(j)) == tuple(row)
+            u = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)]
+            v = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)]
+            want = [F(0)] * alg.dim
+            for (i, j), row in p.items():
+                want = [w + u[i] * v[j] * c for w, c in zip(want, row)]
+            assert alg.times(u, v) == tuple(want), alg.id
+
+    def test_prelie_double(self):
+        for alg, delta in _double_inputs():
+            out, _ = D.prelie_double(alg, delta)
+            assert (out.kind, out.dim) == ("PreLie", 2 * alg.dim)
+            _assert_table(out, _ref_prelie_double(alg, delta))
+
+    def test_restricted_dual_double(self):
+        for alg, _ in _double_inputs():
+            out, _ = D.restricted_dual_double(replace(alg, kind="PreLie"))
+            assert out.labels[alg.dim:] == tuple(f"{x}°" for x in alg.labels)
+            # a° b° = 0 makes this the pre-Lie double of the zero coproduct.
+            _assert_table(out, _ref_prelie_double(alg, {}))
+
+    def test_perm_double_of_canonical_actions(self):
+        for alg, delta in _double_inputs():
+            dual = D.dual_perm_algebra(alg, delta)
+            out = _assemble_matched_pair(
+                alg, dual, *D.canonical_dual_actions(alg, dual)
+            )
+            _assert_table(out, _ref_perm_double(alg, delta))
+        p1 = finite_catalog()["ex-1p"]
+        for delta in (p1.delta, {}):
+            md = D.manin_double_from_bialgebra(p1, delta)
+            _assert_table(md.total, _ref_perm_double(p1, delta))
+
+    def test_prelie_to_symplectic(self):
+        seen = 0
+        for alg, _ in _double_inputs():
+            alg = replace(alg, kind="PreLie")
+            if not check_algebra(LawId.PreLie, alg=alg).passed:
+                continue
+            seen += 1
+            out, _ = D.prelie_to_symplectic(alg)
+            assert (out.kind, out.dim) == ("Lie", 2 * alg.dim)
+            _assert_table(out, _ref_cotangent(alg))
+        assert seen >= 10
+
+    def test_semidirect_perm(self):
+        seen = 0
+        for alg, _ in _double_inputs():
+            if not check_algebra(LawId.Perm, alg=alg).passed:
+                continue
+            d = alg.dim
+            p = _table(alg)
+            la, ra = _stars(p, d)
+            for rep, act_l, act_r in (
+                # adjoint: l(e_i) v = e_i v, r(e_i) v = v e_i
+                (
+                    adjoint_representation(alg),
+                    lambda i, b: p[(i, b)],
+                    lambda i, b: p[(b, i)],
+                ),
+                # its dual: (L*, L* - R*)
+                (
+                    D.dual_rep(adjoint_representation(alg)),
+                    la,
+                    lambda i, b: _minus(la(i, b), ra(i, b)),
+                ),
+            ):
+                if not check_representation(alg, rep).passed:
+                    continue
+                seen += 1
+                out = D.semidirect_perm(alg, rep)
+                assert (out.id, out.kind) == (f"{alg.id}+mod", "Perm")
+                _assert_table(out, _ref_semidirect(alg, act_l, act_r, d))
+        assert seen >= 20
+
+    def test_preperm_representation(self):
+        seen = 0
+        for alg, _ in _double_inputs():
+            if alg.tri_left is None:
+                continue
+            seen += 1
+            rep = D.preperm_representation(alg)
+            left = _table(replace(alg, mul=alg.tri_left))
+            right = _table(replace(alg, mul=alg.tri_right))
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    # l(e_i) e_j = e_i > e_j and r(e_i) e_j = e_j < e_i
+                    assert [row[j] for row in rep.l[i]] == left[(i, j)]
+                    assert [row[j] for row in rep.r[i]] == right[(j, i)]
+        assert seen >= 10
 
 
 class TestLieLift:

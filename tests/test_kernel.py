@@ -316,6 +316,8 @@ class TestIllPosed:
         s = TemplateSeries(2, (t,))
         with pytest.raises(IllPosedTemplateError):
             s.support_in_box(2)
+        with pytest.raises(IllPosedTemplateError):
+            s.coefficient_at((tee(5), tee(1)))
 
     def test_rank_deficient_raises(self):
         t = Template(
@@ -326,6 +328,11 @@ class TestIllPosed:
         s = TemplateSeries(2, (t,))
         with pytest.raises(IllPosedTemplateError):
             s.support_in_box(2)
+        # Refused at every key of the template's shapes, also where the slots
+        # cannot match (ess(1) against the constant slot 0).
+        for keys in ((tee(0), ess(0)), (tee(0), ess(1))):
+            with pytest.raises(IllPosedTemplateError):
+                s.coefficient_at(keys)
 
     def test_stray_coefficient_variable_raises(self):
         j = av("j")
