@@ -8,7 +8,8 @@ and the probes below are all expressed through that layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -29,7 +30,7 @@ from .kernel import (
     pat_pair,
 )
 from .families import FiniteAlgebra, GradedFamily
-from .axioms import LawId, check_algebra, check_coalgebra, _Recorder, _memo_one
+from .axioms import LAW_PLANS, LawId, check_algebra, check_coalgebra, _int, _memo_one, _side
 
 
 def pair_keys(alg: FiniteAlgebra, family: GradedFamily, window: Window):
@@ -236,17 +237,7 @@ def affinization_probe(
         window_report = _pair_jacobi_report(alg, family, window)
         direct_report = check_algebra(finite_law, alg=alg)
     elif direction == "coalgebra":
-        work = alg
-        if delta_table is not None:
-            work = FiniteAlgebra(
-                id=alg.id,
-                space=alg.space,
-                dim=alg.dim,
-                labels=alg.labels,
-                kind=alg.kind,
-                mul=alg.mul,
-                delta=delta_table,
-            )
+        work = alg if delta_table is None else replace(alg, delta=delta_table)
         delta, sym_co = delta_bullet_rule(work, family)
         window_report = check_coalgebra(
             LawId.CoLieJacobi,
@@ -296,112 +287,80 @@ def _finite_delta_series(alg: FiniteAlgebra, key) -> TemplateSeries:
     )
 
 
-def _pair_jacobi_report(
-    alg: FiniteAlgebra, family: GradedFamily, window: Window
-) -> CheckReport:
-    """Jacobi sweep over Pair-key triples, organized graded-major so the
-    twelve finite-side composites are precomputed once per finite triple."""
-    rec = _Recorder()
-    gkeys = family.keys(window)
-    dim = alg.dim
-    prod = _memo_one(family.product_one)
-    e = [alg.unit(i) for i in range(dim)]
+def _commutator_words(t) -> list:
+    """The signed product words of a bracketing, each bracket [u, v] read as
+    uv - vu: ((0, 1), 2) -> (ab)c - c(ab) - (ba)c + c(ba)."""
+    if t.__class__ is int:
+        return [(1, t)]
+    return [
+        w
+        for s, u in _commutator_words(t[0])
+        for r, v in _commutator_words(t[1])
+        for w in ((s * r, (u, v)), (-s * r, (v, u)))
+    ]
 
-    # For a finite triple (x, y, z) the Jacobi expansion uses, per cyclic
-    # rotation, the four composites (uv)w, w(uv), (vu)w, w(vu).
-    fin_data = {}
-    for x in range(dim):
-        for y in range(dim):
-            for z in range(dim):
-                rows = []
-                for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                    uv = alg.times(e[u], e[v])
-                    vu = alg.times(e[v], e[u])
-                    rows.append(
-                        (
-                            alg.times(uv, e[w]),  # (u v) w
-                            alg.times(e[w], uv),  # w (u v)
-                            alg.times(vu, e[w]),  # (v u) w
-                            alg.times(e[w], vu),  # w (v u)
-                        )
-                    )
-                fin_data[(x, y, z)] = rows
 
-    fin_triples = list(fin_data.items())
+def _pair_jacobi_report(alg: FiniteAlgebra, family: GradedFamily, window: Window) -> CheckReport:
+    """LAW_PLANS[LieJacobi] of the induced bracket over Pair-key triples.
+
+    Each bracket expands into product words, and a word on Pair keys is the
+    same word on the finite keys tensored with it on the graded keys.  The
+    words share their sub-words as steps, run once per finite triple and once
+    per graded triple; the sweep is graded-major and stops at the first
+    violation."""
+    law = LawId.LieJacobi.value
+    ((label, lhs, rhs),) = LAW_PLANS[LawId.LieJacobi]
+    slot_of: dict = {}  # (left slot, right slot) -> slot; slots 0, 1, 2 hold the inputs
+
+    def slot(w):
+        if w.__class__ is int:
+            return w
+        return slot_of.setdefault((slot(w[0]), slot(w[1])), 3 + len(slot_of))
+
+    words = [
+        (sign * s * r, slot(w))
+        for sign, side in ((1, lhs), (-1, rhs))
+        for s, t in _side(side)
+        for r, w in _commutator_words(t)
+    ]
+
+    def run(inputs, mul):
+        vals = list(inputs)
+        for i, j in slot_of:
+            vals.append(mul(vals[i], vals[j]))
+        return [vals[w] for _, w in words]
+
+    def one(ka, kb):
+        p = family.product_one(ka, kb)
+        return p and (_int(p[0]), p[1])
+
+    prod = _memo_one(one)
+
+    def graded(u, v):
+        p = u and v and prod(u[1], v[1])
+        return p and (u[0] * v[0] * p[0], p[1])
+
+    e = [alg.unit(i) for i in range(alg.dim)]
+    fin_triples = [
+        (xyz, [[kc for kc in enumerate(f) if kc[1]] for f in run([e[i] for i in xyz], alg.times)])
+        for xyz in itertools.product(range(alg.dim), repeat=3)
+    ]
     checked = 0
-    for ga in gkeys:
-        for gb in gkeys:
-            for gc in gkeys:
-                # Graded composites per rotation, mirroring fin_data rows.
-                grows = []
-                for u, v, w in ((ga, gb, gc), (gb, gc, ga), (gc, ga, gb)):
-                    uv = prod(u, v)
-                    vu = prod(v, u)
-                    grows.append(
-                        (
-                            _compose2(prod, uv, w, True),  # (u v) w
-                            _compose2(prod, uv, w, False),  # w (u v)
-                            _compose2(prod, vu, w, True),  # (v u) w
-                            _compose2(prod, vu, w, False),  # w (v u)
-                        )
-                    )
-                if not any(any(g is not None for g in row) for row in grows):
-                    checked += len(fin_triples)
-                    continue
-                for fidx, frows in fin_triples:
-                    checked += 1
-                    acc = {}
-                    for rot in range(3):
-                        g1, g2, g3, g4 = grows[rot]
-                        f1, f2, f3, f4 = frows[rot]
-                        # [[u, v], w] = (uv)w - w(uv) - (vu)w + w(vu)
-                        for sign, gpart, fpart in (
-                            (ONE, g1, f1),
-                            (-ONE, g2, f2),
-                            (-ONE, g3, f3),
-                            (ONE, g4, f4),
-                        ):
-                            if gpart is None:
-                                continue
-                            gc_, gk = gpart
-                            s = sign * gc_
-                            for k in range(dim):
-                                if fpart[k]:
-                                    kk = (k, gk)
-                                    cur = acc.get(kk, ZERO) + s * fpart[k]
-                                    if cur:
-                                        acc[kk] = cur
-                                    else:
-                                        del acc[kk]
-                    if acc:
-                        x, y, z = fidx
-                        at = (
-                            pair(alg.key(x), ga),
-                            pair(alg.key(y), gb),
-                            pair(alg.key(z), gc),
-                        )
-                        res = tuple(
-                            (pair(alg.key(k), g), v)
-                            for (k, g), v in sorted(acc.items())
-                        )
-                        rec.add("jacobi", at, res)
-                        if rec.total >= 1:
-                            return CheckReport.build(
-                                LawId.LieJacobi.value,
-                                window,
-                                checked,
-                                rec.items,
-                                {"early_exit": True, **rec.extra()},
-                            )
-    return CheckReport.build(
-        LawId.LieJacobi.value, window, checked, rec.items, rec.extra()
-    )
-
-
-def _compose2(prod, t, other, left: bool):
-    if t is None:
-        return None
-    nxt = prod(t[1], other) if left else prod(other, t[1])
-    if nxt is None:
-        return None
-    return (t[0] * nxt[0], nxt[1])
+    for gs in itertools.product(family.keys(window), repeat=3):
+        gvals = run([(1, k) for k in gs], graded)
+        live = [(f, s * g[0], g[1]) for f, ((s, _), g) in enumerate(zip(words, gvals)) if g]
+        if not live:
+            checked += len(fin_triples)
+            continue
+        for xyz, fvals in fin_triples:
+            checked += 1
+            acc = {}
+            for f, s, gk in live:
+                for k, c in fvals[f]:
+                    acc[k, gk] = acc.get((k, gk), ZERO) + s * c
+            if any(acc.values()):
+                at = tuple(pair(alg.key(x), g) for x, g in zip(xyz, gs))
+                res = tuple((pair(alg.key(k), g), v) for (k, g), v in sorted(acc.items()) if v)
+                extra = {"early_exit": True, "violations_total": 1}
+                return CheckReport.build(law, window, checked, [(label, at, res)], extra)
+    return CheckReport.build(law, window, checked, [], {"violations_total": 0})

@@ -16,6 +16,7 @@ import ast
 import itertools
 import operator
 import re
+from dataclasses import replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -474,17 +475,7 @@ def check_bialgebra(
     rec = _Recorder()
     if law in (LawId.PermBi, LawId.PreLieBi):
         assert alg is not None
-        work = alg
-        if delta_table is not None:
-            work = FiniteAlgebra(
-                id=alg.id,
-                space=alg.space,
-                dim=alg.dim,
-                labels=alg.labels,
-                kind=alg.kind,
-                mul=alg.mul,
-                delta=delta_table,
-            )
+        work = alg if delta_table is None else replace(alg, delta=delta_table)
         window = window or Window(0, 0)
         dim = work.dim
         lmats = [work.left_matrix(i) for i in range(dim)]

@@ -8,6 +8,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .kernel import (
@@ -476,15 +477,7 @@ def _ybe_diagram_report(bound: int) -> CheckReport:
     sd2 = cat["ex-sd2"]
     fam = ats_family()
     r = tensor_catalog()["r-sd2"][1]
-    work = FiniteAlgebra(
-        id=sd2.id,
-        space=sd2.space,
-        dim=sd2.dim,
-        labels=sd2.labels,
-        kind=sd2.kind,
-        mul=sd2.mul,
-        delta=coboundary_delta_perm(sd2, r),
-    )
+    work = replace(sd2, delta=coboundary_delta_perm(sd2, r))
     delta, _ = delta_bullet_rule(work, fam)
     _, sbr = induced_lie_bracket(sd2, fam)
     rt = affinize_r(r, fam)

@@ -18,6 +18,7 @@ forms on derivation families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -52,9 +53,12 @@ from .families import (
     wn_family,
 )
 from .axioms import (
+    FORM_PLANS,
     LawId,
     _assemble_matched_pair,
     _gram_rank,
+    _int,
+    _pairings,
     check_algebra,
     check_bialgebra,
     check_form,
@@ -666,9 +670,72 @@ def symplectic_to_prelie(alg: FiniteAlgebra, gram) -> FiniteAlgebra:
 # Exact search for invariant skew forms on derivation families.
 
 
+def _form_search_rows(fam: GradedFamily, keys) -> tuple:
+    """(rows, skipped triples) of the triple row of
+    FORM_PLANS[QuadPreLieForm] on the skew form values over keys.
+
+    The value w(keys[i], keys[j]), i < j, is unknown i m + j; w(y, x) is
+    -w(x, y) and w(x, x) is 0.  Every key triple whose products all stay on
+    keys gives one integer row, divided by its gcd and signed so that its lead
+    entry is positive: proportional rows coincide, and each is kept once, in
+    the order first seen.  A triple with a product off keys is skipped."""
+    _, text = FORM_PLANS[LawId.QuadPreLieForm][1]
+    index = {k: i for i, k in enumerate(keys)}
+    m = len(keys)
+    OUT = object()
+    # pr[i][j]: (int coeff, index) of keys[i] keys[j], None if it is zero
+    pr = [[None] * m for _ in range(m)]
+    for i, a in enumerate(keys):
+        for j, b in enumerate(keys):
+            p = fam.product_one(a, b)
+            if p is not None:
+                ip = index.get(p[1])
+                pr[i][j] = OUT if ip is None else (_int(p[0]), ip)
+
+    def over_c(word, a, b):
+        """The operand word (an input or a product of two) at inputs a, b,
+        listed over the third input c."""
+        at = [{"a": [a] * m, "b": [b] * m}.get(ch, range(m)) for ch in word]
+        if len(at) == 1:
+            return [(1, i) for i in at[0]]
+        return [pr[i][j] for i, j in zip(*at)]
+
+    pairings = _pairings(text)
+    rows: dict = {}
+    skipped = 0
+    for a in range(m):
+        for b in range(m):
+            terms = [(s, over_c(x, a, b), over_c(y, a, b)) for s, x, y in pairings]
+            for c in range(m):
+                row: dict = {}
+                for s, us, vs in terms:
+                    u, v = us[c], vs[c]
+                    if u is OUT or v is OUT:
+                        skipped += 1
+                        break
+                    if not (u and v) or u[1] == v[1]:
+                        continue
+                    (f, i), (g, j) = u, v
+                    f *= s * g
+                    if i > j:
+                        i, j, f = j, i, -f
+                    f += row.get(i * m + j, 0)
+                    if f:
+                        row[i * m + j] = f
+                    else:
+                        del row[i * m + j]
+                else:  # every product stayed on keys
+                    if row:
+                        items = sorted(row.items())
+                        d = math.gcd(*row.values())
+                        d = d if items[0][1] > 0 else -d
+                        rows.setdefault(tuple((col, f // d) for col, f in items))
+    return [dict(r) for r in rows], skipped
+
+
 def invariant_form_search(n: int, window: Window) -> dict:
     """Solve for all skew forms on the window of the n-variable derivation
-    family satisfying w(a b, c) + w(b, a c) - w(b, c a) = 0.
+    family satisfying the invariance row of FORM_PLANS[QuadPreLieForm].
 
     Unknowns are the form values on window key pairs; every key triple whose
     nonzero products stay on the window contributes one linear row.  Returns
@@ -683,74 +750,8 @@ def invariant_form_search(n: int, window: Window) -> dict:
         raise ValueError("window too large for the exact dense solve")
     fam = wn_family(n)
     keys = fam.keys(window)
-    index = {k: i for i, k in enumerate(keys)}
     m = len(keys)
-
-    # products resolved to window indices up front; OUT flags a product whose
-    # single term leaves the window, making any row that mentions it unusable
-    OUT = object()
-    pr = []
-    for a in keys:
-        rowp = []
-        for b in keys:
-            p = fam.product_one(a, b)
-            if p is None:
-                rowp.append(None)
-            else:
-                ip = index.get(p[1])
-                rowp.append(OUT if ip is None else (p[0], ip))
-        pr.append(rowp)
-
-    rows = []
-    seen = set()
-    skipped = 0
-    for ia in range(m):
-        pra = pr[ia]
-        for ib in range(m):
-            pab = pra[ib]
-            if pab is OUT:
-                skipped += m
-                continue
-            for ic in range(m):
-                pac = pra[ic]
-                if pac is OUT:
-                    skipped += 1
-                    continue
-                pca = pr[ic][ia]
-                if pca is OUT:
-                    skipped += 1
-                    continue
-                row = {}
-                # w(a b, c) + w(b, a c) - w(b, c a), on skew unknowns stored
-                # at the (min, max) index pair with mirrored sign
-                if pab is not None and pab[1] != ic:
-                    ip = pab[1]
-                    if ip < ic:
-                        row[ip * m + ic] = pab[0]
-                    else:
-                        row[ic * m + ip] = -pab[0]
-                for p, sgn in ((pac, ONE), (pca, -ONE)):
-                    if p is None or p[1] == ib:
-                        continue
-                    ip = p[1]
-                    if ib < ip:
-                        cid = ib * m + ip
-                        v = sgn * p[0]
-                    else:
-                        cid = ip * m + ib
-                        v = -sgn * p[0]
-                    cur = row.get(cid, ZERO) + v
-                    if cur:
-                        row[cid] = cur
-                    else:
-                        row.pop(cid, None)
-                if row:
-                    items = sorted(row.items())
-                    leadv = items[0][1]
-                    fingerprint = tuple((c, v / leadv) for c, v in items)
-                    if fingerprint not in seen:
-                        seen.add(fingerprint)
-                        rows.append(dict(fingerprint))
+    rows, skipped = _form_search_rows(fam, keys)
 
     # short rows first: singleton rows kill their column immediately and keep
     # the later eliminations sparse
@@ -758,15 +759,10 @@ def invariant_form_search(n: int, window: Window) -> dict:
     basis = sparse_rref(rows)
     forced = forced_zero_columns(basis)
     probe = wn((1,) + (0,) * (n - 1), 1)
-    ip = index[probe]
-    unforced = []
-    for k in keys:
-        ik = index[k]
-        if ik == ip:
-            continue
-        cid = ip * m + ik if ip < ik else ik * m + ip
-        if cid not in forced:
-            unforced.append(key_str(k))
+    p = keys.index(probe)
+    unforced = [
+        key_str(k) for i, k in enumerate(keys) if i != p and min(i, p) * m + max(i, p) not in forced
+    ]
     return {
         "family": fam.name,
         "window": window.n,

@@ -223,18 +223,13 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
     Coproduct rows are [source, left, right, coeff]: the source index is
     required for a lossless round trip once dim > 1.
     """
-    n = alg.dim
-    c = [[["0"] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), terms in alg.mul.items():
-        for k, v in terms:
-            c[i][j][k] = frac_str(v)
     out = {
         "id": alg.id,
         "space": alg.space,
-        "n": n,
+        "n": alg.dim,
         "labels": list(alg.labels),
         "kind": alg.kind,
-        "c": c,
+        "c": _dense(alg.mul, alg.dim),
         "delta": [
             [src, i, j, frac_str(v)]
             for src in sorted(alg.delta or ())
@@ -244,12 +239,17 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
     for name in ("tri_left", "tri_right"):
         table = getattr(alg, name)
         if table is not None:
-            dense = [[["0"] * n for _ in range(n)] for _ in range(n)]
-            for (i, j), terms in table.items():
-                for k, v in terms:
-                    dense[i][j][k] = frac_str(v)
-            out[name] = dense
+            out[name] = _dense(table, alg.dim)
     return out
+
+
+def _dense(table: dict, n: int) -> list:
+    """c[i][j][k]: the sum of the e_k terms that table lists for (i, j)."""
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), terms in table.items():
+        for k, v in terms:
+            c[i][j][k] += v
+    return [[[frac_str(v) for v in cij] for cij in ci] for ci in c]
 
 
 def matrix_to_json(m) -> list:

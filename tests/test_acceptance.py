@@ -4,6 +4,7 @@ Run with -v to get one pass/fail line per criterion.  Everything is exact
 rational arithmetic; a criterion passes only with zero violations.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -413,6 +414,10 @@ def test_criterion_12_determinism():
     assert a.returncode == 0, a.stderr[-500:]
     assert b.returncode == 0
     assert a.stdout == b.stdout
+    # The canonical bytes, pinned: a change that alters them on purpose
+    # updates this digest and says so.
+    digest = hashlib.sha256(a.stdout.encode()).hexdigest()
+    assert digest == "caed785c349ed96e574281c6b9fca3b709e99e34b3213ebe3069cb85bdfcca1b"
     payload = json.loads(a.stdout)
     assert payload["passed"] is True
     _ok("criterion 12: two seeded full runs byte-identical")

@@ -1,11 +1,28 @@
 """Affinization: induced brackets, cobracket rules, probes, form coproducts."""
 
+import functools
+import itertools
+import random
 from fractions import Fraction
 
+import pytest
+
 from permlie.kernel import Window, ess, fin, pair, tee
-from permlie.families import ats_family, finite_catalog, perm_p_family, delta_a_family, delta_p_family
+from permlie.families import (
+    FiniteAlgebra,
+    ats_family,
+    conjugated_table,
+    delta_a_family,
+    delta_p_family,
+    finite_catalog,
+    perm_p_family,
+    random_invertible,
+    random_table,
+    wn_family,
+)
 from permlie.axioms import LawId, check_bialgebra, check_coalgebra
 from permlie.affinize import (
+    _pair_jacobi_report,
     affinization_probe,
     coproduct_from_form,
     delta_bullet,
@@ -165,3 +182,73 @@ class TestCoproductFromForm:
         cf = coproduct_from_form(fam)
         for key in fam.keys(Window(3)):
             assert cf(key).equal_on_box(delta_p_family(key), 3)
+
+
+# ---------------------------------------------------------------------------
+# The pair-key Jacobi probe against the textbook identity of the induced
+# bracket, with no LAW_PLANS row and no shared product words.
+
+
+def _jacobi_oracle(alg, fam, window):
+    """(passed, checked, extra, violations) of
+    [[a, b], c] + [[b, c], a] + [[c, a], b] = 0 for induced_lie_bracket,
+    swept over (ga, gb, gc, x, y, z) and stopped at the first failure."""
+    bracket, _ = induced_lie_bracket(alg, fam)
+    br = functools.lru_cache(maxsize=None)(lambda a, b: tuple(bracket(a, b).items()))
+
+    def nested(a, b, c):
+        out = {}
+        for k, v in br(a, b):
+            for k2, v2 in br(k, c):
+                out[k2] = out.get(k2, 0) + v * v2
+        return out
+
+    checked = 0
+    for gs in itertools.product(fam.keys(window), repeat=3):
+        for xs in itertools.product(alg.basis_keys(), repeat=3):
+            checked += 1
+            a, b, c = (pair(x, g) for x, g in zip(xs, gs))
+            total = {}
+            for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+                for k, val in nested(u, v, w).items():
+                    total[k] = total.get(k, 0) + val
+            res = tuple(sorted((k, v) for k, v in total.items() if v))
+            if res:
+                extra = {"early_exit": True, "violations_total": 1}
+                return False, checked, extra, [("jacobi", (a, b, c), res)]
+    return True, checked, {"violations_total": 0}, []
+
+
+def _jacobi_inputs():
+    """The catalog, then seeded random tables of dimension 1-3.  Every third
+    is a random basis change of a catalog perm algebra, so passing sweeps of
+    dimension 2 run in full; one-dimensional tables are perm and pass too."""
+    cat = finite_catalog()
+    out = list(cat.values())
+    perms = [cat["ex-1p"], cat["ex-sd2"], cat["ex-nilp2"]]
+    rng = random.Random(2903)
+    for t in range(12):
+        if t % 3 == 0:
+            base = perms[t // 3 % 3]
+            d = base.dim
+            mul = conjugated_table(base.mul, random_invertible(rng, d), d)
+        else:
+            d = 1 + t % 3
+            mul = random_table(rng, d)
+        labels = tuple(f"x{i}" for i in range(d))
+        out.append(FiniteAlgebra(id=f"rnd{t}", space=f"R{t}", dim=d, labels=labels, kind="none", mul=mul))
+    return out
+
+
+class TestPairJacobiOracle:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("fam", [ats_family(), wn_family(1)], ids=["ats", "w1"])
+    def test_probe_matches_oracle(self, fam, n):
+        outcomes = set()
+        for alg in _jacobi_inputs():
+            rep = _pair_jacobi_report(alg, fam, Window(n))
+            got = (rep.passed, rep.checked, rep.extra, rep.violations)
+            assert got == _jacobi_oracle(alg, fam, Window(n)), alg.id
+            outcomes.add((alg.dim, rep.passed))
+        # passing and failing sweeps at every dimension the inputs reach
+        assert {(1, True), (2, True), (2, False), (3, False)} <= outcomes

@@ -1,12 +1,13 @@
 """Doubling constructions: semidirect products, Manin assembly, duals."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from permlie.kernel import Window, fin, pair
+from permlie.kernel import Window, fin, forced_zero_columns, key_str, pair, sparse_rref, wn
 from permlie.families import (
     FiniteAlgebra,
     adjoint_representation,
@@ -508,7 +509,82 @@ class TestSymplecticRoundTrip:
                     assert comm == want, (aid, i, j)
 
 
+def _form_search_oracle(n, window):
+    """invariant_form_search's report from rows written out naively: for
+    every key triple whose products stay on the window, the row
+    w(ab, c) + w(b, ac) - w(b, ca) over skew unknowns w(x, y), x < y,
+    normalised by its lead Fraction to drop proportional copies."""
+    fam = wn_family(n)
+    keys = fam.keys(window)
+    m = len(keys)
+    index = {k: i for i, k in enumerate(keys)}
+    rows, seen, skipped = [], set(), 0
+    for a, b, c in itertools.product(keys, repeat=3):
+        ab, ac, ca = (
+            [(k, v) for k, v in fam.product(x, y).items() if v] for x, y in ((a, b), (a, c), (c, a))
+        )
+        if any(k not in index for k, _ in ab + ac + ca):
+            skipped += 1
+            continue
+        row = {}
+        terms = [(v, k, c) for k, v in ab] + [(v, b, k) for k, v in ac] + [(-v, b, k) for k, v in ca]
+        for v, x, y in terms:
+            i, j = index[x], index[y]
+            if i < j:
+                row[i * m + j] = row.get(i * m + j, 0) + v
+            elif i > j:
+                row[j * m + i] = row.get(j * m + i, 0) - v
+        items = sorted((col, v) for col, v in row.items() if v)
+        if items:
+            key = tuple((col, F(v) / items[0][1]) for col, v in items)
+            if key not in seen:
+                seen.add(key)
+                rows.append(dict(key))
+    rows.sort(key=len)
+    basis = sparse_rref(rows)
+    forced = forced_zero_columns(basis)
+    probe = wn((1,) + (0,) * (n - 1), 1)
+    p = index[probe]
+    unforced = [
+        key_str(k)
+        for i, k in enumerate(keys)
+        if i != p and min(i, p) * m + max(i, p) not in forced
+    ]
+    unknowns = m * (m - 1) // 2
+    return {
+        "family": fam.name,
+        "window": window.n,
+        "keys": m,
+        "unknowns": unknowns,
+        "rows": len(rows),
+        "skipped_triples": skipped,
+        "rank": len(basis),
+        "solution_dim": unknowns - len(basis),
+        "forced_zero_count": len(forced),
+        "probe": key_str(probe),
+        "probe_pairs_unforced": unforced,
+        "probe_vanishes": not unforced,
+    }
+
+
 class TestInvariantFormSearch:
+    @pytest.mark.parametrize("n, size", [(1, 2), (1, 3), (1, 4), (2, 2)])
+    def test_matches_naive_rows(self, n, size):
+        assert D.invariant_form_search(n, Window(size)) == _form_search_oracle(n, Window(size))
+
+    def test_rows_vanish_on_ats_form(self):
+        # ats carries an invariant skew form: every row must vanish on it
+        fam = ats_family()
+        keys = fam.keys(Window(3))
+        m = len(keys)
+        rows, _ = D._form_search_rows(fam, keys)
+        touched = 0
+        for row in rows:
+            values = [v * fam.form(keys[col // m], keys[col % m]) for col, v in row.items()]
+            assert sum(values) == 0, row
+            touched += any(values)
+        assert touched > 0 and len(rows) > touched
+
     def test_w1_everything_forced_zero(self):
         r1 = D.invariant_form_search(1, Window(3))
         assert r1["rank"] == r1["unknowns"]

@@ -21,6 +21,7 @@ from permlie.kernel import (
     wn,
 )
 from permlie.families import TensorElement, finite_catalog, delta_a_family
+from permlie.doubles import dual_perm_algebra
 from permlie.serialize import (
     algebra_to_json,
     canonical_json,
@@ -131,6 +132,13 @@ class TestAlgebraExport:
         assert data["c"] == [[["1"]]]
         assert data["delta"] == [[0, 0, 0, "1"]]
         assert data["kind"] == "Perm"
+
+    def test_repeated_output_index_is_summed(self):
+        # a coproduct listing (0, 0) twice gives e* e* = 2 e*, one mul entry
+        # with two terms on the same output index
+        alg = dual_perm_algebra(finite_catalog()["ex-1p"], {0: ((0, 0, 1), (0, 0, 1))})
+        assert dict(alg.product(alg.key(0), alg.key(0)).items()) == {alg.key(0): 2}
+        assert algebra_to_json(alg)["c"] == [[["2"]]]
 
     def test_preperm_carries_split_products(self):
         data = algebra_to_json(finite_catalog()["ex-preperm-1"])
