@@ -70,6 +70,13 @@ class GradedFamily:
     ``keys_fn(bound)`` lists the keys with every slot in [-bound, bound], so
     ``keys_fn(0)`` has one key per shape.  Without a partner rule the family
     has no form: ``form`` and ``form_partners`` are None.
+
+    The rules must branch on key shape only, never on a slot value.  That is
+    what makes a law proved on patterns hold at every key: ``sym_product`` on
+    patterns of given shapes, read at any slot values, is then ``rule`` on
+    the keys with those values.  A rule that compares a slot with a number
+    or tests its truth raises TypeError on a pattern, and ``check_algebra``
+    falls back to the window cube.
     """
 
     name: str

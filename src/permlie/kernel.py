@@ -272,6 +272,19 @@ class Aff:
     def __rsub__(self, other):
         return Aff.of(other) + (-self)
 
+    # A pattern slot stands for every integer at once, so whether it equals
+    # or is truthy like an int has no single answer: a rule that branches so
+    # raises TypeError on a pattern, as it does for < and >.
+    def __eq__(self, other):
+        if other.__class__ is Aff:
+            return self.const == other.const and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            raise TypeError(f"cannot compare the pattern slot {self} with {other!r}")
+        return NotImplemented
+
+    def __bool__(self):
+        raise TypeError(f"the pattern slot {self} has no truth value")
+
     def __mul__(self, k: int):
         if k == 0:
             return Aff(0, ())

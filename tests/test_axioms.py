@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from permlie.kernel import (
     InsufficientWindowError,
@@ -13,11 +14,15 @@ from permlie.kernel import (
     Template,
     TemplateSeries,
     Window,
+    av,
     ess,
     key_degree,
+    key_shape,
+    key_slots,
     mono,
     pat_const,
     tee,
+    with_slots,
 )
 from permlie.families import (
     FiniteAlgebra,
@@ -36,6 +41,7 @@ from permlie.families import (
 )
 from permlie.axioms import (
     LawId,
+    _holds_on_patterns,
     check_algebra,
     check_coalgebra,
     coalgebra_residuals,
@@ -219,16 +225,176 @@ class TestLawOracle:
         self.assert_matches(rep, law, keys, _perturbed_ats_product)
 
     # One passing and one failing two-row law: the oracle needs about ten
-    # seconds for each of these 125,000-triple cubes.
-    @pytest.mark.parametrize(
+    # seconds for each of these 125,000-triple cubes, so each is computed once
+    # for both paths.  On the family path permP's Perm is proved on patterns;
+    # the product path runs the cube on the same keys.
+    _margin_zero_oracles: dict = {}
+
+    def assert_matches_at_margin_zero(self, rep, fam, law):
+        keys = fam.keys(Window(2))
+        cached = self._margin_zero_oracles
+        if (fam.name, law) not in cached:
+            cached[(fam.name, law)] = _oracle(law, keys, _vector_product(fam.product_one))
+        assert _fields(rep) == cached[(fam.name, law)]
+
+    _MARGIN_ZERO_CASES = pytest.mark.parametrize(
         "fam, law",
         [(perm_p_family(), LawId.Perm), (wn_family(2), LawId.Novikov)],
         ids=["permP-Perm", "w2-Novikov"],
     )
+
+    @_MARGIN_ZERO_CASES
     def test_families_at_margin_zero(self, fam, law):
         rep = check_algebra(law, family=fam, window=Window(2), margin=0)
+        self.assert_matches_at_margin_zero(rep, fam, law)
+
+    @_MARGIN_ZERO_CASES
+    def test_family_products_at_margin_zero(self, fam, law):
         keys = fam.keys(Window(2))
-        self.assert_matches(rep, law, keys, _vector_product(fam.product_one))
+        rep = check_algebra(law, product=fam.product, keys=keys, window=Window(2), margin=0)
+        self.assert_matches_at_margin_zero(rep, fam, law)
+
+
+_FAMILIES = {
+    "permP": perm_p_family(),
+    "ats": ats_family(),
+    "w1": wn_family(1),
+    "w2": wn_family(2),
+}
+
+
+def _cube_report(law, fam, keys, window):
+    """check_algebra on fam's keys through the product path: the cube, never
+    patterns."""
+    return check_algebra(law, product=fam.product, keys=keys, window=window, margin=window.margin)
+
+
+def _fields(rep):
+    return (rep.passed, rep.checked, rep.extra, rep.violations)
+
+
+def _shape_perturbed(fam, signs, scale, offsets, moved, skew):
+    """fam with a rule that still branches on key shapes only: each product's
+    coefficient is scaled, then multiplied by the signs of its two input
+    shapes and its output shape, and with skew by the difference of the two
+    inputs' first slots, then offset per input shape pair; for the shape
+    pairs in moved, the output takes the family's next shape with as many
+    slots.  Signs and scale alone rescale the basis (or the product), so
+    every law the family satisfies still holds.  The skew factor vanishes
+    where the inputs' slots agree, so a proof that gave every input the same
+    variables would pass it."""
+    shapes = [key_shape(k) for k in fam.keys_fn(0)]
+    examples = {key_shape(k): k for k in fam.keys_fn(0)}
+    base = fam.rule
+
+    def rule(x, y):
+        r = base(x, y)
+        if r is None:
+            return None
+        c, z = r
+        xy = (key_shape(x), key_shape(y))
+        if xy in moved:
+            nxt = shapes[(shapes.index(key_shape(z)) + 1) % len(shapes)]
+            if len(key_slots(examples[nxt])) == len(key_slots(z)):
+                z = with_slots(examples[nxt], key_slots(z))
+        c = c * (scale * signs[xy[0]] * signs[xy[1]] * signs[key_shape(z)])
+        if skew:  # an Aff coefficient (ats, wn) times an Aff raises TypeError
+            c = c * (key_slots(x)[0] - key_slots(y)[0])
+        return (c + offsets.get(xy, 0), z)
+
+    return dataclasses.replace(fam, rule=rule)
+
+
+@st.composite
+def _perturbations(draw):
+    name = draw(st.sampled_from(sorted(_FAMILIES)))
+    fam = _FAMILIES[name]
+    shapes = [key_shape(k) for k in fam.keys_fn(0)]
+    pairs = list(itertools.product(shapes, repeat=2))
+    signs = {sh: draw(st.sampled_from([1, -1])) for sh in shapes}
+    scale = draw(st.sampled_from([1, -1, 2]))
+    offsets = draw(
+        st.just({})
+        | st.dictionaries(st.sampled_from(pairs), st.sampled_from([-1, 1]), min_size=1, max_size=2)
+    )
+    moved = draw(st.just(frozenset()) | st.frozensets(st.sampled_from(pairs), min_size=1, max_size=1))
+    skew = draw(st.booleans())
+    law = draw(st.sampled_from(ALGEBRA_LAWS))
+    return law, _shape_perturbed(fam, signs, scale, offsets, moved, skew)
+
+
+class TestPatternCertificate:
+    """check_algebra on a family proves a law on patterns when it can; the
+    report must be the one the cube gives on the same keys."""
+
+    @pytest.mark.parametrize("name", sorted(_FAMILIES))
+    def test_matches_cube(self, name):
+        fam = _FAMILIES[name]
+        window = Window(2, 0)
+        keys = fam.keys(window)
+        for law in ALGEBRA_LAWS:
+            cube = _cube_report(law, fam, keys, window)
+            # Every law these families satisfy closes on patterns.
+            assert _holds_on_patterns(law, fam, keys) == cube.passed, law
+            rep = check_algebra(law, family=fam, window=window, margin=0)
+            assert _fields(rep) == _fields(cube), law
+
+    def test_shape_only_perturbations_match_cube(self):
+        seen = set()
+
+        @settings(
+            max_examples=60,
+            deadline=None,
+            derandomize=True,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(_perturbations())
+        def check(case):
+            law, fam = case
+            window = Window(1, 0)
+            keys = fam.keys(window)
+            proved = _holds_on_patterns(law, fam, keys)
+            rep = check_algebra(law, family=fam, window=window, margin=0)
+            assert _fields(rep) == _fields(_cube_report(law, fam, keys, window))
+            assert rep.passed or not proved
+            seen.add((proved, rep.passed))
+
+        check()
+        assert (True, True) in seen and (False, False) in seen
+
+    # A slot value has no answer on a pattern, so each branch raises there.
+    @pytest.mark.parametrize(
+        "branch",
+        [lambda a: a < 0, lambda a: a == 0, lambda a: not a],
+        ids=["less-than", "equals", "truth"],
+    )
+    def test_rule_branching_on_a_slot_falls_back_to_the_cube(self, branch):
+        base = perm_p_family().rule
+
+        def rule(x, y):
+            if branch(x[1]):
+                return (2, base(x, y)[1])
+            return base(x, y)
+
+        fam = dataclasses.replace(perm_p_family(), rule=rule)
+        pat = with_slots(mono(0, 0, 1), [av("a"), av("b")])
+        with pytest.raises(TypeError):
+            fam.sym_product(pat, pat)
+        window = Window(2, 0)
+        keys = fam.keys(window)
+        rep = check_algebra(LawId.Perm, family=fam, window=window, margin=0)
+        assert not rep.passed
+        assert _fields(rep) == _fields(_cube_report(LawId.Perm, fam, keys, window))
+
+    def test_prelie_on_w3_beyond_the_cube(self):
+        # 6,591 interior keys: about 2.9e11 triples, far beyond the cube.
+        fam = wn_family(3)
+        window = Window(8)
+        keys = fam.interior_keys(Window(8, 2), LawId.PreLie.value)
+        rep = check_algebra(LawId.PreLie, family=fam, window=window)
+        assert rep.passed and rep.margin == 2
+        assert rep.checked == len(keys) ** 3 == 6591**3
+        assert rep.extra == {"violations_total": 0}
 
 
 class TestCoalgebra:
