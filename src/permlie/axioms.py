@@ -201,16 +201,18 @@ def _plan(law: LawId):
     return rows, last
 
 
-def _holds_on_patterns(law: LawId, family: GradedFamily, keys) -> bool:
+def _holds_on_patterns(law: LawId, sym_product: Callable, keys) -> bool:
     """True when every row of LAW_PLANS[law] vanishes on patterns, so the law
     holds at every input tuple of the keys' shapes, whatever their slots.
 
     Each input is a key shape with a fresh variable in every slot, for every
     tuple of the keys' shapes.  Each bracketing is evaluated through
-    family.sym_product, and a row's signed terms are grouped by output
-    pattern: the row holds for all slot values when every group's Poly is
-    zero.  False when a group does not vanish (the terms may still cancel at
-    the given keys) or when the rule cannot run on patterns (TypeError).
+    sym_product(p, q) -> [(Poly, pattern)] (a family's sym_product, or the
+    symbolic rule of an induced bracket), and a row's signed terms are
+    grouped by output pattern: the row holds for all slot values when every
+    group's Poly is zero.  False when a group does not vanish (the terms may
+    still cancel at the given keys) or when the rule cannot run on patterns
+    (TypeError).
     """
     rows, last = _plan(law)
     shapes = list({key_shape(k): k for k in keys}.values())
@@ -229,7 +231,7 @@ def _holds_on_patterns(law: LawId, family: GradedFamily, keys) -> bool:
         right = ev(t[1], pats)
         for p, f in ev(t[0], pats).items():
             for q, g in right.items():
-                for h, z in family.sym_product(p, q):
+                for h, z in sym_product(p, q):
                     out[z] = out.get(z, Poly()) + f * g * h
         return out
 
@@ -443,7 +445,7 @@ def check_algebra(
             return product(ka, kb).items()
 
     rec = _Recorder()
-    if family is not None and _holds_on_patterns(law, family, keys):
+    if family is not None and _holds_on_patterns(law, family.sym_product, keys):
         checked = len(keys) ** (_plan(law)[1] + 1)
     else:
         checked = _law_residuals(law, keys, terms, rec)

@@ -942,6 +942,21 @@ SUITES = {
 }
 
 
+def _emit(cfg: SuiteConfig, text: str, code: int) -> int:
+    """Write text to --out, or to stdout, and return code; 2 when --out
+    cannot be written."""
+    if not cfg.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(cfg.out, "w") as f:
+            f.write(text)
+    except OSError as err:
+        print(f"permlie: cannot write {cfg.out}: {err.strerror or err}", file=sys.stderr)
+        return 2
+    return code
+
+
 def cmd_verify(cfg: SuiteConfig) -> int:
     if cfg.window < MIN_WINDOW:
         err = InsufficientWindowError("Perm", cfg.window, MIN_WINDOW)
@@ -975,12 +990,7 @@ def cmd_verify(cfg: SuiteConfig) -> int:
         tail = "ok" if passed else f"FAIL ({n_fail} of {len(rows)})"
         lines.append(f"suite {cfg.suite}: {tail} ({len(rows)} checks)")
         text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if passed else 1
+    return _emit(cfg, text, 0 if passed else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,12 +1060,7 @@ def cmd_residual(kind, algebra_id, input_path, cfg: SuiteConfig) -> int:
                 + "\n"
             )
         ok = res.is_zero()
-    if cfg.out:
-        with open(cfg.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if ok else 1
+    return _emit(cfg, text, 0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1127,12 +1132,7 @@ def cmd_export(object_id: str, cfg: SuiteConfig) -> int:
         )
         return 2
     text = canonical_json(payload)
-    if cfg.out:
-        with open(cfg.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(cfg, text, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Affinization: induced brackets, cobracket rules, probes, form coproducts."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -7,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from permlie.kernel import Window, ess, fin, pair, tee
+from permlie import affinize
+from permlie.kernel import Window, av, ess, fin, pair, tee, with_slots
 from permlie.families import (
     FiniteAlgebra,
     ats_family,
@@ -20,7 +22,7 @@ from permlie.families import (
     random_table,
     wn_family,
 )
-from permlie.axioms import LawId, check_bialgebra, check_coalgebra
+from permlie.axioms import LawId, _holds_on_patterns, check_bialgebra, check_coalgebra
 from permlie.affinize import (
     _pair_jacobi_report,
     affinization_probe,
@@ -252,3 +254,57 @@ class TestPairJacobiOracle:
             outcomes.add((alg.dim, rep.passed))
         # passing and failing sweeps at every dimension the inputs reach
         assert {(1, True), (2, True), (2, False), (3, False)} <= outcomes
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("fam", [ats_family(), wn_family(1)], ids=["ats", "w1"])
+    def test_proof_closes_exactly_when_the_sweep_passes(self, fam, n, monkeypatch):
+        window = Window(n)
+        reports = {alg.id: _pair_jacobi_report(alg, fam, window) for alg in _jacobi_inputs()}
+        monkeypatch.setattr(affinize, "_holds_on_patterns", lambda *args: False)
+        outcomes = set()
+        for alg in _jacobi_inputs():
+            _, sym_bracket = induced_lie_bracket(alg, fam)
+            proved = _holds_on_patterns(LawId.LieJacobi, sym_bracket, pair_keys(alg, fam, window))
+            sweep = _pair_jacobi_report(alg, fam, window)
+            assert proved == sweep.passed, alg.id
+            assert reports[alg.id] == sweep, alg.id
+            outcomes.add((alg.dim, sweep.passed))
+        # the sweep still runs in full on passing inputs of dimension 1 and 2
+        assert {(1, True), (2, True)} <= outcomes
+
+    def test_proof_beyond_the_sweep(self):
+        # 162 graded keys at N=40: up to 3.4e7 Pair-key triples, proved on
+        # patterns without a sweep
+        fam = ats_family()
+        window = Window(40)
+        cat = finite_catalog()
+        for alg in (cat["ex-1p"], cat["ex-sd2"]):
+            _, sym_bracket = induced_lie_bracket(alg, fam)
+            pkeys = pair_keys(alg, fam, window)
+            assert _holds_on_patterns(LawId.LieJacobi, sym_bracket, pkeys), alg.id
+            rep = _pair_jacobi_report(alg, fam, window)
+            assert rep.passed and rep.n == 40
+            assert rep.checked == (alg.dim * len(fam.keys(window))) ** 3 == (alg.dim * 162) ** 3
+            assert rep.extra == {"violations_total": 0}
+
+    # A slot value has no answer on a pattern: the rule raises TypeError
+    # there, and the probe sweeps the window.
+    @pytest.mark.parametrize("scale", [1, 2], ids=["same-product", "scaled-at-zero"])
+    def test_rule_branching_on_a_slot_falls_back_to_the_sweep(self, scale):
+        base = ats_family().rule
+
+        def rule(x, y):
+            r = base(x, y)
+            if r is not None and x[1] == 0:
+                return (scale * r[0], r[1])
+            return r
+
+        fam = dataclasses.replace(ats_family(), rule=rule)
+        pat = with_slots(tee(0), [av("a")])
+        with pytest.raises(TypeError):
+            fam.sym_product(pat, pat)
+        alg = finite_catalog()["ex-sd2"]
+        rep = _pair_jacobi_report(alg, fam, Window(2))
+        got = (rep.passed, rep.checked, rep.extra, rep.violations)
+        assert got == _jacobi_oracle(alg, fam, Window(2))
+        assert rep.passed == (scale == 1)

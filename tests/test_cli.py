@@ -244,6 +244,22 @@ class TestMalformedInput:
         p = run("residual", "perm-ybe", "--algebra", "ex-sd2", "--input", str(f))
         self.assert_usage_error(p)
 
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["verify", "ybe", "--window", "4"], "absent/x.json"),
+            (["residual", "perm-ybe", "--algebra", "ex-sd2", "--input", "-"], "."),
+            (["export", "ex-1p"], "."),
+        ],
+        ids=["verify", "residual", "export"],
+    )
+    def test_out_not_writable(self, tmp_path, argv, target):
+        # a missing parent directory, or a directory in place of a file
+        out = tmp_path / target
+        p = run(*argv, "--out", str(out), stdin="[]")
+        self.assert_usage_error(p)
+        assert p.stderr.startswith(f"permlie: cannot write {out}: ")
+
     def test_negative_margin_flag(self):
         self.assert_usage_error(run("verify", "ybe", "--window", "3", "--margin", "-3"))
 
