@@ -26,7 +26,6 @@ from .kernel import (
     coproduct_at,
     pair,
     pat_const,
-    pat_fin,
     pat_pair,
 )
 from .families import FiniteAlgebra, GradedFamily
@@ -73,22 +72,15 @@ def induced_lie_bracket(alg: FiniteAlgebra, family: GradedFamily):
         _, x1, y1 = p1
         _, x2, y2 = p2
         out = []
-        for px, cx in _fin_branches(alg, x1, x2):
+        for cx, px in alg.sym_product(x1, x2):
             for cy, py in family.sym_product(y1, y2):
-                out.append((Poly.const(cx) * cy, pat_pair(px, py)))
-        for px, cx in _fin_branches(alg, x2, x1):
+                out.append((cx * cy, pat_pair(px, py)))
+        for cx, px in alg.sym_product(x2, x1):
             for cy, py in family.sym_product(y2, y1):
-                out.append((Poly.const(-cx) * cy, pat_pair(px, py)))
+                out.append((-cx * cy, pat_pair(px, py)))
         return out
 
     return bracket, sym_bracket
-
-
-def _fin_branches(alg: FiniteAlgebra, p1, p2):
-    assert p1[0] == "Fin" and p2[0] == "Fin"
-    return [
-        (pat_fin(alg.space, k), c) for k, c in alg.mul.get((p1[2], p2[2]), ())
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +105,12 @@ def delta_bullet_rule(alg: FiniteAlgebra, family: GradedFamily):
 def _delta_bullet_sym(alg: FiniteAlgebra, family: GradedFamily):
     def sym_co(p, fresh: Fresh):
         _, pf, pa = p
-        assert pf[0] == "Fin"
         out = []
-        for i, j, c in alg.delta_terms(pf[2]):
+        for _, c, (fl, fr) in alg.sym_delta(pf, fresh):
             for new_vars, poly, (pl, pr) in family.sym_co(pa, fresh):
-                kl = pat_pair(pat_fin(alg.space, i), pl)
-                kr = pat_pair(pat_fin(alg.space, j), pr)
-                out.append((new_vars, Poly.const(c) * poly, (kl, kr)))
-                out.append((new_vars, Poly.const(-c) * poly, (kr, kl)))
+                kl, kr = pat_pair(fl, pl), pat_pair(fr, pr)
+                out.append((new_vars, c * poly, (kl, kr)))
+                out.append((new_vars, -c * poly, (kr, kl)))
         return out
 
     return sym_co
@@ -259,7 +249,7 @@ def affinization_probe(
         colaw = LawId.CoPerm if family.kind == "PreLie" else LawId.CoPreLie
         direct_report = check_coalgebra(
             colaw,
-            delta=lambda k: _finite_delta_series(work, k),
+            delta=lambda k: coproduct_at(work.sym_delta, k),
             sym_co=work.sym_delta,
             keys=work.basis_keys(),
             window=Window(0, 0),
@@ -283,16 +273,6 @@ def affinization_probe(
         window_report=window_report,
         agree=agree,
         note=note,
-    )
-
-
-def _finite_delta_series(alg: FiniteAlgebra, key) -> TemplateSeries:
-    return TemplateSeries.from_terms(
-        2,
-        (
-            ((alg.key(i), alg.key(j)), c)
-            for i, j, c in alg.delta_terms(key[2])
-        ),
     )
 
 

@@ -5,11 +5,14 @@ Exit codes: 0 all checks pass, 1 a check fails, 2 usage or parse error,
 """
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from typing import Optional
 
 from .kernel import (
     CheckReport,
@@ -942,6 +945,11 @@ SUITES = {
 }
 
 
+def _cannot_write(path, reason) -> int:
+    print(f"permlie: cannot write {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def _emit(cfg: SuiteConfig, text: str, code: int) -> int:
     """Write text to --out, or to stdout, and return code; 2 when --out
     cannot be written."""
@@ -952,9 +960,21 @@ def _emit(cfg: SuiteConfig, text: str, code: int) -> int:
         with open(cfg.out, "w") as f:
             f.write(text)
     except OSError as err:
-        print(f"permlie: cannot write {cfg.out}: {err.strerror or err}", file=sys.stderr)
-        return 2
+        return _cannot_write(cfg.out, err.strerror or err)
     return code
+
+
+def _unwritable(path) -> Optional[str]:
+    """Why open(path, "w") would fail, found without creating or truncating
+    the file; None when it looks writable."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOENT)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
 
 
 def cmd_verify(cfg: SuiteConfig) -> int:
@@ -962,6 +982,10 @@ def cmd_verify(cfg: SuiteConfig) -> int:
         err = InsufficientWindowError("Perm", cfg.window, MIN_WINDOW)
         print(str(err), file=sys.stderr)
         return 3
+    # Refuse an unwritable --out before the suites spend their time.
+    reason = cfg.out and _unwritable(cfg.out)
+    if reason:
+        return _cannot_write(cfg.out, reason)
     try:
         rows = []
         for builder in SUITES[cfg.suite]:

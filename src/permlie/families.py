@@ -449,16 +449,11 @@ class FiniteAlgebra:
                     out[k] += f * c
         return tuple(out)
 
-    def delta_terms(self, idx: int):
-        if not self.delta:
-            return ()
-        return tuple(self.delta.get(idx, ()))
-
     def sym_delta(self, p, fresh: Fresh):
         assert p[0] == "Fin"
         return [
             ((), Poly.const(c), (pat_fin(self.space, i), pat_fin(self.space, j)))
-            for i, j, c in self.delta_terms(p[2])
+            for i, j, c in (self.delta or {}).get(p[2], ())
         ]
 
     # Left/right multiplication matrices: (L_i v)_k = sum_j c_(i,j)^k v_j.

@@ -768,6 +768,12 @@ class TemplateSeries:
         return " + ".join(lines) if lines else "0"
 
 
+def _finite_terms(series: TemplateSeries) -> tuple:
+    """The sorted nonzero (key tuple, coeff) terms of a series over Fin keys.
+    Fin keys have no slots, so the box of bound 0 reads the series exactly."""
+    return tuple(sorted(series.support_in_box(0).items()))
+
+
 def _pat_str(p) -> str:
     tag = p[0]
     if tag == "Tee":

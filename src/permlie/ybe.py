@@ -6,10 +6,16 @@ the dual-window map induced by r with its closure criterion, O-operator
 embeddings, and a small exhaustive search.  Graded side: affinizing a finite
 solution into a completed 2-tensor and the completed classical Yang-Baxter
 residual with its coboundary Lie cobracket.
+
+Both sides use the kernel's template-series operators: place_product for
+leg placement and apply_product_slot for a product in one slot.  A finite
+2-tensor enters as r.series(); a finite result is read back exactly with
+support_in_box(0), since finite keys have no integer slots.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -24,6 +30,7 @@ from .kernel import (
     TemplateSeries,
     Window,
     ZERO,
+    _finite_terms,
     apply_product_slot,
     pat_const,
     pat_fin,
@@ -42,7 +49,7 @@ from .doubles import dual_rep, semidirect_perm
 
 
 # ---------------------------------------------------------------------------
-# Finite three-tensors and leg placement.
+# Finite three-tensors and the finite Yang-Baxter residuals.
 
 
 @dataclass(frozen=True)
@@ -61,45 +68,8 @@ class ThreeTensor:
             tuple((k1, k2, k3, c) for (k1, k2, k3), c in sorted(acc.items()) if c)
         )
 
-    def __add__(self, other: "ThreeTensor") -> "ThreeTensor":
-        return ThreeTensor.of(self.terms + other.terms)
-
-    def __sub__(self, other: "ThreeTensor") -> "ThreeTensor":
-        return ThreeTensor.of(
-            self.terms + tuple((k1, k2, k3, -c) for k1, k2, k3, c in other.terms)
-        )
-
-    def __neg__(self) -> "ThreeTensor":
-        return ThreeTensor.of((k1, k2, k3, -c) for k1, k2, k3, c in self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def swap12(self) -> "ThreeTensor":
-        return ThreeTensor.of((k2, k1, k3, c) for k1, k2, k3, c in self.terms)
-
-
-def place_finite(
-    x: TensorElement, y: TensorElement, legs_x, legs_y, product: Callable
-) -> ThreeTensor:
-    """Multiply two 2-tensors into three legs: the shared leg carries
-    product(x component, y component), unique legs pass through unchanged.
-    The same convention drives the completed placements in the kernel."""
-    assert sorted(set(legs_x) | set(legs_y)) == [1, 2, 3]
-    shared = set(legs_x) & set(legs_y)
-    assert len(shared) == 1
-    s = shared.pop()
-    out = []
-    for xl, xr, cx in x.terms:
-        xcomp = {legs_x[0]: xl, legs_x[1]: xr}
-        for yl, yr, cy in y.terms:
-            ycomp = {legs_y[0]: yl, legs_y[1]: yr}
-            slot = dict(xcomp)
-            slot.update({leg: k for leg, k in ycomp.items() if leg != s})
-            for k, c in product(xcomp[s], ycomp[s]).items():
-                slot[s] = k
-                out.append((slot[1], slot[2], slot[3], cx * cy * c))
-    return ThreeTensor.of(out)
 
 
 # Signed placement plans: r12 r23 - r13 r23 + r12 r13 - r13 r12 for the perm
@@ -118,68 +88,53 @@ _S_PLAN = (
 )
 
 
-def _plan_residual(alg: FiniteAlgebra, r: TensorElement, plan) -> ThreeTensor:
-    total = ThreeTensor.of(())
+def _plan_residual(alg: FiniteAlgebra, r: TemplateSeries, plan) -> TemplateSeries:
+    total = TemplateSeries.zero(3)
     for sign, legs_x, legs_y in plan:
-        t = place_finite(r, r, legs_x, legs_y, alg.product)
-        total = total + (t if sign == ONE else -t)
+        total = total + place_product(r, r, legs_x, legs_y, alg.sym_product).scale(sign)
     return total
 
 
+def _three_tensor(series: TemplateSeries) -> ThreeTensor:
+    return ThreeTensor(tuple((*ks, c) for ks, c in _finite_terms(series)))
+
+
 def perm_ybe_residual(alg: FiniteAlgebra, r: TensorElement) -> ThreeTensor:
-    return _plan_residual(alg, r, _PERM_PLAN)
+    return _three_tensor(_plan_residual(alg, r.series(), _PERM_PLAN))
 
 
 def s_equation_residual(alg: FiniteAlgebra, r: TensorElement) -> ThreeTensor:
-    return _plan_residual(alg, r, _S_PLAN)
+    return _three_tensor(_plan_residual(alg, r.series(), _S_PLAN))
 
 
 # ---------------------------------------------------------------------------
 # Coboundary coproducts.
 
 
-def coboundary_delta_perm(alg: FiniteAlgebra, r: TensorElement) -> dict:
-    """Coproduct table Delta(p) = (id (x) R(p) - (L - R)(p) (x) id)(r)."""
+def _coboundary_table(alg: FiniteAlgebra, r: TensorElement, actions) -> dict:
+    """Coproduct table Delta(e_i) = sum of sign * (e_i multiplied into the
+    given slot of r, on the given side)."""
+    rs = r.series()
     delta = {}
-    for i in range(alg.dim):
-        acc = {}
-        for ka, kb, c in r.terms:
-            for k, cc in alg.mul.get((kb[2], i), ()):
-                _acc(acc, (ka[2], k), c * cc)
-            for k, cc in alg.mul.get((i, ka[2]), ()):
-                _acc(acc, (k, kb[2]), -c * cc)
-            for k, cc in alg.mul.get((ka[2], i), ()):
-                _acc(acc, (k, kb[2]), c * cc)
-        terms = tuple((j, k, v) for (j, k), v in sorted(acc.items()) if v)
+    for i, key in enumerate(alg.basis_keys()):
+        p = pat_const(key)
+        d = TemplateSeries.zero(2)
+        for sign, slot, side in actions:
+            d = d + apply_product_slot(rs, slot, alg.sym_product, p, side).scale(sign)
+        terms = tuple((a[2], b[2], c) for (a, b), c in _finite_terms(d))
         if terms:
             delta[i] = terms
     return delta
+
+
+def coboundary_delta_perm(alg: FiniteAlgebra, r: TensorElement) -> dict:
+    """Coproduct table Delta(p) = (id (x) R(p) - (L - R)(p) (x) id)(r)."""
+    return _coboundary_table(alg, r, ((1, 1, "right"), (-1, 0, "left"), (1, 0, "right")))
 
 
 def coboundary_delta_prelie(alg: FiniteAlgebra, r: TensorElement) -> dict:
     """Coproduct table Delta(a) = (L(a) (x) id + id (x) (L - R)(a))(r)."""
-    delta = {}
-    for i in range(alg.dim):
-        acc = {}
-        for ka, kb, c in r.terms:
-            for k, cc in alg.mul.get((i, ka[2]), ()):
-                _acc(acc, (k, kb[2]), c * cc)
-            for k, cc in alg.mul.get((i, kb[2]), ()):
-                _acc(acc, (ka[2], k), c * cc)
-            for k, cc in alg.mul.get((kb[2], i), ()):
-                _acc(acc, (ka[2], k), -c * cc)
-        terms = tuple((j, k, v) for (j, k), v in sorted(acc.items()) if v)
-        if terms:
-            delta[i] = terms
-    return delta
-
-
-def _acc(acc: dict, key, v):
-    cur = acc.get(key, ZERO) + v
-    if cur:
-        acc[key] = cur
-    else:
-        acc.pop(key, None)
+    return _coboundary_table(alg, r, ((1, 0, "left"), (1, 1, "left"), (-1, 1, "right")))
 
 
 # ---------------------------------------------------------------------------
@@ -199,41 +154,43 @@ def coboundary_coalgebra_report(alg: FiniteAlgebra, r: TensorElement) -> CheckRe
 
     with Y the perm equation residual, m = flip(r) - r and n = r - flip(r).
     """
-    ybe = perm_ybe_residual(alg, r)
-    m = r.flip() - r
-    n = r - r.flip()
+
+    def place(x, y, legs_x, legs_y):
+        return place_product(x, y, legs_x, legs_y, alg.sym_product)
+
+    rs = r.series()
+    ybe = _plan_residual(alg, rs, _PERM_PLAN).collapsed()
+    m = rs.flip_hat() - rs
+    n = -m
     rhs_ca = (
-        place_finite(m, r, (1, 2), (2, 3), alg.product)
-        + place_finite(m, r, (1, 2), (1, 3), alg.product)
-        - place_finite(r, m, (1, 3), (1, 2), alg.product)
+        place(m, rs, (1, 2), (2, 3))
+        + place(m, rs, (1, 2), (1, 3))
+        - place(rs, m, (1, 3), (1, 2))
     )
-    n_23 = place_finite(n, r, (1, 2), (2, 3), alg.product)
-    n_13 = place_finite(n, r, (1, 2), (1, 3), alg.product)
+    # The parts that do not depend on p, each collapsed once.
+    swapped_ca = (ybe + rhs_ca).permuted((1, 0, 2)).collapsed()
+    ybe_clc = (ybe - ybe.permuted((1, 0, 2))).collapsed()
+    n_23 = place(n, rs, (1, 2), (2, 3)).collapsed()
+    n_13 = place(n, rs, (1, 2), (1, 3)).collapsed()
     violations = []
     checked = 0
-    for i in range(alg.dim):
+    for i, key in enumerate(alg.basis_keys()):
         checked += 2
+        p = pat_const(key)
 
-        def rp(key):
-            return alg.product(key, alg.key(i))
+        def rp(t, slot):
+            return apply_product_slot(t, slot, alg.sym_product, p, "right")
 
-        def lmr(key):
-            return alg.product(alg.key(i), key) - alg.product(key, alg.key(i))
+        def lmr(t, slot):
+            return apply_product_slot(t, slot, alg.sym_product, p, "left") - rp(t, slot)
 
-        res = (
-            _apply_leg(ybe, 3, rp)
-            - _apply_leg(ybe.swap12(), 1, lmr)
-            - _apply_leg(rhs_ca.swap12(), 1, lmr)
-        )
-        if not res.is_zero():
-            violations.append(("pcass", (i,), _tt_items(res)))
-        res = (
-            _apply_leg(ybe - ybe.swap12(), 3, rp)
-            - _apply_leg(n_23, 2, lmr)
-            - _apply_leg(n_13, 1, lmr)
-        )
-        if not res.is_zero():
-            violations.append(("pclc", (i,), _tt_items(res)))
+        for label, res in (
+            ("pcass", rp(ybe, 2) - lmr(swapped_ca, 0)),
+            ("pclc", rp(ybe_clc, 2) - lmr(n_23, 1) - lmr(n_13, 0)),
+        ):
+            terms = _finite_terms(res)
+            if terms:
+                violations.append((label, (i,), terms))
     return CheckReport.build(
         "CoboundaryPermCoalgebra",
         Window(0, 0),
@@ -241,22 +198,6 @@ def coboundary_coalgebra_report(alg: FiniteAlgebra, r: TensorElement) -> CheckRe
         violations,
         {"violations_total": len(violations)},
     )
-
-
-def _apply_leg(t: ThreeTensor, leg: int, op: Callable) -> ThreeTensor:
-    out = []
-    for term in t.terms:
-        ks = list(term[:3])
-        c = term[3]
-        for k, cc in op(ks[leg - 1]).items():
-            ks2 = list(ks)
-            ks2[leg - 1] = k
-            out.append((ks2[0], ks2[1], ks2[2], c * cc))
-    return ThreeTensor.of(out)
-
-
-def _tt_items(t: ThreeTensor):
-    return tuple(((k1, k2, k3), c) for k1, k2, k3, c in t.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +284,15 @@ def grid_search_symmetric_r(alg: FiniteAlgebra, height: int = 1):
     bounded height.  Dimensions above 2 are out of scope."""
     if alg.dim > 2:
         raise ValueError("grid search supports dimension <= 2 only")
-    rng = range(-height, height + 1)
     ks = alg.basis_keys()
+    cells = [(i, j) for i in range(alg.dim) for j in range(i, alg.dim)]
     out = []
-    if alg.dim == 1:
-        grids = (((0, 0, v),) for v in rng)
-    else:
-        grids = (
-            ((0, 0, a), (0, 1, b), (1, 0, b), (1, 1, c))
-            for a in rng
-            for b in rng
-            for c in rng
-        )
-    for entries in grids:
+    for vals in itertools.product(range(-height, height + 1), repeat=len(cells)):
         r = TensorElement.of(
-            (ks[i], ks[j], Fraction(v)) for i, j, v in entries if v
+            (ks[a], ks[b], Fraction(v))
+            for (i, j), v in zip(cells, vals)
+            if v
+            for a, b in {(i, j), (j, i)}
         )
         if perm_ybe_residual(alg, r).is_zero():
             out.append(r)
@@ -418,12 +353,11 @@ def cybe_residual(
     if window.n < 1:
         raise InsufficientWindowError("CYBE", window.n, 1)
     fresh = Fresh("y")
-    total = None
+    total = TemplateSeries.zero(3)
     for legs_a, legs_b in (((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))):
         t = place_product(rtilde, rtilde, legs_a, legs_b, sym_bracket, fresh=fresh)
         u = place_product(rtilde, rtilde, legs_b, legs_a, sym_bracket, fresh=fresh)
-        part = t - u
-        total = part if total is None else total + part
+        total = total + (t - u)
     res = total.support_in_box(window.n)
     violations = [("cybe", ks, ((ks, c),)) for ks, c in sorted(res.items())]
     return CheckReport.build(

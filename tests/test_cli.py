@@ -260,6 +260,25 @@ class TestMalformedInput:
         self.assert_usage_error(p)
         assert p.stderr.startswith(f"permlie: cannot write {out}: ")
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+    def test_verify_out_checked_before_suites(self, tmp_path, monkeypatch, target):
+        calls = []
+
+        def builder(cfg):
+            calls.append(cfg.suite)
+            return []
+
+        monkeypatch.setattr(cli, "SUITES", {name: [builder] for name in cli.SUITES})
+        out = tmp_path / target
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "all", "--window", "6", "--out", str(out)])
+        lines = err.getvalue().strip().splitlines()
+        assert code == 2
+        assert "Traceback" not in err.getvalue()
+        assert len(lines) == 1 and lines[0].startswith(f"permlie: cannot write {out}: ")
+        assert calls == []
+
     def test_negative_margin_flag(self):
         self.assert_usage_error(run("verify", "ybe", "--window", "3", "--margin", "-3"))
 

@@ -1,11 +1,12 @@
 """Quadratic equations: perm-YBE, S-equation, CYBE, and coboundary structures."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from permlie.kernel import Fresh, Window, ess, pair, pat_const, tee
+from permlie.kernel import Window, coproduct_at, ess, pair, tee
 from permlie.families import (
     FiniteAlgebra,
     TensorElement,
@@ -14,11 +15,18 @@ from permlie.families import (
     conjugated_table,
     finite_catalog,
     random_invertible,
+    random_table,
     tensor_catalog,
     wn_family,
 )
-from permlie.axioms import LawId, check_bialgebra, check_coalgebra
-from permlie.affinize import induced_lie_bracket, _finite_delta_series
+from permlie.axioms import (
+    LawId,
+    check_algebra,
+    check_bialgebra,
+    check_coalgebra,
+    check_matched_pair,
+)
+from permlie.affinize import induced_lie_bracket
 from permlie.ybe import (
     OOperatorError,
     ThreeTensor,
@@ -34,7 +42,14 @@ from permlie.ybe import (
     r_sharp,
     s_equation_residual,
 )
-from permlie.doubles import preperm_representation
+from permlie.doubles import canonical_dual_actions, dual_perm_algebra, preperm_representation
+from permlie.serialize import (
+    canonical_json,
+    encode_value,
+    report_to_json,
+    tensor_to_json,
+    three_tensor_to_json,
+)
 
 F = Fraction
 
@@ -132,7 +147,7 @@ class TestCoalgebraCriterion:
             )
             direct = check_coalgebra(
                 LawId.CoPerm,
-                delta=lambda k: _finite_delta_series(work, k),
+                delta=lambda k: coproduct_at(work.sym_delta, k),
                 sym_co=work.sym_delta,
                 keys=work.basis_keys(),
                 window=Window(0, 0),
@@ -281,3 +296,163 @@ class TestCybe:
         rt = affinize_r(tensor_catalog()["r-sd2"][1], fam)
         with pytest.raises(Exception):
             cybe_residual(sbr, rt, Window(0, 0))
+
+
+class TestPreLieBi:
+    def test_catalog_coproduct_passes(self):
+        pl1 = finite_catalog()["ex-prelie-1"]
+        assert check_bialgebra(LawId.PreLieBi, alg=pl1).passed
+
+    def test_coboundary_coproduct_passes(self):
+        pl2 = finite_catalog()["ex-prelie-n2"]
+        dt = coboundary_delta_prelie(pl2, tensor_catalog()["r-prelie-n2"][1])
+        assert check_bialgebra(LawId.PreLieBi, alg=pl2, delta_table=dt).passed
+
+    def test_bad_coproduct_fails_with_witnesses(self):
+        pl2 = finite_catalog()["ex-prelie-n2"]
+        rep = check_bialgebra(LawId.PreLieBi, alg=pl2, delta_table={1: ((0, 0, F(1)),)})
+        assert not rep.passed
+        labels = {v[0] for v in rep.violations}
+        assert labels == {"plb-flip", "plb-sym"}
+        for _, at, res in rep.violations:
+            assert all(isinstance(i, int) for i in at)
+            assert res and all(isinstance(i, int) for (ij, _) in res for i in ij)
+
+
+def _random_delta(rng, dim, lo=-2, hi=2, density=3):
+    """Seeded coproduct table: each (i, j, k) carries a term with chance
+    1/density, with a nonzero integer coefficient in [lo, hi]."""
+    out = {}
+    for i in range(dim):
+        terms = tuple(
+            (j, k, F(rng.choice([v for v in range(lo, hi + 1) if v])))
+            for j in range(dim)
+            for k in range(dim)
+            if rng.randrange(density) == 0
+        )
+        if terms:
+            out[i] = terms
+    return out
+
+
+def _random_r(rng, alg, symmetric=False):
+    terms = []
+    for i in range(alg.dim):
+        for j in range(i if symmetric else 0, alg.dim):
+            v = rng.randint(-2, 2)
+            if v:
+                terms.append((alg.key(i), alg.key(j), F(v)))
+                if symmetric and i != j:
+                    terms.append((alg.key(j), alg.key(i), F(v)))
+    return TensorElement.of(terms)
+
+
+class TestPermBiMatchedPairOracle:
+    """A perm bialgebra is the same thing as a matched pair of the algebra and
+    its dual under the canonical transposed actions, so the two checks must
+    give the same verdict on every (A, Delta) whose dual is perm."""
+
+    def test_verdicts_agree(self):
+        cat = finite_catalog()
+        algs = [cat[n] for n in ("ex-1p", "ex-sd2", "ex-nilp2")]
+        rng = random.Random(5)
+        seen = {True: 0, False: 0}
+        while sum(seen.values()) < 200:
+            alg = rng.choice(algs)
+            delta = _random_delta(rng, alg.dim, -1, 1, density=2)
+            dual = dual_perm_algebra(alg, delta)
+            if not check_algebra(LawId.Perm, alg=dual).passed:
+                continue
+            bi = check_bialgebra(LawId.PermBi, alg=alg, delta_table=delta)
+            mp = check_matched_pair(alg, dual, *canonical_dual_actions(alg, dual))
+            assert bi.passed == mp.passed, (alg.id, delta)
+            seen[bi.passed] += 1
+        assert seen[True] and seen[False]
+
+
+def _pin_algebras():
+    cat = finite_catalog()
+    algs = [
+        cat[n]
+        for n in ("ex-1p", "ex-sd2", "ex-nilp2", "ex-bad2", "ex-prelie-n2", "ex-prelie-1")
+    ]
+    rng = random.Random(13)
+    for base in (cat["ex-sd2"], cat["ex-prelie-n2"]):
+        s = random_invertible(rng, 2)
+        algs.append(
+            FiniteAlgebra(
+                id=f"{base.id}-conj", space=f"{base.space}C", dim=2, labels=("a", "b"),
+                kind=base.kind, mul=conjugated_table(base.mul, s, 2),
+            )
+        )
+    # ex-sd2 (+) ex-1p, a three-dimensional perm algebra, and two random tables
+    algs.append(
+        FiniteAlgebra(
+            id="sd2+1p", space="S3", dim=3, labels=("e", "f", "g"), kind="Perm",
+            mul={**cat["ex-sd2"].mul, (2, 2): ((2, F(1)),)},
+        )
+    )
+    for t in range(2):
+        algs.append(
+            FiniteAlgebra(
+                id=f"rnd3-{t}", space=f"R{t}", dim=3, labels=("a", "b", "c"),
+                kind="none", mul=random_table(rng, 3, density=F(1, 3)),
+            )
+        )
+    return algs
+
+
+def _finite_outputs_payload():
+    """Canonical JSON of the finite bialgebra reports, Yang-Baxter residuals,
+    coboundary tables and coboundary coalgebra reports on a seeded corpus."""
+    algs = _pin_algebras()
+    tens = tensor_catalog()
+    rng = random.Random(29)
+    out = {"bialgebra": [], "ybe": []}
+    for alg in algs:
+        deltas = [alg.delta] if alg.delta else []
+        deltas += [coboundary_delta_perm(alg, _random_r(rng, alg, True)) for _ in range(3)]
+        deltas += [coboundary_delta_prelie(alg, _random_r(rng, alg)) for _ in range(3)]
+        while len(deltas) < 24:
+            deltas.append(_random_delta(rng, alg.dim, density=rng.choice((2, 3, 5))))
+        for delta in deltas:
+            out["bialgebra"].append(
+                [
+                    alg.id,
+                    encode_value(delta),
+                    report_to_json(check_bialgebra(LawId.PermBi, alg=alg, delta_table=delta)),
+                    report_to_json(check_bialgebra(LawId.PreLieBi, alg=alg, delta_table=delta)),
+                ]
+            )
+        rs = [t for a, t in tens.values() if a == alg.id]
+        while len(rs) < 24:
+            rs.append(_random_r(rng, alg, symmetric=len(rs) % 3 == 0))
+        for r in rs:
+            out["ybe"].append(
+                [
+                    alg.id,
+                    tensor_to_json(r),
+                    three_tensor_to_json(perm_ybe_residual(alg, r)),
+                    three_tensor_to_json(s_equation_residual(alg, r)),
+                    encode_value(coboundary_delta_perm(alg, r)),
+                    encode_value(coboundary_delta_prelie(alg, r)),
+                    report_to_json(coboundary_coalgebra_report(alg, r)),
+                ]
+            )
+    return out
+
+
+class TestFiniteOutputsPin:
+    """Byte pin of the finite outputs, failing witnesses included."""
+
+    def test_canonical_json_digest(self):
+        payload = _finite_outputs_payload()
+        bi, yb = payload["bialgebra"], payload["ybe"]
+        assert len(bi) >= 250 and len(yb) >= 250
+        for idx in (2, 3):
+            verdicts = {row[idx]["passed"] for row in bi}
+            assert verdicts == {True, False}
+        assert {row[6]["passed"] for row in yb} == {True, False}
+        assert any(row[2] for row in yb) and any(not row[2] for row in yb)
+        digest = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+        assert digest == "f9ff68d5de8d0d4a169dedf394b35a94c133ad6cf513ec34da65195bd420fde1"
