@@ -14,7 +14,11 @@ pattern per key shape, with a fresh variable in every slot.  When every
 residual coefficient, grouped by output pattern, is the zero polynomial, the
 law holds for all keys, not only for the window's, and the report is the one
 the window cube would give.  Otherwise the cube runs, and its violations are
-the witnesses.  Form laws and coalgebra laws are still checked on windows.
+the witnesses.  Coalgebra laws and the Lie bialgebra cocycle row lift their
+input keys into the leading slots of one residual series per tuple of key
+shapes: a series that collapses to nothing proves the law for every N, and
+one that does not is enumerated once on the box.  Form laws are still
+checked on windows.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .kernel import (
     FormalVector,
     Fresh,
     Poly,
+    Template,
     TemplateSeries,
     Window,
     ZERO,
@@ -475,6 +480,79 @@ def coalgebra_residuals(law: LawId, d: TemplateSeries, sym_co: Callable) -> list
     return [("co-jacobi", b - b.permuted((1, 0, 2)) - a)]
 
 
+def _lifted_report(law: LawId, window: Window, keys: list, arity: int, residuals: Callable):
+    """The report of residuals over every arity-tuple of keys, as a loop over
+    the tuples in order would record it, read with the inputs lifted into
+    the leading slots; None when a rule cannot run on patterns (TypeError),
+    or when a lifted residual does not vanish and a key has a slot outside
+    the box.
+
+    For every tuple of the keys' shapes, each input is a pattern of its
+    shape with a fresh variable in every slot (a Fin key is its own
+    pattern), and residuals(*patterns) lists (label, series) there.  Each
+    series is lifted: the patterns are prepended as leading slots and their
+    variables added to every template's, so it is the residual at every
+    input tuple of those shapes at once.  When every lifted series collapses
+    to nothing, the residuals vanish at every such tuple, for every window.
+    Otherwise each one is enumerated once on the box, when the walk over the
+    tuples first reaches its shapes, and its points are grouped by their
+    leading input slots; the groups are dropped after the last tuple of
+    those shapes."""
+    fresh = Fresh("key")
+    one_per_shape = {key_shape(k): k for k in keys}.values()
+    patterns = []
+    for _ in range(arity):
+        patterns.append([])
+        for k in one_per_shape:
+            names = tuple(fresh() for _ in key_slots(k))
+            patterns[-1].append((names, with_slots(k, map(av, names))))
+    lifted = {}
+    try:
+        for inputs in itertools.product(*patterns):
+            names = tuple(v for vs, _ in inputs for v in vs)
+            pats = tuple(p for _, p in inputs)
+            lifted[tuple(map(key_shape, pats))] = [
+                (
+                    label,
+                    TemplateSeries(
+                        arity + res.arity,
+                        (Template(names + t.vars, t.coeff, pats + t.keys) for t in res.templates),
+                    ).collapsed(),
+                )
+                for label, res in residuals(*pats)
+            ]
+    except TypeError:  # the rule compares or branches on a slot value
+        return None
+    box = window.n
+    live = any(res.templates for rows in lifted.values() for _, res in rows)
+    if live and not all(-box <= s <= box for k in keys for s in key_slots(k)):
+        return None
+    rec = _Recorder()
+    if live:
+        shape = [key_shape(k) for k in keys]
+        tuples = list(itertools.product(range(len(keys)), repeat=arity))
+        last = {tuple(shape[i] for i in at): n for n, at in enumerate(tuples)}
+        groups: dict = {}  # the enumerated shape tuples still ahead in the walk
+        for n, at in enumerate(tuples):
+            shapes = tuple(shape[i] for i in at)
+            rows = groups.get(shapes)
+            if rows is None:
+                rows = groups[shapes] = []
+                for label, res in lifted.pop(shapes):
+                    by_input: dict = {}
+                    for point, c in res.support_in_box(box).items():
+                        by_input.setdefault(point[:arity], {})[point] = c
+                    rows.append((label, by_input))
+            xs = tuple(keys[i] for i in at)
+            for label, by_input in rows:
+                support = by_input.get(xs)
+                if support:
+                    rec.add(label, xs, tuple(sorted((p[arity:], c) for p, c in support.items())))
+            if last[shapes] == n:
+                del groups[shapes]
+    return CheckReport.build(law.value, window, len(keys) ** arity, rec.items, rec.extra())
+
+
 def check_coalgebra(
     law: LawId,
     *,
@@ -485,20 +563,31 @@ def check_coalgebra(
     margin: Optional[int] = None,
 ) -> CheckReport:
     """Quantify a coalgebra law over input keys; identities between completed
-    3-tensors are certified on the whole window box."""
+    3-tensors are certified on the whole window box.
+
+    The input key is lifted into slot 0 first (see _lifted_report): delta
+    is read at a pattern of each key shape.  When every lifted residual
+    collapses to nothing, the law holds at every key of those shapes, for
+    every N, and the report is the window's pass report.  Otherwise each
+    lifted residual is enumerated once on the box and its points grouped by
+    input key; the violations are those of the loop over keys.  A delta or
+    sym_co that cannot run on patterns (TypeError) is read key by key."""
     if margin is None:
         margin = default_margin(law, graded=True)
     window = Window(window.n, margin)
-    box = window.n
+    keys = list(keys)
+    report = _lifted_report(
+        law, window, keys, 1, lambda x: coalgebra_residuals(law, delta(x), sym_co)
+    )
+    if report is not None:
+        return report
     rec = _Recorder()
-    checked = 0
     for x in keys:
-        checked += 1
         for label, res in coalgebra_residuals(law, delta(x), sym_co):
-            support = res.support_in_box(box)
+            support = res.support_in_box(window.n)
             if support:
                 rec.add(label, (x,), tuple(sorted(support.items())))
-    return CheckReport.build(law.value, window, checked, rec.items, rec.extra())
+    return CheckReport.build(law.value, window, len(keys), rec.items, rec.extra())
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +608,15 @@ def check_bialgebra(
     window: Optional[Window] = None,
     margin: Optional[int] = None,
 ) -> CheckReport:
-    """PermBi / PreLieBi on finite tables, LieBiCocycle on windowed series."""
+    """PermBi / PreLieBi on finite tables, LieBiCocycle on windowed series.
+
+    LieBiCocycle lifts the inputs (x, y) into slots 0 and 1 (see
+    _lifted_report), with Delta([x, y]) read through sym_bracket at the
+    patterns and delta at each output pattern.  When the lifted residuals
+    collapse to nothing, the cocycle condition holds at every pair of keys
+    of those shapes, for every N, and the report is the window's pass
+    report; otherwise they are enumerated once on the box.  A delta that
+    cannot run on patterns is read pair by pair."""
     rec = _Recorder()
     if law in (LawId.PermBi, LawId.PreLieBi):
         assert alg is not None
@@ -579,7 +676,6 @@ def check_bialgebra(
         if margin is None:
             margin = default_margin(law, graded=True)
         window = Window(window.n, margin)
-        box = window.n
         ks = list(keys)
 
         def ad(t, x):
@@ -588,20 +684,27 @@ def check_bialgebra(
             left = apply_product_slot(t, 0, sym_bracket, p, "left")
             return left + apply_product_slot(t, 1, sym_bracket, p, "left")
 
-        checked = 0
+        def cocycle(x, y, xy):
+            """Delta([x, y]) - ad(x) Delta(y) + ad(y) Delta(x), where [x, y]
+            is xy = [(Poly, key)], at keys or at patterns."""
+            lhs = TemplateSeries.zero(2)
+            for h, z in xy:
+                dz = delta(z).templates
+                lhs = lhs + TemplateSeries(2, (Template(t.vars, h * t.coeff, t.keys) for t in dz))
+            return lhs - ad(delta(y), x) + ad(delta(x), y)
+
+        report = _lifted_report(
+            law, window, ks, 2, lambda px, py: [("cocycle", cocycle(px, py, sym_bracket(px, py)))]
+        )
+        if report is not None:
+            return report
         for x in ks:
-            dx = delta(x)
             for y in ks:
-                checked += 1
-                dy = delta(y)
-                xy = bracket(x, y)
-                lhs = TemplateSeries.zero(2)
-                for k, c in xy.items():
-                    lhs = lhs + delta(k).scale(c)
-                res = (lhs - ad(dy, x) + ad(dx, y)).support_in_box(box)
+                xy = [(Poly.const(c), k) for k, c in bracket(x, y).items()]
+                res = cocycle(x, y, xy).support_in_box(window.n)
                 if res:
                     rec.add("cocycle", (x, y), tuple(sorted(res.items())))
-        return CheckReport.build(law.value, window, checked, rec.items, rec.extra())
+        return CheckReport.build(law.value, window, len(ks) ** 2, rec.items, rec.extra())
 
     raise ValueError(f"not a bialgebra law: {law}")
 

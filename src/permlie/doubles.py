@@ -44,6 +44,7 @@ from .families import (
     Representation,
     _ats_keys,
     adjoint_representation,
+    combine_tables,
     mat_inv,
     mat_mul,
     mat_scale,
@@ -580,18 +581,7 @@ def prelie_to_symplectic(alg: FiniteAlgebra):
     the matched pair (commutator of A, A*, -L*, L*, 0, 0), plus the skew
     pairing, which the bracket keeps symplectic."""
     d = alg.dim
-    mul = {}
-    for i in range(d):
-        for j in range(d):
-            acc = {}
-            for k, c in alg.mul.get((i, j), ()):
-                acc[k] = acc.get(k, ZERO) + c
-            for k, c in alg.mul.get((j, i), ()):
-                acc[k] = acc.get(k, ZERO) - c
-            terms = tuple((k, c) for k, c in sorted(acc.items()) if c)
-            if terms:
-                mul[(i, j)] = terms
-    lie = replace(alg, mul=mul)
+    lie = replace(alg, mul=alg.commutator())
     dual = _zero_product(d, (f"{x}*" for x in alg.labels))
     lstar = dual_rep(adjoint_representation(alg)).l
     zero = _no_action(alg, d)
@@ -651,18 +641,8 @@ def symplectic_to_prelie(alg: FiniteAlgebra, gram) -> FiniteAlgebra:
     pl = check_algebra(LawId.PreLie, alg=out)
     if not pl.passed:
         raise ValueError(f"solved product is not pre-Lie: {pl.summary()}")
-
-    def norm(terms):
-        acc = {}
-        for k, c in terms:
-            acc[k] = acc.get(k, ZERO) + c
-        return tuple((k, c) for k, c in sorted(acc.items()) if c)
-
-    for i in range(d):
-        for j in range(d):
-            com = norm(mul.get((i, j), ()) + tuple((k, -c) for k, c in mul.get((j, i), ())))
-            if com != norm(alg.mul.get((i, j), ())):
-                raise ValueError("solved product's commutator differs from the bracket")
+    if combine_tables((1, out.commutator()), (-1, alg.mul)):
+        raise ValueError("solved product's commutator differs from the bracket")
     return out
 
 

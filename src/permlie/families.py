@@ -432,6 +432,11 @@ class FiniteAlgebra:
             for k, c in self.mul.get((p1[2], p2[2]), ())
         ]
 
+    def commutator(self) -> dict:
+        """The table of [e_i, e_j] = e_i e_j - e_j e_i, in the form of mul."""
+        flipped = {(j, i): terms for (i, j), terms in self.mul.items()}
+        return combine_tables((1, self.mul), (-1, flipped))
+
     # Coefficient tuples: u stands for sum_i u[i] e_i.
     def unit(self, i: int) -> tuple:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
@@ -470,6 +475,25 @@ class FiniteAlgebra:
             for k, c in self.mul.get((j, i), ()):
                 rows[k][j] += c
         return tuple(tuple(r) for r in rows)
+
+
+def combine_tables(*signed) -> dict:
+    """The sum of s * table over (s, table) pairs of product tables
+    {(i, j): ((k, coeff), ...)}, with each entry's terms merged and sorted by
+    k; zero terms and entries left empty are dropped, so two tables are
+    equal as maps exactly when their difference is {}."""
+    acc: dict = {}
+    for s, table in signed:
+        for ij, terms in table.items():
+            row = acc.setdefault(ij, {})
+            for k, c in terms:
+                row[k] = row.get(k, ZERO) + s * c
+    out = {}
+    for ij, row in sorted(acc.items()):
+        terms = tuple((k, c) for k, c in sorted(row.items()) if c)
+        if terms:
+            out[ij] = terms
+    return out
 
 
 @dataclass(frozen=True)

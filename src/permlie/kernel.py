@@ -380,6 +380,11 @@ class Poly:
 
     def __mul__(self, other):
         other = Poly.of(other)
+        # A nonzero constant on either side only scales the other's coefficients.
+        for a, b in ((self, other), (other, self)):
+            if len(b.m) == 1 and not b.m[0][0]:
+                c = b.m[0][1]
+                return a if c == 1 else Poly(tuple((mo, co * c) for mo, co in a.m))
         acc = {}
         for mo1, co1 in self.m:
             for mo2, co2 in other.m:
@@ -688,16 +693,18 @@ class TemplateSeries:
 
         The templates are merged into canonical forms first (see collapsed),
         and only the forms that do not vanish are enumerated, each over its
-        lattice variables u (see _lattice_points).  Integer coefficients
-        accumulate as machine ints (still exact) and are wrapped into
-        Fractions once at the end."""
+        lattice variables u (see _lattice_points).  Each form builds a key
+        once per distinct value of its slots, and the tuples it appears in
+        share it.  Integer coefficients accumulate as machine ints (still
+        exact) and are wrapped into Fractions once at the end."""
         acc: dict = {}
         for (_, rows, consts), (proto, coeff) in _merged_forms(self.templates).items():
-            readers = []
+            readers = []  # (reader, its slots, {slot values: key})
             pos = 0
             for p in proto:
-                reader, pos = _slot_reader(p, pos)
-                readers.append(reader)
+                reader, end = _slot_reader(p, pos)
+                readers.append((reader, slice(pos, end), {}))
+                pos = end
             slots = [
                 (c, tuple((j, a) for j, a in enumerate(row) if a))
                 for row, c in zip(rows, consts)
@@ -719,7 +726,14 @@ class TemplateSeries:
                     for j, a in terms:
                         v += a * u[j]
                     vals.append(v)
-                keys = tuple(r(vals) for r in readers)
+                keys = []
+                for r, at, memo in readers:
+                    key_vals = tuple(vals[at])
+                    k = memo.get(key_vals)
+                    if k is None:
+                        k = memo[key_vals] = r(vals)
+                    keys.append(k)
+                keys = tuple(keys)
                 cur = acc.get(keys)
                 if cur is None:
                     acc[keys] = c
@@ -729,9 +743,10 @@ class TemplateSeries:
                         acc[keys] = cur
                     else:
                         del acc[keys]
-        return {
-            k: v if v.__class__ is Fraction else Fraction(v) for k, v in acc.items()
-        }
+        for k, v in acc.items():  # in place: no second dict of the support
+            if v.__class__ is not Fraction:
+                acc[k] = Fraction(v)
+        return acc
 
     def collapsed(self) -> "TemplateSeries":
         """The same series with templates describing the same function merged.
@@ -1013,6 +1028,8 @@ def apply_product_slot(
 
 
 def _rename_apart(t: Template, fresh: Fresh) -> Template:
+    if not t.vars:
+        return t
     ren = {v: fresh() for v in t.vars}
     return Template(
         tuple(ren[v] for v in t.vars),

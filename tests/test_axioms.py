@@ -14,6 +14,7 @@ from permlie.kernel import (
     Template,
     TemplateSeries,
     Window,
+    apply_product_slot,
     av,
     ess,
     key_degree,
@@ -43,6 +44,7 @@ from permlie.axioms import (
     LawId,
     _holds_on_patterns,
     check_algebra,
+    check_bialgebra,
     check_coalgebra,
     coalgebra_residuals,
     check_form,
@@ -52,6 +54,7 @@ from permlie.axioms import (
     check_representation,
 )
 from box_reference import support_by_solving
+from permlie.affinize import delta_bullet_rule, induced_lie_bracket, pair_keys
 from permlie.cli import _perturbed_ats_delta, _perturbed_ats_product, _perturbed_ats_sym_co
 from permlie.doubles import (
     canonical_dual_actions,
@@ -507,6 +510,177 @@ class TestCoalgebraCollapse:
         rep = check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=Window(2))
         assert not rep.passed
         assert rep.violations == sorted(expected, key=lambda v: (v[0], v[1]))
+
+
+def _recorded(found, checked):
+    """(passed, checked, extra, violations) as a check reports the violations
+    found by a loop over its inputs: the first 25 kept, all counted."""
+    extra = {"violations_total": len(found)}
+    if len(found) > 25:
+        extra["violations_truncated"] = True
+    return (not found, checked, extra, sorted(found[:25], key=lambda v: (v[0], v[1])))
+
+
+def _colaw_oracle(law, delta, sym_co, keys, window):
+    """check_coalgebra read key by key: each key's residuals, enumerated on
+    the window's box."""
+    found = []
+    for x in keys:
+        for label, res in coalgebra_residuals(law, delta(x), sym_co):
+            support = res.support_in_box(window.n)
+            if support:
+                found.append((label, (x,), tuple(sorted(support.items()))))
+    return _recorded(found, len(keys))
+
+
+def _cocycle_oracle(bracket, delta, sym_bracket, keys, window):
+    """The LieBiCocycle row read pair by pair:
+    Delta([x, y]) - (ad x (x) 1 + 1 (x) ad x) Delta(y) + (ad y (x) 1 + 1 (x) ad y) Delta(x)."""
+
+    def ad(t, x):
+        p = pat_const(x)
+        return apply_product_slot(t, 0, sym_bracket, p, "left") + apply_product_slot(
+            t, 1, sym_bracket, p, "left"
+        )
+
+    found = []
+    for x in keys:
+        for y in keys:
+            lhs = TemplateSeries.zero(2)
+            for k, c in bracket(x, y).items():
+                lhs = lhs + delta(k).scale(c)
+            support = (lhs - ad(delta(y), x) + ad(delta(x), y)).support_in_box(window.n)
+            if support:
+                found.append(("cocycle", (x, y), tuple(sorted(support.items()))))
+    return _recorded(found, len(keys) ** 2)
+
+
+def _keys_only(delta):
+    """delta refusing patterns, as a rule that branches on a slot value does."""
+
+    def call(key):
+        if not all(isinstance(s, int) for s in key_slots(key)):
+            raise TypeError("a key, not a pattern")
+        return delta(key)
+
+    return call
+
+
+def _criterion_5_deltas(count):
+    """The first count co-direction coproduct tables of acceptance criterion
+    5: its seed-7 generator, after the 100 algebra tables."""
+    rng = random.Random(7)
+    for _ in range(100):
+        random_table(rng, 2)
+    out = []
+    for _ in range(count):
+        dt = {}
+        for src in range(2):
+            terms = tuple(
+                (i, j, F(rng.randint(-2, 2)))
+                for i in range(2)
+                for j in range(2)
+                if rng.random() < 0.5
+            )
+            terms = tuple((i, j, c) for i, j, c in terms if c)
+            if terms:
+                dt[src] = terms
+        out.append(dt)
+    return out
+
+
+class TestCoLawOracle:
+    """check_coalgebra and the LieBiCocycle row, read off the lifted
+    residuals, against the loop over input keys."""
+
+    @pytest.mark.parametrize(
+        "name", ["coperm:permP", "coprelie:ats", "coprelie:w1", "neg:perturbed-ats"]
+    )
+    def test_cli_rows(self, name):
+        # the colaw:* and neg:coprelie rows: keys of Window(4), reported at margin 2
+        law, delta, sym_co, _ = _coalgebra_case(name)
+        fam = {"coperm:permP": perm_p_family(), "coprelie:w1": wn_family(1)}.get(
+            name, ats_family()
+        )
+        keys = fam.interior_keys(Window(4), law.value)
+        rep = check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=Window(4), margin=2)
+        assert _fields(rep) == _colaw_oracle(law, delta, sym_co, keys, Window(4, 2))
+        assert rep.passed == (name != "neg:perturbed-ats")
+
+    @pytest.mark.parametrize("window", [Window(2), Window(3)], ids=["box-2", "box-3"])
+    def test_keys_outside_the_box(self, window):
+        # a vanishing residual is proved whatever the keys; the perturbed one
+        # is read key by key, its keys reaching past the box
+        keys = ats_family().interior_keys(Window(4), "CoPreLie")
+        for name in ("coprelie:ats", "neg:perturbed-ats"):
+            law, delta, sym_co, _ = _coalgebra_case(name)
+            rep = check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=window)
+            assert _fields(rep) == _colaw_oracle(law, delta, sym_co, keys, window), name
+
+    def test_criterion_5_probes(self):
+        fam = ats_family()
+        window = Window(3, 0)
+        passed = 0
+        for dt in _criterion_5_deltas(40):
+            alg = FiniteAlgebra(
+                id="probe", space="PR", dim=2, labels=("a", "b"), kind="none", mul={}, delta=dt
+            )
+            delta, sym_co = delta_bullet_rule(alg, fam)
+            keys = pair_keys(alg, fam, window)
+            rep = check_coalgebra(
+                LawId.CoLieJacobi, delta=delta, sym_co=sym_co, keys=keys, window=window, margin=0
+            )
+            oracle = _colaw_oracle(LawId.CoLieJacobi, delta, sym_co, keys, window)
+            assert _fields(rep) == oracle, dt
+            passed += rep.passed
+        assert 0 < passed < 40
+
+    @pytest.mark.parametrize("law", [LawId.CoPreLie, LawId.CoLieJacobi])
+    def test_patterns_refused(self, law):
+        # a delta that cannot run on patterns is read key by key
+        _, delta, sym_co, keys = _coalgebra_case("neg:perturbed-ats")
+        rep = check_coalgebra(law, delta=_keys_only(delta), sym_co=sym_co, keys=keys, window=Window(2))
+        assert _fields(rep) == _colaw_oracle(law, delta, sym_co, keys, Window(2, 2))
+        assert _fields(rep) == _fields(
+            check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=Window(2))
+        )
+
+    def _cocycle_cases(self):
+        """(name, alg, family, passes): ex-1p with its coproduct scaled at
+        random, on the ats family and on ats with the coefficient (i - j) of
+        its second t-branch raised by 1."""
+
+        def bad_sym(p, fresh):
+            out = delta_a_sym(p, fresh)
+            if p[0] == "Tee":
+                v, poly, pats = out[1]
+                out[1] = (v, poly + Poly.const(ONE), pats)
+            return out
+
+        rng = random.Random(12)
+        one = finite_catalog()["ex-1p"]
+        fam = ats_family()
+        bad = dataclasses.replace(fam, sym_co=bad_sym)
+        for _ in range(3):
+            c = F(rng.choice([-2, -1, 1, 2]))
+            alg = dataclasses.replace(one, delta={0: ((0, 0, c),)})
+            yield f"ex-1p*{c}", alg, fam, True
+            yield f"ex-1p*{c}:perturbed", alg, bad, False
+
+    def test_cocycle(self):
+        window = Window(3, 2)
+        for name, alg, fam, passes in self._cocycle_cases():
+            delta, _ = delta_bullet_rule(alg, fam)
+            br, sbr = induced_lie_bracket(alg, fam)
+            keys = pair_keys(alg, fam, window)
+            oracle = _cocycle_oracle(br, delta, sbr, keys, window)
+            for d in (delta, _keys_only(delta)):
+                rep = check_bialgebra(
+                    LawId.LieBiCocycle, bracket=br, delta=d, sym_bracket=sbr, keys=keys,
+                    window=window,
+                )
+                assert _fields(rep) == oracle, name
+            assert rep.passed == passes, name
 
 
 FORM_LAWS = [

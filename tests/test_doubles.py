@@ -508,6 +508,32 @@ class TestSymplecticRoundTrip:
                     want = {k: v for k, v in want.items() if v}
                     assert comm == want, (aid, i, j)
 
+    def test_commutator_table(self):
+        # a repeated output index is summed; an entry that cancels is dropped
+        alg = FiniteAlgebra(
+            id="t", space="T", dim=2, labels=("a", "b"), kind="none",
+            mul={(0, 0): ((1, ONE),), (0, 1): ((0, ONE), (0, ONE), (1, ONE)), (1, 0): ((1, ONE),)},
+        )
+        assert alg.commutator() == {(0, 1): ((0, F(2)),), (1, 0): ((0, F(-2)),)}
+
+    def test_perturbed_roundtrip_lists_only_nonzero_entries(self, monkeypatch):
+        from permlie import cli
+
+        solve = D.symplectic_to_prelie
+
+        def perturbed(lie, gram):
+            # e3 e0 gains an e1 term: [e3, e0] = e2 + e1 against the bracket's e2
+            back = solve(lie, gram)
+            return replace(back, mul={**back.mul, (3, 0): back.mul[(3, 0)] + ((1, ONE),)})
+
+        monkeypatch.setattr(cli, "symplectic_to_prelie", perturbed)
+        rep = cli._roundtrip_report(finite_catalog()["ex-prelie-n2"])
+        assert not rep.passed and rep.checked == 16
+        assert rep.violations == [
+            ("mismatch", (0, 3), (((1,), F(-1)),)),
+            ("mismatch", (3, 0), (((1,), ONE),)),
+        ]
+
 
 def _form_search_oracle(n, window):
     """invariant_form_search's report from rows written out naively: for
