@@ -8,6 +8,7 @@ and the probes below are all expressed through that layout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -36,8 +37,8 @@ from .axioms import (
     check_coalgebra,
     _holds_on_patterns,
     _int,
-    _memo_one,
     _side,
+    _terms,
 )
 
 
@@ -314,9 +315,8 @@ def _pair_jacobi_report(alg: FiniteAlgebra, family: GradedFamily, window: Window
         return slot_of.setdefault((slot(w[0]), slot(w[1])), 3 + len(slot_of))
 
     words = [
-        (sign * s * r, slot(w))
-        for sign, side in ((1, lhs), (-1, rhs))
-        for s, t in _side(side)
+        (s * r, slot(w))
+        for s, t in _terms(_side(lhs), _side(rhs))
         for r, w in _commutator_words(t)
     ]
 
@@ -330,7 +330,7 @@ def _pair_jacobi_report(alg: FiniteAlgebra, family: GradedFamily, window: Window
         p = family.product_one(ka, kb)
         return p and (_int(p[0]), p[1])
 
-    prod = _memo_one(one)
+    prod = functools.cache(one)
 
     def graded(u, v):
         p = u and v and prod(u[1], v[1])

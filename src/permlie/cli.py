@@ -829,11 +829,11 @@ def suite_appendix(cfg: SuiteConfig):
         )
 
     for aid in sorted(a.id for a in cat.values() if a.kind == "PreLie"):
-        rows.append(
-            _report_row(
-                f"appendix:symplectic-roundtrip:{aid}", _roundtrip_report(cat[aid])
-            )
-        )
+        name = f"appendix:symplectic-roundtrip:{aid}"
+        try:
+            rows.append(_report_row(name, _roundtrip_report(cat[aid])))
+        except ValueError as err:
+            rows.append(_row(name, "SymplecticRoundTrip", False, str(err)))
     return rows
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from permlie.kernel import (
+    Fresh,
     InsufficientWindowError,
     Poly,
     Template,
@@ -17,6 +18,7 @@ from permlie.kernel import (
     apply_product_slot,
     av,
     ess,
+    expand_slot,
     key_degree,
     key_shape,
     key_slots,
@@ -30,11 +32,15 @@ from permlie.families import (
     FormalVector,
     adjoint_representation,
     ats_family,
+    conjugated_table,
     delta_a_family,
     delta_a_sym,
     delta_p_family,
     finite_catalog,
+    mat_inv,
+    mat_vec,
     perm_p_family,
+    random_invertible,
     random_table,
     wn_codelta,
     wn_codelta_sym,
@@ -42,6 +48,7 @@ from permlie.families import (
 )
 from permlie.axioms import (
     LawId,
+    _assemble_matched_pair,
     _holds_on_patterns,
     check_algebra,
     check_bialgebra,
@@ -484,6 +491,26 @@ def _coalgebra_case(name):
     )
 
 
+def _co_identities(law, d, sym_co):
+    """The co-side identities at one key x, given d = Delta(x), written out
+    with expand_slot and permuted: a = (Delta (x) 1) Delta(x),
+    b = (1 (x) Delta) Delta(x), and tau12 swaps the first two legs."""
+    if law == LawId.CoLieSkew:
+        return [("co-skew", d + d.permuted((1, 0)))]
+    fresh = Fresh("k")
+    a = expand_slot(d, 0, sym_co, fresh)
+    b = expand_slot(d, 1, sym_co, fresh)
+    tau12 = (1, 0, 2)
+    return {
+        # coassociativity, and a = tau12 a
+        LawId.CoPerm: [("coassoc", a - b), ("left-cosym", a - a.permuted(tau12))],
+        # (1 - tau12)(a - b) = 0
+        LawId.CoPreLie: [("co-pre-lie", a - a.permuted(tau12) - b + b.permuted(tau12))],
+        # the Leibniz form of co-Jacobi: (1 - tau12) b = a
+        LawId.CoLieJacobi: [("co-jacobi", b - b.permuted(tau12) - a)],
+    }[law]
+
+
 class TestCoalgebraCollapse:
     """The paper's co-side identities cancel template by template, so
     support_in_box is left nothing to enumerate."""
@@ -493,15 +520,36 @@ class TestCoalgebraCollapse:
         law, delta, sym_co, keys = _coalgebra_case(name)
         assert keys
         for x in keys:
-            for label, res in coalgebra_residuals(law, delta(x), sym_co):
+            for label, res in _co_identities(law, delta(x), sym_co):
                 assert res.templates, (label, x)
                 assert res.collapsed().templates == (), (label, x)
+
+    def test_plan_rows_are_the_written_identities(self):
+        # coalgebra_residuals reads its rows from the law plans; at every key
+        # of the CLI rows and of ten criterion-5 coproducts, each row must be
+        # the identity written out above, as a series
+        names = ("coperm:permP", "coprelie:ats", "coprelie:w1", "neg:perturbed-ats")
+        cases = [_coalgebra_case(name)[1:] for name in names]
+        fam = ats_family()
+        for dt in _criterion_5_deltas(10):
+            alg = FiniteAlgebra(
+                id="probe", space="PR", dim=2, labels=("a", "b"), kind="none", mul={}, delta=dt
+            )
+            cases.append(delta_bullet_rule(alg, fam) + (pair_keys(alg, fam, Window(2)),))
+        for delta, sym_co, keys in cases:
+            for law in (LawId.CoPerm, LawId.CoPreLie, LawId.CoLieSkew, LawId.CoLieJacobi):
+                for x in keys:
+                    got = coalgebra_residuals(law, delta(x), sym_co)
+                    want = _co_identities(law, delta(x), sym_co)
+                    assert [label for label, _ in got] == [label for label, _ in want]
+                    for (label, res), (_, ref) in zip(got, want):
+                        assert (res - ref).collapsed().templates == (), (law, label, x)
 
     def test_perturbed_ats_keeps_templates_and_witnesses(self):
         law, delta, sym_co, keys = _coalgebra_case("neg:perturbed-ats")
         expected = []
         for x in keys:
-            for label, res in coalgebra_residuals(law, delta(x), sym_co):
+            for label, res in _co_identities(law, delta(x), sym_co):
                 support = support_by_solving(res, 2)
                 if support:
                     assert res.collapsed().templates, (label, x)
@@ -522,11 +570,11 @@ def _recorded(found, checked):
 
 
 def _colaw_oracle(law, delta, sym_co, keys, window):
-    """check_coalgebra read key by key: each key's residuals, enumerated on
-    the window's box."""
+    """check_coalgebra read key by key: each key's written-out identities,
+    enumerated on the window's box."""
     found = []
     for x in keys:
-        for label, res in coalgebra_residuals(law, delta(x), sym_co):
+        for label, res in _co_identities(law, delta(x), sym_co):
             support = res.support_in_box(window.n)
             if support:
                 found.append((label, (x,), tuple(sorted(support.items()))))
@@ -872,6 +920,149 @@ class TestMatchedPair:
         assert not rep.passed
         labels = {v[0] for v in rep.violations}
         assert labels & {"pmp6", "pmp8", "assembled-assoc", "assembled-left-comm"}
+
+
+def _matched_pair_oracle(alg1, alg2, l12, r12, l21, r21):
+    """check_matched_pair from the paper's ten equations, written with
+    mat_vec and times: (passed, checked, extra, violations).  pmp3, 4, 6, 8
+    and 10 are pmp1, 2, 5, 7 and 9 with the two algebras' roles swapped."""
+
+    def on(mats, x, v):
+        """The action of the vector x, through one matrix per basis index, on v."""
+        out = (F(0),) * len(v)
+        for k, c in enumerate(x):
+            if c:
+                out = tuple(a + c * b for a, b in zip(out, mat_vec(mats[k], v)))
+        return out
+
+    def plus(u, v):
+        return tuple(a + b for a, b in zip(u, v))
+
+    found = []
+    checked = 0
+    # (A, B, lA, rA acting on B's space, lB, rB acting on A's space, labels)
+    halves = (
+        (alg1, alg2, l12, r12, l21, r21, ("pmp1", "pmp2", "pmp5", "pmp7", "pmp9")),
+        (alg2, alg1, l21, r21, l12, r12, ("pmp3", "pmp4", "pmp6", "pmp8", "pmp10")),
+    )
+    for A, B, lA, rA, lB, rB, labels in halves:
+        for i, a, b in itertools.product(range(A.dim), range(B.dim), range(B.dim)):
+            checked += 1
+            p, q, q2 = A.unit(i), B.unit(a), B.unit(b)
+            qq = B.times(q, q2)
+            sides = (
+                # lA(p)(q q') = (lA(p) q) q' + lA(rB(q) p) q'
+                (on(lA, p, qq), plus(B.times(on(lA, p, q), q2), on(lA, on(rB, q, p), q2))),
+                # rA(p)(q q') = q (rA(p) q') + rA(lB(q') p) q
+                (on(rA, p, qq), plus(B.times(q, on(rA, p, q2)), on(rA, on(lB, q2, p), q))),
+                # (rA(p) q) q' + lA(lB(q) p) q' = q (lA(p) q') + rA(rB(q') p) q
+                (
+                    plus(B.times(on(rA, p, q), q2), on(lA, on(lB, q, p), q2)),
+                    plus(B.times(q, on(lA, p, q2)), on(rA, on(rB, q2, p), q)),
+                ),
+                # (lA(p) q) q' + lA(rB(q) p) q' = (rA(p) q) q' + lA(lB(q) p) q'
+                (
+                    plus(B.times(on(lA, p, q), q2), on(lA, on(rB, q, p), q2)),
+                    plus(B.times(on(rA, p, q), q2), on(lA, on(lB, q, p), q2)),
+                ),
+                # rA(p)(q q') = rA(p)(q' q)
+                (on(rA, p, qq), on(rA, p, B.times(q2, q))),
+            )
+            for label, (lhs, rhs) in zip(labels, sides):
+                d = [x - y for x, y in zip(lhs, rhs)]
+                if any(d):
+                    found.append((label, (i, a, b), tuple(((k,), v) for k, v in enumerate(d) if v)))
+    # then the Perm law of the assembled product, as its kept violations
+    sub = check_algebra(LawId.Perm, alg=_assemble_matched_pair(alg1, alg2, l12, r12, l21, r21))
+    found += [(f"assembled-{label}", at, res) for label, at, res in sub.violations]
+    return _recorded(found, checked + sub.checked)
+
+
+def _conjugated_delta(delta, s, dim):
+    """A coproduct table in the basis e'_j = sum_a s[a][j] e_a."""
+    sinv = mat_inv(s)
+    out = {}
+    for j in range(dim):
+        acc = {}
+        for a in range(dim):
+            for m, n, c in delta.get(a, ()):
+                for k, l in itertools.product(range(dim), repeat=2):
+                    acc[k, l] = acc.get((k, l), F(0)) + s[a][j] * c * sinv[k][m] * sinv[l][n]
+        terms = tuple((k, l, v) for (k, l), v in sorted(acc.items()) if v)
+        if terms:
+            out[j] = terms
+    return out
+
+
+def _matched_pair_inputs():
+    """(name, alg1, alg2, actions): every catalog perm algebra and its dual
+    under the canonical actions, the neg:matched-pair row's perturbed l12,
+    then 48 seeded random inputs of dimension 1-3.  Every fourth is a random
+    basis change of a perm bialgebra with its canonical actions, so it
+    passes; the others are random tables with random actions."""
+    cat = finite_catalog()
+    out = []
+    for alg in cat.values():
+        if alg.kind == "Perm":
+            dual = dual_perm_algebra(alg, alg.delta or {})
+            out.append((alg.id, alg, dual, canonical_dual_actions(alg, dual)))
+    p1 = cat["ex-1p"]
+    dual = dual_perm_algebra(p1, p1.delta)
+    l12, r12, l21, r21 = canonical_dual_actions(p1, dual)
+    bad = tuple(tuple(tuple(v + ONE for v in row) for row in mtx) for mtx in l12)
+    out.append(("neg:perturbed-l12", p1, dual, (bad, r12, l21, r21)))
+    sd2 = cat["ex-sd2"]
+    bialgebras = [
+        (p1.mul, p1.delta, 1),
+        (sd2.mul, {}, 2),
+        (cat["ex-nilp2"].mul, {}, 2),
+        # ex-sd2 (+) ex-1p, with ex-1p's coproduct on the third basis vector
+        ({**sd2.mul, (2, 2): ((2, ONE),)}, {2: ((2, 2, ONE),)}, 3),
+    ]
+    rng = random.Random(2113)
+
+    def matrices(count, dim):
+        return tuple(
+            tuple(tuple(F(rng.choice((0, 0, 1, -1, 2))) for _ in range(dim)) for _ in range(dim))
+            for _ in range(count)
+        )
+
+    for t in range(48):
+        if t % 4 == 0:
+            mul, delta, d = bialgebras[t // 4 % 4]
+            s = random_invertible(rng, d)
+            alg = FiniteAlgebra(
+                id=f"conj{t}", space=f"C{t}", dim=d, labels=tuple("abc"[:d]), kind="Perm",
+                mul=conjugated_table(mul, s, d), delta=_conjugated_delta(delta, s, d),
+            )
+            dual = dual_perm_algebra(alg, alg.delta)
+            out.append((alg.id, alg, dual, canonical_dual_actions(alg, dual)))
+            continue
+        d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+        alg1, alg2 = (
+            FiniteAlgebra(
+                id=f"rnd{t}{x}", space=f"R{t}{x}", dim=d, labels=tuple("abc"[:d]), kind="none",
+                mul=random_table(rng, d),
+            )
+            for x, d in (("a", d1), ("b", d2))
+        )
+        actions = (matrices(d1, d2), matrices(d1, d2), matrices(d2, d1), matrices(d2, d1))
+        out.append((f"rnd{t}", alg1, alg2, actions))
+    return out
+
+
+class TestMatchedPairOracle:
+    """check_matched_pair, read off the assembled product's Perm rows,
+    against the paper's ten equations."""
+
+    def test_matches_the_ten_equations(self):
+        seen = {"passed": 0, "failed": 0, "truncated": 0}
+        for name, alg1, alg2, actions in _matched_pair_inputs():
+            rep = check_matched_pair(alg1, alg2, *actions)
+            assert _fields(rep) == _matched_pair_oracle(alg1, alg2, *actions), name
+            seen["passed" if rep.passed else "failed"] += 1
+            seen["truncated"] += rep.extra.get("violations_truncated", False)
+        assert seen["passed"] >= 14 and seen["failed"] >= 30 and seen["truncated"] >= 3, seen
 
 
 class TestOOperator:

@@ -54,6 +54,23 @@ class TestVerifyExitCodes:
             assert name in p.stdout
 
 
+class TestAppendixRoundTrip:
+    def test_failing_roundtrip_is_a_fail_row(self, monkeypatch, capsys):
+        # symplectic_to_prelie raises when the solved product is not a
+        # compatible pre-Lie product; verify appendix reports that as a FAIL
+        # row carrying the message, not as a traceback
+        def refuse(lie, gram):
+            raise ValueError("solved product's commutator differs from the bracket")
+
+        monkeypatch.setattr(cli, "symplectic_to_prelie", refuse)
+        assert cli.main(["verify", "appendix", "--window", "3"]) == 1
+        out, err = capsys.readouterr()
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails and all("appendix:symplectic-roundtrip:" in line for line in fails)
+        assert all("commutator differs from the bracket" in line for line in fails)
+        assert "Traceback" not in out + err
+
+
 class TestDeterminism:
     def test_seeded_json_runs_identical(self):
         a = run("verify", "ybe", "--seed", "7", "--window", "3", "--format", "json")
