@@ -1088,6 +1088,7 @@ def check_matched_pair(
     checked += sub.checked
     for label, at, residual in sub.violations:
         rec.add(f"assembled-{label}", at, residual)
+    rec.total += sub.extra["violations_total"] - len(sub.violations)  # those it did not keep
     return CheckReport.build(
         LawId.MatchedPairPerm.value, Window(0, 0), checked, rec.items, rec.extra()
     )

@@ -650,76 +650,91 @@ def symplectic_to_prelie(alg: FiniteAlgebra, gram) -> FiniteAlgebra:
 # Exact search for invariant skew forms on derivation families.
 
 
-def _form_search_rows(fam: GradedFamily, keys) -> tuple:
-    """(rows, skipped triples) of the triple row of
-    FORM_PLANS[QuadPreLieForm] on the skew form values over keys.
+def _wn_weight(key) -> tuple:
+    """wt(x^e d_i) = e - eps_i, the Z^n-grading of the derivation family."""
+    return tuple(x - (k == key[2] - 1) for k, x in enumerate(key[1]))
+
+
+def _form_search_blocks(fam: GradedFamily, keys, weight) -> tuple:
+    """(skipped triples, blocks) of the triple row of FORM_PLANS[QuadPreLieForm]
+    on the skew form values over keys; blocks yields (W, rows sorted by
+    length) for each triple weight W in order (see invariant_form_search).
 
     The value w(keys[i], keys[j]), i < j, is unknown i m + j; w(y, x) is
-    -w(x, y) and w(x, x) is 0.  Every key triple whose products all stay on
-    keys gives one integer row, divided by its gcd and signed so that its lead
-    entry is positive: proportional rows coincide, and each is kept once, in
-    the order first seen.  A triple with a product off keys is skipped."""
+    -w(x, y) and w(x, x) is 0.  A row is divided by its gcd, signed so that its
+    lead entry is positive, and kept once.  The split needs the product to be
+    homogeneous for weight (tuples): ValueError where it is not."""
     _, text = FORM_PLANS[LawId.QuadPreLieForm][1]
     index = {k: i for i, k in enumerate(keys)}
-    m = len(keys)
-    OUT = object()
-    # pr[i][j]: (int coeff, index) of keys[i] keys[j], None if it is zero
-    pr = [[None] * m for _ in range(m)]
+    m, full = len(keys), (1 << len(keys)) - 1
+    wt = [weight(k) for k in keys]
+    plus = lambda u, v, s=1: tuple(x + s * y for x, y in zip(u, v))
+    # pr[i][j]: (int coeff, index) of keys[i] keys[j] on keys, else None; row m is
+    # a unit.  Bit c of off[i] (off[m + i]): keys[i] keys[c] (keys[c] keys[i]) leaves keys.
+    pr = [[None] * m for _ in range(m)] + [[(1, j) for j in range(m)]]
+    off = [0] * (2 * m)
     for i, a in enumerate(keys):
         for j, b in enumerate(keys):
             p = fam.product_one(a, b)
-            if p is not None:
-                ip = index.get(p[1])
-                pr[i][j] = OUT if ip is None else (_int(p[0]), ip)
-
-    def over_c(word, a, b):
-        """The operand word (an input or a product of two) at inputs a, b,
-        listed over the third input c."""
-        at = [{"a": [a] * m, "b": [b] * m}.get(ch, range(m)) for ch in word]
-        if len(at) == 1:
-            return [(1, i) for i in at[0]]
-        return [pr[i][j] for i, j in zip(*at)]
-
-    pairings = _pairings(text)
-    rows: dict = {}
+            if p is None:
+                continue
+            if weight(p[1]) != plus(wt[i], wt[j]):
+                raise ValueError(f"not graded: {key_str(a)} {key_str(b)} = {key_str(p[1])}")
+            if p[1] in index:
+                pr[i][j] = (_int(p[0]), index[p[1]])
+            else:
+                off[i], off[m + j] = off[i] | 1 << j, off[m + j] | 1 << i
+    # each pairing as (sign, word, word), a word as two positions in (a, b, c, unit)
+    at = lambda w: (3, "abc".index(w)) if len(w) == 1 else tuple(map("abc".index, w))
+    plan = [(s, at(x), at(y)) for s, x, y in _pairings(text)]
+    words = {w for _, x, y in plan for w in (x, y) if w[0] != 3}
+    pairs: dict = {}  # pair weight -> [(a, b, bits of the c whose triple leaves keys)]
     skipped = 0
     for a in range(m):
         for b in range(m):
-            terms = [(s, over_c(x, a, b), over_c(y, a, b)) for s, x, y in pairings]
+            t, out = (a, b), 0
+            for p, q in words:  # c stands in a word at most once
+                if 2 in (p, q):
+                    out |= off[m + t[q]] if p == 2 else off[t[p]]
+                elif off[t[p]] >> t[q] & 1:
+                    out = full
+            skipped += out.bit_count()
+            pairs.setdefault(plus(wt[a], wt[b]), []).append((a, b, out))
+
+    def blocks():
+        for w in sorted({plus(p, q) for p in pairs for q in set(wt)}):
+            rows: dict = {}
             for c in range(m):
-                row: dict = {}
-                for s, us, vs in terms:
-                    u, v = us[c], vs[c]
-                    if u is OUT or v is OUT:
-                        skipped += 1
-                        break
-                    if not (u and v) or u[1] == v[1]:
+                for a, b, out in pairs.get(plus(w, wt[c], -1), ()):
+                    if out >> c & 1:
                         continue
-                    (f, i), (g, j) = u, v
-                    f *= s * g
-                    if i > j:
-                        i, j, f = j, i, -f
-                    f += row.get(i * m + j, 0)
-                    if f:
-                        row[i * m + j] = f
-                    else:
-                        del row[i * m + j]
-                else:  # every product stayed on keys
-                    if row:
-                        items = sorted(row.items())
-                        d = math.gcd(*row.values())
-                        d = d if items[0][1] > 0 else -d
-                        rows.setdefault(tuple((col, f // d) for col, f in items))
-    return [dict(r) for r in rows], skipped
+                    t, row = (a, b, c, m), {}
+                    for s, (p, q), (p2, q2) in plan:
+                        u, v = pr[t[p]][t[q]], pr[t[p2]][t[q2]]
+                        if u and v and u[1] != v[1]:
+                            (f, i), (g, j) = u, v
+                            i, j, f = (i, j, s * f * g) if i < j else (j, i, -s * f * g)
+                            row[i * m + j] = row.get(i * m + j, 0) + f
+                    items = sorted([it for it in row.items() if it[1]])
+                    if items:
+                        d = math.gcd(*[f for _, f in items]) * (1 if items[0][1] > 0 else -1)
+                        rows.setdefault(tuple([(col, f // d) for col, f in items]))
+            if rows:  # short rows first: a singleton row kills its column at once
+                yield w, sorted((dict(r) for r in rows), key=len)
+
+    return skipped, blocks()
 
 
 def invariant_form_search(n: int, window: Window) -> dict:
     """Solve for all skew forms on the window of the n-variable derivation
     family satisfying the invariance row of FORM_PLANS[QuadPreLieForm].
 
-    Unknowns are the form values on window key pairs; every key triple whose
-    nonzero products stay on the window contributes one linear row.  Returns
-    a report of the reduced system: rank, solution dimension, how many pair
+    Unknowns are the form values on window key pairs.  ``skipped_triples``
+    counts the key triples with a product off the window; each other triple
+    gives one linear row, and ``rows`` counts the distinct rows up to scale.
+    w_n is Z^n-graded, wt(x^e d_i) = e - eps_i, so a row's unknowns share the
+    pair weight wt(a) + wt(b) + wt(c): each weight block is built, reduced and
+    dropped in turn.  Returns the rank, solution dimension, how many pair
     values every solution kills, and whether all pairs against the probe key
     x1 d1 are among them (the degeneracy witness)."""
     if n not in (1, 2):
@@ -727,17 +742,16 @@ def invariant_form_search(n: int, window: Window) -> dict:
     if window.n < 2:
         raise InsufficientWindowError("invariant-form-search", window.n, 2)
     if window.n > 4:
-        raise ValueError("window too large for the exact dense solve")
+        raise ValueError("window too large: the m^3 triple enumeration is too slow for N >= 5")
     fam = wn_family(n)
     keys = fam.keys(window)
     m = len(keys)
-    rows, skipped = _form_search_rows(fam, keys)
-
-    # short rows first: singleton rows kill their column immediately and keep
-    # the later eliminations sparse
-    rows.sort(key=len)
-    basis = sparse_rref(rows)
-    forced = forced_zero_columns(basis)
+    skipped, blocks = _form_search_blocks(fam, keys, _wn_weight)
+    rows, rank, forced = 0, 0, set()
+    for _, block in blocks:
+        basis = sparse_rref(block)
+        rows, rank = rows + len(block), rank + len(basis)
+        forced |= forced_zero_columns(basis)
     probe = wn((1,) + (0,) * (n - 1), 1)
     p = keys.index(probe)
     unforced = [
@@ -748,10 +762,10 @@ def invariant_form_search(n: int, window: Window) -> dict:
         "window": window.n,
         "keys": m,
         "unknowns": m * (m - 1) // 2,
-        "rows": len(rows),
+        "rows": rows,
         "skipped_triples": skipped,
-        "rank": len(basis),
-        "solution_dim": m * (m - 1) // 2 - len(basis),
+        "rank": rank,
+        "solution_dim": m * (m - 1) // 2 - rank,
         "forced_zero_count": len(forced),
         "probe": key_str(probe),
         "probe_pairs_unforced": unforced,

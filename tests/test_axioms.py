@@ -972,10 +972,15 @@ def _matched_pair_oracle(alg1, alg2, l12, r12, l21, r21):
                 d = [x - y for x, y in zip(lhs, rhs)]
                 if any(d):
                     found.append((label, (i, a, b), tuple(((k,), v) for k, v in enumerate(d) if v)))
-    # then the Perm law of the assembled product, as its kept violations
+    # then the Perm law of the assembled product: its kept violations, and
+    # its uncapped count
     sub = check_algebra(LawId.Perm, alg=_assemble_matched_pair(alg1, alg2, l12, r12, l21, r21))
     found += [(f"assembled-{label}", at, res) for label, at, res in sub.violations]
-    return _recorded(found, checked + sub.checked)
+    passed, checked, extra, kept = _recorded(found, checked + sub.checked)
+    total = len(found) + sub.extra["violations_total"] - len(sub.violations)
+    if total > len(found):
+        extra = {"violations_total": total, "violations_truncated": True}
+    return passed, checked, extra, kept
 
 
 def _conjugated_delta(delta, s, dim):
@@ -1063,6 +1068,15 @@ class TestMatchedPairOracle:
             seen["passed" if rep.passed else "failed"] += 1
             seen["truncated"] += rep.extra.get("violations_truncated", False)
         assert seen["passed"] >= 14 and seen["failed"] >= 30 and seen["truncated"] >= 3, seen
+
+    def test_total_counts_the_uncapped_assembled_check(self):
+        # rnd1: 66 pmp violations, and 94 from the assembled Perm check of
+        # which that check keeps 25
+        alg1, alg2, actions = {name: rest for name, *rest in _matched_pair_inputs()}["rnd1"]
+        mp = _assemble_matched_pair(alg1, alg2, *actions)
+        assert check_algebra(LawId.Perm, alg=mp).extra["violations_total"] == 94
+        rep = check_matched_pair(alg1, alg2, *actions)
+        assert rep.extra == {"violations_total": 160, "violations_truncated": True}
 
 
 class TestOOperator:

@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from permlie.kernel import Window, fin, forced_zero_columns, key_str, pair, sparse_rref, wn
+from permlie.kernel import (
+    Window,
+    fin,
+    forced_zero_columns,
+    key_degree,
+    key_str,
+    pair,
+    sparse_rref,
+    wn,
+)
 from permlie.families import (
     FiniteAlgebra,
     adjoint_representation,
@@ -599,17 +608,68 @@ class TestInvariantFormSearch:
         assert D.invariant_form_search(n, Window(size)) == _form_search_oracle(n, Window(size))
 
     def test_rows_vanish_on_ats_form(self):
-        # ats carries an invariant skew form: every row must vanish on it
+        # ats carries an invariant skew form: every row of every block must
+        # vanish on it (ats is graded by degree; any weight split is exact)
         fam = ats_family()
         keys = fam.keys(Window(3))
         m = len(keys)
-        rows, _ = D._form_search_rows(fam, keys)
+        _, blocks = D._form_search_blocks(fam, keys, lambda k: (key_degree(k),))
+        rows = [row for _, block in blocks for row in block]
         touched = 0
         for row in rows:
             values = [v * fam.form(keys[col // m], keys[col % m]) for col, v in row.items()]
             assert sum(values) == 0, row
             touched += any(values)
         assert touched > 0 and len(rows) > touched
+
+    @pytest.mark.parametrize("n, size", [(1, 4), (2, 2)])
+    def test_blocks_split_the_whole_system(self, n, size):
+        fam = wn_family(n)
+        keys = fam.keys(Window(size))
+        m = len(keys)
+        wt = [D._wn_weight(k) for k in keys]
+        skipped, blocks = D._form_search_blocks(fam, keys, D._wn_weight)
+        blocks = list(blocks)
+        assert [w for w, _ in blocks] == sorted({w for w, _ in blocks})
+        seen = set()
+        for w, block in blocks:
+            cols = {col for row in block for col in row}
+            # every unknown of the block has the block's pair weight
+            assert {tuple(map(sum, zip(wt[c // m], wt[c % m]))) for c in cols} == {w}
+            assert not cols & seen
+            seen |= cols
+            assert [len(r) for r in block] == sorted(len(r) for r in block)
+        # the block totals against one reduction of all rows together
+        rows = [row for _, block in blocks for row in block]
+        whole = sparse_rref(sorted(rows, key=len))
+        bases = [sparse_rref(block) for _, block in blocks]
+        assert sum(map(len, bases)) == len(whole)
+        assert set().union(*map(forced_zero_columns, bases)) == forced_zero_columns(whole)
+        report = D.invariant_form_search(n, Window(size))
+        assert (report["rows"], report["rank"], report["skipped_triples"]) == (
+            len(rows), len(whole), skipped,
+        )
+        assert report["forced_zero_count"] == len(forced_zero_columns(whole))
+
+    def test_inhomogeneous_product_raises(self, monkeypatch):
+        fam = wn_family(1)
+
+        def rule(x, y):
+            # x d1 x d1 = x d1 holds in w1; move it to x^2 d1, off its weight
+            r = fam.rule(x, y)
+            return (1, wn((2,), 1)) if x == y == wn((1,), 1) else r
+
+        monkeypatch.setattr(D, "wn_family", lambda n: replace(fam, rule=rule))
+        with pytest.raises(ValueError, match="not graded"):
+            D.invariant_form_search(1, Window(3))
+
+    def test_w2_window_3_pinned(self):
+        r = D.invariant_form_search(2, Window(3))
+        assert (r["keys"], r["unknowns"], r["rows"], r["skipped_triples"]) == (
+            98, 4753, 196819, 618248,
+        )
+        assert (r["rank"], r["solution_dim"], r["forced_zero_count"]) == (4753, 0, 4753)
+        assert r["probe_vanishes"] and r["probe_pairs_unforced"] == []
 
     def test_w1_everything_forced_zero(self):
         r1 = D.invariant_form_search(1, Window(3))
@@ -624,3 +684,5 @@ class TestInvariantFormSearch:
 
         with pytest.raises(InsufficientWindowError):
             D.invariant_form_search(1, Window(1))
+        with pytest.raises(ValueError, match="too slow for N >= 5"):
+            D.invariant_form_search(1, Window(5))
