@@ -23,7 +23,9 @@ those shapes, for every N.  An algebra law on a graded family that is so
 proved reports what the window cube would give; otherwise the cube runs, and
 its violations are the witnesses.  A coalgebra law or the Lie bialgebra
 cocycle row whose lifted series does not collapse is enumerated once on the
-box.  Form laws are still checked on windows.
+box.  A form law on a graded family is proved on the same shape walk, with
+each pairing solved for its lone input (_form_row_holds); a row that is not
+so proved runs its window loop.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .kernel import (
+    Aff,
     CheckReport,
     FormalVector,
     Fresh,
@@ -55,6 +58,8 @@ from .kernel import (
     key_shape,
     key_slots,
     pat_const,
+    pat_subst,
+    poly_subst,
     sparse_rref,
     with_slots,
 )
@@ -62,6 +67,7 @@ from .families import (
     FiniteAlgebra,
     GradedFamily,
     Representation,
+    mat_inv,
     mat_mul,
     mat_sub,
 )
@@ -200,18 +206,10 @@ def _terms(lhs, rhs) -> tuple:
     return lhs + tuple((-s, t) for s, t in rhs)
 
 
-def _lifted(keys, arity: int, residuals: Callable):
-    """Yield (shape tuple, [(label, lifted series)]) for every arity-tuple of
-    the keys' shapes, one tuple at a time.
-
-    Each input is a pattern of its shape with a fresh variable in every slot
-    (a Fin key is its own pattern), and residuals(*patterns) lists (label,
-    series) there.  Each series is lifted: the patterns are prepended as
-    leading slots and their variables added to every template's, so it is
-    the residual at every input tuple of those shapes at once; it is yielded
-    collapsed, and it collapses to nothing exactly when the residual
-    vanishes at every such tuple, whatever the slot values.  A rule that
-    cannot run on patterns raises TypeError from the walk."""
+def _shape_walk(keys, arity: int):
+    """Yield (names, patterns) for every arity-tuple of the keys' shapes: each
+    input is a pattern of its shape with a fresh variable in every slot (a
+    Fin key is its own pattern), and names[i] are the variables of input i."""
     fresh = Fresh("key")
     one_per_shape = {key_shape(k): k for k in keys}.values()
     patterns = []
@@ -221,8 +219,22 @@ def _lifted(keys, arity: int, residuals: Callable):
             names = tuple(fresh() for _ in key_slots(k))
             patterns[-1].append((names, with_slots(k, map(av, names))))
     for inputs in itertools.product(*patterns):
-        names = tuple(v for vs, _ in inputs for v in vs)
-        pats = tuple(p for _, p in inputs)
+        yield tuple(vs for vs, _ in inputs), tuple(p for _, p in inputs)
+
+
+def _lifted(keys, arity: int, residuals: Callable):
+    """Yield (shape tuple, [(label, lifted series)]) for every arity-tuple of
+    the keys' shapes, one tuple at a time.
+
+    residuals(*patterns) lists (label, series) at the input patterns of
+    _shape_walk.  Each series is lifted: the patterns are prepended as
+    leading slots and their variables added to every template's, so it is
+    the residual at every input tuple of those shapes at once; it is yielded
+    collapsed, and it collapses to nothing exactly when the residual
+    vanishes at every such tuple, whatever the slot values.  A rule that
+    cannot run on patterns raises TypeError from the walk."""
+    for names, pats in _shape_walk(keys, arity):
+        names = tuple(v for vs in names for v in vs)
         yield tuple(map(key_shape, pats)), [
             (
                 label,
@@ -845,6 +857,90 @@ def _form_residuals(row, keys, form: Callable, product: Callable, rec: _Recorder
     return n ** 3
 
 
+class _NotUnimodular(Exception):
+    """A partner equation has no single integer solution in the lone input."""
+
+
+def _solve_lone(names: tuple, lhs, rhs):
+    """{variable: Aff} for the variables names, the one integer solution of
+    the pattern equation lhs == rhs whatever the other variables are; None
+    when the shapes differ, so the equation has no solution.  Raises
+    _NotUnimodular when the slot equations, linear in names, do not have a
+    square matrix of determinant +-1."""
+    if key_shape(lhs) != key_shape(rhs):
+        return None
+    rows, rest = [], []
+    for p, q in zip(key_slots(lhs), key_slots(rhs)):
+        d = Aff.of(p) - q
+        coeffs = dict(d.terms)
+        rows.append([coeffs.pop(v, 0) for v in names])
+        rest.append(Aff(d.const, tuple(sorted(coeffs.items()))))
+    inv = mat_inv(rows) if len(rows) == len(names) else None
+    if inv is None or any(c.denominator != 1 for row in inv for c in row):
+        raise _NotUnimodular
+    # rows x + rest = 0, so x = -inv rest
+    return {
+        v: sum((r * -int(c) for c, r in zip(row, rest)), Aff())
+        for v, row in zip(names, inv)
+    }
+
+
+def _form_row_holds(text: str, keys, arity: int, partner: Callable, sym_product: Callable) -> bool:
+    """True when the FORM_PLANS identity text vanishes at every arity-tuple
+    of the keys' shapes, whatever their slots, so at every window and N.
+
+    A pairing (u|v) is nonzero only where partner(u) = (value, v).  Each
+    pairing has one lone input, the single letter on one side of the bar
+    (the right one when both sides are single).  At the input patterns of
+    _shape_walk, that equation is solved for the lone input's variables and
+    the solution substituted, so the pairing becomes one Template per
+    product term, of the given arity, over the other inputs' variables.  The
+    row holds at every tuple of those shapes when the sum of those templates
+    collapses to nothing.  False when it does not, when the rule or the
+    partner cannot run on patterns (TypeError), or when the partner
+    equation is not unimodular in the lone input's variables."""
+    terms = [(s, x, y, "abc".index(y if len(y) == 1 else x)) for s, x, y in _pairings(text)]
+
+    def side(t, pats):
+        if len(t) == 1:
+            return [(Poly.const(1), pats["abc".index(t)])]
+        return sym_product(pats["abc".index(t[0])], pats["abc".index(t[1])])
+
+    try:
+        for names, pats in _shape_walk(keys, arity):
+            found = []
+            for s, x, y, lone in terms:
+                others = tuple(v for i, vs in enumerate(names) if i != lone for v in vs)
+                for f, u in side(x, pats):
+                    value, w = partner(u)
+                    for g, v in side(y, pats):
+                        env = _solve_lone(names[lone], w, v)
+                        if env is not None:
+                            coeff = poly_subst(f * g * Poly.of(value) * s, env)
+                            found.append(Template(others, coeff, tuple(pat_subst(p, env) for p in pats)))
+            if TemplateSeries(arity, found).collapsed().templates:
+                return False
+    except (TypeError, _NotUnimodular):
+        return False
+    return True
+
+
+def _form_weight_holds(keys, partner: Callable, weight: int) -> bool:
+    """True when deg a + deg partner(a) = weight, as an identity of Aff
+    slots, at a pattern of every key shape whose partner value is nonzero;
+    False otherwise or when the partner cannot run on patterns."""
+    try:
+        for _, (a,) in _shape_walk(keys, 1):
+            value, b = partner(a)
+            if Poly.of(value).is_zero():
+                continue
+            if Aff.of(key_degree(a) + key_degree(b)) != Aff(weight):
+                return False
+    except TypeError:
+        return False
+    return True
+
+
 def check_form(
     law: LawId,
     *,
@@ -857,7 +953,19 @@ def check_form(
     weight: Optional[int] = None,
     check_nondegenerate: bool = True,
 ) -> CheckReport:
-    """Symmetry sense, graded weight, invariance, window nondegeneracy."""
+    """Symmetry sense, graded weight, invariance, window nondegeneracy.
+
+    On a graded family each FORM_PLANS row is first proved on patterns (see
+    _form_row_holds): the pair row over the box keys' shapes, with the
+    graded weight as an Aff identity (_form_weight_holds), and the triple
+    row over the interior keys' shapes.  A proved row holds at every tuple
+    of keys of those shapes, so its window loop would record nothing and is
+    skipped; checked still counts |box|^2 + |interior|^3.  A row that is not
+    proved, because a rule or the partner branches on a slot, the partner
+    equation is not unimodular in the lone input, or the row does not
+    collapse, runs its window loop and reports that loop's witnesses.  A
+    window without interior raises InsufficientWindowError either way.
+    Finite forms (form= and keys=) always run the loops."""
     plan = FORM_PLANS.get(law)
     if plan is None:
         raise ValueError(f"not a form law: {law}")
@@ -877,25 +985,37 @@ def check_form(
     window = Window(window.n, margin)
     rec = _Recorder()
 
-    # The pair row and the single graded weight over all window pairs.
     (pair_label, pair_text), triple_row = plan
-    pair_terms = [(s, "ab".index(x), "ab".index(y)) for s, x, y in _pairings(pair_text)]
-    for a in box_keys:
-        for b in box_keys:
-            ab = (a, b)
-            bad = sum(s * v for s, x, y in pair_terms if (v := form(ab[x], ab[y])))
-            if bad:
-                rec.add(pair_label, ab, ((("scalar",), bad),))
-            v = form(a, b)
-            if v and weight is not None and key_degree(a) + key_degree(b) != weight:
-                rec.add("graded-weight", ab, ((("scalar",), v),))
-
     inner = family.interior_keys(window, law.value) if graded else box_keys
-    checked = len(box_keys) ** 2 + _form_residuals(triple_row, inner, form, product, rec)
+
+    def proved(text, keys, arity):
+        return graded and _form_row_holds(text, keys, arity, family.partner, family.sym_product)
+
+    # The pair row and the single graded weight over all window pairs.
+    if not (
+        proved(pair_text, box_keys, 2)
+        and (weight is None or _form_weight_holds(box_keys, family.partner, weight))
+    ):
+        pair_terms = [(s, "ab".index(x), "ab".index(y)) for s, x, y in _pairings(pair_text)]
+        for a in box_keys:
+            for b in box_keys:
+                ab = (a, b)
+                bad = sum(s * v for s, x, y in pair_terms if (v := form(ab[x], ab[y])))
+                if bad:
+                    rec.add(pair_label, ab, ((("scalar",), bad),))
+                v = form(a, b)
+                if v and weight is not None and key_degree(a) + key_degree(b) != weight:
+                    rec.add("graded-weight", ab, ((("scalar",), v),))
+
+    checked = len(box_keys) ** 2
+    if proved(triple_row[1], inner, 3):
+        checked += len(inner) ** 3
+    else:
+        checked += _form_residuals(triple_row, inner, form, product, rec)
 
     gram = {}
     if check_nondegenerate:
-        rank = _gram_rank(box_keys, form)
+        rank = _gram_rank(box_keys, form, family.form_partners if graded else None)
         gram = {"gram_rank": rank, "gram_size": len(box_keys)}
         if rank < len(box_keys):
             rec.add("degenerate", (), ((("rank",), Fraction(rank)),))
@@ -905,21 +1025,24 @@ def check_form(
     return CheckReport.build(law.value, window, checked, rec.items, extra)
 
 
-def _gram_rank(keys, form) -> int:
+def _gram_rank(keys, form, partners: Optional[Callable] = None) -> int:
     """Exact rank of the window Gram matrix.
 
-    Fast path: an injective partner assignment (each key sees exactly one
-    nonzero column, all distinct) is a scaled permutation, hence full rank."""
+    With partners (a family's form_partners) each key's row is read off its
+    partners that lie in the window; otherwise form is scanned against every
+    key.  Fast path: an injective partner assignment (each key sees exactly
+    one nonzero column, all distinct) is a scaled permutation, hence full
+    rank."""
     n = len(keys)
+    index = {b: j for j, b in enumerate(keys)}
     rows = []
     partner_cols = []
     injective = True
     for a in keys:
-        row = {}
-        for j, b in enumerate(keys):
-            v = form(a, b)
-            if v:
-                row[j] = v
+        if partners is None:
+            row = {j: v for j, b in enumerate(keys) if (v := form(a, b))}
+        else:
+            row = {index[b]: v for b, v in partners(a) if b in index}
         rows.append(row)
         if len(row) == 1:
             partner_cols.append(next(iter(row)))

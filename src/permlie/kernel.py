@@ -508,6 +508,18 @@ def poly_rename(poly: Poly, ren: dict) -> Poly:
     return Poly._norm(acc)
 
 
+def poly_subst(poly: Poly, env: dict) -> Poly:
+    """poly with each variable named in env replaced by its Aff value."""
+    out = Poly()
+    for mo, co in poly.m:
+        term = Poly.const(co)
+        for v, e in mo:
+            for _ in range(e):
+                term = term * Poly.of(env.get(v, v))
+        out = out + term
+    return out
+
+
 def pat_rename(p, ren: dict):
     env = {old: av(new) for old, new in ren.items()}
     return pat_subst(p, env)
@@ -1145,9 +1157,16 @@ def sparse_rref(rows: Iterable[dict]) -> dict:
     Returns {pivot col: row dict} with each row normalized to pivot 1 and
     fully reduced against the others, so no basis row mentions another
     row's pivot column.
+
+    A basis row that is just {pivot: 1} stays so (later pivots are free
+    columns of no such row), so a row whose columns are all such pivots
+    reduces to zero and is skipped unread.
     """
     basis: dict = {}
+    single: set = set()  # the pivots whose basis row is {pivot: 1}
     for row in rows:
+        if single.issuperset(row):
+            continue
         row = dict(row)
         # Basis rows carry only their own pivot plus free columns, so one
         # sweep over the pivots present cannot reintroduce any of them.
@@ -1167,7 +1186,7 @@ def sparse_rref(rows: Iterable[dict]) -> dict:
         lead = min(row)
         inv = ONE / row[lead]
         row = {c: v * inv for c, v in row.items()}
-        for row2 in basis.values():
+        for lead2, row2 in basis.items():
             f = row2.get(lead)
             if f:
                 row2.pop(lead)
@@ -1179,7 +1198,11 @@ def sparse_rref(rows: Iterable[dict]) -> dict:
                         row2[c] = cur
                     else:
                         row2.pop(c, None)
+                if len(row2) == 1:
+                    single.add(lead2)
         basis[lead] = row
+        if len(row) == 1:
+            single.add(lead)
     return basis
 
 

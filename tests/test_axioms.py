@@ -46,9 +46,14 @@ from permlie.families import (
     wn_codelta_sym,
     wn_family,
 )
+from permlie import axioms
 from permlie.axioms import (
+    FORM_PLANS,
     LawId,
     _assemble_matched_pair,
+    _form_row_holds,
+    _form_weight_holds,
+    _gram_rank,
     _holds_on_patterns,
     check_algebra,
     check_bialgebra,
@@ -866,6 +871,148 @@ class TestFormOracle:
         box = fam.keys(Window(3))
         inner = fam.interior_keys(Window(3, 1), law.value)
         self.assert_matches(rep, law, box, inner, fam.form, fam.product, fam.form_m)
+
+
+# Each graded family with a form, with the form law it carries.
+FORM_FAMILIES = [
+    ("ats", ats_family, LawId.QuadPreLieForm),
+    ("permP", perm_p_family, LawId.QuadPermForm),
+    ("w1-restricted-dual", lambda: restricted_dual_double(wn_family(1)), LawId.QuadPreLieForm),
+]
+
+
+def _window_form_report(law, fam, window):
+    """check_form at the window and its margin with every pattern proof
+    refused, so each row runs its window loop (_form_residuals for the
+    triple row)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(axioms, "_form_row_holds", lambda *args: False)
+        return check_form(law, family=fam, window=window, margin=window.margin)
+
+
+def _proof_closes(law, fam, window):
+    """Whether both rows of FORM_PLANS[law] and the graded weight are proved
+    on patterns over the window's keys."""
+    (_, pair_text), (_, triple_text) = FORM_PLANS[law]
+    box = fam.keys(window)
+    inner = fam.interior_keys(window, law.value)
+    return (
+        _form_row_holds(pair_text, box, 2, fam.partner, fam.sym_product)
+        and _form_weight_holds(box, fam.partner, fam.form_m)
+        and _form_row_holds(triple_text, inner, 3, fam.partner, fam.sym_product)
+    )
+
+
+def _scaled_rule(fam, shapes, k):
+    """fam with the product of the shape pair shapes scaled by k."""
+    rule = fam.rule
+
+    def scaled(x, y):
+        r = rule(x, y)
+        if r is None or (key_shape(x), key_shape(y)) != shapes:
+            return r
+        return (r[0] * k, r[1])
+
+    return dataclasses.replace(fam, rule=scaled)
+
+
+def _flipped_partner(fam, shape):
+    """fam with the partner value of every key of the given shape negated."""
+    partner = fam.partner
+
+    def flipped(x):
+        v, z = partner(x)
+        return (-v, z) if key_shape(x) == shape else (v, z)
+
+    return dataclasses.replace(fam, partner=flipped)
+
+
+class TestFormProof:
+    """The pattern proof of check_form against its window loops."""
+
+    @pytest.mark.parametrize("name, make, law", FORM_FAMILIES, ids=[f[0] for f in FORM_FAMILIES])
+    def test_proof_closes_and_reports_the_window(self, name, make, law):
+        fam = make()
+        for window in (Window(3, 1), Window(4, 2)):
+            assert _proof_closes(law, fam, window)
+            rep = check_form(law, family=fam, window=window, margin=window.margin)
+            assert rep.passed and rep == _window_form_report(law, fam, window)
+            box = fam.keys(window)
+            inner = fam.interior_keys(window, law.value)
+            assert rep.checked == len(box) ** 2 + len(inner) ** 3
+
+    def test_doubled_perm_p_product_fails_both_ways(self):
+        fam = _scaled_rule(perm_p_family(), (("Mono", 2), ("Mono", 1)), 2)
+        law = LawId.QuadPermForm
+        assert not _proof_closes(law, fam, Window(3, 1))
+        rep = check_form(law, family=fam, window=Window(3))
+        assert not rep.passed
+        assert rep == _window_form_report(law, fam, Window(3, 1))
+
+    @pytest.mark.parametrize("name, make, law", FORM_FAMILIES, ids=[f[0] for f in FORM_FAMILIES])
+    def test_shape_perturbations_keep_the_window_witnesses(self, name, make, law):
+        rng = random.Random(1501)
+        base = make()
+        shapes = sorted({key_shape(k) for k in base.keys(Window(0))})
+        cases = [_flipped_partner(base, s) for s in shapes]
+        for _ in range(4):
+            pair = (rng.choice(shapes), rng.choice(shapes))
+            cases.append(_scaled_rule(base, pair, rng.choice((-1, 2, 3))))
+        failed = 0
+        for fam in cases:
+            rep = check_form(law, family=fam, window=Window(3))
+            ref = _window_form_report(law, fam, Window(3, 1))
+            assert rep == ref
+            if _proof_closes(law, fam, Window(3, 1)):
+                assert rep.passed
+            failed += not rep.passed
+        assert failed >= len(shapes)  # every partner flip breaks the skew row
+
+    def test_no_interior_still_raises(self):
+        fam = perm_p_family()
+        law = LawId.QuadPermForm
+        assert _proof_closes(law, fam, Window(3, 1))
+        with pytest.raises(InsufficientWindowError):
+            check_form(law, family=fam, window=Window(1), margin=2)
+
+    def test_branching_partner_falls_back(self):
+        base = ats_family()
+        partner = base.partner
+
+        def branching(x):
+            v, z = partner(x)
+            return (v if x[1] >= 0 else v, z)  # compares a slot with a number
+
+        fam = dataclasses.replace(base, partner=branching)
+        law = LawId.QuadPreLieForm
+        assert not _proof_closes(law, fam, Window(3, 1))
+        rep = check_form(law, family=fam, window=Window(3))
+        assert rep.passed and rep == _window_form_report(law, fam, Window(3, 1))
+
+    def test_non_unimodular_partner_falls_back(self):
+        # s^i pairs with t^(-2i) here: solving (a|bc) for a's slot divides by 2
+        base = ats_family()
+
+        def partner(x):
+            tag, i = x
+            return (1, tee(-2 * i)) if tag == "Ess" else (-1, ess(-2 * i))
+
+        fam = dataclasses.replace(base, partner=partner)
+        law = LawId.QuadPreLieForm
+        (_, triple_text) = FORM_PLANS[law][1]
+        inner = fam.interior_keys(Window(3, 1), law.value)
+        assert not _form_row_holds(triple_text, inner, 3, fam.partner, fam.sym_product)
+        rep = check_form(law, family=fam, window=Window(3))
+        assert rep == _window_form_report(law, fam, Window(3, 1))
+
+    @pytest.mark.parametrize("name, make, law", FORM_FAMILIES, ids=[f[0] for f in FORM_FAMILIES])
+    def test_gram_rank_through_partners(self, name, make, law):
+        base = make()
+        shapes = sorted({key_shape(k) for k in base.keys(Window(0))})
+        for fam in [base] + [_flipped_partner(base, s) for s in shapes]:
+            for n in (0, 2, 4):
+                keys = fam.keys(Window(n))
+                assert _gram_rank(keys, fam.form, fam.form_partners) == _gram_rank(keys, fam.form)
 
 
 class TestForms:

@@ -38,6 +38,13 @@ class TestVerifyExitCodes:
         assert p.returncode == 3
         assert "too small for law" in p.stderr
 
+    def test_form_row_without_interior(self):
+        # The first appendix row that needs an interior is the w1 form row,
+        # whose laws are proved on patterns; the window is still refused.
+        p = run("verify", "appendix", "--window", "3", "--margin", "4")
+        assert p.returncode == 3
+        assert "too small for law QuadPreLieForm" in p.stderr
+
     def test_unknown_suite(self):
         p = run("verify", "bogus")
         assert p.returncode == 2

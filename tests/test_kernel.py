@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from permlie.kernel import (
     Aff,
@@ -403,6 +403,51 @@ class TestLinearAlgebra:
             for other in basis:
                 if other != lead:
                     assert other not in row
+
+
+def _dense_rref(rows, ncols):
+    """{pivot: row} of the reduced row echelon form, by dense Gauss-Jordan."""
+    m = [[F(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    out, r = [], 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        out.append(c)
+        r += 1
+    return {c: {j: x for j, x in enumerate(m[i]) if x} for i, c in enumerate(out)}
+
+
+_sparse_rows = st.lists(
+    st.dictionaries(
+        st.integers(0, 5), st.integers(-3, 3).filter(bool).map(F), max_size=4
+    ),
+    max_size=9,
+)
+
+
+class TestSparseRrefReference:
+    # The second row makes the first a lone pivot {0: 1} only by
+    # back-substitution; the third then reduces to zero unread.
+    @example([{0: F(1), 1: F(1)}, {1: F(2)}, {0: F(3)}, {0: F(1), 1: F(5)}])
+    @example([{2: F(1), 3: F(1)}, {0: F(1), 2: F(2)}, {3: F(1)}, {0: F(4), 2: F(1)}])
+    @given(_sparse_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_rref_and_forced_zeros(self, rows):
+        basis = sparse_rref(rows)
+        ref = _dense_rref(rows, 6)
+        assert basis == ref
+        rank = len(ref)
+        forced = {
+            c for c in range(6) if len(_dense_rref(rows + [{c: F(1)}], 6)) == rank
+        }
+        assert forced_zero_columns(basis) == forced
 
 
 class TestPatConst:
