@@ -404,22 +404,34 @@ def _b_dual(lift: ManinData, u):
     return (ONE / val, cand)
 
 
-def manin_cobracket_coefficient(lift: ManinData, x, u, v) -> Fraction:
-    """Coefficient of delta(x) on u (x) v read off the lift's pairing:
-    B(x, [u°, v°]) with u° the B-dual of u in the opposite half."""
+def manin_dual_bracket(lift: ManinData, u, v) -> list:
+    """[u°, v°] as (key, coefficient) pairs, u° the B-dual of u in the
+    opposite half.  Free of x: one per (u, v) serves delta(x) for every x."""
     assert lift.level == "LieB"
     cu, ku = _b_dual(lift, u)
     cv, kv = _b_dual(lift, v)
+    return [(k, cu * cv * c) for k, c in lift.bracket(ku, kv).items()]
+
+
+def manin_pairing(lift: ManinData, x, terms) -> Fraction:
+    """B(x, sum of c k) over the (key, coefficient) pairs terms."""
     out = ZERO
-    for k, c in lift.bracket(ku, kv).items():
+    for k, c in terms:
         b = lift.form(x, k)
         if b:
-            out += cu * cv * c * b
+            out += c * b
     return out
 
 
+def manin_cobracket_coefficient(lift: ManinData, x, u, v) -> Fraction:
+    """Coefficient of delta(x) on u (x) v read off the lift's pairing:
+    B(x, [u°, v°]), x paired with the dual bracket of (u, v)."""
+    return manin_pairing(lift, x, manin_dual_bracket(lift, u, v))
+
+
 def manin_cobracket_table(lift: ManinData, x, window: Window) -> dict:
-    """All (u, v) coefficients of delta(x) over the window's first-half keys."""
+    """All (u, v) coefficients of delta(x) over the window's first-half keys:
+    x paired with the dual bracket of each (u, v)."""
     d = lift.total.dim // 2
     keys = [k for k in pair_keys(lift.total, lift.family, window) if k[1][2] < d]
     out = {}

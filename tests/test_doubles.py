@@ -35,7 +35,10 @@ from permlie.axioms import (
     check_representation,
 )
 from permlie.affinize import delta_bullet
-from permlie import doubles as D
+from permlie import cli, doubles as D
+from permlie.serialize import canonical_json, report_to_json
+
+from diagram_reference import diagram_by_points
 
 F = Fraction
 ONE = F(1)
@@ -417,6 +420,39 @@ class TestLieLift:
                     )
                     c2 = D.manin_cobracket_coefficient(lift, x, u, v)
                     assert c1 == c2, (x, u, v)
+
+    @pytest.mark.parametrize("bound", [2, 3, 4])
+    def test_diagram_report_matches_points(self, bound):
+        md = D.manin_double_from_bialgebra(finite_catalog()["ex-1p"])
+        lift = D.manin_lie_lift(md, ats_family(), Window(bound))
+        fast = cli._doubles_diagram_report(md, lift, bound)
+        ref = diagram_by_points(md, lift, bound)
+        assert fast.passed
+        assert canonical_json(report_to_json(fast)) == canonical_json(report_to_json(ref))
+
+    def test_diagram_fails_on_scaled_bracket(self):
+        # Double the lift's bracket [u°, .] for the B-dual u° of one
+        # first-half key u; delta(x) read off the pairing then disagrees with
+        # delta bullet wherever x pairs with a doubled [u°, v°].
+        md = D.manin_double_from_bialgebra(finite_catalog()["ex-1p"])
+        fam = ats_family()
+        lift = D.manin_lie_lift(md, fam, Window(3))
+        pk = [pair(fin(md.total.space, 0), g) for g in fam.keys(Window(3))]
+        u = next(
+            u for u in pk
+            if any(D.manin_cobracket_coefficient(lift, x, u, v) for x in pk for v in pk)
+        )
+        ku = D._b_dual(lift, u)[1]
+
+        def scaled(a, b):
+            out = lift.bracket(a, b)
+            return F(2) * out if a == ku else out
+
+        bad = replace(lift, bracket=scaled)
+        fast = cli._doubles_diagram_report(md, bad, 3)
+        ref = diagram_by_points(md, bad, 3)
+        assert not fast.passed and len(fast.violations) > 1
+        assert canonical_json(report_to_json(fast)) == canonical_json(report_to_json(ref))
 
 
 class TestRestrictedDual:

@@ -50,6 +50,9 @@ from permlie.serialize import (
     tensor_to_json,
     three_tensor_to_json,
 )
+from permlie.cli import _worked_cobracket_report
+
+from diagram_reference import worked_cobracket_by_points
 
 F = Fraction
 
@@ -271,6 +274,13 @@ class TestWorkedCobracket:
             assert dF.coefficient_at((pair(E, tee(-j)), pair(Fk, ess(s)))) == F(0)
             assert dFs.coefficient_at((pair(Fk, ess(-j)), pair(Fk, ess(s)))) == cf
             assert dFs.coefficient_at((pair(E, ess(-j)), pair(Fk, ess(s)))) == F(0)
+
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_report_matches_points(self, bound):
+        fast = _worked_cobracket_report(bound)
+        ref = worked_cobracket_by_points(bound)
+        assert fast.passed
+        assert canonical_json(report_to_json(fast)) == canonical_json(report_to_json(ref))
 
 
 class TestCybe:
