@@ -11,14 +11,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .kernel import (
     CheckReport,
     FormalVector,
     Fresh,
-    ONE,
     Poly,
     Template,
     TemplateSeries,
@@ -118,22 +116,7 @@ def _delta_bullet_sym(alg: FiniteAlgebra, family: GradedFamily):
 
 
 # ---------------------------------------------------------------------------
-# Form-induced coproducts and graded dual bases.
-
-
-def graded_dual_basis(family: GradedFamily, window: Window):
-    """For each window key e a vector f with form(f, e) = 1 and form(f, e') = 0
-    for every other window key e'.  Requires the single-partner property that
-    both shipped forms have; the defining property is re-verified exactly."""
-    assert family.form is not None and family.form_partners is not None
-    out = []
-    keys = family.keys(window)
-    for e in keys:
-        partners = family.form_partners(e)
-        assert len(partners) == 1, "dual basis needs a single pairing partner"
-        k, val = partners[0]  # val = form(e, k)
-        out.append((e, FormalVector.single(k, -ONE / val)))
-    return out
+# Form-induced coproducts.
 
 
 def coproduct_from_form(family: GradedFamily, side: Optional[str] = None):
@@ -168,35 +151,6 @@ def coproduct_from_form(family: GradedFamily, side: Optional[str] = None):
         return TemplateSeries(2, tpls)
 
     return delta
-
-
-def pairing_defect(
-    family: GradedFamily, delta_fn: Callable, a, b, c
-) -> Fraction:
-    """Defect of the defining pairing at (a; b, c):
-
-    PreLie side: form~(delta(a), b (x) c) + form(a, b c)
-    Perm side:   form~(delta(p), q (x) r) + form(p, q r)
-
-    where form~ pairs slot 1 against b and slot 2 against c.  The slot-wise
-    pairing of delta(a) against (b, c) has finitely many contributing terms,
-    recovered exactly through the partner keys.
-    """
-    assert family.form is not None and family.form_partners is not None
-    total = ZERO
-    d = delta_fn(a)
-    # form~(x (x) y, b (x) c) = form(x, b) form(y, c): only the key pair
-    # (partner of b, partner of c) can contribute.
-    for kb, vb in family.form_partners(b):
-        for kc, vc in family.form_partners(c):
-            coeff = d.coefficient_at((kb, kc))
-            if coeff:
-                # form(kb, b) = -vb since vb = form(b, kb)
-                total += coeff * (-vb) * (-vc)
-    prod = family.product_one(b, c)
-    if prod is not None:
-        total += prod[0] * family.form(a, prod[1])
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .kernel import (
@@ -107,18 +108,20 @@ from .serialize import (
 MIN_WINDOW = 3
 
 
+@dataclass
 class SuiteConfig:
-    def __init__(self, suite, window, margin, seed, fmt, out):
-        self.suite = suite
-        self.window = window
-        self.margin = margin
-        self.seed = seed
-        self.fmt = fmt
-        self.out = out
+    suite: Optional[str]
+    window: int
+    margin: Optional[int]
+    seed: int
+    fmt: str
+    out: Optional[str]
 
 
 # ---------------------------------------------------------------------------
 # Row helpers.  A row is one named check with a pass flag and its report.
+# A suite writes each group of rows that repeats one call as a table of the
+# parts that vary, looped through that call.
 
 
 def _row(name, law, passed, note="", report=None):
@@ -141,9 +144,27 @@ def _report_row(name, rep: CheckReport, expect_pass: bool = True):
     return _row(name, rep.law, ok, note, report_to_json(rep))
 
 
+def _report_rows(prefix, reports: dict):
+    """One row per named report, in name order."""
+    return [_report_row(f"{prefix}:{name}", reports[name]) for name in sorted(reports)]
+
+
 def _equality_report(law, window, checked, mismatches) -> CheckReport:
     violations = [("mismatch", at, res) for at, res in mismatches]
     return CheckReport.build(law, window, checked, violations, {})
+
+
+def _series_equality_report(law, keys, lhs, rhs, bound: int) -> CheckReport:
+    """lhs(key) = rhs(key) for every key, read on the box [-bound, bound]: a
+    key whose difference has box support is a mismatch carrying that support."""
+    mismatches = []
+    checked = 0
+    for key in keys:
+        checked += 1
+        diff = (lhs(key) - rhs(key)).support_in_box(bound)
+        if diff:
+            mismatches.append(((key,), tuple(sorted(diff.items()))))
+    return _equality_report(law, Window(bound, 0), checked, mismatches)
 
 
 # ---------------------------------------------------------------------------
@@ -173,172 +194,80 @@ def _bracket_table_report(bound: int) -> CheckReport:
                 want = {k: c for k, c in want.items() if c}
                 got = {k: c for k, c in br(pair(e, ka), pair(e, kb)).items() if c}
                 if got != want:
-                    res = tuple(
-                        sorted(
-                            (k, got.get(k, ZERO) - want.get(k, ZERO))
-                            for k in set(got) | set(want)
-                        )
-                    )
+                    diff = ((k, got.get(k, ZERO) - want.get(k, ZERO)) for k in {*got, *want})
+                    res = tuple(sorted(diff))
                     mismatches.append(((pair(e, ka), pair(e, kb)), res))
     return _equality_report("AffineBracketTable", Window(bound, 0), checked, mismatches)
 
 
 def _expected_cobracket(space: str, key) -> TemplateSeries:
     """The closed-form cobracket rows of the 1-dim idempotent affinization."""
-    e = pat_fin(space, 0)
-    k = av("k")
-    i = key[1]
+    e, k, i = pat_fin(space, 0), av("k"), key[1]
+    s = pat_pair(e, pat_ess(-k))
     if key[0] == "Tee":
+        t = pat_pair(e, pat_tee(k + (i - 1)))
         return TemplateSeries(
             2,
             (
-                Template(
-                    ("k",),
-                    Poly.const(Fraction(i)),
-                    (pat_pair(e, pat_ess(-k)), pat_pair(e, pat_tee(k + (i - 1)))),
-                ),
-                Template(
-                    ("k",),
-                    Poly.const(Fraction(-i)),
-                    (pat_pair(e, pat_tee(k + (i - 1))), pat_pair(e, pat_ess(-k))),
-                ),
+                Template(("k",), Poly.const(Fraction(i)), (s, t)),
+                Template(("k",), Poly.const(Fraction(-i)), (t, s)),
             ),
         )
-    return TemplateSeries(
-        2,
-        (
-            Template(
-                ("k",),
-                Poly.of(2 * k + (i - 1)),
-                (pat_pair(e, pat_ess(-k)), pat_pair(e, pat_ess(k + (i - 1)))),
-            ),
-        ),
-    )
+    s_out = pat_pair(e, pat_ess(k + (i - 1)))
+    return TemplateSeries(2, (Template(("k",), Poly.of(2 * k + (i - 1)), (s, s_out)),))
 
 
 def _cobracket_table_report(bound: int, shape: str) -> CheckReport:
     alg = finite_catalog()["ex-1p"]
     fam = ats_family()
     delta, _ = delta_bullet_rule(alg, fam)
-    window = Window(bound)
-    mismatches = []
-    checked = 0
-    for g in fam.interior_keys(window, "cobracket-table"):
-        if g[0] != ("Tee" if shape == "t" else "Ess"):
-            continue
-        checked += 1
-        key = pair(alg.key(0), g)
-        diff = (delta(key) - _expected_cobracket(alg.space, g)).support_in_box(bound)
-        if diff:
-            mismatches.append(((key,), tuple(sorted(diff.items()))))
-    return _equality_report("CobracketTable", window, checked, mismatches)
+    head = "Tee" if shape == "t" else "Ess"
+    keys = [
+        pair(alg.key(0), g)
+        for g in fam.interior_keys(Window(bound), "cobracket-table")
+        if g[0] == head
+    ]
+    return _series_equality_report(
+        "CobracketTable", keys, delta, lambda key: _expected_cobracket(alg.space, key[2]), bound
+    )
 
 
 def _coproduct_from_form_report(fam, delta_named, bound: int) -> CheckReport:
     cf = coproduct_from_form(fam)
-    mismatches = []
-    checked = 0
-    for key in fam.keys(Window(bound)):
-        checked += 1
-        if not cf(key).equal_on_box(delta_named(key), bound):
-            diff = (cf(key) - delta_named(key)).support_in_box(bound)
-            mismatches.append(((key,), tuple(sorted(diff.items()))))
-    return _equality_report("CoproductFromForm", Window(bound, 0), checked, mismatches)
+    keys = fam.keys(Window(bound))
+    return _series_equality_report("CoproductFromForm", keys, cf, delta_named, bound)
 
 
 def suite_paper_examples(cfg: SuiteConfig):
-    W = cfg.window
-    m = cfg.margin
-    rows = []
-    pfam = perm_p_family()
-    afam = ats_family()
-    w1 = wn_family(1)
-    w2 = wn_family(2)
+    W, m = cfg.window, cfg.margin
+    pfam, afam, w1, w2 = perm_p_family(), ats_family(), wn_family(1), wn_family(2)
 
-    rows.append(
-        _report_row(
-            "law:perm:graded-p",
-            check_algebra(LawId.Perm, family=pfam, window=Window(W), margin=m),
+    rows = [
+        _report_row(name, check_algebra(law, family=fam, window=Window(W), margin=m))
+        for name, law, fam in (
+            ("law:perm:graded-p", LawId.Perm, pfam),
+            ("law:prelie:w1", LawId.PreLie, w1),
+            ("law:novikov:w1", LawId.Novikov, w1),
+            ("law:prelie:w2", LawId.PreLie, w2),
+            ("law:prelie:ats", LawId.PreLie, afam),
         )
-    )
-    rows.append(
-        _report_row(
-            "law:prelie:w1",
-            check_algebra(LawId.PreLie, family=w1, window=Window(W), margin=m),
-        )
-    )
-    rows.append(
-        _report_row(
-            "law:novikov:w1",
-            check_algebra(LawId.Novikov, family=w1, window=Window(W), margin=m),
-        )
-    )
-    rows.append(
-        _report_row(
-            "law:prelie:w2",
-            check_algebra(LawId.PreLie, family=w2, window=Window(W), margin=m),
-        )
-    )
-    rows.append(
-        _report_row(
-            "law:prelie:ats",
-            check_algebra(LawId.PreLie, family=afam, window=Window(W), margin=m),
-        )
-    )
-
+    ]
     wc = Window(min(4, W))
-    rows.append(
-        _report_row(
-            "colaw:coperm:graded-p",
-            check_coalgebra(
-                LawId.CoPerm,
-                delta=delta_p_family,
-                sym_co=pfam.sym_co,
-                keys=pfam.interior_keys(wc, LawId.CoPerm),
-                window=wc,
-                margin=m,
-            ),
+    for name, law, fam, delta, sym_co in (
+        ("colaw:coperm:graded-p", LawId.CoPerm, pfam, delta_p_family, pfam.sym_co),
+        ("colaw:coprelie:ats", LawId.CoPreLie, afam, delta_a_family, afam.sym_co),
+        ("colaw:coprelie:w1", LawId.CoPreLie, w1, partial(wn_codelta, 1), wn_codelta_sym(1)),
+    ):
+        keys = fam.interior_keys(wc, law)
+        rep = check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=wc, margin=m)
+        rows.append(_report_row(name, rep))
+    rows += [
+        _report_row(name, check_form(law, family=fam, window=Window(W), margin=m))
+        for name, law, fam in (
+            ("form:prelie:ats", LawId.QuadPreLieForm, afam),
+            ("form:perm:graded-p", LawId.QuadPermForm, pfam),
         )
-    )
-    rows.append(
-        _report_row(
-            "colaw:coprelie:ats",
-            check_coalgebra(
-                LawId.CoPreLie,
-                delta=delta_a_family,
-                sym_co=afam.sym_co,
-                keys=afam.interior_keys(wc, LawId.CoPreLie),
-                window=wc,
-                margin=m,
-            ),
-        )
-    )
-    rows.append(
-        _report_row(
-            "colaw:coprelie:w1",
-            check_coalgebra(
-                LawId.CoPreLie,
-                delta=lambda k: wn_codelta(1, k),
-                sym_co=wn_codelta_sym(1),
-                keys=w1.interior_keys(wc, LawId.CoPreLie),
-                window=wc,
-                margin=m,
-            ),
-        )
-    )
-
-    rows.append(
-        _report_row(
-            "form:prelie:ats",
-            check_form(LawId.QuadPreLieForm, family=afam, window=Window(W), margin=m),
-        )
-    )
-    rows.append(
-        _report_row(
-            "form:perm:graded-p",
-            check_form(LawId.QuadPermForm, family=pfam, window=Window(W), margin=m),
-        )
-    )
+    ]
 
     rows.append(_report_row("affinize:bracket-table", _bracket_table_report(W)))
     alg = finite_catalog()["ex-1p"]
@@ -353,70 +282,33 @@ def suite_paper_examples(cfg: SuiteConfig):
         )
     )
 
-    wp = min(5, W)
-    rows.append(
-        _report_row("pipeline:cobracket-table:t", _cobracket_table_report(wp, "t"))
-    )
-    rows.append(
-        _report_row("pipeline:cobracket-table:s", _cobracket_table_report(wp, "s"))
-    )
+    wp = Window(min(5, W))
+    rows += [
+        _report_row(f"pipeline:cobracket-table:{shape}", _cobracket_table_report(wp.n, shape))
+        for shape in ("t", "s")
+    ]
     delta, sym_co = delta_bullet_rule(alg, afam)
     br, sbr = induced_lie_bracket(alg, afam)
-    pk = pair_keys(alg, afam, Window(wp))
-    rows.append(
-        _report_row(
-            "pipeline:lie-bicocycle",
-            check_bialgebra(
-                LawId.LieBiCocycle,
-                bracket=br,
-                delta=delta,
-                sym_bracket=sbr,
-                keys=pk,
-                window=Window(wp),
-                margin=m,
-            ),
-        )
+    pk = pair_keys(alg, afam, wp)
+    rep = check_bialgebra(
+        LawId.LieBiCocycle, bracket=br, delta=delta, sym_bracket=sbr, keys=pk, window=wp, margin=m
     )
-    rows.append(
+    rows.append(_report_row("pipeline:lie-bicocycle", rep))
+    rows += [
         _report_row(
-            "pipeline:colie-skew",
-            check_coalgebra(
-                LawId.CoLieSkew,
-                delta=delta,
-                sym_co=sym_co,
-                keys=pk,
-                window=Window(wp),
-                margin=m,
-            ),
+            f"pipeline:colie-{tag}",
+            check_coalgebra(law, delta=delta, sym_co=sym_co, keys=pk, window=wp, margin=m),
         )
-    )
-    rows.append(
-        _report_row(
-            "pipeline:colie-jacobi",
-            check_coalgebra(
-                LawId.CoLieJacobi,
-                delta=delta,
-                sym_co=sym_co,
-                keys=pk,
-                window=Window(wp),
-                margin=m,
-            ),
-        )
-    )
+        for tag, law in (("skew", LawId.CoLieSkew), ("jacobi", LawId.CoLieJacobi))
+    ]
 
     we = min(6, W)
-    rows.append(
+    rows += [
         _report_row(
-            "remark:coproduct-from-form:ats",
-            _coproduct_from_form_report(afam, delta_a_family, we),
+            f"remark:coproduct-from-form:{tag}", _coproduct_from_form_report(fam, named, we)
         )
-    )
-    rows.append(
-        _report_row(
-            "remark:coproduct-from-form:graded-p",
-            _coproduct_from_form_report(pfam, delta_p_family, we),
-        )
-    )
+        for tag, fam, named in (("ats", afam, delta_a_family), ("graded-p", pfam, delta_p_family))
+    ]
     return rows
 
 
@@ -479,22 +371,16 @@ def _worked_cobracket_report(bound: int) -> CheckReport:
 def _ybe_diagram_report(bound: int) -> CheckReport:
     """Affinizing the coboundary bialgebra commutes with taking the
     coboundary cobracket of the affinized tensor."""
-    cat = finite_catalog()
-    sd2 = cat["ex-sd2"]
+    sd2 = finite_catalog()["ex-sd2"]
     fam = ats_family()
     r = tensor_catalog()["r-sd2"][1]
-    work = replace(sd2, delta=coboundary_delta_perm(sd2, r))
-    delta, _ = delta_bullet_rule(work, fam)
+    delta, _ = delta_bullet_rule(replace(sd2, delta=coboundary_delta_perm(sd2, r)), fam)
     _, sbr = induced_lie_bracket(sd2, fam)
     rt = affinize_r(r, fam)
-    mismatches = []
-    checked = 0
-    for key in pair_keys(sd2, fam, Window(bound)):
-        checked += 1
-        diff = (delta(key) - lie_delta_from_r(sbr, rt, key)).support_in_box(bound)
-        if diff:
-            mismatches.append(((key,), tuple(sorted(diff.items()))))
-    return _equality_report("CoboundaryDiagram", Window(bound, 0), checked, mismatches)
+    keys = pair_keys(sd2, fam, Window(bound))
+    return _series_equality_report(
+        "CoboundaryDiagram", keys, delta, lambda key: lie_delta_from_r(sbr, rt, key), bound
+    )
 
 
 def _perturbed_ats_delta(key) -> TemplateSeries:
@@ -523,79 +409,62 @@ def _perturbed_ats_product(k1, k2) -> FormalVector:
 
 
 def suite_ybe(cfg: SuiteConfig):
-    W = cfg.window
-    m = cfg.margin
-    cat = finite_catalog()
-    tens = tensor_catalog()
-    fam = ats_family()
-    sd2 = cat["ex-sd2"]
-    r_sd2 = tens["r-sd2"][1]
-    rows = []
-
-    rows.append(
+    W, m = cfg.window, cfg.margin
+    cat, tens, fam = finite_catalog(), tensor_catalog(), ats_family()
+    sd2, r_sd2 = cat["ex-sd2"], tens["r-sd2"][1]
+    rows = [
         _report_row(
-            "ybe:residual-zero:semidirect",
-            _residual_zero_report(sd2, r_sd2, "PermYbeZero"),
-        )
-    )
-    rows.append(
+            "ybe:residual-zero:semidirect", _residual_zero_report(sd2, r_sd2, "PermYbeZero")
+        ),
         _report_row(
             "ybe:coboundary-bialgebra",
             check_bialgebra(
-                LawId.PermBi,
-                alg=sd2,
-                delta_table=coboundary_delta_perm(sd2, r_sd2),
+                LawId.PermBi, alg=sd2, delta_table=coboundary_delta_perm(sd2, r_sd2)
             ),
-        )
-    )
+        ),
+    ]
 
     rt = affinize_r(r_sd2, fam)
     ws = min(4, W)
     skew_bad = (rt + rt.flip_hat()).support_in_box(ws)
+    skew = [((k,), ((k, c),)) for k, c in sorted(skew_bad.items())]
     rows.append(
         _report_row(
-            "ybe:affinized-skew",
-            _equality_report(
-                "AffinizedSkew",
-                Window(ws, 0),
-                1,
-                [((k,), ((k, c),)) for k, c in sorted(skew_bad.items())],
-            ),
+            "ybe:affinized-skew", _equality_report("AffinizedSkew", Window(ws, 0), 1, skew)
         )
     )
 
     _, sbr = induced_lie_bracket(sd2, fam)
-    rows.append(
-        _report_row("ybe:cybe", cybe_residual(sbr, rt, Window(min(5, W), 0)))
-    )
-    rows.append(
-        _report_row("ybe:worked-cobracket", _worked_cobracket_report(min(3, W)))
-    )
+    rows.append(_report_row("ybe:cybe", cybe_residual(sbr, rt, Window(min(5, W), 0))))
+    rows.append(_report_row("ybe:worked-cobracket", _worked_cobracket_report(min(3, W))))
     rows.append(_report_row("ybe:diagram", _ybe_diagram_report(min(4, W))))
 
-    # negative controls: each must fail with a nonempty witness list
-    nilp = cat["ex-nilp2"]
-    r_n = tens["r-nilp2"][1]
-    rows.append(
-        _report_row(
-            "neg:perm-ybe:nilpotent",
-            _residual_zero_report(nilp, r_n, "PermYbeZero"),
-            expect_pass=False,
-        )
-    )
-    _, sbr_n = induced_lie_bracket(nilp, fam)
-    rows.append(
-        _report_row(
-            "neg:cybe:nilpotent",
-            cybe_residual(sbr_n, affinize_r(r_n, fam), Window(min(3, W), 0)),
-            expect_pass=False,
-        )
-    )
+    nilp, r_n = cat["ex-nilp2"], tens["r-nilp2"][1]
+    onep = cat["ex-1p"]
     wc = Window(min(4, W))
-    rows.append(
-        _report_row(
+
+    def o_operator_report():
+        # the O-operator's failing report, or None when it is accepted
+        try:
+            o_to_ybe(((Fraction(1),),), onep, adjoint_representation(onep))
+        except OOperatorError as err:
+            return err.report
+        return None
+
+    # negative controls: each must fail with a nonempty witness list
+    for name, build in (
+        ("neg:perm-ybe:nilpotent", lambda: _residual_zero_report(nilp, r_n, "PermYbeZero")),
+        (
+            "neg:cybe:nilpotent",
+            lambda: cybe_residual(
+                induced_lie_bracket(nilp, fam)[1],
+                affinize_r(r_n, fam),
+                Window(min(3, W), 0),
+            ),
+        ),
+        (
             "neg:coprelie:perturbed-ats",
-            check_coalgebra(
+            lambda: check_coalgebra(
                 LawId.CoPreLie,
                 delta=_perturbed_ats_delta,
                 sym_co=_perturbed_ats_sym_co,
@@ -603,48 +472,24 @@ def suite_ybe(cfg: SuiteConfig):
                 window=wc,
                 margin=m,
             ),
-            expect_pass=False,
-        )
-    )
-    rows.append(
-        _report_row(
+        ),
+        (
             "neg:prelie:perturbed-ats-product",
-            check_algebra(
+            lambda: check_algebra(
                 LawId.PreLie,
                 product=_perturbed_ats_product,
                 keys=fam.interior_keys(wc, LawId.PreLie),
             ),
-            expect_pass=False,
-        )
-    )
-    rows.append(
-        _report_row(
-            "neg:preperm:broken",
-            check_preperm(cat["ex-preperm-bad"]),
-            expect_pass=False,
-        )
-    )
-    onep = cat["ex-1p"]
-    try:
-        o_to_ybe(((Fraction(1),),), onep, adjoint_representation(onep))
-        rows.append(_row("neg:o-operator:adjoint", "OOperator", False, "did not raise"))
-    except OOperatorError as err:
-        rows.append(
-            _row(
-                "neg:o-operator:adjoint",
-                "OOperator",
-                (not err.report.passed) and bool(err.report.violations),
-                "expected to fail with witnesses",
-                report_to_json(err.report),
-            )
-        )
-    rows.append(
-        _report_row(
-            "neg:perm:broken-table",
-            check_algebra(LawId.Perm, alg=cat["ex-bad2"]),
-            expect_pass=False,
-        )
-    )
+        ),
+        ("neg:preperm:broken", lambda: check_preperm(cat["ex-preperm-bad"])),
+        ("neg:o-operator:adjoint", o_operator_report),
+        ("neg:perm:broken-table", lambda: check_algebra(LawId.Perm, alg=cat["ex-bad2"])),
+    ):
+        rep = build()
+        if rep is None:
+            rows.append(_row(name, "OOperator", False, "did not raise"))
+        else:
+            rows.append(_report_row(name, rep, expect_pass=False))
     return rows
 
 
@@ -673,43 +518,31 @@ def _doubles_diagram_report(md, lift, bound: int) -> CheckReport:
 
 
 def suite_doubles(cfg: SuiteConfig):
-    W = cfg.window
     cat = finite_catalog()
-    fam = ats_family()
     p1 = cat["ex-1p"]
+    # each double is built from the algebra's own coproduct and from zero
+    tags = (("delta-ee", None), ("delta-zero", {}))
     rows = []
 
-    try:
-        md = manin_double_from_bialgebra(p1)
-        for name in sorted(md.reports):
-            rows.append(_report_row(f"doubles:manin:delta-ee:{name}", md.reports[name]))
-    except ValueError as err:
-        rows.append(_row("doubles:manin:delta-ee", "ManinAssembly", False, str(err)))
-        md = None
-    try:
-        md0 = manin_double_from_bialgebra(p1, {})
-        for name in sorted(md0.reports):
-            rows.append(
-                _report_row(f"doubles:manin:delta-zero:{name}", md0.reports[name])
-            )
-    except ValueError as err:
-        rows.append(_row("doubles:manin:delta-zero", "ManinAssembly", False, str(err)))
+    manin = {}
+    for tag, delta in tags:
+        try:
+            manin[tag] = manin_double_from_bialgebra(p1, delta)
+        except ValueError as err:
+            rows.append(_row(f"doubles:manin:{tag}", "ManinAssembly", False, str(err)))
+            continue
+        rows += _report_rows(f"doubles:manin:{tag}", manin[tag].reports)
 
+    md = manin.get("delta-ee")
     if md is not None:
-        wl = min(4, W)
-        lift = manin_lie_lift(md, fam, Window(wl))
-        for name in sorted(lift.reports):
-            rows.append(_report_row(f"doubles:lie-triple:{name}", lift.reports[name]))
-        rows.append(
-            _report_row("doubles:diagram", _doubles_diagram_report(md, lift, wl))
-        )
+        wl = min(4, cfg.window)
+        lift = manin_lie_lift(md, ats_family(), Window(wl))
+        rows += _report_rows("doubles:lie-triple", lift.reports)
+        rows.append(_report_row("doubles:diagram", _doubles_diagram_report(md, lift, wl)))
 
-    for tag, delta in (("delta-ee", None), ("delta-zero", {})):
-        pl1 = cat["ex-prelie-1"]
-        pd, pform = prelie_double(pl1) if delta is None else prelie_double(pl1, delta)
-        reps = para_kahler_reports(pd, pform)
-        for name in sorted(reps):
-            rows.append(_report_row(f"doubles:para-kahler:{tag}:{name}", reps[name]))
+    for tag, delta in tags:
+        reports = para_kahler_reports(*prelie_double(cat["ex-prelie-1"], delta))
+        rows += _report_rows(f"doubles:para-kahler:{tag}", reports)
 
     dual = dual_perm_algebra(p1, p1.delta)
     l12, r12, l21, r21 = canonical_dual_actions(p1, dual)
@@ -737,18 +570,14 @@ def _restricted_dual_equality_report(bound: int) -> CheckReport:
     mismatches = []
     checked = 0
     for a in keys:
-        partners_match = w1d.form_partners(a) == afam.form_partners(a)
-        if not partners_match:
+        if w1d.form_partners(a) != afam.form_partners(a):
             mismatches.append(((a,), (((a,), Fraction(1)),)))
         for b in keys:
             checked += 1
-            if w1d.product_one(a, b) != afam.product_one(a, b) or w1d.form(
-                a, b
-            ) != afam.form(a, b):
+            same_product = w1d.product_one(a, b) == afam.product_one(a, b)
+            if not same_product or w1d.form(a, b) != afam.form(a, b):
                 mismatches.append(((a, b), (((a, b), Fraction(1)),)))
-    return _equality_report(
-        "RestrictedDualEquality", Window(bound, 0), checked, mismatches
-    )
+    return _equality_report("RestrictedDualEquality", Window(bound, 0), checked, mismatches)
 
 
 def _roundtrip_report(alg) -> CheckReport:
@@ -763,56 +592,39 @@ def _roundtrip_report(alg) -> CheckReport:
     return _equality_report("SymplecticRoundTrip", Window(0, 0), n * n, mismatches)
 
 
+_FORM_SEARCH_FIELDS = (
+    "keys", "unknowns", "rows", "skipped_triples",
+    "rank", "solution_dim", "forced_zero_count", "probe_vanishes",
+)
+
+
 def suite_appendix(cfg: SuiteConfig):
     W = cfg.window
     cat = finite_catalog()
-    rows = []
-
-    rows.append(
+    w1d = restricted_dual_double(wn_family(1))
+    fd, fform = restricted_dual_double(cat["ex-prelie-1"])
+    rows = [
         _report_row(
             "appendix:restricted-dual:w1-equals-ats",
             _restricted_dual_equality_report(min(6, W)),
-        )
-    )
-    w1d = restricted_dual_double(wn_family(1))
-    rows.append(
+        ),
         _report_row(
             "appendix:restricted-dual:w1-form",
             check_form(
-                LawId.QuadPreLieForm, family=w1d, window=Window(min(4, W)),
-                margin=cfg.margin,
+                LawId.QuadPreLieForm, family=w1d, window=Window(min(4, W)), margin=cfg.margin
             ),
-        )
-    )
-    fd, fform = restricted_dual_double(cat["ex-prelie-1"])
-    rows.append(
+        ),
         _report_row(
-            "appendix:restricted-dual:finite-prelie",
-            check_algebra(LawId.PreLie, alg=fd),
-        )
-    )
-    rows.append(
+            "appendix:restricted-dual:finite-prelie", check_algebra(LawId.PreLie, alg=fd)
+        ),
         _report_row(
             "appendix:restricted-dual:finite-form",
             check_form(
-                LawId.QuadPreLieForm,
-                form=fform,
-                product=fd.product,
-                keys=fd.basis_keys(),
+                LawId.QuadPreLieForm, form=fform, product=fd.product, keys=fd.basis_keys()
             ),
-        )
-    )
+        ),
+    ]
 
-    scalar_fields = (
-        "keys",
-        "unknowns",
-        "rows",
-        "skipped_triples",
-        "rank",
-        "solution_dim",
-        "forced_zero_count",
-        "probe_vanishes",
-    )
     for n in (1, 2):
         search = invariant_form_search(n, Window(3))
         rows.append(
@@ -822,7 +634,7 @@ def suite_appendix(cfg: SuiteConfig):
                 search["probe_vanishes"],
                 f"rank {search['rank']} of {search['unknowns']} unknowns, "
                 f"{search['forced_zero_count']} forced zero",
-                {k: search[k] for k in scalar_fields},
+                {k: search[k] for k in _FORM_SEARCH_FIELDS},
             )
         )
 
@@ -839,72 +651,50 @@ def suite_appendix(cfg: SuiteConfig):
 # probes: seeded random finite candidates against the window verdicts.
 
 
+def _random_delta_table(rng) -> dict:
+    """A random coproduct table on a 2-dim space, coefficients in [-2, 2]."""
+    dt = {}
+    for src in range(2):
+        terms = tuple(
+            (i, j, Fraction(rng.randint(-2, 2)))
+            for i in range(2)
+            for j in range(2)
+            if rng.random() < 0.5
+        )
+        terms = tuple((i, j, c) for i, j, c in terms if c)
+        if terms:
+            dt[src] = terms
+    return dt
+
+
 def suite_probes(cfg: SuiteConfig):
     rng = random.Random(cfg.seed)
     fam = ats_family()
+
+    def candidate(mul, delta=None):
+        return FiniteAlgebra(
+            id="probe", space="PR", dim=2, labels=("a", "b"), kind="none", mul=mul, delta=delta
+        )
+
+    def algebra_probe():
+        alg = candidate(random_table(rng, 2))
+        return affinization_probe(alg, fam, "algebra", Window(min(5, cfg.window)))
+
+    def coalgebra_probe():
+        dt = _random_delta_table(rng)
+        w = Window(min(4, cfg.window))
+        return affinization_probe(candidate({}, dt), fam, "coalgebra", w, delta_table=dt)
+
     rows = []
-
-    n_alg = 8
-    agree = 0
-    laws = 0
-    for _ in range(n_alg):
-        alg = FiniteAlgebra(
-            id="probe",
-            space="PR",
-            dim=2,
-            labels=("a", "b"),
-            kind="none",
-            mul=random_table(rng, 2),
-        )
-        v = affinization_probe(alg, fam, "algebra", Window(min(5, cfg.window)))
-        agree += 1 if v.agree else 0
-        laws += 1 if v.is_law else 0
-    rows.append(
-        _row(
-            "probe:algebra-batch",
-            "PairJacobiProbe",
-            agree == n_alg,
-            f"{agree}/{n_alg} verdicts agree, {laws} satisfy the law",
-        )
-    )
-
-    n_co = 4
-    agree = 0
-    laws = 0
-    for _ in range(n_co):
-        dt = {}
-        for src in range(2):
-            terms = tuple(
-                (i, j, Fraction(rng.randint(-2, 2)))
-                for i in range(2)
-                for j in range(2)
-                if rng.random() < 0.5
-            )
-            terms = tuple((i, j, c) for i, j, c in terms if c)
-            if terms:
-                dt[src] = terms
-        alg = FiniteAlgebra(
-            id="probe",
-            space="PR",
-            dim=2,
-            labels=("a", "b"),
-            kind="none",
-            mul={},
-            delta=dt,
-        )
-        v = affinization_probe(
-            alg, fam, "coalgebra", Window(min(4, cfg.window)), delta_table=dt
-        )
-        agree += 1 if v.agree else 0
-        laws += 1 if v.is_law else 0
-    rows.append(
-        _row(
-            "probe:coalgebra-batch",
-            "CoLieJacobiProbe",
-            agree == n_co,
-            f"{agree}/{n_co} verdicts agree, {laws} satisfy the law",
-        )
-    )
+    for name, law, count, probe in (
+        ("probe:algebra-batch", "PairJacobiProbe", 8, algebra_probe),
+        ("probe:coalgebra-batch", "CoLieJacobiProbe", 4, coalgebra_probe),
+    ):
+        verdicts = [probe() for _ in range(count)]
+        agree = sum(1 for v in verdicts if v.agree)
+        laws = sum(1 for v in verdicts if v.is_law)
+        note = f"{agree}/{count} verdicts agree, {laws} satisfy the law"
+        rows.append(_row(name, law, agree == count, note))
     return rows
 
 

@@ -318,7 +318,8 @@ def manin_lie_lift(data: ManinData, family: GradedFamily, window: Window) -> Man
 
     def form_b(k1, k2) -> Fraction:
         v = kd(k1[1], k2[1])
-        return v * family.form(k1[2], k2[2]) if v else ZERO
+        w = family.form(k1[2], k2[2]) if v else ZERO
+        return v * w if w else ZERO
 
     keys = pair_keys(double, family, window)
     sub1 = tuple(k for k in keys if k[1][2] < d)
@@ -427,20 +428,6 @@ def manin_cobracket_coefficient(lift: ManinData, x, u, v) -> Fraction:
     """Coefficient of delta(x) on u (x) v read off the lift's pairing:
     B(x, [u°, v°]), x paired with the dual bracket of (u, v)."""
     return manin_pairing(lift, x, manin_dual_bracket(lift, u, v))
-
-
-def manin_cobracket_table(lift: ManinData, x, window: Window) -> dict:
-    """All (u, v) coefficients of delta(x) over the window's first-half keys:
-    x paired with the dual bracket of each (u, v)."""
-    d = lift.total.dim // 2
-    keys = [k for k in pair_keys(lift.total, lift.family, window) if k[1][2] < d]
-    out = {}
-    for u in keys:
-        for v in keys:
-            c = manin_cobracket_coefficient(lift, x, u, v)
-            if c:
-                out[(u, v)] = c
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behaviors: exit codes, determinism, residuals, exports."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -76,6 +77,53 @@ class TestAppendixRoundTrip:
         assert fails and all("appendix:symplectic-roundtrip:" in line for line in fails)
         assert all("commutator differs from the bracket" in line for line in fails)
         assert "Traceback" not in out + err
+
+
+class TestFailureRows:
+    # a failing construction or a control that does not fail is a FAIL row
+    # with a note, not a traceback
+
+    def verify(self, capsys, suite):
+        code = cli.main(["verify", suite, "--window", "3"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in out + err
+        return out.splitlines()
+
+    def test_failing_manin_assembly(self, monkeypatch, capsys):
+        def boom(alg, delta=None):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "manin_double_from_bialgebra", boom)
+        lines = self.verify(capsys, "doubles")
+        for tag in ("delta-ee", "delta-zero"):
+            assert f"FAIL  doubles:manin:{tag}  [ManinAssembly]  (boom)" in lines
+        assert not any("doubles:lie-triple:" in line for line in lines)
+        assert not any("doubles:diagram" in line for line in lines)
+
+    def test_o_operator_that_does_not_raise(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "o_to_ybe", lambda t, alg, rep: None)
+        lines = self.verify(capsys, "ybe")
+        assert "FAIL  neg:o-operator:adjoint  [OOperator]  (did not raise)" in lines
+        assert [line for line in lines if line.startswith("FAIL  ")] == [
+            "FAIL  neg:o-operator:adjoint  [OOperator]  (did not raise)"
+        ]
+
+
+class TestCanonicalDigests:
+    # The bytes of `verify all --window 4`, pinned in both formats: a change
+    # that alters them on purpose updates these digests and says so.
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "a3bb3033cd10bcab2c7e618976d5780a810aa3b4b58dfa85afa7e9cfd8b8f0f3"),
+            ("text", "4b818f3c9f605d4866834a05be6c820002e70af771a25ec4872de7de9c9e1822"),
+        ],
+    )
+    def test_verify_all_window_4(self, capsys, fmt, digest):
+        assert cli.main(["verify", "all", "--window", "4", "--format", fmt]) == 0
+        out, _ = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:
