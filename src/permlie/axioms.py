@@ -42,7 +42,6 @@ from typing import Callable, Iterable, Optional
 from .kernel import (
     Aff,
     CheckReport,
-    FormalVector,
     Fresh,
     Poly,
     Template,
@@ -67,9 +66,11 @@ from .families import (
     FiniteAlgebra,
     GradedFamily,
     Representation,
+    combine_tables,
     mat_inv,
     mat_mul,
     mat_sub,
+    preperm_representation,
 )
 
 
@@ -1058,44 +1059,45 @@ def _gram_rank(keys, form, partners: Optional[Callable] = None) -> int:
 # Representations of finite perm algebras.
 
 
-def check_representation(alg: FiniteAlgebra, rep: Representation) -> CheckReport:
-    rec = _Recorder()
-    checked = 0
-    dim = alg.dim
-    m = rep.module_dim
-    zero = tuple((ZERO,) * m for _ in range(m))
+def _representation_residuals(mul, l, r, dim):
+    """(label, i, j, D) for each identity of a representation (l, r) of the
+    product table mul on dim basis vectors whose residual matrix D at
+    (e_i, e_j) is nonzero: l(e_i e_j) = l(e_i) l(e_j) = l(e_j) l(e_i) and
+    r(e_i e_j) = r(e_j) r(e_i) = r(e_j) l(e_i) = l(e_i) r(e_j)."""
 
-    def act(mats, vec_terms):
-        out = zero
-        for k, c in vec_terms:
-            out = tuple(
-                tuple(x + c * y for x, y in zip(ro, rm)) for ro, rm in zip(out, mats[k])
-            )
+    def act(mats, terms):
+        """The sum of c mats[k] over the terms (k, c)."""
+        out = [[ZERO] * len(row) for row in mats[0]]
+        for k, c in terms:
+            for ro, rm in zip(out, mats[k]):
+                for col, y in enumerate(rm):
+                    ro[col] += c * y
         return out
 
     for i in range(dim):
         for j in range(dim):
-            checked += 1
-            prod_terms = alg.mul.get((i, j), ())
-            l_prod = act(rep.l, prod_terms)
-            r_prod = act(rep.r, prod_terms)
-            li_lj = mat_mul(rep.l[i], rep.l[j])
-            lj_li = mat_mul(rep.l[j], rep.l[i])
-            rj_ri = mat_mul(rep.r[j], rep.r[i])
-            rj_li = mat_mul(rep.r[j], rep.l[i])
-            li_rj = mat_mul(rep.l[i], rep.r[j])
+            terms = mul.get((i, j), ())
+            li_lj = mat_mul(l[i], l[j])
+            rj_ri = mat_mul(r[j], r[i])
+            rj_li = mat_mul(r[j], l[i])
             for label, x, y in (
-                ("rep-l-hom", l_prod, li_lj),
-                ("rep-l-swap", li_lj, lj_li),
-                ("rep-r-antihom", r_prod, rj_ri),
+                ("rep-l-hom", act(l, terms), li_lj),
+                ("rep-l-swap", li_lj, mat_mul(l[j], l[i])),
+                ("rep-r-antihom", act(r, terms), rj_ri),
                 ("rep-r-lmix", rj_ri, rj_li),
-                ("rep-r-commute", rj_li, li_rj),
+                ("rep-r-commute", rj_li, mat_mul(l[i], r[j])),
             ):
                 d = mat_sub(x, y)
-                if any(any(v for v in row) for row in d):
-                    rec.add(label, (i, j), _mat_items(d))
+                if any(any(row) for row in d):
+                    yield label, i, j, d
+
+
+def check_representation(alg: FiniteAlgebra, rep: Representation) -> CheckReport:
+    rec = _Recorder()
+    for label, i, j, d in _representation_residuals(alg.mul, rep.l, rep.r, alg.dim):
+        rec.add(label, (i, j), _mat_items(d))
     return CheckReport.build(
-        LawId.Representation.value, Window(0, 0), checked, rec.items, rec.extra()
+        LawId.Representation.value, Window(0, 0), alg.dim**2, rec.items, rec.extra()
     )
 
 
@@ -1253,54 +1255,37 @@ def check_o_operator(alg: FiniteAlgebra, rep: Representation, t) -> CheckReport:
     )
 
 
+# The five pre-perm chains, in their order at one input (p1, p2, p3), as the
+# representation identities they are, read one column at a time: a pp-right
+# chain is column p1 of its identity at (p2, p3), a pp-left chain column p3
+# of its identity at (p1, p2).
+_PREPERM_CHAINS = (
+    ("rep-r-antihom", "pp-right-1"),
+    ("rep-r-lmix", "pp-right-2"),
+    ("rep-r-commute", "pp-right-3"),
+    ("rep-l-hom", "pp-left-1"),
+    ("rep-l-swap", "pp-left-2"),
+)
+
+
 def check_preperm(alg: FiniteAlgebra) -> CheckReport:
-    """Five defining chains of the splitting of a perm product."""
-    assert alg.tri_left is not None and alg.tri_right is not None
+    """Five defining chains of the splitting of a perm product: the
+    representation identities of l(e_i) v = e_i > v and r(e_i) v = v < e_i
+    (preperm_representation) for the product > + <."""
+    rep = preperm_representation(alg)
+    mul = combine_tables((1, alg.tri_left), (1, alg.tri_right))
+    chains = {ident: (n, label) for n, (ident, label) in enumerate(_PREPERM_CHAINS)}
+    found = []
+    for ident, i, j, d in _representation_residuals(mul, rep.l, rep.r, alg.dim):
+        n, label = chains[ident]
+        for col in range(alg.dim):
+            res = tuple((alg.key(k), row[col]) for k, row in enumerate(d) if row[col])
+            if res:
+                at = (col, i, j) if label.startswith("pp-right") else (i, j, col)
+                found.append((at, n, label, res))
     rec = _Recorder()
-    dim = alg.dim
-
-    def vec(i):
-        return FormalVector.single(alg.key(i))
-
-    def table_apply(table, va: FormalVector, vb: FormalVector) -> FormalVector:
-        out = FormalVector()
-        for ka, ca in va.items():
-            for kb, cb in vb.items():
-                for k, c in table.get((ka[2], kb[2]), ()):
-                    out.add_term(alg.key(k), ca * cb * c)
-        return out
-
-    def tri_l(a, b):
-        return table_apply(alg.tri_left, a, b)  # a > b
-
-    def tri_r(a, b):
-        return table_apply(alg.tri_right, a, b)  # a < b
-
-    checked = 0
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                checked += 1
-                p1, p2, p3 = vec(i), vec(j), vec(k)
-                both23 = tri_r(p2, p3) + tri_l(p2, p3)
-                a = tri_r(p1, both23)  # p1 < (p2 < p3 + p2 > p3)
-                b = tri_r(tri_r(p1, p2), p3)  # (p1 < p2) < p3
-                c = tri_r(tri_l(p2, p1), p3)  # (p2 > p1) < p3
-                d = tri_l(p2, tri_r(p1, p3))  # p2 > (p1 < p3)
-                both12 = tri_r(p1, p2) + tri_l(p1, p2)
-                e = tri_l(both12, p3)  # (p1 < p2 + p1 > p2) > p3
-                f = tri_l(p1, tri_l(p2, p3))  # p1 > (p2 > p3)
-                g = tri_l(p2, tri_l(p1, p3))  # p2 > (p1 > p3)
-                for label, x, y in (
-                    ("pp-right-1", a, b),
-                    ("pp-right-2", b, c),
-                    ("pp-right-3", c, d),
-                    ("pp-left-1", e, f),
-                    ("pp-left-2", f, g),
-                ):
-                    res = x - y
-                    if res:
-                        rec.add(label, (i, j, k), tuple(res.sorted_items()))
+    for at, _, label, res in sorted(found, key=lambda v: v[:2]):
+        rec.add(label, at, res)
     return CheckReport.build(
-        LawId.PrePerm.value, Window(0, 0), checked, rec.items, rec.extra()
+        LawId.PrePerm.value, Window(0, 0), alg.dim**3, rec.items, rec.extra()
     )

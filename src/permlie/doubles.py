@@ -89,18 +89,6 @@ def dual_rep(rep: Representation) -> Representation:
     )
 
 
-def preperm_representation(alg: FiniteAlgebra) -> Representation:
-    """The two partial actions of a pre-perm table on its own space:
-    l(e_i) v = e_i > v and r(e_i) v = v < e_i."""
-    assert alg.tri_left is not None and alg.tri_right is not None
-    return Representation(
-        alg_id=alg.id,
-        module_dim=alg.dim,
-        l=adjoint_representation(replace(alg, mul=alg.tri_left)).l,
-        r=adjoint_representation(replace(alg, mul=alg.tri_right)).r,
-    )
-
-
 def _zero_product(dim: int, labels) -> FiniteAlgebra:
     """A module as a trivial algebra: the summand that acts by zero."""
     return FiniteAlgebra(id="0", space="0", dim=dim, labels=tuple(labels), kind="none")

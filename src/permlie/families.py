@@ -30,7 +30,7 @@ their structure constants are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -53,6 +53,7 @@ from .kernel import (
     pat_mono,
     pat_tee,
     pat_wn,
+    sparse_rref,
     tee,
     wn,
     with_slots,
@@ -515,6 +516,18 @@ def adjoint_representation(alg: FiniteAlgebra) -> Representation:
     )
 
 
+def preperm_representation(alg: FiniteAlgebra) -> Representation:
+    """The two partial actions of a pre-perm table on its own space:
+    l(e_i) v = e_i > v and r(e_i) v = v < e_i."""
+    assert alg.tri_left is not None and alg.tri_right is not None
+    return Representation(
+        alg_id=alg.id,
+        module_dim=alg.dim,
+        l=adjoint_representation(replace(alg, mul=alg.tri_left)).l,
+        r=adjoint_representation(replace(alg, mul=alg.tri_right)).r,
+    )
+
+
 @dataclass(frozen=True)
 class TensorElement:
     """Finite 2-tensor: terms (key_left, key_right, coeff)."""
@@ -662,27 +675,15 @@ def finite_catalog() -> dict:
 
 
 def mat_inv(a):
-    """Exact inverse of a small square matrix; None if singular."""
+    """Exact inverse of a small square matrix; None if singular.  sparse_rref
+    reduces the rows [a_i | e_i]; the inverse is read from columns n..2n-1."""
     n = len(a)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, n):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ONE / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in aug)
+    basis = sparse_rref(
+        {**{j: v for j, v in enumerate(row) if v}, n + i: ONE} for i, row in enumerate(a)
+    )
+    if any(j not in basis for j in range(n)):
+        return None
+    return tuple(tuple(basis[i].get(n + j, ZERO) for j in range(n)) for i in range(n))
 
 
 def mul_of_dual_delta(delta: dict, dim: int) -> dict:

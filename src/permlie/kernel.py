@@ -127,6 +127,7 @@ def key_shape(key) -> tuple:
 
 
 def key_str(key) -> str:
+    """A key, or a pattern with its Aff slots, as text."""
     tag = key[0]
     if tag == "Tee":
         return f"t^{key[1]}"
@@ -158,10 +159,6 @@ class FormalVector:
         if coeffs:
             for k, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
                 self.add_term(k, v)
-
-    @staticmethod
-    def zero() -> "FormalVector":
-        return FormalVector()
 
     @staticmethod
     def single(key, coeff=ONE) -> "FormalVector":
@@ -557,39 +554,18 @@ def _solve_affine(rows, nvars):
     Returns ("many", None) if the rows have rank below nvars, consistent or
     not, so a rank-deficient template is refused at every key; else
     ("none", None) if inconsistent, ("one", values) for the unique rational
-    solution (values may be non-integral; caller checks).
+    solution (values may be non-integral; caller checks).  The augmented rows
+    {j: a_j, nvars: -rhs} are reduced by sparse_rref, so the solution is
+    x_j = -(column nvars of the row with pivot j).
     """
-    aug = [[Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows]
-    pivots = []
-    r = 0
-    for col in range(nvars):
-        piv = None
-        for i in range(r, len(aug)):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ONE / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    if len(pivots) < nvars:
+    basis = sparse_rref(
+        {j: c for j, c in enumerate(coeffs + [-rhs]) if c} for coeffs, rhs in rows
+    )
+    if sum(j < nvars for j in basis) < nvars:
         return ("many", None)
-    for i in range(r, len(aug)):
-        if aug[i][nvars]:
-            return ("none", None)
-    values = [ZERO] * nvars
-    for i, col in enumerate(pivots):
-        values[col] = aug[i][nvars]
-    return ("one", values)
+    if nvars in basis:
+        return ("none", None)
+    return ("one", [-basis[j].get(nvars, ZERO) for j in range(nvars)])
 
 
 class TemplateSeries:
@@ -789,7 +765,7 @@ class TemplateSeries:
     def __repr__(self):
         lines = []
         for t in self.templates:
-            ks = " (x) ".join(_pat_str(p) for p in t.keys)
+            ks = " (x) ".join(key_str(p) for p in t.keys)
             vs = ",".join(t.vars)
             lines.append(f"sum_{{{vs}}} ({t.coeff}) {ks}")
         return " + ".join(lines) if lines else "0"
@@ -799,24 +775,6 @@ def _finite_terms(series: TemplateSeries) -> tuple:
     """The sorted nonzero (key tuple, coeff) terms of a series over Fin keys.
     Fin keys have no slots, so the box of bound 0 reads the series exactly."""
     return tuple(sorted(series.support_in_box(0).items()))
-
-
-def _pat_str(p) -> str:
-    tag = p[0]
-    if tag == "Tee":
-        return f"t^{p[1]}"
-    if tag == "Ess":
-        return f"s^{p[1]}"
-    if tag == "Mono":
-        return f"x1^{p[1]}x2^{p[2]}d{p[3]}"
-    if tag == "Wn":
-        body = "".join(f"x{k+1}^{e}" for k, e in enumerate(p[1]))
-        return f"{body}d{p[2]}"
-    if tag == "Fin":
-        return f"{p[1]}[{p[2]}]"
-    if tag == "Pair":
-        return f"({_pat_str(p[1])})({_pat_str(p[2])})"
-    return repr(p)
 
 
 @lru_cache(maxsize=4096)
@@ -1147,8 +1105,9 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact sparse row reduction, used by the windowed invariant-form search and
-# the degeneracy checks.
+# Exact sparse row reduction, the one elimination over Fractions: used by the
+# windowed invariant-form search, the degeneracy checks, coefficient_at's
+# affine solve and families.mat_inv.
 
 
 def sparse_rref(rows: Iterable[dict]) -> dict:

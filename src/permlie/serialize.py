@@ -9,7 +9,19 @@ import json
 import re
 from fractions import Fraction
 
-from .kernel import Aff, CheckReport, TemplateSeries, ess, fin, mono, pair, tee, wn
+from .kernel import (
+    Aff,
+    CheckReport,
+    TemplateSeries,
+    ess,
+    fin,
+    key_slots,
+    mono,
+    pair,
+    tee,
+    with_slots,
+    wn,
+)
 from .families import FiniteAlgebra, TensorElement
 
 KEY_TAGS = ("Tee", "Ess", "Mono", "Wn", "Fin", "Pair")
@@ -105,18 +117,7 @@ def _slot_json(x):
 
 
 def pattern_to_json(p) -> dict:
-    tag = p[0]
-    if tag == "Tee" or tag == "Ess":
-        return {"t": tag, "i": _slot_json(p[1])}
-    if tag == "Mono":
-        return {"t": "Mono", "i1": _slot_json(p[1]), "i2": _slot_json(p[2]), "d": p[3]}
-    if tag == "Wn":
-        return {"t": "Wn", "e": [_slot_json(e) for e in p[1]], "d": p[2]}
-    if tag == "Fin":
-        return {"t": "Fin", "space": p[1], "idx": p[2]}
-    if tag == "Pair":
-        return {"t": "Pair", "l": pattern_to_json(p[1]), "r": pattern_to_json(p[2])}
-    raise ValueError(f"not a pattern: {p!r}")
+    return key_to_json(with_slots(p, [_slot_json(s) for s in key_slots(p)]))
 
 
 # ---------------------------------------------------------------------------

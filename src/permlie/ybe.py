@@ -206,7 +206,8 @@ def coboundary_coalgebra_report(alg: FiniteAlgebra, r: TensorElement) -> CheckRe
 
 def r_sharp(alg: FiniteAlgebra, r: TensorElement):
     """Matrix of p* -> sum <p*, p_a> q_a over r = sum p_a (x) q_a, plus the
-    report of the closure criterion
+    report of check_o_operator on it for the dual representation
+    (L*, L* - R*): r# is an O-operator exactly when
 
         r#(p*) r#(q*) = r#( L*(r#(p*)) q* + (L* - R*)(r#(q*)) p* )
 
@@ -216,35 +217,7 @@ def r_sharp(alg: FiniteAlgebra, r: TensorElement):
     for ka, kb, c in r.terms:
         m[kb[2]][ka[2]] += c
     mat = tuple(tuple(row) for row in m)
-    star = dual_rep(adjoint_representation(alg))  # (L*, L* - R*)
-    violations = []
-    checked = 0
-    for a in range(d):
-        xa = tuple(mat[k][a] for k in range(d))
-        for b in range(d):
-            checked += 1
-            xb = tuple(mat[k][b] for k in range(d))
-            lhs = alg.times(xa, xb)
-            arg = [ZERO] * d
-            for i in range(d):
-                if xa[i]:
-                    arg = [u + xa[i] * star.l[i][k][b] for k, u in enumerate(arg)]
-                if xb[i]:
-                    arg = [u + xb[i] * star.r[i][k][a] for k, u in enumerate(arg)]
-            rhs = [ZERO] * d
-            for u in range(d):
-                if arg[u]:
-                    rhs = [x + arg[u] * mat[k][u] for k, x in enumerate(rhs)]
-            diff = tuple(x - y for x, y in zip(lhs, rhs))
-            if any(diff):
-                violations.append(
-                    ("r-sharp", (a, b), tuple(((k,), v) for k, v in enumerate(diff) if v))
-                )
-    report = CheckReport.build(
-        "RSharpCriterion", Window(0, 0), checked, violations,
-        {"violations_total": len(violations)},
-    )
-    return mat, report
+    return mat, check_o_operator(alg, dual_rep(adjoint_representation(alg)), mat)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,9 @@ from permlie.axioms import (
     check_preperm,
     check_representation,
 )
+from permlie.serialize import canonical_json, report_to_json
 from box_reference import support_by_solving
+from finite_reference import preperm_by_chains
 from permlie.affinize import delta_bullet_rule, induced_lie_bracket, pair_keys
 from permlie.cli import _perturbed_ats_delta, _perturbed_ats_product, _perturbed_ats_sym_co
 from permlie.doubles import (
@@ -1229,7 +1231,7 @@ class TestMatchedPairOracle:
 class TestOOperator:
     def test_identity_on_preperm_passes(self):
         pp = finite_catalog()["ex-preperm-1"]
-        from permlie.doubles import preperm_representation
+        from permlie.families import preperm_representation
 
         rep = check_o_operator(pp, preperm_representation(pp), ((ONE,),))
         assert rep.passed
@@ -1252,3 +1254,24 @@ class TestPrePerm:
         rep = check_preperm(cat["ex-preperm-bad"])
         assert not rep.passed
         assert len(rep.violations) == 2
+
+    def test_matches_chain_reference(self):
+        rng = random.Random(18)
+        truncated = 0
+        for trial in range(300):
+            dim = rng.randint(1, 3)
+            alg = FiniteAlgebra(
+                id=f"pp{trial}",
+                space="PP",
+                dim=dim,
+                labels=tuple(f"e{i}" for i in range(dim)),
+                kind="PrePerm",
+                mul=random_table(rng, dim),
+                tri_left=random_table(rng, dim),
+                tri_right=random_table(rng, dim),
+            )
+            rep = check_preperm(alg)
+            got = canonical_json(report_to_json(rep))
+            assert got == canonical_json(report_to_json(preperm_by_chains(alg))), trial
+            truncated += rep.extra["violations_total"] > 25
+        assert truncated

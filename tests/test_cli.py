@@ -111,8 +111,9 @@ class TestFailureRows:
 
 
 class TestCanonicalDigests:
-    # The bytes of `verify all --window 4`, pinned in both formats: a change
-    # that alters them on purpose updates these digests and says so.
+    # The bytes of `verify all --window 4`, pinned in both formats, and of
+    # `export` for each exported object: a change that alters them on purpose
+    # updates these digests and says so.
     @pytest.mark.parametrize(
         "fmt, digest",
         [
@@ -122,6 +123,24 @@ class TestCanonicalDigests:
     )
     def test_verify_all_window_4(self, capsys, fmt, digest):
         assert cli.main(["verify", "all", "--window", "4", "--format", fmt]) == 0
+        out, _ = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "obj, digest",
+        [
+            ("delta:e-t", "667b01d4c718a088963397a793acc3e5b9bb3966dd10e858eab2581828e7f5da"),
+            ("delta:e-s", "150d4627b49c5029d912a5f290d08e42af819a0b1022d31d55efe0dc3115bb72"),
+            ("double:ex-1p", "a594438ad7eba5eb52f1490ab7c8cce31e85b0dce95d8ebca83168c97d7f7e6c"),
+            (
+                "double:ex-prelie-1",
+                "5838fb61c89f57da533e49f9db2671545bc1e25580e95a5ad7b78f320f31de64",
+            ),
+            ("ex-preperm-1", "dd81590477873cfed58c65cb20533ba41e3cb5ae38f96a81d3d7b3d36482734f"),
+        ],
+    )
+    def test_export(self, capsys, obj, digest):
+        assert cli.main(["export", obj]) == 0
         out, _ = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -23,6 +23,7 @@ from permlie.families import (
     ats_family,
     conjugated_table,
     finite_catalog,
+    preperm_representation,
     random_invertible,
     random_table,
     wn_family,
@@ -64,7 +65,7 @@ class TestSemidirect:
 
     def test_preperm_route(self):
         pp = finite_catalog()["ex-preperm-1"]
-        rep = D.preperm_representation(pp)
+        rep = preperm_representation(pp)
         sdd = D.semidirect_perm(pp, D.dual_rep(rep), module_labels=("e*",))
         assert sdd.mul == {
             (0, 0): ((0, ONE),),
@@ -378,7 +379,7 @@ class TestDoubleTables:
             if alg.tri_left is None:
                 continue
             seen += 1
-            rep = D.preperm_representation(alg)
+            rep = preperm_representation(alg)
             left = _table(replace(alg, mul=alg.tri_left))
             right = _table(replace(alg, mul=alg.tri_right))
             for i in range(alg.dim):

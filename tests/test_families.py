@@ -29,6 +29,8 @@ from permlie.families import (
     delta_a_family,
     delta_p_family,
     finite_catalog,
+    mat_inv,
+    mat_mul,
     perm_p_family,
     random_invertible,
     random_table,
@@ -281,6 +283,18 @@ class TestRandomTables:
         t1 = random_table(random.Random(5), 2)
         t2 = random_table(random.Random(5), 2)
         assert t1 == t2
+
+    def test_mat_inv(self):
+        import random
+
+        rng = random.Random(4)
+        for dim in (1, 2, 3, 4):
+            for _ in range(5):
+                a = random_invertible(rng, dim)
+                eye = tuple(tuple(F(i == j) for j in range(dim)) for i in range(dim))
+                assert mat_mul(a, mat_inv(a)) == eye
+        assert mat_inv(((F(1), F(2)), (F(2), F(4)))) is None
+        assert mat_inv(((F(0), F(0)), (F(0), F(0)))) is None
 
     def test_conjugation_preserves_perm(self):
         import random

@@ -15,6 +15,7 @@ from permlie.kernel import (
     Template,
     TemplateSeries,
     Window,
+    _solve_affine,
     av,
     ess,
     fin,
@@ -394,6 +395,13 @@ class TestLinearAlgebra:
         basis = sparse_rref(rows)
         assert len(basis) == 1
         assert forced_zero_columns(basis) == set()
+
+    def test_solve_affine_outcomes(self):
+        # rows (coefficients, right-hand side); each case has a zero right side
+        assert _solve_affine([([1, 1], 2), ([1, -1], 0)], 2) == ("one", [1, 1])
+        assert _solve_affine([([1], 0), ([2], 1)], 1) == ("none", None)
+        assert _solve_affine([([1, 1], 0), ([2, 2], 0)], 2) == ("many", None)
+        assert _solve_affine([([1, 1], 0), ([1, 1], 1)], 2) == ("many", None)
 
     def test_rref_rows_reduced_against_pivots(self):
         rows = [{0: F(2), 1: F(2)}, {1: F(3), 2: F(3)}]

@@ -14,6 +14,7 @@ from permlie.families import (
     ats_family,
     conjugated_table,
     finite_catalog,
+    preperm_representation,
     random_invertible,
     random_table,
     tensor_catalog,
@@ -42,7 +43,7 @@ from permlie.ybe import (
     r_sharp,
     s_equation_residual,
 )
-from permlie.doubles import canonical_dual_actions, dual_perm_algebra, preperm_representation
+from permlie.doubles import canonical_dual_actions, dual_perm_algebra
 from permlie.serialize import (
     canonical_json,
     encode_value,
@@ -53,6 +54,7 @@ from permlie.serialize import (
 from permlie.cli import _worked_cobracket_report
 
 from diagram_reference import worked_cobracket_by_points
+from finite_reference import r_sharp_closure
 
 F = Fraction
 
@@ -187,8 +189,25 @@ class TestRSharp:
                             terms.append((alg.key(j), alg.key(i), F(v)))
             r = TensorElement.of(terms)
             assert r.is_symmetric()
-            _, rep = r_sharp(alg, r)
+            rep = _r_sharp_matches_closure(alg, r)
             assert rep.passed == perm_ybe_residual(alg, r).is_zero(), trial
+
+    def test_catalog_tensors_match_closure(self):
+        cat = finite_catalog()
+        for alg_id, r in tensor_catalog().values():
+            _r_sharp_matches_closure(cat[alg_id], r)
+
+
+def _r_sharp_matches_closure(alg, r):
+    """r_sharp's report, checked against the closure criterion written out:
+    the same verdict, the same kept (at, residual) witnesses, the same total."""
+    mat, rep = r_sharp(alg, r)
+    want = r_sharp_closure(alg, mat)
+    assert rep.passed == (not want)
+    assert [(at, res) for _, at, res in rep.violations] == want[: len(rep.violations)]
+    assert len(rep.violations) == min(len(want), 25)
+    assert rep.extra["violations_total"] == len(want)
+    return rep
 
 
 class TestOOperatorRoute:
