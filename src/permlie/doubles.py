@@ -18,6 +18,7 @@ forms on derivation families.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -642,72 +643,105 @@ def _wn_weight(key) -> tuple:
     return tuple(x - (k == key[2] - 1) for k, x in enumerate(key[1]))
 
 
-def _form_search_blocks(fam: GradedFamily, keys, weight) -> tuple:
+def _wn_mirrors(n: int) -> list:
+    """(s, key map) per coordinate permutation s: x^e d_i goes to x^(e o s) d_(s^-1 i)."""
+    move = lambda s: lambda k: ("Wn", tuple(k[1][i] for i in s), s.index(k[2] - 1) + 1)
+    return [(s, move(s)) for s in itertools.permutations(range(n))]
+
+
+def _form_search_blocks(fam: GradedFamily, keys, weight, mirrors=()) -> tuple:
     """(skipped triples, blocks) of the triple row of FORM_PLANS[QuadPreLieForm]
-    on the skew form values over keys; blocks yields (W, rows sorted by
-    length) for each triple weight W in order (see invariant_form_search).
+    on the skew form values over keys; blocks yields (W, rows sorted by length,
+    one key permutation per distinct image of W) for the least triple weight W
+    of each mirror orbit, in order (see invariant_form_search).
 
     The value w(keys[i], keys[j]), i < j, is unknown i m + j; w(y, x) is
     -w(x, y) and w(x, x) is 0.  A row is divided by its gcd, signed so that its
     lead entry is positive, and kept once.  The split needs the product to be
-    homogeneous for weight (tuples): ValueError where it is not."""
+    homogeneous for weight (tuples): ValueError where it is not.  A mirror
+    (s, key map) is kept only where it permutes keys, maps the products on and
+    off keys, and maps each key's weight w to w o s."""
     _, text = FORM_PLANS[LawId.QuadPreLieForm][1]
     index = {k: i for i, k in enumerate(keys)}
     m, full = len(keys), (1 << len(keys)) - 1
     wt = [weight(k) for k in keys]
     plus = lambda u, v, s=1: tuple(x + s * y for x, y in zip(u, v))
-    # pr[i][j]: (int coeff, index) of keys[i] keys[j] on keys, else None; row m is
-    # a unit.  Bit c of off[i] (off[m + i]): keys[i] keys[c] (keys[c] keys[i]) leaves keys.
-    pr = [[None] * m for _ in range(m)] + [[(1, j) for j in range(m)]]
-    off = [0] * (2 * m)
+    # table[i, j]: ((index, int coeff),) of keys[i] keys[j] where on keys, a product
+    # table.  Bit c of off[i] (off[m + i]): keys[i] keys[c] (keys[c] keys[i]) leaves keys.
+    table, off = {}, [0] * (2 * m)
     for i, a in enumerate(keys):
         for j, b in enumerate(keys):
-            p = fam.product_one(a, b)
-            if p is None:
+            if (p := fam.product_one(a, b)) is None:
                 continue
             if weight(p[1]) != plus(wt[i], wt[j]):
                 raise ValueError(f"not graded: {key_str(a)} {key_str(b)} = {key_str(p[1])}")
             if p[1] in index:
-                pr[i][j] = (_int(p[0]), index[p[1]])
+                table[i, j] = ((index[p[1]], _int(p[0])),)
             else:
                 off[i], off[m + j] = off[i] | 1 << j, off[m + j] | 1 << i
-    # each pairing as (sign, word, word), a word as two positions in (a, b, c, unit)
-    at = lambda w: (3, "abc".index(w)) if len(w) == 1 else tuple(map("abc".index, w))
-    plan = [(s, at(x), at(y)) for s, x, y in _pairings(text)]
-    words = {w for _, x, y in plan for w in (x, y) if w[0] != 3}
-    pairs: dict = {}  # pair weight -> [(a, b, bits of the c whose triple leaves keys)]
-    skipped = 0
-    for a in range(m):
-        for b in range(m):
-            t, out = (a, b), 0
-            for p, q in words:  # c stands in a word at most once
-                if 2 in (p, q):
-                    out |= off[m + t[q]] if p == 2 else off[t[p]]
-                elif off[t[p]] >> t[q] & 1:
-                    out = full
-            skipped += out.bit_count()
-            pairs.setdefault(plus(wt[a], wt[b]), []).append((a, b, out))
+    perms = [(range(len(wt[0])), range(m))]  # the identity, then each mirror kept
+    for s, move in mirrors:
+        to = [index.get(move(k)) for k in keys]
+        bits = lambda x: sum(1 << to[c] for c in range(m) if x >> c & 1)
+        if set(to) == set(range(m)) and all(
+            wt[to[k]] == tuple(wt[k][i] for i in s)
+            and (off[to[k]], off[m + to[k]]) == (bits(off[k]), bits(off[m + k]))
+            for k in range(m)
+        ) and table == {(to[u], to[v]): ((to[k], f),) for (u, v), ((k, f),) in table.items()}:
+            perms.append((s, to))
+    # The row is multilinear: each pairing holds a, b, c (0, 1, 2) once.  As (sign, bare
+    # letter x, word), (yz|x) being -(x|yz), the pairings of one x sum to one table tab[x][u][v]
+    # (u v the word's letters in order), read per (a, b) if the word lacks c.  col[u][k]: the
+    # unknown of w(keys[u], keys[k]) and its sign (0 at u = k).
+    plan = [(s, x, y) if len(x) == 1 else (-s, y, x) for s, x, y in _pairings(text)]
+    plan = [(s, "abc".index(x), tuple(map("abc".index, y))) for s, x, y in plan]
+    words = {True: table, False: {(v, u): t for (u, v), t in table.items()}}  # by p < q
+    tab, share = {}, {}  # share: one object per distinct cell
+    for x in {r[1] for r in plan}:
+        t = combine_tables(*[(s, words[p < q]) for s, y, (p, q) in plan if y == x])
+        t = {uv: share.setdefault(cell, cell) for uv, cell in t.items()}
+        tab[x] = [[t.get((u, v), ()) for v in range(m)] for u in range(m)]
+    col = [[(min(u, k) * m + max(u, k), (u < k) - (k < u)) for k in range(m)] for u in range(m)]
+    pairs, skipped = {}, 0  # pair weight -> [(bits of the c whose (a, b, c) leaves keys, tables)]
+    for t in itertools.product(range(m), repeat=2):
+        out = 0
+        for _, _, (p, q) in plan:  # c stands in a word at most once
+            if 2 in (p, q):
+                out |= off[m + t[q]] if p == 2 else off[t[p]]
+            elif off[t[p]] >> t[q] & 1:
+                out = full
+        skipped += out.bit_count()
+        if out != full:
+            head = tab[2][t[0]][t[1]] if 2 in tab else ()
+            rest = tuple((col[t[x]], tab[x][t[1 - x]]) for x in tab if x < 2)
+            pairs.setdefault(plus(wt[t[0]], wt[t[1]]), []).append((out, head, rest))
 
     def blocks():
         for w in sorted({plus(p, q) for p in pairs for q in set(wt)}):
+            images = {tuple(w[i] for i in s): to for s, to in perms}
+            if min(images) < w:
+                continue  # built at the least weight of its orbit
             rows: dict = {}
             for c in range(m):
-                for a, b, out in pairs.get(plus(w, wt[c], -1), ()):
+                cc = col[c]
+                for out, head, rest in pairs.get(plus(w, wt[c], -1), ()):
                     if out >> c & 1:
                         continue
-                    t, row = (a, b, c, m), {}
-                    for s, (p, q), (p2, q2) in plan:
-                        u, v = pr[t[p]][t[q]], pr[t[p2]][t[q2]]
-                        if u and v and u[1] != v[1]:
-                            (f, i), (g, j) = u, v
-                            i, j, f = (i, j, s * f * g) if i < j else (j, i, -s * f * g)
-                            row[i * m + j] = row.get(i * m + j, 0) + f
-                    items = sorted([it for it in row.items() if it[1]])
-                    if items:
-                        d = math.gcd(*[f for _, f in items]) * (1 if items[0][1] > 0 else -1)
-                        rows.setdefault(tuple([(col, f // d) for col, f in items]))
+                    row = {}
+                    for k, f in head:
+                        j, g = cc[k]
+                        row[j] = g * f
+                    for cu, tc in rest:
+                        for k, f in tc[c]:
+                            j, g = cu[k]
+                            row[j] = row.get(j, 0) + g * f
+                    if items := sorted([it for it in row.items() if it[1]]):
+                        if (f := items[0][1]) != 1:  # a lead 1 or a lone entry needs no gcd
+                            d = math.gcd(*[g for _, g in items]) * (f // abs(f)) if items[1:] else f
+                            items = [(j, g // d) for j, g in items]
+                        rows[tuple(items)] = None
             if rows:  # short rows first: a singleton row kills its column at once
-                yield w, sorted((dict(r) for r in rows), key=len)
+                yield w, sorted((dict(r) for r in rows), key=len), list(images.values())
 
     return skipped, blocks()
 
@@ -721,9 +755,13 @@ def invariant_form_search(n: int, window: Window) -> dict:
     gives one linear row, and ``rows`` counts the distinct rows up to scale.
     w_n is Z^n-graded, wt(x^e d_i) = e - eps_i, so a row's unknowns share the
     pair weight wt(a) + wt(b) + wt(c): each weight block is built, reduced and
-    dropped in turn.  Returns the rank, solution dimension, how many pair
-    values every solution kills, and whether all pairs against the probe key
-    x1 d1 are among them (the degeneracy witness)."""
+    dropped in turn.  Permuting the n variables maps the window, its products
+    and its blocks onto themselves (each permutation is checked on the product
+    table and dropped if it fails), so one block per orbit is built: its rows
+    and rank count once per distinct image, and its forced zeros are mapped
+    into each.  Returns the rank, solution dimension, how many pair values
+    every solution kills, and whether all pairs against the probe key x1 d1
+    are among them (the degeneracy witness)."""
     if n not in (1, 2):
         raise ValueError("only the first two derivation families are supported")
     if window.n < 2:
@@ -733,12 +771,13 @@ def invariant_form_search(n: int, window: Window) -> dict:
     fam = wn_family(n)
     keys = fam.keys(window)
     m = len(keys)
-    skipped, blocks = _form_search_blocks(fam, keys, _wn_weight)
+    skipped, blocks = _form_search_blocks(fam, keys, _wn_weight, _wn_mirrors(n))
     rows, rank, forced = 0, 0, set()
-    for _, block in blocks:
+    for _, block, images in blocks:
         basis = sparse_rref(block)
-        rows, rank = rows + len(block), rank + len(basis)
-        forced |= forced_zero_columns(basis)
+        rows, rank = rows + len(images) * len(block), rank + len(images) * len(basis)
+        cols = [divmod(c, m) for c in forced_zero_columns(basis)]
+        forced.update(min(p[i], p[j]) * m + max(p[i], p[j]) for p in images for i, j in cols)
     probe = wn((1,) + (0,) * (n - 1), 1)
     p = keys.index(probe)
     unforced = [

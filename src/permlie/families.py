@@ -488,7 +488,7 @@ def combine_tables(*signed) -> dict:
         for ij, terms in table.items():
             row = acc.setdefault(ij, {})
             for k, c in terms:
-                row[k] = row.get(k, ZERO) + s * c
+                row[k] = row.get(k, 0) + s * c
     out = {}
     for ij, row in sorted(acc.items()):
         terms = tuple((k, c) for k, c in sorted(row.items()) if c)

@@ -40,6 +40,7 @@ from permlie import cli, doubles as D
 from permlie.serialize import canonical_json, report_to_json
 
 from diagram_reference import diagram_by_points
+from form_search_reference import blocks_by_plan
 
 F = Fraction
 ONE = F(1)
@@ -581,12 +582,13 @@ class TestSymplecticRoundTrip:
         ]
 
 
-def _form_search_oracle(n, window):
+def _form_search_oracle(n, window, fam=None):
     """invariant_form_search's report from rows written out naively: for
     every key triple whose products stay on the window, the row
     w(ab, c) + w(b, ac) - w(b, ca) over skew unknowns w(x, y), x < y,
-    normalised by its lead Fraction to drop proportional copies."""
-    fam = wn_family(n)
+    normalised by its lead Fraction to drop proportional copies.  fam
+    defaults to wn_family(n)."""
+    fam = fam or wn_family(n)
     keys = fam.keys(window)
     m = len(keys)
     index = {k: i for i, k in enumerate(keys)}
@@ -651,7 +653,7 @@ class TestInvariantFormSearch:
         keys = fam.keys(Window(3))
         m = len(keys)
         _, blocks = D._form_search_blocks(fam, keys, lambda k: (key_degree(k),))
-        rows = [row for _, block in blocks for row in block]
+        rows = [row for _, block, _ in blocks for row in block]
         touched = 0
         for row in rows:
             values = [v * fam.form(keys[col // m], keys[col % m]) for col, v in row.items()]
@@ -666,7 +668,7 @@ class TestInvariantFormSearch:
         m = len(keys)
         wt = [D._wn_weight(k) for k in keys]
         skipped, blocks = D._form_search_blocks(fam, keys, D._wn_weight)
-        blocks = list(blocks)
+        blocks = [(w, block) for w, block, _ in blocks]
         assert [w for w, _ in blocks] == sorted({w for w, _ in blocks})
         seen = set()
         for w, block in blocks:
@@ -723,3 +725,99 @@ class TestInvariantFormSearch:
             D.invariant_form_search(1, Window(1))
         with pytest.raises(ValueError, match="too slow for N >= 5"):
             D.invariant_form_search(1, Window(5))
+
+
+def _full_search(monkeypatch, n, size):
+    """invariant_form_search with the trivial group: every block built."""
+    with monkeypatch.context() as mp:
+        mp.setattr(D, "_wn_mirrors", lambda n: [])
+        return D.invariant_form_search(n, Window(size))
+
+
+def _counting_rref(monkeypatch) -> list:
+    """Patch doubles.sparse_rref to record each call; returns the record."""
+    calls, rref = [], D.sparse_rref
+    monkeypatch.setattr(D, "sparse_rref", lambda rows: calls.append(1) or rref(rows))
+    return calls
+
+
+class TestFormSearchOrbits:
+    """One block per mirror orbit of the variable permutations of w_n,
+    against every block built and against the plan read triple by triple."""
+
+    @pytest.mark.parametrize("n, size", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+    def test_orbits_match_full_build(self, monkeypatch, n, size):
+        assert D.invariant_form_search(n, Window(size)) == _full_search(monkeypatch, n, size)
+
+    def test_swap_is_used_on_w2(self, monkeypatch):
+        calls = _counting_rref(monkeypatch)
+        report = D.invariant_form_search(2, Window(2))
+        orbit = len(calls)
+        assert _full_search(monkeypatch, 2, 2) == report
+        assert (orbit, len(calls) - orbit, report["rows"]) == (59, 109, 21156)
+
+    def test_swap_maps_keys(self):
+        (s0, same), (s1, swap) = D._wn_mirrors(2)
+        assert (s0, s1) == ((0, 1), (1, 0))
+        assert same(wn((2, 1), 1)) == wn((2, 1), 1)
+        assert swap(wn((2, 1), 1)) == wn((1, 2), 2) and swap(wn((0, 3), 2)) == wn((3, 0), 1)
+
+    @pytest.mark.parametrize(
+        "a, b, scale, rows",
+        [
+            # x1 d1 x1 d2 = 3 x1 d2 on the window; its mirror x2 d2 x2 d1 = x2 d1
+            (wn((1, 0), 1), wn((1, 0), 2), 3, 21157),
+            # x1^2 d1 x1^2 d1 = 0 where it left the window; its mirror still leaves
+            (wn((2, 0), 1), wn((2, 0), 1), 0, 21156),
+        ],
+        ids=["scaled-on-window", "zeroed-off-window"],
+    )
+    def test_broken_swap_is_dropped(self, monkeypatch, a, b, scale, rows):
+        # both keep the grading but break the swap, which must not be used
+        fam = wn_family(2)
+
+        def rule(x, y):
+            r = fam.rule(x, y)
+            return (scale * r[0], r[1]) if (x, y) == (a, b) else r
+
+        bent = replace(fam, rule=rule)
+        monkeypatch.setattr(D, "wn_family", lambda n: bent)
+        calls = _counting_rref(monkeypatch)
+        report = D.invariant_form_search(2, Window(2))
+        assert len(calls) == 109
+        assert report == _form_search_oracle(2, Window(2), bent)
+        assert report["rows"] == rows
+
+    @pytest.mark.parametrize(
+        "mirror",
+        [
+            ((1, 0), lambda k: k),  # the keys stay, the weights would swap
+            ((0, 1), lambda k: wn((k[1][0] + 1, k[1][1]), k[2])),  # leaves the window
+            ((0, 1), lambda k: wn((0, 0), 1)),  # not a permutation
+        ],
+    )
+    def test_bad_mirrors_are_dropped(self, mirror):
+        fam = wn_family(2)
+        keys = fam.keys(Window(2))
+        _, blocks = D._form_search_blocks(fam, keys, D._wn_weight, [mirror])
+        assert [len(images) for _, _, images in blocks] == [1] * 109
+
+    @pytest.mark.parametrize("n, size", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+    def test_blocks_match_plan_reference(self, n, size):
+        fam = wn_family(n)
+        keys = fam.keys(Window(size))
+        skipped, blocks = D._form_search_blocks(fam, keys, D._wn_weight)
+        expected = blocks_by_plan(fam, keys, D._wn_weight)
+        assert (skipped, [(w, rows) for w, rows, _ in blocks]) == expected
+        # the orbit path builds the same rows on each block it builds
+        _, blocks = D._form_search_blocks(fam, keys, D._wn_weight, D._wn_mirrors(n))
+        by_weight = dict(expected[1])
+        for w, rows, _ in blocks:
+            assert rows == by_weight[w]
+
+    def test_ats_blocks_match_plan_reference(self):
+        fam = ats_family()
+        keys = fam.keys(Window(3))
+        weight = lambda k: (key_degree(k),)
+        skipped, blocks = D._form_search_blocks(fam, keys, weight)
+        assert (skipped, [(w, rows) for w, rows, _ in blocks]) == blocks_by_plan(fam, keys, weight)
