@@ -21,11 +21,13 @@ patterns, with the patterns prepended as leading slots, is one series that
 collapses to nothing exactly when the law holds at every input tuple of
 those shapes, for every N.  An algebra law on a graded family that is so
 proved reports what the window cube would give; otherwise the cube runs, and
-its violations are the witnesses.  A coalgebra law or the Lie bialgebra
-cocycle row whose lifted series does not collapse is enumerated once on the
-box.  A form law on a graded family is proved on the same shape walk, with
-each pairing solved for its lone input (_form_row_holds); a row that is not
-so proved runs its window loop.
+its violations are the witnesses.  A coalgebra law, the Lie bialgebra
+cocycle row and the CLI's series equalities record through one primitive
+(_lifted_violations): nothing when the lift collapses, otherwise each live
+lifted series enumerated once on the box, or, when a rule cannot run on
+patterns, the residuals read key by key.  A form law on a graded family is
+proved on the same shape walk, with each pairing solved for its lone input
+(_form_row_holds); a row that is not so proved runs its window loop.
 """
 
 from __future__ import annotations
@@ -225,27 +227,29 @@ def _shape_walk(keys, arity: int):
 
 def _lifted(keys, arity: int, residuals: Callable):
     """Yield (shape tuple, [(label, lifted series)]) for every arity-tuple of
-    the keys' shapes, one tuple at a time.
+    the keys' shapes whose residuals do not all vanish, one tuple at a time;
+    nothing when the residuals vanish at every input tuple of the keys'
+    shapes, whatever their slots.
 
     residuals(*patterns) lists (label, series) at the input patterns of
     _shape_walk.  Each series is lifted: the patterns are prepended as
     leading slots and their variables added to every template's, so it is
-    the residual at every input tuple of those shapes at once; it is yielded
+    the residual at every input tuple of those shapes at once.  It is
     collapsed, and it collapses to nothing exactly when the residual
-    vanishes at every such tuple, whatever the slot values.  A rule that
-    cannot run on patterns raises TypeError from the walk."""
+    vanishes at every such tuple; the rows that do are left out.  A rule
+    that cannot run on patterns raises TypeError from the walk."""
     for names, pats in _shape_walk(keys, arity):
         names = tuple(v for vs in names for v in vs)
-        yield tuple(map(key_shape, pats)), [
-            (
-                label,
-                TemplateSeries(
-                    arity + res.arity,
-                    (Template(names + t.vars, t.coeff, pats + t.keys) for t in res.templates),
-                ).collapsed(),
-            )
-            for label, res in residuals(*pats)
-        ]
+        rows = []
+        for label, res in residuals(*pats):
+            lifted = TemplateSeries(
+                arity + res.arity,
+                (Template(names + t.vars, t.coeff, pats + t.keys) for t in res.templates),
+            ).collapsed()
+            if lifted.templates:
+                rows.append((label, lifted))
+        if rows:
+            yield tuple(map(key_shape, pats)), rows
 
 
 def _holds_on_patterns(law: LawId, sym_product: Callable, keys) -> bool:
@@ -286,8 +290,7 @@ def _holds_on_patterns(law: LawId, sym_product: Callable, keys) -> bool:
         return out
 
     try:
-        lifted = _lifted(keys, last + 1, residuals)
-        return not any(res.templates for _, found in lifted for _, res in found)
+        return next(_lifted(keys, last + 1, residuals), None) is None
     except TypeError:  # the rule compares or branches on a slot value
         return False
 
@@ -552,49 +555,54 @@ def coalgebra_residuals(law: LawId, d: TemplateSeries, sym_co: Callable) -> list
     return out
 
 
-def _lifted_report(law: LawId, window: Window, keys: list, arity: int, residuals: Callable):
-    """The report of residuals over every arity-tuple of keys, as a loop over
-    the tuples in order would record it, read off the lifted series of
-    _lifted; None when a rule cannot run on patterns (TypeError), or when a
-    lifted residual does not vanish and a key has a slot outside the box.
+def _lifted_violations(keys: list, arity: int, residuals: Callable, box: int, rec: _Recorder):
+    """Record into rec the box support of residuals(*xs) at every arity-tuple
+    xs of keys, in the order of a loop over the tuples, each violation
+    carrying that support.
 
-    When every lifted series collapses to nothing, the residuals vanish at
-    every tuple of the keys, for every window.  Otherwise each one is
-    enumerated once on the box, when the walk over the tuples first reaches
-    its shapes, and its points are grouped by their leading input slots;
-    the groups are dropped after the last tuple of those shapes."""
+    residuals lists (label, series) at keys and at patterns.  When every
+    lifted series of _lifted collapses, the residuals vanish at every tuple
+    of the keys, for every box, and nothing is recorded.  Otherwise each
+    lifted series that does not is enumerated once on the box, when the
+    walk over the tuples first reaches its shapes, and its points are
+    grouped by their leading input slots; the groups are dropped after the
+    last tuple of those shapes.  When the rule cannot run on patterns
+    (TypeError), or a live series meets a key with a slot outside the box,
+    the residuals are read at the keys, tuple by tuple."""
     try:
-        lifted = dict(_lifted(keys, arity, residuals))
+        live = dict(_lifted(keys, arity, residuals))
     except TypeError:  # the rule compares or branches on a slot value
-        return None
-    box = window.n
-    live = any(res.templates for rows in lifted.values() for _, res in rows)
-    if live and not all(-box <= s <= box for k in keys for s in key_slots(k)):
-        return None
-    rec = _Recorder()
-    if live:
-        shape = [key_shape(k) for k in keys]
-        tuples = list(itertools.product(range(len(keys)), repeat=arity))
-        last = {tuple(shape[i] for i in at): n for n, at in enumerate(tuples)}
-        groups: dict = {}  # the enumerated shape tuples still ahead in the walk
-        for n, at in enumerate(tuples):
-            shapes = tuple(shape[i] for i in at)
-            rows = groups.get(shapes)
-            if rows is None:
-                rows = groups[shapes] = []
-                for label, res in lifted.pop(shapes):
-                    by_input: dict = {}
-                    for point, c in res.support_in_box(box).items():
-                        by_input.setdefault(point[:arity], {})[point] = c
-                    rows.append((label, by_input))
-            xs = tuple(keys[i] for i in at)
-            for label, by_input in rows:
-                support = by_input.get(xs)
+        live = None
+    if live == {}:  # proved on patterns
+        return
+    if live is None or not all(-box <= s <= box for k in keys for s in key_slots(k)):
+        for xs in itertools.product(keys, repeat=arity):
+            for label, res in residuals(*xs):
+                support = res.support_in_box(box)
                 if support:
-                    rec.add(label, xs, tuple(sorted((p[arity:], c) for p, c in support.items())))
-            if last[shapes] == n:
-                del groups[shapes]
-    return CheckReport.build(law.value, window, len(keys) ** arity, rec.items, rec.extra())
+                    rec.add(label, xs, tuple(sorted(support.items())))
+        return
+    shape = [key_shape(k) for k in keys]
+    tuples = list(itertools.product(range(len(keys)), repeat=arity))
+    last = {tuple(shape[i] for i in at): n for n, at in enumerate(tuples)}
+    groups: dict = {}  # the enumerated shape tuples still ahead in the walk
+    for n, at in enumerate(tuples):
+        shapes = tuple(shape[i] for i in at)
+        rows = groups.get(shapes)
+        if rows is None:
+            rows = groups[shapes] = []
+            for label, res in live.pop(shapes, ()):
+                by_input: dict = {}
+                for point, c in res.support_in_box(box).items():
+                    by_input.setdefault(point[:arity], {})[point] = c
+                rows.append((label, by_input))
+        xs = tuple(keys[i] for i in at)
+        for label, by_input in rows:
+            support = by_input.get(xs)
+            if support:
+                rec.add(label, xs, tuple(sorted((p[arity:], c) for p, c in support.items())))
+        if last[shapes] == n:
+            del groups[shapes]
 
 
 def check_coalgebra(
@@ -609,28 +617,22 @@ def check_coalgebra(
     """Quantify a coalgebra law over input keys; identities between completed
     3-tensors are certified on the whole window box.
 
-    The input key is lifted into slot 0 first (see _lifted_report): delta
-    is read at a pattern of each key shape.  When every lifted residual
-    collapses to nothing, the law holds at every key of those shapes, for
-    every N, and the report is the window's pass report.  Otherwise each
-    lifted residual is enumerated once on the box and its points grouped by
-    input key; the violations are those of the loop over keys.  A delta or
-    sym_co that cannot run on patterns (TypeError) is read key by key."""
+    The input key is lifted into slot 0 first (see _lifted_violations):
+    delta is read at a pattern of each key shape.  When every lifted
+    residual collapses to nothing, the law holds at every key of those
+    shapes, for every N, and the report is the window's pass report.
+    Otherwise each lifted residual is enumerated once on the box and its
+    points grouped by input key; the violations are those of the loop over
+    keys.  A delta or sym_co that cannot run on patterns (TypeError) is read
+    key by key."""
     if margin is None:
         margin = default_margin(law, graded=True)
     window = Window(window.n, margin)
     keys = list(keys)
-    report = _lifted_report(
-        law, window, keys, 1, lambda x: coalgebra_residuals(law, delta(x), sym_co)
-    )
-    if report is not None:
-        return report
     rec = _Recorder()
-    for x in keys:
-        for label, res in coalgebra_residuals(law, delta(x), sym_co):
-            support = res.support_in_box(window.n)
-            if support:
-                rec.add(label, (x,), tuple(sorted(support.items())))
+    _lifted_violations(
+        keys, 1, lambda x: coalgebra_residuals(law, delta(x), sym_co), window.n, rec
+    )
     return CheckReport.build(law.value, window, len(keys), rec.items, rec.extra())
 
 
@@ -655,15 +657,17 @@ def check_bialgebra(
     """PermBi / PreLieBi on finite tables, LieBiCocycle on windowed series.
 
     LieBiCocycle lifts the inputs (x, y) into slots 0 and 1 (see
-    _lifted_report), with Delta([x, y]) read through sym_bracket at the
-    patterns and delta at each output pattern.  When the lifted residuals
-    collapse to nothing, the cocycle condition holds at every pair of keys
-    of those shapes, for every N, and the report is the window's pass
-    report; otherwise they are enumerated once on the box.  A delta that
-    cannot run on patterns is read pair by pair."""
+    _lifted_violations), with Delta([x, y]) read through sym_bracket and
+    delta at each output.  When the lifted residuals collapse to nothing,
+    the cocycle condition holds at every pair of keys of those shapes, for
+    every N, and the report is the window's pass report; otherwise they are
+    enumerated once on the box.  A delta that cannot run on patterns is read
+    pair by pair, through sym_bracket at the keys.  bracket, the same
+    bracket on keys, is not read.  A missing input raises ValueError."""
     rec = _Recorder()
     if law in (LawId.PermBi, LawId.PreLieBi):
-        assert alg is not None
+        if alg is None:
+            raise ValueError(f"{law.value} needs alg")
         work = alg if delta_table is None else replace(alg, delta=delta_table)
         window = window or Window(0, 0)
         xs = work.basis_keys()
@@ -715,8 +719,8 @@ def check_bialgebra(
         return CheckReport.build(law.value, window, checked, rec.items, rec.extra())
 
     if law == LawId.LieBiCocycle:
-        assert bracket is not None and delta is not None and sym_bracket is not None
-        assert keys is not None and window is not None
+        if delta is None or sym_bracket is None or keys is None or window is None:
+            raise ValueError("LieBiCocycle needs delta, sym_bracket, keys and window")
         if margin is None:
             margin = default_margin(law, graded=True)
         window = Window(window.n, margin)
@@ -728,26 +732,16 @@ def check_bialgebra(
             left = apply_product_slot(t, 0, sym_bracket, p, "left")
             return left + apply_product_slot(t, 1, sym_bracket, p, "left")
 
-        def cocycle(x, y, xy):
-            """Delta([x, y]) - ad(x) Delta(y) + ad(y) Delta(x), where [x, y]
-            is xy = [(Poly, key)], at keys or at patterns."""
+        def cocycle(x, y):
+            """Delta([x, y]) - ad(x) Delta(y) + ad(y) Delta(x), at keys or at
+            patterns."""
             lhs = TemplateSeries.zero(2)
-            for h, z in xy:
+            for h, z in sym_bracket(x, y):
                 dz = delta(z).templates
                 lhs = lhs + TemplateSeries(2, (Template(t.vars, h * t.coeff, t.keys) for t in dz))
-            return lhs - ad(delta(y), x) + ad(delta(x), y)
+            return [("cocycle", lhs - ad(delta(y), x) + ad(delta(x), y))]
 
-        report = _lifted_report(
-            law, window, ks, 2, lambda px, py: [("cocycle", cocycle(px, py, sym_bracket(px, py)))]
-        )
-        if report is not None:
-            return report
-        for x in ks:
-            for y in ks:
-                xy = [(Poly.const(c), k) for k, c in bracket(x, y).items()]
-                res = cocycle(x, y, xy).support_in_box(window.n)
-                if res:
-                    rec.add("cocycle", (x, y), tuple(sorted(res.items())))
+        _lifted_violations(ks, 2, cocycle, window.n, rec)
         return CheckReport.build(law.value, window, len(ks) ** 2, rec.items, rec.extra())
 
     raise ValueError(f"not a bialgebra law: {law}")
@@ -966,7 +960,8 @@ def check_form(
     equation is not unimodular in the lone input, or the row does not
     collapse, runs its window loop and reports that loop's witnesses.  A
     window without interior raises InsufficientWindowError either way.
-    Finite forms (form= and keys=) always run the loops."""
+    Finite forms (form=, product= and keys=) always run the loops.  A
+    missing input raises ValueError."""
     plan = FORM_PLANS.get(law)
     if plan is None:
         raise ValueError(f"not a form law: {law}")
@@ -975,10 +970,12 @@ def check_form(
         form = family.form
         product = family.product
         weight = family.form_m if weight is None else weight
-        assert window is not None
+        if window is None:
+            raise ValueError("a graded form needs window")
         box_keys = family.keys(window)
     else:
-        assert form is not None and keys is not None
+        if form is None or product is None or keys is None:
+            raise ValueError("need family, or form+product+keys")
         box_keys = list(keys)
         window = window or Window(0, 0)
     if margin is None:

@@ -56,6 +56,8 @@ from .families import (
 )
 from .axioms import (
     LawId,
+    _Recorder,
+    _lifted_violations,
     check_algebra,
     check_bialgebra,
     check_coalgebra,
@@ -156,15 +158,13 @@ def _equality_report(law, window, checked, mismatches) -> CheckReport:
 
 def _series_equality_report(law, keys, lhs, rhs, bound: int) -> CheckReport:
     """lhs(key) = rhs(key) for every key, read on the box [-bound, bound]: a
-    key whose difference has box support is a mismatch carrying that support."""
-    mismatches = []
-    checked = 0
-    for key in keys:
-        checked += 1
-        diff = (lhs(key) - rhs(key)).support_in_box(bound)
-        if diff:
-            mismatches.append(((key,), tuple(sorted(diff.items()))))
-    return _equality_report(law, Window(bound, 0), checked, mismatches)
+    key whose difference has box support is a mismatch carrying that support.
+    The difference is proved on patterns when it can be (see
+    axioms._lifted_violations), and every mismatch is kept."""
+    rec = _Recorder(cap=len(keys))  # one row, so at most one mismatch per key
+    _lifted_violations(keys, 1, lambda k: [("mismatch", lhs(k) - rhs(k))], bound, rec)
+    mismatches = [(at, res) for _, at, res in rec.items]
+    return _equality_report(law, Window(bound, 0), len(keys), mismatches)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +209,8 @@ def _expected_cobracket(space: str, key) -> TemplateSeries:
         return TemplateSeries(
             2,
             (
-                Template(("k",), Poly.const(Fraction(i)), (s, t)),
-                Template(("k",), Poly.const(Fraction(-i)), (t, s)),
+                Template(("k",), Poly.of(i), (s, t)),
+                Template(("k",), Poly.of(-i), (t, s)),
             ),
         )
     s_out = pat_pair(e, pat_ess(k + (i - 1)))

@@ -736,6 +736,46 @@ class TestCoLawOracle:
                 )
                 assert _fields(rep) == oracle, name
             assert rep.passed == passes, name
+            # read at the keys, [x, y] comes from sym_bracket, not from bracket
+            rep = check_bialgebra(
+                LawId.LieBiCocycle, delta=_keys_only(delta), sym_bracket=sbr, keys=keys,
+                window=window,
+            )
+            assert _fields(rep) == oracle, name
+
+
+def _missing_input_cases():
+    """(id, check, law, inputs) for each check_bialgebra and check_form call
+    that leaves out an input the check reads."""
+    alg, fam = finite_catalog()["ex-1p"], ats_family()
+    delta, _ = delta_bullet_rule(alg, fam)
+    _, sbr = induced_lie_bracket(alg, fam)
+    keys = pair_keys(alg, fam, Window(2))
+    cocycle = dict(delta=delta, sym_bracket=sbr, keys=keys, window=Window(2))
+    finite = dict(form=lambda a, b: F(0), product=alg.product, keys=alg.basis_keys())
+    cases = [
+        ("PermBi:alg", check_bialgebra, LawId.PermBi, {}),
+        ("PreLieBi:alg", check_bialgebra, LawId.PreLieBi, {"delta_table": {}}),
+        ("QuadPreLieForm:window", check_form, LawId.QuadPreLieForm, {"family": fam}),
+    ]
+    for check, law, full in (
+        (check_bialgebra, LawId.LieBiCocycle, cocycle),
+        (check_form, LawId.QuadPermForm, finite),
+    ):
+        for missing in full:
+            inputs = {k: v for k, v in full.items() if k != missing}
+            cases.append((f"{law.value}:{missing}", check, law, inputs))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "check, law, inputs", [pytest.param(*case[1:], id=case[0]) for case in _missing_input_cases()]
+)
+def test_missing_inputs_raise_value_error(check, law, inputs):
+    # a missing input is refused with ValueError, as check_algebra does,
+    # and not with an assert, which python -O drops
+    with pytest.raises(ValueError, match="need"):
+        check(law, **inputs)
 
 
 FORM_LAWS = [

@@ -9,11 +9,26 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from permlie import cli
+from permlie.affinize import coproduct_from_form, delta_bullet_rule, induced_lie_bracket, pair_keys
+from permlie.families import (
+    TensorElement,
+    ats_family,
+    delta_p_family,
+    finite_catalog,
+    perm_p_family,
+    tensor_catalog,
+)
+from permlie.kernel import TemplateSeries, Window, key_shape, pair
+from permlie.serialize import report_to_json
+from permlie.ybe import affinize_r, coboundary_delta_perm, lie_delta_from_r
+from series_equality_reference import series_equality_by_keys
+from test_axioms import _keys_only
 
 CMD = [sys.executable, "-m", "permlie.cli"]
 # The CLI runs from this checkout's src, installed or not.
@@ -143,6 +158,106 @@ class TestCanonicalDigests:
         assert cli.main(["export", obj]) == 0
         out, _ = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _failing_equality(name, bound):
+    """(law, keys, lhs, rhs) of an equality row with one side perturbed."""
+    if name == "coproduct-from-form:ats":
+        fam = ats_family()
+        return "CoproductFromForm", fam.keys(Window(bound)), coproduct_from_form(fam), (
+            cli._perturbed_ats_delta
+        )
+    if name == "coproduct-from-form:permP":
+        # the coproduct of the d1 monomials doubled
+        fam = perm_p_family()
+
+        def rhs(key):
+            d = delta_p_family(key)
+            return d + d if key_shape(key) == ("Mono", 1) else d
+
+        return "CoproductFromForm", fam.keys(Window(bound)), coproduct_from_form(fam), rhs
+    alg = finite_catalog()["ex-1p" if name == "cobracket-table" else "ex-sd2"]
+    fam = ats_family()
+    if name == "cobracket-table":
+        # the Ess closed form tripled, the Tee one kept
+        delta, _ = delta_bullet_rule(alg, fam)
+
+        def rhs(key):
+            want = cli._expected_cobracket(alg.space, key[2])
+            return want.scale(3) if key[2][0] == "Ess" else want
+
+        keys = [pair(alg.key(0), g) for g in fam.interior_keys(Window(bound), "cobracket-table")]
+        return "CobracketTable", keys, delta, rhs
+    # ybe:diagram with the tensor e0 (x) e1 + e1 (x) e0 read as e0 (x) e1 + 2 e1 (x) e0
+    r = tensor_catalog()["r-sd2"][1]
+    bad = TensorElement.of([(alg.key(0), alg.key(1), 1), (alg.key(1), alg.key(0), 2)])
+    delta, _ = delta_bullet_rule(replace(alg, delta=coboundary_delta_perm(alg, r)), fam)
+    _, sbr = induced_lie_bracket(alg, fam)
+    rt = affinize_r(bad, fam)
+    keys = pair_keys(alg, fam, Window(bound))
+    return "CoboundaryDiagram", keys, delta, lambda key: lie_delta_from_r(sbr, rt, key)
+
+
+class TestSeriesEquality:
+    """cli._series_equality_report against the loop over keys of
+    series_equality_reference, on perturbed sides whose reports fail."""
+
+    @pytest.mark.parametrize("keys_only", [False, True], ids=["patterns", "keys-only"])
+    @pytest.mark.parametrize(
+        "name, bound",
+        [
+            ("coproduct-from-form:ats", 4),
+            ("coproduct-from-form:ats", 6),
+            ("coproduct-from-form:permP", 2),
+            ("cobracket-table", 3),
+            ("cobracket-table", 5),
+            ("ybe:diagram", 3),
+        ],
+    )
+    def test_failing_reports_match_the_key_loop(self, name, bound, keys_only):
+        law, keys, lhs, rhs = _failing_equality(name, bound)
+        if keys_only:
+            lhs = _keys_only(lhs)
+        got = cli._series_equality_report(law, keys, lhs, rhs, bound)
+        want = series_equality_by_keys(law, keys, lhs, rhs, bound)
+        assert not want.passed
+        assert report_to_json(got) == report_to_json(want)
+
+    @pytest.mark.parametrize("window", [4, 6])
+    def test_rows_close_on_patterns(self, monkeypatch, window):
+        # each of the five rows is proved on patterns: inside the helper no
+        # lifted series is left to enumerate and no key is read on the box
+        inside, entered, boxed = [], [], []
+        box = TemplateSeries.support_in_box
+        helper = cli._lifted_violations
+
+        def counted_box(series, bound):
+            if inside:
+                boxed.append(bound)
+            return box(series, bound)
+
+        def counted_helper(*args):
+            inside.append(True)
+            entered.append(True)
+            try:
+                return helper(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(TemplateSeries, "support_in_box", counted_box)
+        monkeypatch.setattr(cli, "_lifted_violations", counted_helper)
+        afam, pfam = ats_family(), perm_p_family()
+        wp, we = min(5, window), min(6, window)
+        reports = [
+            cli._cobracket_table_report(wp, "t"),
+            cli._cobracket_table_report(wp, "s"),
+            cli._coproduct_from_form_report(afam, cli.delta_a_family, we),
+            cli._coproduct_from_form_report(pfam, delta_p_family, we),
+            cli._ybe_diagram_report(min(4, window)),
+        ]
+        assert all(rep.passed and rep.checked for rep in reports)
+        assert len(entered) == len(reports)
+        assert boxed == []
 
 
 class TestDeterminism:
