@@ -129,7 +129,8 @@ def coproduct_from_form(family: GradedFamily, side: Optional[str] = None):
     """
     if side is None:
         side = "Perm" if family.kind == "Perm" else "PreLie"
-    assert family.partner is not None
+    if family.partner is None:
+        raise ValueError(f"{family.name} has no form partner")
 
     def delta(key) -> TemplateSeries:
         fresh = Fresh("j")

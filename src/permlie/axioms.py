@@ -565,10 +565,12 @@ def _lifted_violations(keys: list, arity: int, residuals: Callable, box: int, re
     of the keys, for every box, and nothing is recorded.  Otherwise each
     lifted series that does not is enumerated once on the box, when the
     walk over the tuples first reaches its shapes, and its points are
-    grouped by their leading input slots; the groups are dropped after the
-    last tuple of those shapes.  When the rule cannot run on patterns
-    (TypeError), or a live series meets a key with a slot outside the box,
-    the residuals are read at the keys, tuple by tuple."""
+    grouped in one pass by their leading input slots, as one list of (other
+    slots, coefficient) per input tuple that is sorted when it is recorded;
+    the groups are dropped after the last tuple of those shapes.  When the
+    rule cannot run on patterns (TypeError), or a live series meets a key
+    with a slot outside the box, the residuals are read at the keys, tuple
+    by tuple."""
     try:
         live = dict(_lifted(keys, arity, residuals))
     except TypeError:  # the rule compares or branches on a slot value
@@ -594,13 +596,14 @@ def _lifted_violations(keys: list, arity: int, residuals: Callable, box: int, re
             for label, res in live.pop(shapes, ()):
                 by_input: dict = {}
                 for point, c in res.support_in_box(box).items():
-                    by_input.setdefault(point[:arity], {})[point] = c
+                    by_input.setdefault(point[:arity], []).append((point[arity:], c))
                 rows.append((label, by_input))
         xs = tuple(keys[i] for i in at)
         for label, by_input in rows:
             support = by_input.get(xs)
             if support:
-                rec.add(label, xs, tuple(sorted((p[arity:], c) for p, c in support.items())))
+                support.sort()
+                rec.add(label, xs, tuple(support))
         if last[shapes] == n:
             del groups[shapes]
 

@@ -298,8 +298,8 @@ def manin_lie_lift(data: ManinData, family: GradedFamily, window: Window) -> Man
 
     and the pairing is checked symmetric, invariant, and window-nondegenerate.
     """
-    assert data.level == "PermKd"
-    assert family.form is not None and family.form_m is not None
+    if data.level != "PermKd" or family.form is None or family.form_m is None:
+        raise ValueError("manin_lie_lift needs a PermKd double and a family with a form")
     double = data.total
     d = len(data.sub1)
     bracket, sym_bracket = induced_lie_bracket(double, family)
@@ -397,7 +397,8 @@ def _b_dual(lift: ManinData, u):
 def manin_dual_bracket(lift: ManinData, u, v) -> list:
     """[u°, v°] as (key, coefficient) pairs, u° the B-dual of u in the
     opposite half.  Free of x: one per (u, v) serves delta(x) for every x."""
-    assert lift.level == "LieB"
+    if lift.level != "LieB":
+        raise ValueError(f"manin_dual_bracket needs a LieB lift, not {lift.level}")
     cu, ku = _b_dual(lift, u)
     cv, kv = _b_dual(lift, v)
     return [(k, cu * cv * c) for k, c in lift.bracket(ku, kv).items()]

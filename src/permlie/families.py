@@ -147,7 +147,8 @@ class GradedFamily:
 
     def delta(self, key) -> TemplateSeries:
         """Coproduct of a single key as a genuine template series."""
-        assert self.sym_co is not None
+        if self.sym_co is None:
+            raise ValueError(f"{self.name} has no coproduct")
         return coproduct_at(self.sym_co, key)
 
 
@@ -519,7 +520,8 @@ def adjoint_representation(alg: FiniteAlgebra) -> Representation:
 def preperm_representation(alg: FiniteAlgebra) -> Representation:
     """The two partial actions of a pre-perm table on its own space:
     l(e_i) v = e_i > v and r(e_i) v = v < e_i."""
-    assert alg.tri_left is not None and alg.tri_right is not None
+    if alg.tri_left is None or alg.tri_right is None:
+        raise ValueError(f"{alg.id} has no pre-perm tables")
     return Representation(
         alg_id=alg.id,
         module_dim=alg.dim,

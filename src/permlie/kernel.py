@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 from typing import Iterable, Optional
 
 Scalar = Fraction
@@ -576,8 +577,8 @@ class TemplateSeries:
     def __init__(self, arity: int, templates: Iterable[Template] = ()):
         self.arity = arity
         self.templates = tuple(t for t in templates if not t.coeff.is_zero())
-        for t in self.templates:
-            assert len(t.keys) == arity
+        if any(len(t.keys) != arity for t in self.templates):
+            raise ValueError(f"a template of a series of arity {arity} has another arity")
 
     @staticmethod
     def zero(arity: int) -> "TemplateSeries":
@@ -594,7 +595,8 @@ class TemplateSeries:
         return TemplateSeries(arity, tpls)
 
     def __add__(self, other: "TemplateSeries") -> "TemplateSeries":
-        assert self.arity == other.arity
+        if self.arity != other.arity:
+            raise ValueError(f"arity mismatch: {self.arity} and {other.arity}")
         return TemplateSeries(self.arity, self.templates + other.templates)
 
     def __sub__(self, other: "TemplateSeries") -> "TemplateSeries":
@@ -614,7 +616,8 @@ class TemplateSeries:
 
     def permuted(self, perm) -> "TemplateSeries":
         """Slot permutation: out slot i carries the old slot perm[i]."""
-        assert sorted(perm) == list(range(self.arity))
+        if sorted(perm) != list(range(self.arity)):
+            raise ValueError(f"{perm} is not a permutation of {self.arity} slots")
         return TemplateSeries(
             self.arity,
             (
@@ -624,8 +627,7 @@ class TemplateSeries:
         )
 
     def flip_hat(self) -> "TemplateSeries":
-        assert self.arity == 2
-        return self.permuted((1, 0))
+        return self.permuted((1, 0))  # raises ValueError unless the arity is 2
 
     def coefficient_at(self, keys) -> Fraction:
         keys = tuple(keys)
@@ -680,60 +682,70 @@ class TemplateSeries:
         have coefficient exactly zero inside the box.
 
         The templates are merged into canonical forms first (see collapsed),
-        and only the forms that do not vanish are enumerated, each over its
-        lattice variables u (see _lattice_points).  Each form builds a key
-        once per distinct value of its slots, and the tuples it appears in
-        share it.  Integer coefficients accumulate as machine ints (still
-        exact) and are wrapped into Fractions once at the end."""
-        acc: dict = {}
+        and only the forms that do not vanish are enumerated, as ranges of
+        their last lattice variable x (see _lattice_ranges).  Along a range,
+        each slot is base + step * x and the coefficient a polynomial in x,
+        read by Horner; a key is built once per value of its slots (an int
+        for a single slot).  A form's points have distinct key tuples, so each
+        form fills a dict of its own, and the dicts are added key by key only
+        where a key tuple is in two of them."""
+        parts = []
+        fraction = _Memo(Fraction).__getitem__  # one Fraction per int, shared
         for (_, rows, consts), (proto, coeff) in _merged_forms(self.templates).items():
-            readers = []  # (reader, its slots, {slot values: key})
-            pos = 0
+            k = len(rows[0]) if rows else 0
+            steps = [row[-1] if k else 0 for row in rows]
+            moves = [(s, st) for s, st in enumerate(steps) if st]
+            readers, pos = [], 0  # (its slots, whether one moves with x, key getter)
             for p in proto:
-                reader, end = _slot_reader(p, pos)
-                readers.append((reader, slice(pos, end), {}))
-                pos = end
-            slots = [
-                (c, tuple((j, a) for j, a in enumerate(row) if a))
-                for row, c in zip(rows, consts)
+                reader, n = _slot_reader(p, 0)
+                at, pos = range(pos, pos + n), pos + n
+                make = (lambda v, r=reader: r((v,))) if n == 1 else reader
+                readers.append((at, any(steps[s] for s in at), _Memo(make).__getitem__))
+            degree = max(3, 1 + max(ex[-1] for ex in coeff) if k else 1)
+            powers: dict = {}  # prefix exponents -> coefficients of x^0, x^1, ...
+            for ex, c in coeff.items():
+                powers.setdefault(ex[:-1], [0] * degree)[ex[-1] if k else 0] += c
+            powers = [
+                (tuple(j for j, e in enumerate(pre) for _ in range(e)),
+                 [(d, a) for d, a in enumerate(cs) if a])
+                for pre, cs in powers.items()
             ]
-            monos = [
-                (c, tuple((j, e) for j, e in enumerate(ex) if e))
-                for ex, c in coeff.items()
-            ]
-            for u in _lattice_points(rows, consts, bound):
-                c = 0
-                for m, pows in monos:
-                    for j, e in pows:
-                        m *= u[j] ** e
-                    c += m
-                if not c:
+            parts.append({})
+            for u, vals, xs in _lattice_ranges(rows, consts, bound):
+                cx = [0] * degree
+                for pows, cs in powers:
+                    m = 1
+                    for j in pows:
+                        m *= u[j]
+                    for d, a in cs:
+                        cx[d] += m * a
+                if not any(cx):
                     continue
-                vals = []
-                for v, terms in slots:
-                    for j, a in terms:
-                        v += a * u[j]
-                    vals.append(v)
-                keys = []
-                for r, at, memo in readers:
-                    key_vals = tuple(vals[at])
-                    k = memo.get(key_vals)
-                    if k is None:
-                        k = memo[key_vals] = r(vals)
-                    keys.append(k)
-                keys = tuple(keys)
-                cur = acc.get(keys)
-                if cur is None:
-                    acc[keys] = c
-                else:
-                    cur = cur + c
-                    if cur:
-                        acc[keys] = cur
-                    else:
-                        del acc[keys]
-        for k, v in acc.items():  # in place: no second dict of the support
-            if v.__class__ is not Fraction:
-                acc[k] = Fraction(v)
+                a0, a1, a2, *high = cx
+                coeffs = [(a2 * x + a1) * x + a0 for x in xs]
+                for d, a in enumerate(high, 3):  # terms past x^2 are rare
+                    coeffs = [c + a * x**d for c, x in zip(coeffs, xs)]
+                for s, st in moves:
+                    vals[s] = range(vals[s] + st * xs.start, vals[s] + st * xs.stop, st)
+                cols = [
+                    (map(key, vals[at.start]) if moving else repeat(key(vals[at.start])))
+                    if len(at) == 1
+                    else map(key, zip(*(vals[s] if steps[s] else repeat(vals[s]) for s in at)))
+                    if moving
+                    else repeat(key(tuple(vals[s] for s in at)))
+                    for at, moving, key in readers
+                ]
+                keys = zip(*cols) if cols else repeat(())
+                parts[-1].update(compress(zip(keys, map(fraction, coeffs)), coeffs))
+        acc: dict = {}
+        for part in parts:
+            acc.update(part)  # reads the hashes stored in part
+        if len(acc) < sum(map(len, parts)):  # a key tuple in two forms: add them
+            acc = {}
+            for part in parts:
+                for keys, c in part.items():
+                    acc[keys] = acc.get(keys, 0) + c
+            acc = {keys: c for keys, c in acc.items() if c}
         return acc
 
     def collapsed(self) -> "TemplateSeries":
@@ -922,39 +934,57 @@ def _form_template(proto, rows, consts, coeff):
     return Template(names, poly, keys)
 
 
-def _lattice_points(rows, consts, bound: int) -> list:
-    """Every integer u putting each slot rows * u + consts in [-bound, bound].
+class _Memo(dict):
+    """{v: make(v)}, filled on a miss."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, v):
+        out = self[v] = self.make(v)
+        return out
+
+
+def _lattice_ranges(rows, consts, bound: int) -> list:
+    """[(u_0..u_{k-2}, each slot's value at u_{k-1} = 0, the range of
+    u_{k-1})] over the integer u putting each slot rows * u + consts in
+    [-bound, bound], leaving out empty ranges; a form with no variables has
+    one point, with the range range(1).
 
     Rows in Hermite normal form (see _free_slot_transform) give each u_i a
     first slot, in F, that involves u_0..u_i only, with a positive
     coefficient on u_i.  So fixing u_0, u_1, ... in order, u_i ranges over
     the bounds of the slots whose last variable is u_i, and every slot is
-    checked exactly once.  The box is symmetric, so a slot with a negative
-    last coefficient is bounded through its negation."""
-    cuts = [[] for _ in (rows[0] if rows else ())]
-    for row, c in zip(rows, consts):
-        terms = [(j, a) for j, a in enumerate(row) if a]
-        if not terms:
-            if not -bound <= c <= bound:
-                return []
-            continue
-        j, a = terms.pop()
-        sign = 1 if a > 0 else -1
-        cuts[j].append((sign * c, tuple((i, sign * b) for i, b in terms), sign * a))
-    points = [()]
-    for cands in cuts:
-        nxt = []
-        for u in points:
-            ends = []
-            for c, rest, a in cands:
-                for i, b in rest:
-                    c += b * u[i]
-                ends.append((-((bound + c) // a), (bound - c) // a))
-            lo = max(l for l, _ in ends)
-            hi = min(h for _, h in ends)
-            nxt.extend([u + (x,) for x in range(lo, hi + 1)])
-        points = nxt
-    return points
+    checked exactly once."""
+    cols = list(zip(*rows)) or [(0,) * len(rows)]  # each variable's slot coefficients
+    cuts = [[] for _ in cols]
+    for s, row in enumerate(rows):
+        nonzero = [j for j, a in enumerate(row) if a]
+        if nonzero:
+            cuts[nonzero[-1]].append(s)
+        elif not -bound <= consts[s] <= bound:
+            return []
+    points = [((), list(consts))]
+    for cut, col in zip(cuts[:-1], cols):
+        points = [
+            (u + (x,), [b + a * x for b, a in zip(vals, col)])
+            for u, vals in points
+            for x in _cut_range(cut, col, vals, bound)
+        ]
+    last = [(u, vals, _cut_range(cuts[-1], cols[-1], vals, bound)) for u, vals in points]
+    return [point for point in last if point[2]]
+
+
+def _cut_range(cut, col, vals, bound: int) -> range:
+    """The integers x putting each slot vals[s] + col[s] * x, s in cut, in
+    [-bound, bound]; just 0 when cut is empty.  A negative col[s] swaps the
+    ends of the box."""
+    lo, hi = [], []
+    for s in cut:
+        e = bound if col[s] > 0 else -bound
+        lo.append(-((e + vals[s]) // col[s]))
+        hi.append((e - vals[s]) // col[s])
+    return range(max(lo, default=0), min(hi, default=0) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,11 @@ class TestCoproductFromForm:
         for key in fam.keys(Window(3)):
             assert cf(key).equal_on_box(delta_p_family(key), 3)
 
+    def test_family_without_form_raises(self):
+        # a ValueError, which python -O keeps, unlike an assert
+        with pytest.raises(ValueError, match="w1 has no form partner"):
+            coproduct_from_form(wn_family(1))
+
 
 # ---------------------------------------------------------------------------
 # The pair-key Jacobi probe against the textbook identity of the induced

@@ -690,6 +690,45 @@ class TestCoLawOracle:
             passed += rep.passed
         assert 0 < passed < 40
 
+    def test_lifted_grouping_on_failing_probes(self, monkeypatch):
+        # The probe's own check, at criterion 5's Window(4), on its first two
+        # failing co-direction candidates: the live path enumerates each
+        # lifted residual once and groups its points by input key, and must
+        # give the violations, their sorted residuals and violations_total of
+        # the read at each input key.
+        fam = ats_family()
+        window = Window(4, 0)
+        calls = []
+        box = TemplateSeries.support_in_box
+
+        def counted(series, bound):
+            calls.append(bound)
+            return box(series, bound)
+
+        failing = 0
+        for dt in _criterion_5_deltas(10):
+            alg = FiniteAlgebra(
+                id="probe", space="PR", dim=2, labels=("a", "b"), kind="none", mul={}, delta=dt
+            )
+            delta, sym_co = delta_bullet_rule(alg, fam)
+            keys = pair_keys(alg, fam, window)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(TemplateSeries, "support_in_box", counted)
+                rep = check_coalgebra(
+                    LawId.CoLieJacobi, delta=delta, sym_co=sym_co, keys=keys, window=window,
+                    margin=0,
+                )
+            if rep.passed:
+                continue
+            assert 0 < len(calls) < len(keys), "not the live path"
+            oracle = _colaw_oracle(LawId.CoLieJacobi, delta, sym_co, keys, window)
+            assert _fields(rep) == oracle, dt
+            failing += 1
+            if failing == 2:
+                break
+        assert failing == 2
+
     @pytest.mark.parametrize("law", [LawId.CoPreLie, LawId.CoLieJacobi])
     def test_patterns_refused(self, law):
         # a delta that cannot run on patterns is read key by key

@@ -391,6 +391,29 @@ class TestDoubleTables:
         assert seen >= 10
 
 
+class TestInputChecks:
+    """Each input check raises ValueError, which python -O keeps, unlike an
+    assert."""
+
+    def _double(self):
+        return D.manin_double_from_bialgebra(finite_catalog()["ex-1p"])
+
+    def test_lie_lift_needs_a_permkd_double(self):
+        lift = D.manin_lie_lift(self._double(), ats_family(), Window(2))
+        with pytest.raises(ValueError, match="PermKd double"):
+            D.manin_lie_lift(lift, ats_family(), Window(2))
+
+    def test_lie_lift_needs_a_family_with_a_form(self):
+        with pytest.raises(ValueError, match="family with a form"):
+            D.manin_lie_lift(self._double(), wn_family(1), Window(2))
+
+    def test_dual_bracket_needs_a_lie_lift(self):
+        md = self._double()
+        u = pair(fin(md.total.space, 0), ats_family().keys(Window(2))[0])
+        with pytest.raises(ValueError, match="needs a LieB lift, not PermKd"):
+            D.manin_dual_bracket(md, u, u)
+
+
 class TestLieLift:
     def test_reports_pass(self):
         p1 = finite_catalog()["ex-1p"]

@@ -1,5 +1,6 @@
 """Concrete graded families and the finite catalog."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from permlie.families import (
     mat_inv,
     mat_mul,
     perm_p_family,
+    preperm_representation,
     random_invertible,
     random_table,
     tensor_catalog,
@@ -133,6 +135,16 @@ class TestCoproducts:
     def test_wn_codelta_exists_on_interior(self):
         d = wn_codelta(1, wn((1,), 1))
         assert d.support_in_box(3)
+
+    def test_family_without_coproduct_raises(self):
+        # a ValueError, which python -O keeps, unlike an assert
+        fam = dataclasses.replace(ats_family(), sym_co=None)
+        with pytest.raises(ValueError, match="ats has no coproduct"):
+            fam.delta(tee(0))
+
+    def test_preperm_representation_without_tables_raises(self):
+        with pytest.raises(ValueError, match="ex-1p has no pre-perm tables"):
+            preperm_representation(finite_catalog()["ex-1p"])
 
 
 class TestForms:

@@ -1,5 +1,7 @@
 """Kernel layer: affine indices, polynomials, template series, windows."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,9 @@ from permlie.kernel import (
     pair,
     pat_const,
     pat_ess,
+    pat_fin,
     pat_mono,
+    pat_pair,
     pat_subst,
     pat_tee,
     sparse_rref,
@@ -113,40 +117,59 @@ class TestTemplateSeries:
 
 
 # Random template series for the support_in_box cross-check.  Each template
-# has k <= 2 variables and a slot map of rank k.  Half are triangular: k of
-# the slots ("pivots") are triangular in the variables with a diagonal of +-1
-# or +-2 (slots like 2j), the others arbitrary.  The rest draw every slot at
-# random and keep the maps whose first k independent slots F have
-# 1 <= |det A_F| <= 4, so A_F is in general neither triangular nor unimodular.
+# has k <= 3 variables and a slot map of rank k, on two keys of 2 to 4 slots
+# in all: Tee, Ess and Mono keys, bare or paired with a Fin key.  Half are
+# triangular: k of the slots ("pivots") are triangular in the variables with
+# a diagonal of +-1 or +-2 (slots like 2j), the others arbitrary.  The rest
+# draw every slot at random and keep the maps whose first k independent slots
+# F have 1 <= |det A_F| <= 4, so A_F is in general neither triangular nor
+# unimodular.  Either way a slot may have a negative coefficient on the last
+# lattice variable, and a Mono key may move with it.
 BOX = 2
 SHAPES = {"Tee": 1, "Ess": 1, "Mono": 2}
 SWAP = {"Tee": "Ess", "Ess": "Tee"}
 
 
 def _pattern(tag, slots):
+    """The pattern of tag on the slots; tag "A:..." or "B:..." pairs it with
+    the Fin key ("A", 0) or ("A", 1)."""
+    if ":" in tag:
+        fin_tag, tag = tag.split(":")
+        return pat_pair(pat_fin("A", "AB".index(fin_tag)), _pattern(tag, slots))
     if tag == "Mono":
         return pat_mono(slots[0], slots[1], 1)
     return (pat_tee if tag == "Tee" else pat_ess)(slots[0])
 
 
+def _det(m):
+    """The determinant of a square integer matrix, by the Leibniz formula."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += sign * math.prod(m[i][j] for i, j in enumerate(perm))
+    return total
+
+
 def _free_det(rows, k):
-    """det A_F for the first k linearly independent rows F (k <= 2), or 0
-    when the rows have rank below k."""
-    if k == 0:
-        return 1
-    first = next((r for r in rows if any(r)), None)
-    if first is None or k == 1:
-        return first[0] if first else 0
-    return next((first[0] * r[1] - first[1] * r[0] for r in rows
-                 if first[0] * r[1] != first[1] * r[0]), 0)
+    """det A_F for the first k linearly independent rows F, or 0 when the
+    rows have rank below k.  Rows are independent when their Gram
+    determinant is nonzero."""
+    free = []
+    for r in rows:
+        gram = [[sum(a * b for a, b in zip(x, y)) for y in free + [r]] for x in free + [r]]
+        if len(free) < k and _det(gram):
+            free.append(r)
+    return _det(free) if len(free) == k else 0
 
 
 @st.composite
 def _template(draw, names):
     shapes = draw(st.sampled_from([("Tee", "Ess"), ("Ess", "Tee"), ("Tee", "Tee"),
-                                   ("Mono", "Tee"), ("Ess", "Mono"), ("Ess", "Ess")]))
-    m = sum(SHAPES[s] for s in shapes)
-    k = draw(st.integers(0, 2))
+                                   ("Mono", "Tee"), ("Ess", "Mono"), ("Ess", "Ess"),
+                                   ("A:Tee", "B:Ess"), ("A:Mono", "Tee"), ("Mono", "B:Tee"),
+                                   ("B:Ess", "A:Mono"), ("Mono", "Mono")]))
+    m = sum(SHAPES[s.split(":")[-1]] for s in shapes)
+    k = draw(st.integers(0, min(3, m)))
     small = st.integers(-2, 2)
     if draw(st.booleans()):
         pivots = sorted(draw(st.permutations(range(m)))[:k])
@@ -170,12 +193,12 @@ def _template(draw, names):
     coeff = Poly()
     for _ in range(draw(st.integers(1, 3))):
         mono_ = Poly.const(F(draw(st.integers(-3, 3)), draw(st.integers(1, 2))))
-        for _ in range(draw(st.integers(0, 2))):
+        for _ in range(draw(st.integers(0, 3))):
             if k:
                 mono_ = mono_ * Poly.var(names[draw(st.integers(0, k - 1))])
         coeff = coeff + mono_
     it = iter(slots)
-    keys = tuple(_pattern(s, [next(it) for _ in range(SHAPES[s])]) for s in shapes)
+    keys = tuple(_pattern(s, [next(it) for _ in range(SHAPES[s.split(":")[-1]])]) for s in shapes)
     return Template(tuple(names[:k]), coeff, keys)
 
 
@@ -185,7 +208,7 @@ def _reparametrised(draw, t, names):
     k = len(t.vars)
     u = [[int(i == j) for j in range(k)] for i in range(k)]
     for _ in range(draw(st.integers(0, 3)) if k else 0):
-        i, j = draw(st.permutations(range(k)))[:2] if k == 2 else (0, None)
+        i, j = draw(st.permutations(range(k)))[:2] if k >= 2 else (0, None)
         if j is None or draw(st.booleans()):
             u[i] = [-a for a in u[i]]
         else:
@@ -217,16 +240,16 @@ def _negated(t, factor=-1):
     return Template(t.vars, t.coeff * Poly.const(F(factor)), t.keys)
 
 
+def _reshape(p):
+    """p on another slot shape: Tee and Ess swapped, Mono d1 made d2, the
+    Fin key of a Pair kept."""
+    if p[0] == "Pair":
+        return pat_pair(p[1], _reshape(p[2]))
+    return pat_mono(p[1], p[2], 2) if p[0] == "Mono" else _pattern(SWAP[p[0]], [p[1]])
+
+
 def _reshaped(t):
-    """t on other slot shapes: Tee and Ess swapped, Mono d1 made d2."""
-    return Template(
-        t.vars,
-        t.coeff,
-        tuple(
-            pat_mono(p[1], p[2], 2) if p[0] == "Mono" else _pattern(SWAP[p[0]], [p[1]])
-            for p in t.keys
-        ),
-    )
+    return Template(t.vars, t.coeff, tuple(map(_reshape, t.keys)))
 
 
 @st.composite
@@ -238,21 +261,44 @@ def _series(draw):
     templates = []
     most = 0
     for n in range(draw(st.integers(1, 3))):
-        names = (f"a{n}", f"b{n}")
+        names, copy = (f"a{n}", f"b{n}", f"c{n}"), (f"d{n}", f"e{n}", f"f{n}")
         kind = draw(st.sampled_from(["alone", "cancel", "double", "reshape", "sublattice"]))
         t = draw(_template(names))
         templates.append(t)
         most += {"alone": 1, "cancel": 0, "double": 1, "reshape": 2, "sublattice": 2}[kind]
         if kind == "cancel":
-            templates.append(_negated(draw(_reparametrised(t, (f"c{n}", f"d{n}")))))
+            templates.append(_negated(draw(_reparametrised(t, copy))))
         elif kind == "double":
-            templates.append(_negated(draw(_reparametrised(t, (f"c{n}", f"d{n}"))), 2))
+            templates.append(_negated(draw(_reparametrised(t, copy)), 2))
         elif kind == "reshape":
             templates.append(_negated(_reshaped(t)))
         elif kind == "sublattice":
-            env = {v: 2 * av(w) for v, w in zip(t.vars, (f"c{n}", f"d{n}"))}
-            templates.append(_negated(_substituted(t, (f"c{n}", f"d{n}"), env)))
+            env = {v: 2 * av(w) for v, w in zip(t.vars, copy)}
+            templates.append(_negated(_substituted(t, copy, env)))
     return TemplateSeries(2, draw(st.permutations(templates))), most
+
+
+class TestArityChecks:
+    """Each arity check raises ValueError, which python -O keeps, unlike an
+    assert."""
+
+    ONE_SLOT = Template((), Poly.const(F(1)), (pat_tee(0),))
+
+    def test_template_of_another_arity(self):
+        with pytest.raises(ValueError, match="another arity"):
+            TemplateSeries(2, (self.ONE_SLOT,))
+
+    def test_sum_of_two_arities(self):
+        with pytest.raises(ValueError, match="arity mismatch: 2 and 1"):
+            delta_a_family(tee(2)) + TemplateSeries(1, (self.ONE_SLOT,))
+
+    def test_permuted_by_a_non_permutation(self):
+        with pytest.raises(ValueError, match=r"\(0, 0\) is not a permutation of 2 slots"):
+            delta_a_family(tee(2)).permuted((0, 0))
+
+    def test_flip_hat_of_arity_one(self):
+        with pytest.raises(ValueError, match="not a permutation of 1 slots"):
+            TemplateSeries(1, (self.ONE_SLOT,)).flip_hat()
 
 
 class TestCollapse:
@@ -265,7 +311,9 @@ class TestCollapse:
     @given(_series())
     def test_support_matches_coefficient_at(self, drawn):
         series, most = drawn
-        assert series.support_in_box(BOX) == support_by_solving(series, BOX)
+        support = series.support_in_box(BOX)
+        assert support == support_by_solving(series, BOX)
+        assert all(c.__class__ is Fraction for c in support.values())
         assert len(series.collapsed().templates) <= most
 
     def test_mixed_slots_support(self):
@@ -280,8 +328,8 @@ class TestCollapse:
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_reparametrised_copy_cancels(self, data):
-        t = data.draw(_template(("a", "b")))
-        copy = data.draw(_reparametrised(t, ("c", "d")))
+        t = data.draw(_template(("a", "b", "c")))
+        copy = data.draw(_reparametrised(t, ("d", "e", "f")))
         series = TemplateSeries(2, (t, _negated(copy)))
         assert series.collapsed().templates == ()
         assert series.support_in_box(BOX) == {}
@@ -309,6 +357,57 @@ class TestCollapse:
         assert series.support_in_box(3) == {
             (tee(v), ess(v)): F(1) for v in (-3, -1, 1, 3)
         }
+
+
+class TestBoxWalk:
+    """support_in_box walks each form's last lattice variable x as a range;
+    each case is read against coefficient_at, key tuple by key tuple."""
+
+    @staticmethod
+    def _check(series, bound):
+        support = series.support_in_box(bound)
+        assert support == support_by_solving(series, bound)
+        assert all(c.__class__ is Fraction for c in support.values())
+        return support
+
+    def test_negative_step_and_moving_mono(self):
+        # free slots a, c, b become u0, u1, u2 = x; the last slot a - b - c
+        # steps by -1 in x, the Mono key of b and a - b - c moves with x, and
+        # the coefficient is cubic in x
+        a, b, c = av("a"), av("b"), av("c")
+        t = Template(
+            ("a", "b", "c"),
+            Poly.var("a") * Poly.var("b") * Poly.var("b") * Poly.var("b") + Poly.const(F(1, 2)),
+            (pat_pair(pat_fin("A", 0), pat_mono(a, c, 1)), pat_mono(b, a - b - c, 2)),
+        )
+        series = TemplateSeries(2, (t,))
+        (form,) = series.collapsed().templates
+        assert form.keys[1][2] == Aff.of(0) + av("u0") - av("u1") - av("u2")
+        support = self._check(series, 2)
+        assert support[(pair(fin("A", 0), mono(1, 0, 1)), mono(1, 0, 2))] == F(3, 2)
+
+    def test_one_and_zero_variable_forms(self):
+        # j^2 at (t^j, A1 s^(2-3j)): j = 0 and 1 are in the box, and j = 1
+        # meets the constant term
+        j = av("j")
+        a1 = pat_fin("A", 1)
+        squared = Poly.var("j") * Poly.var("j")
+        series = TemplateSeries(2, (
+            Template((), Poly.const(F(3)), (pat_tee(1), pat_pair(a1, pat_ess(-1)))),
+            Template(("j",), squared, (pat_tee(j), pat_pair(a1, pat_ess(2 - 3 * j)))),
+        ))
+        assert self._check(series, 2) == {(tee(1), pair(fin("A", 1), ess(-1))): F(4)}
+
+    def test_two_forms_cancel(self):
+        # sum_j t^j s^j against its even and odd parts, forms of their own
+        j = av("j")
+        series = TemplateSeries(2, (
+            Template(("j",), Poly.var("j"), (pat_tee(j), pat_ess(-j))),
+            Template(("j",), -Poly.of(2 * j), (pat_tee(2 * j), pat_ess(-2 * j))),
+            Template(("j",), -Poly.of(2 * j + 1), (pat_tee(2 * j + 1), pat_ess(-2 * j - 1))),
+        ))
+        assert len(series.collapsed().templates) == 3
+        assert self._check(series, 4) == {}
 
 
 class TestIllPosed:
