@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import signal
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -189,10 +191,12 @@ class ManinData:
         return tuple(sorted(n for n, r in self.reports.items() if not r.passed))
 
 
-def _halves_report(label, keys1, keys2, product, form, member1, member2, window):
-    """Each half closed under the product and isotropic for the form."""
+def _halves_report(label, keys1, keys2, product, form, member1, window):
+    """Each half closed under the product and isotropic for the form; member1
+    tells the first half's keys, the second half holds every other key."""
     violations = []
     checked = 0
+    member2 = lambda k: not member1(k)
     for keys, member, name in ((keys1, member1, "half1"), (keys2, member2, "half2")):
         for x in keys:
             for y in keys:
@@ -266,7 +270,6 @@ def manin_double_from_bialgebra(
             double.product,
             form,
             lambda k: k[2] < d,
-            lambda k: k[2] >= d,
             Window(0, 0),
         ),
     }
@@ -314,29 +317,21 @@ def manin_lie_lift(data: ManinData, family: GradedFamily, window: Window) -> Man
     sub1 = tuple(k for k in keys if k[1][2] < d)
     sub2 = tuple(k for k in keys if k[1][2] >= d)
 
-    def inner(margin, law):
-        gk = family.interior_keys(Window(window.n, margin), law)
-        return [pair(f, g) for f in double.basis_keys() for g in gk]
+    def inner(margin, law) -> dict:  # a check's keys and window
+        wm = Window(window.n, margin)
+        gk = family.interior_keys(wm, law)
+        return {"keys": [pair(f, g) for f in double.basis_keys() for g in gk], "window": wm}
 
     reports = {
-        "lie-skew": check_algebra(
-            LawId.LieSkew,
-            product=bracket,
-            keys=inner(1, "LieSkew"),
-            window=Window(window.n, 1),
-        ),
-        "lie-jacobi": check_algebra(
-            LawId.LieJacobi,
-            product=bracket,
-            keys=inner(2, "LieJacobi"),
-            window=Window(window.n, 2),
-        ),
+        name: check_algebra(law, product=bracket, **inner(mg, law.value))
+        for name, law, mg in (("lie-skew", LawId.LieSkew, 1), ("lie-jacobi", LawId.LieJacobi, 2))
+    }
+    reports |= {
         "pairing": check_form(
             LawId.ManinLieB,
             form=form_b,
             product=bracket,
-            keys=inner(1, "ManinLieB"),
-            window=Window(window.n, 1),
+            **inner(1, "ManinLieB"),
             weight=family.form_m,
             check_nondegenerate=False,
         ),
@@ -347,7 +342,6 @@ def manin_lie_lift(data: ManinData, family: GradedFamily, window: Window) -> Man
             bracket,
             form_b,
             lambda k: k[1][2] < d,
-            lambda k: k[1][2] >= d,
             Window(window.n, 0),
         ),
     }
@@ -384,13 +378,13 @@ def _b_dual(lift: ManinData, u):
     and B(coeff key, u') = 0 for every other same-half window key u'."""
     _, f, g = u
     d = lift.total.dim // 2
-    partners = lift.family.form_partners(g)
-    assert len(partners) == 1, "pairing read-off needs a single graded partner"
+    if len(partners := lift.family.form_partners(g)) != 1:
+        raise ValueError("pairing read-off needs a single graded partner")
     h, _ = partners[0]
     idx = f[2] + d if f[2] < d else f[2] - d
     cand = pair(fin(lift.total.space, idx), h)
-    val = lift.form(cand, u)
-    assert val, "halves do not pair"
+    if not (val := lift.form(cand, u)):
+        raise ValueError("halves do not pair")
     return (ONE / val, cand)
 
 
@@ -552,7 +546,6 @@ def para_kahler_reports(double: FiniteAlgebra, form) -> dict:
             double.product,
             form,
             lambda k: k[2] < d,
-            lambda k: k[2] >= d,
             Window(0, 0),
         ),
     }
@@ -651,10 +644,12 @@ def _wn_mirrors(n: int) -> list:
 
 
 def _form_search_blocks(fam: GradedFamily, keys, weight, mirrors=()) -> tuple:
-    """(skipped triples, blocks) of the triple row of FORM_PLANS[QuadPreLieForm]
-    on the skew form values over keys; blocks yields (W, rows sorted by length,
-    one key permutation per distinct image of W) for the least triple weight W
-    of each mirror orbit, in order (see invariant_form_search).
+    """(skipped triples, built, blocks) of the triple row of
+    FORM_PLANS[QuadPreLieForm] on the skew form values over keys.  built maps
+    the least triple weight W of each mirror orbit, in order, to its count of
+    triples before those leaving keys; blocks(ws) yields (W, rows sorted by
+    length, one key permutation per distinct image of W) for each W of ws
+    that has rows (see invariant_form_search).
 
     The value w(keys[i], keys[j]), i < j, is unknown i m + j; w(y, x) is
     -w(x, y) and w(x, x) is 0.  A row is divided by its gcd, signed so that its
@@ -717,11 +712,15 @@ def _form_search_blocks(fam: GradedFamily, keys, weight, mirrors=()) -> tuple:
             rest = tuple((col[t[x]], tab[x][t[1 - x]]) for x in tab if x < 2)
             pairs.setdefault(plus(wt[t[0]], wt[t[1]]), []).append((out, head, rest))
 
-    def blocks():
-        for w in sorted({plus(p, q) for p in pairs for q in set(wt)}):
+    tri, mult = {}, {v: wt.count(v) for v in set(wt)}  # triple weight -> its triples
+    for p, v in itertools.product(pairs, mult):
+        w = plus(p, v)
+        tri[w] = tri.get(w, 0) + mult[v] * len(pairs[p])
+    built = {w: tri[w] for w in sorted(tri) if min(tuple(w[i] for i in s) for s, _ in perms) == w}
+
+    def blocks(ws):
+        for w in ws:
             images = {tuple(w[i] for i in s): to for s, to in perms}
-            if min(images) < w:
-                continue  # built at the least weight of its orbit
             rows: dict = {}
             for c in range(m):
                 cc = col[c]
@@ -744,7 +743,40 @@ def _form_search_blocks(fam: GradedFamily, keys, weight, mirrors=()) -> tuple:
             if rows:  # short rows first: a singleton row kills its column at once
                 yield w, sorted((dict(r) for r in rows), key=len), list(images.values())
 
-    return skipped, blocks()
+    return skipped, built, blocks
+
+
+def _fork_map(fn, shares) -> list:
+    """[fn(s) for s in shares]: shares[0] runs here, each other share in a
+    worker forked from this process (so it inherits the tables fn reads),
+    which pipes back fn's result or exception, pickled, to be raised here.
+    Every worker is killed and reaped before this returns: by then it has
+    written its result, or the call has failed."""
+    import pickle  # imported here: at package import it raised peak RSS by 0.2-0.5 MB
+    workers = []
+    try:
+        for share in shares[1:]:
+            r, w = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+            if not (pid := os.fork()):  # the worker: _exit flushes no inherited stdio buffer
+                try:
+                    with w:
+                        try:
+                            pickle.dump(fn(share), w)
+                        except BaseException as e:  # raised again in the caller
+                            pickle.dump(e, w)
+                finally:
+                    os._exit(0)
+            w.close()
+            workers.append((pid, r))
+        out = [fn(shares[0])] + [pickle.load(f) for _, f in workers]
+        if errors := [e for e in out if isinstance(e, BaseException)]:
+            raise errors[0]
+        return out
+    finally:
+        for pid, f in workers:
+            f.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def invariant_form_search(n: int, window: Window) -> dict:
@@ -760,9 +792,13 @@ def invariant_form_search(n: int, window: Window) -> dict:
     and its blocks onto themselves (each permutation is checked on the product
     table and dropped if it fails), so one block per orbit is built: its rows
     and rank count once per distinct image, and its forced zeros are mapped
-    into each.  Returns the rank, solution dimension, how many pair values
-    every solution kills, and whether all pairs against the probe key x1 d1
-    are among them (the degeneracy witness)."""
+    into each.  The built blocks are split into one share per CPU this process
+    may run on, balanced by triple count: this process builds one share, and a
+    worker forked once the tables are built builds each other share.  Rows and
+    rank add and forced zeros unite, so the report does not depend on the
+    split; on one CPU every block is built here.  Returns the rank, solution
+    dimension, how many pair values every solution kills, and whether all
+    pairs against the probe key x1 d1 are among them (the degeneracy witness)."""
     if n not in (1, 2):
         raise ValueError("only the first two derivation families are supported")
     if window.n < 2:
@@ -772,13 +808,24 @@ def invariant_form_search(n: int, window: Window) -> dict:
     fam = wn_family(n)
     keys = fam.keys(window)
     m = len(keys)
-    skipped, blocks = _form_search_blocks(fam, keys, _wn_weight, _wn_mirrors(n))
-    rows, rank, forced = 0, 0, set()
-    for _, block, images in blocks:
-        basis = sparse_rref(block)
-        rows, rank = rows + len(images) * len(block), rank + len(images) * len(basis)
-        cols = [divmod(c, m) for c in forced_zero_columns(basis)]
-        forced.update(min(p[i], p[j]) * m + max(p[i], p[j]) for p in images for i, j in cols)
+    skipped, built, blocks = _form_search_blocks(fam, keys, _wn_weight, _wn_mirrors(n))
+
+    def share(ws) -> tuple:
+        rows, rank, forced = 0, 0, set()
+        for _, block, images in blocks(ws):
+            basis = sparse_rref(block)
+            rows, rank = rows + len(images) * len(block), rank + len(images) * len(basis)
+            cols = [divmod(c, m) for c in forced_zero_columns(basis)]
+            forced.update(min(p[i], p[j]) * m + max(p[i], p[j]) for p in images for i, j in cols)
+        return rows, rank, forced
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    shares = [[0] for _ in range(max(1, min(cpus, len(built))))]  # [triples, W, ...]
+    for w in sorted(built, key=built.get, reverse=True):  # each to the lightest share
+        (least := min(shares)).append(w)
+        least[0] += built[w]
+    rows, rank, forced = zip(*_fork_map(share, [sorted(s[1:]) for s in shares]))
+    rows, rank, forced = sum(rows), sum(rank), set().union(*forced)
     probe = wn((1,) + (0,) * (n - 1), 1)
     p = keys.index(probe)
     unforced = [

@@ -428,7 +428,8 @@ class FiniteAlgebra:
         return out
 
     def sym_product(self, p1, p2):
-        assert p1[0] == "Fin" and p2[0] == "Fin"
+        if p1[0] != "Fin" or p2[0] != "Fin":
+            raise ValueError(f"{self.id} has only Fin keys: {p1!r} {p2!r}")
         return [
             (Poly.const(c), pat_fin(self.space, k))
             for k, c in self.mul.get((p1[2], p2[2]), ())
@@ -457,7 +458,8 @@ class FiniteAlgebra:
         return tuple(out)
 
     def sym_delta(self, p, fresh: Fresh):
-        assert p[0] == "Fin"
+        if p[0] != "Fin":
+            raise ValueError(f"{self.id} has only Fin keys: {p!r}")
         return [
             ((), Poly.const(c), (pat_fin(self.space, i), pat_fin(self.space, j)))
             for i, j, c in (self.delta or {}).get(p[2], ())
@@ -724,8 +726,8 @@ def random_invertible(rng, dim: int):
 
 def conjugated_table(mul: dict, s, dim: int) -> dict:
     """Transport a product table through the basis change e'_j = sum_a s[a][j] e_a."""
-    sinv = mat_inv(s)
-    assert sinv is not None
+    if (sinv := mat_inv(s)) is None:
+        raise ValueError("the basis change is singular")
     out: dict = {}
     for i in range(dim):
         for j in range(dim):

@@ -1054,8 +1054,8 @@ def place_product(
     (a component) * (b component); a leg occupied by one factor carries that
     component; every leg must be covered.
     """
-    assert len(legs_a) == a.arity and len(legs_b) == b.arity
-    assert set(legs_a) | set(legs_b) == set(range(1, nlegs + 1))
+    if (len(legs_a), len(legs_b), {*legs_a, *legs_b}) != (a.arity, b.arity, {*range(1, nlegs + 1)}):
+        raise ValueError(f"legs {legs_a} {legs_b} do not fit arities {a.arity}, {b.arity}")
     fresh = fresh or Fresh("q")
     out = []
     for ta in a.templates:

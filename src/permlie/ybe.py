@@ -304,7 +304,8 @@ def affinize_r(
     out = TemplateSeries(2, tpls)
     if window is not None and r.is_symmetric():
         bad = (out + out.flip_hat()).support_in_box(window.n)
-        assert not bad, "affinized symmetric solution must be skew"
+        if bad:
+            raise ValueError("affinized symmetric solution must be skew")
     return out
 
 

@@ -1,9 +1,11 @@
 """Doubling constructions: semidirect products, Manin assembly, duals."""
 
 import itertools
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -413,6 +415,20 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="needs a LieB lift, not PermKd"):
             D.manin_dual_bracket(md, u, u)
 
+    def test_dual_needs_a_single_graded_partner(self):
+        lift = D.manin_lie_lift(self._double(), ats_family(), Window(2))
+        bent = replace(lift, family=SimpleNamespace(form_partners=lambda g: []))
+        u = lift.sub1[0]
+        with pytest.raises(ValueError, match="needs a single graded partner"):
+            D.manin_dual_bracket(bent, u, u)
+
+    def test_dual_needs_halves_that_pair(self):
+        lift = D.manin_lie_lift(self._double(), ats_family(), Window(2))
+        bent = replace(lift, form=lambda k1, k2: F(0))
+        u = lift.sub1[0]
+        with pytest.raises(ValueError, match="halves do not pair"):
+            D.manin_dual_bracket(bent, u, u)
+
 
 class TestLieLift:
     def test_reports_pass(self):
@@ -675,8 +691,8 @@ class TestInvariantFormSearch:
         fam = ats_family()
         keys = fam.keys(Window(3))
         m = len(keys)
-        _, blocks = D._form_search_blocks(fam, keys, lambda k: (key_degree(k),))
-        rows = [row for _, block, _ in blocks for row in block]
+        _, built, blocks = D._form_search_blocks(fam, keys, lambda k: (key_degree(k),))
+        rows = [row for _, block, _ in blocks(built) for row in block]
         touched = 0
         for row in rows:
             values = [v * fam.form(keys[col // m], keys[col % m]) for col, v in row.items()]
@@ -690,8 +706,8 @@ class TestInvariantFormSearch:
         keys = fam.keys(Window(size))
         m = len(keys)
         wt = [D._wn_weight(k) for k in keys]
-        skipped, blocks = D._form_search_blocks(fam, keys, D._wn_weight)
-        blocks = [(w, block) for w, block, _ in blocks]
+        skipped, built, blocks = D._form_search_blocks(fam, keys, D._wn_weight)
+        blocks = [(w, block) for w, block, _ in blocks(built)]
         assert [w for w, _ in blocks] == sorted({w for w, _ in blocks})
         seen = set()
         for w, block in blocks:
@@ -757,11 +773,43 @@ def _full_search(monkeypatch, n, size):
         return D.invariant_form_search(n, Window(size))
 
 
-def _counting_rref(monkeypatch) -> list:
-    """Patch doubles.sparse_rref to record each call; returns the record."""
-    calls, rref = [], D.sparse_rref
-    monkeypatch.setattr(D, "sparse_rref", lambda rows: calls.append(1) or rref(rows))
-    return calls
+def _counting_blocks(monkeypatch, path):
+    """Patch doubles._form_search_blocks to record each block it yields as a
+    line "pid weight" appended to path, by the process that builds it (a
+    forked worker too); returns a reader of the lines so far."""
+    build = D._form_search_blocks
+
+    def counted(*args):
+        skipped, built, blocks = build(*args)
+
+        def each(ws):
+            for block in blocks(ws):
+                with open(path, "a") as f:
+                    f.write(f"{os.getpid()} {block[0]}\n")
+                yield block
+
+        return skipped, built, each
+
+    monkeypatch.setattr(D, "_form_search_blocks", counted)
+    return lambda: path.read_text().splitlines() if path.exists() else []
+
+
+def _patch_cpus(monkeypatch, count):
+    """Let invariant_form_search see count CPUs in this process's affinity set."""
+    monkeypatch.setattr(D.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _counting_forks(monkeypatch) -> list:
+    """Patch os.fork to record each fork in the calling process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(D.os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_children():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestFormSearchOrbits:
@@ -772,12 +820,14 @@ class TestFormSearchOrbits:
     def test_orbits_match_full_build(self, monkeypatch, n, size):
         assert D.invariant_form_search(n, Window(size)) == _full_search(monkeypatch, n, size)
 
-    def test_swap_is_used_on_w2(self, monkeypatch):
-        calls = _counting_rref(monkeypatch)
+    def test_swap_is_used_on_w2(self, monkeypatch, tmp_path):
+        # each yielded block is reduced once, in whichever process built it
+        lines = _counting_blocks(monkeypatch, tmp_path / "blocks")
         report = D.invariant_form_search(2, Window(2))
-        orbit = len(calls)
+        orbit = len(lines())
         assert _full_search(monkeypatch, 2, 2) == report
-        assert (orbit, len(calls) - orbit, report["rows"]) == (59, 109, 21156)
+        assert (orbit, len(lines()) - orbit, report["rows"]) == (59, 109, 21156)
+        assert len({line.split(" ", 1)[1] for line in lines()[:orbit]}) == orbit
 
     def test_swap_maps_keys(self):
         (s0, same), (s1, swap) = D._wn_mirrors(2)
@@ -795,7 +845,7 @@ class TestFormSearchOrbits:
         ],
         ids=["scaled-on-window", "zeroed-off-window"],
     )
-    def test_broken_swap_is_dropped(self, monkeypatch, a, b, scale, rows):
+    def test_broken_swap_is_dropped(self, monkeypatch, tmp_path, a, b, scale, rows):
         # both keep the grading but break the swap, which must not be used
         fam = wn_family(2)
 
@@ -805,9 +855,9 @@ class TestFormSearchOrbits:
 
         bent = replace(fam, rule=rule)
         monkeypatch.setattr(D, "wn_family", lambda n: bent)
-        calls = _counting_rref(monkeypatch)
+        lines = _counting_blocks(monkeypatch, tmp_path / "blocks")
         report = D.invariant_form_search(2, Window(2))
-        assert len(calls) == 109
+        assert len(lines()) == 109
         assert report == _form_search_oracle(2, Window(2), bent)
         assert report["rows"] == rows
 
@@ -822,25 +872,103 @@ class TestFormSearchOrbits:
     def test_bad_mirrors_are_dropped(self, mirror):
         fam = wn_family(2)
         keys = fam.keys(Window(2))
-        _, blocks = D._form_search_blocks(fam, keys, D._wn_weight, [mirror])
-        assert [len(images) for _, _, images in blocks] == [1] * 109
+        _, built, blocks = D._form_search_blocks(fam, keys, D._wn_weight, [mirror])
+        assert [len(images) for _, _, images in blocks(built)] == [1] * 109
 
     @pytest.mark.parametrize("n, size", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
     def test_blocks_match_plan_reference(self, n, size):
         fam = wn_family(n)
         keys = fam.keys(Window(size))
-        skipped, blocks = D._form_search_blocks(fam, keys, D._wn_weight)
+        skipped, built, blocks = D._form_search_blocks(fam, keys, D._wn_weight)
         expected = blocks_by_plan(fam, keys, D._wn_weight)
-        assert (skipped, [(w, rows) for w, rows, _ in blocks]) == expected
+        assert (skipped, [(w, rows) for w, rows, _ in blocks(built)]) == expected
         # the orbit path builds the same rows on each block it builds
-        _, blocks = D._form_search_blocks(fam, keys, D._wn_weight, D._wn_mirrors(n))
+        _, built, blocks = D._form_search_blocks(fam, keys, D._wn_weight, D._wn_mirrors(n))
         by_weight = dict(expected[1])
-        for w, rows, _ in blocks:
+        for w, rows, _ in blocks(built):
             assert rows == by_weight[w]
 
     def test_ats_blocks_match_plan_reference(self):
         fam = ats_family()
         keys = fam.keys(Window(3))
         weight = lambda k: (key_degree(k),)
-        skipped, blocks = D._form_search_blocks(fam, keys, weight)
-        assert (skipped, [(w, rows) for w, rows, _ in blocks]) == blocks_by_plan(fam, keys, weight)
+        skipped, built, blocks = D._form_search_blocks(fam, keys, weight)
+        assert (skipped, [(w, rows) for w, rows, _ in blocks(built)]) == blocks_by_plan(
+            fam, keys, weight
+        )
+
+
+class TestFormSearchSplit:
+    """The built blocks are split over the CPUs, one share in this process
+    and each other in a forked worker; the report does not depend on it."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("n, size", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+    def test_split_matches_one_cpu(self, monkeypatch, tmp_path, n, size, cpus):
+        lines = _counting_blocks(monkeypatch, tmp_path / "blocks")
+        _patch_cpus(monkeypatch, cpus)
+        split = D.invariant_form_search(n, Window(size))
+        _assert_no_children()
+        forked = lines()
+        _patch_cpus(monkeypatch, 1)
+        monkeypatch.setattr(D.os, "fork", lambda: pytest.fail("one CPU must not fork"))
+        assert D.invariant_form_search(n, Window(size)) == split
+        alone = lines()[len(forked):]
+        # the same blocks, each built once, by one process per share
+        weights = lambda ls: sorted(line.split(" ", 1)[1] for line in ls)
+        assert weights(forked) == weights(alone) and len(set(weights(alone))) == len(alone)
+        assert {line.split()[0] for line in alone} == {str(os.getpid())}
+        assert len({line.split()[0] for line in forked}) == cpus
+        if (n, size) == (2, 3):
+            assert (split["keys"], split["unknowns"], split["rows"], split["skipped_triples"]) == (
+                98, 4753, 196819, 618248,
+            )
+
+    def test_worker_error_is_raised_here(self, monkeypatch):
+        here, rref = os.getpid(), D.sparse_rref
+
+        def failing(rows):
+            if os.getpid() != here:
+                raise ZeroDivisionError("reduced in a worker")
+            return rref(rows)
+
+        _patch_cpus(monkeypatch, 2)
+        monkeypatch.setattr(D, "sparse_rref", failing)
+        with pytest.raises(ZeroDivisionError) as err:
+            D.invariant_form_search(2, Window(2))
+        assert err.type is ZeroDivisionError and str(err.value) == "reduced in a worker"
+        _assert_no_children()
+
+    def test_own_share_error_reaps_the_worker(self, monkeypatch):
+        here, rref = os.getpid(), D.sparse_rref
+
+        def failing(rows):
+            if os.getpid() == here:
+                raise KeyError("reduced here")
+            return rref(rows)
+
+        _patch_cpus(monkeypatch, 3)
+        monkeypatch.setattr(D, "sparse_rref", failing)
+        forks = _counting_forks(monkeypatch)
+        with pytest.raises(KeyError, match="reduced here"):
+            D.invariant_form_search(2, Window(3))
+        _assert_no_children()
+        assert len(forks) == 2
+
+    def test_cpus_cap_at_built_blocks(self, monkeypatch):
+        _patch_cpus(monkeypatch, 1000)
+        forks = _counting_forks(monkeypatch)
+        r = D.invariant_form_search(1, Window(2))
+        _assert_no_children()
+        assert r == _form_search_oracle(1, Window(2))
+        fam = wn_family(1)
+        _, built, _ = D._form_search_blocks(fam, fam.keys(Window(2)), D._wn_weight)
+        assert len(forks) == len(built) - 1 < 1000
+
+    def test_cpu_count_where_affinity_is_missing(self, monkeypatch):
+        monkeypatch.delattr(D.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(D.os, "cpu_count", lambda: 2)
+        forks = _counting_forks(monkeypatch)
+        assert D.invariant_form_search(1, Window(3)) == _form_search_oracle(1, Window(3))
+        _assert_no_children()
+        assert len(forks) == 1

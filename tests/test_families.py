@@ -2,6 +2,9 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from permlie.kernel import (
     mono,
     pat_const,
     pat_eval,
+    pat_tee,
     tee,
     with_slots,
     wn,
@@ -324,3 +328,38 @@ class TestRandomTables:
             mul=conjugated_table(base.mul, s, 2),
         )
         assert check_algebra(LawId.Perm, alg=alg).passed
+
+
+class TestFiniteInputChecks:
+    """A finite table rejects graded patterns and a singular basis change with
+    ValueError, which python -O keeps, unlike an assert."""
+
+    def test_sym_product_needs_fin_patterns(self):
+        with pytest.raises(ValueError, match="ex-1p has only Fin keys"):
+            finite_catalog()["ex-1p"].sym_product(pat_tee(0), pat_tee(1))
+
+    def test_sym_delta_needs_a_fin_pattern(self):
+        with pytest.raises(ValueError, match="ex-1p has only Fin keys"):
+            finite_catalog()["ex-1p"].sym_delta(pat_tee(0), Fresh("q"))
+
+    def test_conjugated_table_needs_an_invertible_matrix(self):
+        ones = ((F(1), F(1)), (F(1), F(1)))
+        with pytest.raises(ValueError, match="basis change is singular"):
+            conjugated_table(finite_catalog()["ex-sd2"].mul, ones, 2)
+
+    def test_sym_product_check_survives_python_O(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "from permlie.families import finite_catalog\n"
+            "from permlie.kernel import pat_tee\n"
+            "try:\n"
+            "    finite_catalog()['ex-1p'].sym_product(pat_tee(0), pat_tee(1))\n"
+            "except ValueError as e:\n"
+            "    print('ValueError', e)\n"
+        )
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.startswith("ValueError ex-1p has only Fin keys"), out.stderr

@@ -32,6 +32,7 @@ from permlie.kernel import (
     pat_pair,
     pat_subst,
     pat_tee,
+    place_product,
     sparse_rref,
     forced_zero_columns,
     tee,
@@ -299,6 +300,14 @@ class TestArityChecks:
     def test_flip_hat_of_arity_one(self):
         with pytest.raises(ValueError, match="not a permutation of 1 slots"):
             TemplateSeries(1, (self.ONE_SLOT,)).flip_hat()
+
+    @pytest.mark.parametrize(
+        "legs_a, legs_b", [((1,), (2, 3)), ((1, 2), (2, 1))], ids=["arity", "bare-leg"]
+    )
+    def test_place_product_legs(self, legs_a, legs_b):
+        d = delta_a_family(tee(2))
+        with pytest.raises(ValueError, match=r"do not fit arities 2, 2"):
+            place_product(d, d, legs_a, legs_b, None)
 
 
 class TestCollapse:

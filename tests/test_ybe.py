@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,13 @@ class TestAffinizeR:
     def test_family_without_pairing_rejected(self):
         with pytest.raises(ValueError):
             affinize_r(tensor_catalog()["r-1p"][1], wn_family(1), Window(3, 0))
+
+    def test_symmetric_pairing_fails_the_skew_self_check(self):
+        # a symmetric family pairing affinizes a symmetric r to a symmetric tensor
+        fam = ats_family()
+        bent = replace(fam, partner=lambda x: (1, fam.partner(x)[1]))
+        with pytest.raises(ValueError, match="must be skew"):
+            affinize_r(tensor_catalog()["r-1p"][1], bent, Window(3, 0))
 
 
 class TestWorkedCobracket:
