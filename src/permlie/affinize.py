@@ -51,33 +51,31 @@ def pair_keys(alg: FiniteAlgebra, family: GradedFamily, window: Window):
 
 def induced_lie_bracket(alg: FiniteAlgebra, family: GradedFamily):
     """Bracket and its symbolic rule on Pair keys:
-    [x1 (x) y1, x2 (x) y2] = x1 x2 (x) y1 y2 - x2 x1 (x) y2 y1."""
+    [x1 (x) y1, x2 (x) y2] = x1 x2 (x) y1 y2 - x2 x1 (x) y2 y1.
+
+    One rule, read two ways: alg.mul and family.rule run on keys and on
+    patterns alike, so the terms below are the bracket's at keys or at
+    patterns, as GradedFamily reads rule as product_one and sym_product."""
+
+    def terms(p1, p2):
+        """(finite coeff, graded coeff, key or pattern) per term."""
+        _, x1, y1 = p1
+        _, x2, y2 = p2
+        for s, xa, xb, ya, yb in ((1, x1, x2, y1, y2), (-1, x2, x1, y2, y1)):
+            mul = alg.mul.get((xa[2], xb[2]))
+            r = mul and family.rule(ya, yb)
+            if r:
+                for k, c in mul:
+                    yield s * c, r[0], pair(alg.key(k), r[1])
 
     def bracket(k1, k2) -> FormalVector:
-        _, x1, y1 = k1
-        _, x2, y2 = k2
         out = FormalVector()
-        g = family.product_one(y1, y2)
-        if g is not None:
-            for xk, xc in alg.product(x1, x2).items():
-                out.add_term(pair(xk, g[1]), xc * g[0])
-        g = family.product_one(y2, y1)
-        if g is not None:
-            for xk, xc in alg.product(x2, x1).items():
-                out.add_term(pair(xk, g[1]), -xc * g[0])
+        for c, g, k in terms(k1, k2):
+            out.add_term(k, c * g)
         return out
 
     def sym_bracket(p1, p2):
-        _, x1, y1 = p1
-        _, x2, y2 = p2
-        out = []
-        for cx, px in alg.sym_product(x1, x2):
-            for cy, py in family.sym_product(y1, y2):
-                out.append((cx * cy, pat_pair(px, py)))
-        for cx, px in alg.sym_product(x2, x1):
-            for cy, py in family.sym_product(y2, y1):
-                out.append((-cx * cy, pat_pair(px, py)))
-        return out
+        return [(Poly.of(g) * c, p) for c, g, p in terms(p1, p2)]
 
     return bracket, sym_bracket
 

@@ -31,6 +31,7 @@ from .kernel import (
     fin,
     key_str,
     pair,
+    pat_const,
     pat_ess,
     pat_fin,
     pat_pair,
@@ -156,48 +157,51 @@ def _equality_report(law, window, checked, mismatches) -> CheckReport:
     return CheckReport.build(law, window, checked, violations, {})
 
 
-def _series_equality_report(law, keys, lhs, rhs, bound: int) -> CheckReport:
-    """lhs(key) = rhs(key) for every key, read on the box [-bound, bound]: a
-    key whose difference has box support is a mismatch carrying that support.
-    The difference is proved on patterns when it can be (see
-    axioms._lifted_violations), and every mismatch is kept."""
-    rec = _Recorder(cap=len(keys))  # one row, so at most one mismatch per key
-    _lifted_violations(keys, 1, lambda k: [("mismatch", lhs(k) - rhs(k))], bound, rec)
+def _series_equality_report(law, keys, lhs, rhs, bound: int, arity: int) -> CheckReport:
+    """lhs(*xs) = rhs(*xs) for every arity-tuple xs of keys, read on the box
+    [-bound, bound]: a tuple whose difference has box support is a mismatch
+    carrying that support.  The difference is proved on patterns when it can
+    be (see axioms._lifted_violations), and every mismatch is kept."""
+    checked = len(keys) ** arity
+    rec = _Recorder(cap=checked)  # one row, so at most one mismatch per tuple
+    _lifted_violations(keys, arity, lambda *xs: [("mismatch", lhs(*xs) - rhs(*xs))], bound, rec)
     mismatches = [(at, res) for _, at, res in rec.items]
-    return _equality_report(law, Window(bound, 0), len(keys), mismatches)
+    return _equality_report(law, Window(bound, 0), checked, mismatches)
+
+
+def _series(rule):
+    """rule(*xs) -> [(coeff, key)], on keys and on patterns, as the function
+    whose value at xs is the series of those terms, one slot wide."""
+
+    def series(*xs) -> TemplateSeries:
+        return TemplateSeries(1, [Template((), Poly.of(c), (pat_const(k),)) for c, k in rule(*xs)])
+
+    return series
 
 
 # ---------------------------------------------------------------------------
 # paper-examples: graded laws, coalgebras, forms, affinization pipeline.
 
 
+def _bracket_closed_form(p, q):
+    """The bracket of the 1-dim idempotent with the two-sequence family, in
+    closed form on keys and on patterns e t^i, e s^j: [et^i, et^j] =
+    (j-i) et^(i+j-1), [et^i, es^j] = -[es^j, et^i] = (i+j-1) es^(i+j-1),
+    [es^i, es^j] = 0."""
+    (_, e, (s, i)), (_, _, (t, j)) = p, q
+    if s == t:
+        return [(j - i, pair(e, tee(i + j - 1)))] if s == "Tee" else []
+    return [(i + j - 1 if s == "Tee" else 1 - i - j, pair(e, ess(i + j - 1)))]
+
+
 def _bracket_table_report(bound: int) -> CheckReport:
-    """Induced bracket of the 1-dim idempotent with the two-sequence family
-    against its closed form: [et^i, et^j] = (j-i) et^(i+j-1),
-    [et^i, es^j] = -[es^j, et^i] = (i+j-1) es^(i+j-1), [es^i, es^j] = 0."""
+    """The induced bracket against _bracket_closed_form at every key pair."""
     alg = finite_catalog()["ex-1p"]
     fam = ats_family()
-    br, _ = induced_lie_bracket(alg, fam)
-    e = alg.key(0)
-    mismatches = []
-    checked = 0
-    for i in range(-bound, bound + 1):
-        for j in range(-bound, bound + 1):
-            cases = [
-                (tee(i), tee(j), {pair(e, tee(i + j - 1)): Fraction(j - i)}),
-                (tee(i), ess(j), {pair(e, ess(i + j - 1)): Fraction(i + j - 1)}),
-                (ess(j), tee(i), {pair(e, ess(i + j - 1)): Fraction(-(i + j - 1))}),
-                (ess(i), ess(j), {}),
-            ]
-            for ka, kb, want in cases:
-                checked += 1
-                want = {k: c for k, c in want.items() if c}
-                got = {k: c for k, c in br(pair(e, ka), pair(e, kb)).items() if c}
-                if got != want:
-                    diff = ((k, got.get(k, ZERO) - want.get(k, ZERO)) for k in {*got, *want})
-                    res = tuple(sorted(diff))
-                    mismatches.append(((pair(e, ka), pair(e, kb)), res))
-    return _equality_report("AffineBracketTable", Window(bound, 0), checked, mismatches)
+    _, sbr = induced_lie_bracket(alg, fam)
+    keys = [pair(alg.key(0), g) for g in fam.keys(Window(bound))]
+    closed = _series(_bracket_closed_form)
+    return _series_equality_report("AffineBracketTable", keys, _series(sbr), closed, bound, 2)
 
 
 def _expected_cobracket(space: str, key) -> TemplateSeries:
@@ -228,14 +232,14 @@ def _cobracket_table_report(bound: int, shape: str) -> CheckReport:
         if g[0] == head
     ]
     return _series_equality_report(
-        "CobracketTable", keys, delta, lambda key: _expected_cobracket(alg.space, key[2]), bound
+        "CobracketTable", keys, delta, lambda key: _expected_cobracket(alg.space, key[2]), bound, 1
     )
 
 
 def _coproduct_from_form_report(fam, delta_named, bound: int) -> CheckReport:
     cf = coproduct_from_form(fam)
     keys = fam.keys(Window(bound))
-    return _series_equality_report("CoproductFromForm", keys, cf, delta_named, bound)
+    return _series_equality_report("CoproductFromForm", keys, cf, delta_named, bound, 1)
 
 
 def suite_paper_examples(cfg: SuiteConfig):
@@ -379,7 +383,7 @@ def _ybe_diagram_report(bound: int) -> CheckReport:
     rt = affinize_r(r, fam)
     keys = pair_keys(sd2, fam, Window(bound))
     return _series_equality_report(
-        "CoboundaryDiagram", keys, delta, lambda key: lie_delta_from_r(sbr, rt, key), bound
+        "CoboundaryDiagram", keys, delta, lambda key: lie_delta_from_r(sbr, rt, key), bound, 1
     )
 
 
@@ -564,20 +568,21 @@ def suite_doubles(cfg: SuiteConfig):
 
 
 def _restricted_dual_equality_report(bound: int) -> CheckReport:
-    w1d = restricted_dual_double(wn_family(1))
-    afam = ats_family()
+    """The restricted double of w1 is ats: the same product rule at every key
+    pair and the same partner at every key, as two residual rows, so the two
+    cannot cancel; equal partners give equal forms (families._form_readings)."""
+    law = "RestrictedDualEquality"
+    w1d, afam = restricted_dual_double(wn_family(1)), ats_family()
     keys = afam.keys(Window(bound))
-    mismatches = []
-    checked = 0
-    for a in keys:
-        if w1d.form_partners(a) != afam.form_partners(a):
-            mismatches.append(((a,), (((a,), Fraction(1)),)))
-        for b in keys:
-            checked += 1
-            same_product = w1d.product_one(a, b) == afam.product_one(a, b)
-            if not same_product or w1d.form(a, b) != afam.form(a, b):
-                mismatches.append(((a, b), (((a, b), Fraction(1)),)))
-    return _equality_report("RestrictedDualEquality", Window(bound, 0), checked, mismatches)
+
+    def row(read, arity) -> CheckReport:
+        lhs, rhs = _series(read(w1d)), _series(read(afam))
+        return _series_equality_report(law, keys, lhs, rhs, bound, arity)
+
+    products = row(lambda fam: fam.sym_product, 2)
+    partners = row(lambda fam: lambda a: [fam.partner(a)], 1)
+    violations = products.violations + partners.violations
+    return CheckReport.build(law, Window(bound, 0), products.checked, violations)
 
 
 def _roundtrip_report(alg) -> CheckReport:

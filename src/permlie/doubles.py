@@ -526,18 +526,13 @@ def prelie_double(alg: FiniteAlgebra, delta: Optional[dict] = None):
 def para_kahler_reports(double: FiniteAlgebra, form) -> dict:
     """Commutator Lie + symplectic pairing + isotropic closed halves."""
     d = double.dim // 2
-
-    def bracket(k1, k2):
-        return double.product(k1, k2) - double.product(k2, k1)
-
+    lie = replace(double, mul=double.commutator())
     keys = double.basis_keys()
     return {
         "pre-lie": check_algebra(LawId.PreLie, alg=double),
-        "lie-jacobi": check_algebra(
-            LawId.LieJacobi, product=bracket, keys=keys, window=Window(0, 0)
-        ),
+        "lie-jacobi": check_algebra(LawId.LieJacobi, alg=lie),
         "symplectic": check_form(
-            LawId.SymplecticLie, form=form, product=bracket, keys=keys
+            LawId.SymplecticLie, form=form, product=lie.product, keys=keys
         ),
         "halves": _halves_report(
             "para-kahler-halves",

@@ -388,10 +388,6 @@ def mat_transpose(a):
     return tuple(zip(*a))
 
 
-def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 # ---------------------------------------------------------------------------
 # Finite-dimensional algebras.
 
@@ -713,39 +709,6 @@ def random_table(rng, dim: int, lo: int = -2, hi: int = 2, density=Fraction(1, 2
             if terms:
                 mul[(i, j)] = tuple(terms)
     return mul
-
-
-def random_invertible(rng, dim: int):
-    while True:
-        s = tuple(
-            tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim)) for _ in range(dim)
-        )
-        if mat_inv(s) is not None:
-            return s
-
-
-def conjugated_table(mul: dict, s, dim: int) -> dict:
-    """Transport a product table through the basis change e'_j = sum_a s[a][j] e_a."""
-    if (sinv := mat_inv(s)) is None:
-        raise ValueError("the basis change is singular")
-    out: dict = {}
-    for i in range(dim):
-        for j in range(dim):
-            acc = [ZERO] * dim
-            for a in range(dim):
-                if not s[a][i]:
-                    continue
-                for b in range(dim):
-                    f = s[a][i] * s[b][j]
-                    if not f:
-                        continue
-                    for m, c in mul.get((a, b), ()):
-                        for k in range(dim):
-                            acc[k] += sinv[k][m] * f * c
-            terms = tuple((k, v) for k, v in enumerate(acc) if v)
-            if terms:
-                out[(i, j)] = terms
-    return out
 
 
 def tensor_catalog() -> dict:

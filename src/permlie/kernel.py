@@ -490,10 +490,6 @@ def pat_const(key):
     return with_slots(key, map(Aff.of, key_slots(key)))
 
 
-def pat_eval(p, env: dict):
-    return with_slots(p, [a.eval(env) for a in key_slots(p)])
-
-
 def pat_subst(p, env: dict):
     return with_slots(p, [a.subst(env) for a in key_slots(p)])
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 from .kernel import (
     Aff,
     CheckReport,
-    TemplateSeries,
     ess,
     fin,
     key_slots,
@@ -169,20 +168,6 @@ def tensor_from_json(data, alg: FiniteAlgebra = None) -> TensorElement:
 
 # ---------------------------------------------------------------------------
 # Template series, reports, tables.
-
-
-def series_to_json(ts: TemplateSeries) -> dict:
-    return {
-        "arity": ts.arity,
-        "templates": [
-            {
-                "vars": list(t.vars),
-                "coeff": str(t.coeff),
-                "keys": [pattern_to_json(p) for p in t.keys],
-            }
-            for t in ts.templates
-        ],
-    }
 
 
 def encode_value(x):

@@ -9,16 +9,14 @@ from fractions import Fraction
 import pytest
 
 from permlie import affinize
-from permlie.kernel import Window, av, ess, fin, pair, tee, with_slots
+from permlie.kernel import FormalVector, Window, av, ess, fin, pair, pat_const, tee, with_slots
 from permlie.families import (
     FiniteAlgebra,
     ats_family,
-    conjugated_table,
     delta_a_family,
     delta_p_family,
     finite_catalog,
     perm_p_family,
-    random_invertible,
     random_table,
     wn_family,
 )
@@ -32,6 +30,8 @@ from permlie.affinize import (
     induced_lie_bracket,
     pair_keys,
 )
+from helpers import conjugated_table, pat_eval, random_invertible
+from key_loop_reference import bracket_by_keys
 
 F = Fraction
 
@@ -80,6 +80,39 @@ class TestInducedBracket:
                 a = {k: c for k, c in br(x, y).items() if c}
                 b = {k: -c for k, c in br(y, x).items() if c}
                 assert a == b
+
+
+class TestBracketAgainstKeyReference:
+    """induced_lie_bracket reads one rule on keys and on patterns; both
+    readings against the bracket written on keys."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "family", [ats_family, lambda: wn_family(1), perm_p_family], ids=["ats", "w1", "permP"]
+    )
+    def test_random_tables(self, dim, family):
+        rng = random.Random(7100 + dim)
+        fam = family()
+        nonzero = 0
+        for t in range(4):
+            alg = FiniteAlgebra(
+                id=f"rnd{t}", space=f"R{t}", dim=dim, labels=tuple("abc"[:dim]), kind="none",
+                mul=random_table(rng, dim),
+            )
+            br, sbr = induced_lie_bracket(alg, fam)
+            ref = bracket_by_keys(alg, fam)
+            keys = pair_keys(alg, fam, Window(2))
+            for _ in range(150):
+                x, y = rng.choice(keys), rng.choice(keys)
+                want = ref(x, y)
+                got = br(x, y)
+                assert list(got.items()) == list(want.items()), (x, y)
+                read = FormalVector()
+                for c, p in sbr(pat_const(x), pat_const(y)):
+                    read.add_term(pat_eval(p, {}), c.eval({}))
+                assert read.sorted_items() == want.sorted_items(), (x, y)
+                nonzero += bool(want)
+        assert nonzero >= 100, nonzero
 
 
 class TestDeltaBullet:

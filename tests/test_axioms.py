@@ -32,15 +32,12 @@ from permlie.families import (
     FormalVector,
     adjoint_representation,
     ats_family,
-    conjugated_table,
     delta_a_family,
     delta_a_sym,
     delta_p_family,
     finite_catalog,
     mat_inv,
-    mat_vec,
     perm_p_family,
-    random_invertible,
     random_table,
     wn_codelta,
     wn_codelta_sym,
@@ -75,6 +72,7 @@ from permlie.doubles import (
     dual_perm_algebra,
     restricted_dual_double,
 )
+from helpers import conjugated_table, mat_vec, random_invertible
 
 F = Fraction
 ONE = F(1)
@@ -1232,7 +1230,9 @@ def _matched_pair_inputs():
     under the canonical actions, the neg:matched-pair row's perturbed l12,
     then 48 seeded random inputs of dimension 1-3.  Every fourth is a random
     basis change of a perm bialgebra with its canonical actions, so it
-    passes; the others are random tables with random actions."""
+    passes; the others are random tables with random actions.  Last, two
+    random 3-dim tables with no action at all: no pmp row fails there, and
+    the assembled Perm rows alone fill the cap with both of their labels."""
     cat = finite_catalog()
     out = []
     for alg in cat.values():
@@ -1281,6 +1281,15 @@ def _matched_pair_inputs():
         )
         actions = (matrices(d1, d2), matrices(d1, d2), matrices(d2, d1), matrices(d2, d1))
         out.append((f"rnd{t}", alg1, alg2, actions))
+    zero = tuple(tuple((F(0),) * 3 for _ in range(3)) for _ in range(3))
+    alg1, alg2 = (
+        FiniteAlgebra(
+            id=f"zero{x}", space=f"Z{x}", dim=3, labels=tuple("abc"), kind="none",
+            mul=random_table(rng, 3),
+        )
+        for x in "ab"
+    )
+    out.append(("zero-actions", alg1, alg2, (zero,) * 4))
     return out
 
 

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from permlie import cli
 from permlie.affinize import coproduct_from_form, delta_bullet_rule, induced_lie_bracket, pair_keys
+from permlie.doubles import restricted_dual_double
 from permlie.families import (
     TensorElement,
     ats_family,
@@ -23,10 +24,12 @@ from permlie.families import (
     finite_catalog,
     perm_p_family,
     tensor_catalog,
+    wn_family,
 )
-from permlie.kernel import TemplateSeries, Window, key_shape, pair
+from permlie.kernel import TemplateSeries, Window, key_shape, key_slots, pair
 from permlie.serialize import report_to_json
 from permlie.ybe import affinize_r, coboundary_delta_perm, lie_delta_from_r
+from key_loop_reference import bracket_table_by_keys, restricted_dual_by_keys
 from series_equality_reference import series_equality_by_keys
 from test_axioms import _keys_only
 
@@ -218,7 +221,7 @@ class TestSeriesEquality:
         law, keys, lhs, rhs = _failing_equality(name, bound)
         if keys_only:
             lhs = _keys_only(lhs)
-        got = cli._series_equality_report(law, keys, lhs, rhs, bound)
+        got = cli._series_equality_report(law, keys, lhs, rhs, bound, 1)
         want = series_equality_by_keys(law, keys, lhs, rhs, bound)
         assert not want.passed
         assert report_to_json(got) == report_to_json(want)
@@ -258,6 +261,139 @@ class TestSeriesEquality:
         assert all(rep.passed and rep.checked for rep in reports)
         assert len(entered) == len(reports)
         assert boxed == []
+
+
+def _in_box(key, bound):
+    return all(-bound <= s <= bound for s in key_slots(key))
+
+
+def _flipped_closed_form(case):
+    """cli._bracket_closed_form with the sign of one case ("tt", "ts", "st")
+    flipped, on keys and on patterns."""
+    closed, tag = cli._bracket_closed_form, {"Tee": "t", "Ess": "s"}
+
+    def rule(p, q):
+        out = closed(p, q)
+        if tag[p[2][0]] + tag[q[2][0]] == case:
+            return [(-c, k) for c, k in out]
+        return out
+
+    return rule
+
+
+def _perturbed_w1_double(read):
+    """The restricted double of w1 with its product doubled on the shape pair
+    (s, t), or its partner value doubled on s keys."""
+    w1d = restricted_dual_double(wn_family(1))
+    if read == "rule":
+        def rule(x, y):
+            r = w1d.rule(x, y)
+            return (r[0] + r[0], r[1]) if (x[0], y[0]) == ("Ess", "Tee") else r
+
+        return replace(w1d, rule=rule)
+
+    def partner(x):
+        v, z = w1d.partner(x)
+        return (v + v, z) if x[0] == "Ess" else (v, z)
+
+    return replace(w1d, partner=partner)
+
+
+class TestTableRowsOnPatterns:
+    """affinize:bracket-table and appendix:restricted-dual:w1-equals-ats go
+    through cli._series_equality_report on pairs of keys and are proved on
+    patterns; key_loop_reference keeps the loops they replaced.
+
+    A failing row lists the pairs whose difference has support on the box
+    [-N, N], as every series-equality row does; the key loops also listed
+    the pairs whose difference lies wholly outside it (an output index such
+    as i + j - 1 past N).  The negative controls compare with the key loops
+    on the pairs inside, and field for field with the tuple-by-tuple
+    reference of the series-equality reading."""
+
+    @pytest.mark.parametrize("window", range(2, 8))
+    def test_rows_match_the_key_loops(self, window):
+        got = cli._bracket_table_report(window)
+        assert got.passed and got.checked == 4 * (2 * window + 1) ** 2
+        assert report_to_json(got) == report_to_json(bracket_table_by_keys(window))
+        got = cli._restricted_dual_equality_report(window)
+        want = restricted_dual_by_keys(window, restricted_dual_double(wn_family(1)))
+        assert got.passed
+        assert report_to_json(got) == report_to_json(want)
+
+    @pytest.mark.parametrize("keys_only", [False, True], ids=["patterns", "keys-only"])
+    @pytest.mark.parametrize("case", ["tt", "ts", "st"])
+    @pytest.mark.parametrize("bound", [3, 5])
+    def test_flipped_closed_form_fails(self, monkeypatch, case, bound, keys_only):
+        flipped = _flipped_closed_form(case)
+        if keys_only:  # read tuple by tuple at the keys, with no lift
+            rule = flipped
+
+            def flipped(p, q):
+                if not all(isinstance(s, int) for s in key_slots(p) + key_slots(q)):
+                    raise TypeError("keys, not patterns")
+                return rule(p, q)
+
+        monkeypatch.setattr(cli, "_bracket_closed_form", flipped)
+        got = cli._bracket_table_report(bound)
+        want = bracket_table_by_keys(bound, flipped=case)
+        assert not got.passed and not want.passed
+        assert got.checked == want.checked
+        inside = {
+            at: tuple(((k,), c) for k, c in res if _in_box(k, bound))
+            for _, at, res in want.violations
+        }
+        inside = {at: res for at, res in inside.items() if res}
+        assert {at: res for _, at, res in got.violations} == inside
+        assert len(inside) < len(want.violations)  # the outside pairs are not listed
+        alg, fam = finite_catalog()["ex-1p"], ats_family()
+        _, sbr = induced_lie_bracket(alg, fam)
+        keys = [pair(alg.key(0), g) for g in fam.keys(Window(bound))]
+        lhs, rhs = cli._series(sbr), cli._series(flipped)
+        ref = series_equality_by_keys("AffineBracketTable", keys, lhs, rhs, bound, 2)
+        assert report_to_json(got) == report_to_json(ref)
+
+    @pytest.mark.parametrize("read", ["rule", "partner"])
+    @pytest.mark.parametrize("bound", [3, 6])
+    def test_perturbed_restricted_double_fails(self, monkeypatch, read, bound):
+        bad = _perturbed_w1_double(read)
+        monkeypatch.setattr(cli, "restricted_dual_double", lambda fam: bad)
+        got = cli._restricted_dual_equality_report(bound)
+        want = restricted_dual_by_keys(bound, bad)
+        assert not got.passed and got.checked == want.checked
+        afam = ats_family()
+
+        def inside(at):  # a pair's products, or a key's partner, on the box
+            if len(at) == 1:
+                return True
+            outs = (bad.product_one(*at), afam.product_one(*at))
+            return any(_in_box(p[1], bound) for p in outs if p)
+
+        flagged = [at for _, at, _ in got.violations]
+        if read == "partner":
+            # the key loop also flags each pair (a, b) whose form differs, and
+            # a is then a key whose partner differs
+            assert flagged == [at for _, at, _ in want.violations if len(at) == 1]
+            assert {at[0] for _, at, _ in want.violations} == {a for a, in flagged}
+        else:
+            assert flagged == [at for _, at, _ in want.violations if inside(at)]
+            assert {len(at) for at in flagged} == {2}
+
+    @pytest.mark.parametrize("window", [4, 40])
+    def test_passing_rows_read_no_box(self, monkeypatch, window):
+        calls = []
+        box = TemplateSeries.support_in_box
+
+        def counted(series, bound):
+            calls.append(bound)
+            return box(series, bound)
+
+        monkeypatch.setattr(TemplateSeries, "support_in_box", counted)
+        table = cli._bracket_table_report(window)
+        dual = cli._restricted_dual_equality_report(min(6, window))
+        assert table.passed and table.checked == 4 * (2 * window + 1) ** 2
+        assert dual.passed and dual.checked == 4 * (2 * min(6, window) + 1) ** 2
+        assert calls == []
 
 
 class TestDeterminism:

@@ -23,10 +23,8 @@ from permlie.families import (
     FiniteAlgebra,
     adjoint_representation,
     ats_family,
-    conjugated_table,
     finite_catalog,
     preperm_representation,
-    random_invertible,
     random_table,
     wn_family,
 )
@@ -43,6 +41,7 @@ from permlie.serialize import canonical_json, report_to_json
 
 from diagram_reference import diagram_by_points
 from form_search_reference import blocks_by_plan
+from helpers import conjugated_table, random_invertible
 
 F = Fraction
 ONE = F(1)

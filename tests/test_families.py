@@ -20,7 +20,6 @@ from permlie.kernel import (
     key_slots,
     mono,
     pat_const,
-    pat_eval,
     pat_tee,
     tee,
     with_slots,
@@ -30,7 +29,6 @@ from permlie.families import (
     FiniteAlgebra,
     FormalVector,
     ats_family,
-    conjugated_table,
     delta_a_family,
     delta_p_family,
     finite_catalog,
@@ -38,7 +36,6 @@ from permlie.families import (
     mat_mul,
     perm_p_family,
     preperm_representation,
-    random_invertible,
     random_table,
     tensor_catalog,
     wn_codelta,
@@ -46,6 +43,7 @@ from permlie.families import (
 )
 from permlie.axioms import LawId, check_algebra, check_preperm
 from permlie.doubles import restricted_dual_double
+from helpers import conjugated_table, pat_eval, random_invertible
 
 F = Fraction
 

@@ -33,10 +33,10 @@ from permlie.serialize import (
     parse_scalar,
     pattern_to_json,
     report_to_json,
-    series_to_json,
     tensor_from_json,
     tensor_to_json,
 )
+from helpers import series_to_json
 
 F = Fraction
 

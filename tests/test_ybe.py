@@ -13,10 +13,8 @@ from permlie.families import (
     TensorElement,
     adjoint_representation,
     ats_family,
-    conjugated_table,
     finite_catalog,
     preperm_representation,
-    random_invertible,
     random_table,
     tensor_catalog,
     wn_family,
@@ -56,6 +54,7 @@ from permlie.cli import _worked_cobracket_report
 
 from diagram_reference import worked_cobracket_by_points
 from finite_reference import r_sharp_closure
+from helpers import conjugated_table, random_invertible
 
 F = Fraction
 
