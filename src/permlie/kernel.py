@@ -568,11 +568,12 @@ def _solve_affine(rows, nvars):
 class TemplateSeries:
     """Finite rational combination of summation templates of one arity."""
 
-    __slots__ = ("arity", "templates")
+    __slots__ = ("arity", "templates", "_forms")
 
     def __init__(self, arity: int, templates: Iterable[Template] = ()):
         self.arity = arity
         self.templates = tuple(t for t in templates if not t.coeff.is_zero())
+        self._forms = None  # _merged_forms(templates), which collapsed() keeps for the box walk
         if any(len(t.keys) != arity for t in self.templates):
             raise ValueError(f"a template of a series of arity {arity} has another arity")
 
@@ -687,7 +688,8 @@ class TemplateSeries:
         where a key tuple is in two of them."""
         parts = []
         fraction = _Memo(Fraction).__getitem__  # one Fraction per int, shared
-        for (_, rows, consts), (proto, coeff) in _merged_forms(self.templates).items():
+        forms = self._forms if self._forms is not None else _merged_forms(self.templates)
+        for (_, rows, consts), (proto, coeff) in forms.items():
             k = len(rows[0]) if rows else 0
             steps = [row[-1] if k else 0 for row in rows]
             moves = [(s, st) for s, st in enumerate(steps) if st]
@@ -759,13 +761,15 @@ class TemplateSeries:
         out.  A template with a stray variable or rank below k raises
         IllPosedTemplateError."""
         forms = _merged_forms(self.templates)
-        return TemplateSeries(
+        out = TemplateSeries(
             self.arity,
             (
                 _form_template(proto, rows, consts, coeff)
                 for (_, rows, consts), (proto, coeff) in forms.items()
             ),
         )
+        out._forms = forms
+        return out
 
     def equal_on_box(self, other: "TemplateSeries", bound: int) -> bool:
         return (self - other).support_in_box(bound) == {}

@@ -8,6 +8,7 @@ and reports are export-only.
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .kernel import (
     Aff,
@@ -172,23 +173,31 @@ def tensor_from_json(data, alg: FiniteAlgebra = None) -> TensorElement:
 
 def encode_value(x):
     """Generic exact encoding for report payloads."""
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
+    return _encode(x, {})
+
+
+def _encode(x, keys: dict):
+    """encode_value(x), with one JSON object per distinct key tuple, kept in keys."""
+    if x.__class__ is Fraction:
+        return str(x)  # frac_str of a Fraction
+    if x is None or isinstance(x, (int, str)):
         return x
     if isinstance(x, Fraction):
         return frac_str(x)
     if isinstance(x, tuple) and x and x[0] in KEY_TAGS:
         try:
-            return key_to_json(x)
-        except ValueError:
+            return keys[x] if x in keys else keys.setdefault(x, key_to_json(x))
+        except ValueError:  # tagged like a key, but not one
             pass
     if isinstance(x, (tuple, list)):
-        return [encode_value(v) for v in x]
+        return [_encode(v, keys) for v in x]
     if isinstance(x, dict):
-        return {str(k): encode_value(v) for k, v in x.items()}
+        return {str(k): _encode(v, keys) for k, v in x.items()}
     return str(x)
 
 
 def report_to_json(rep: CheckReport) -> dict:
+    keys: dict = {}  # private to this call: no two reports share an object
     return {
         "law": rep.law,
         "passed": rep.passed,
@@ -196,10 +205,10 @@ def report_to_json(rep: CheckReport) -> dict:
         "margin": rep.margin,
         "checked": rep.checked,
         "violations": [
-            {"label": label, "at": encode_value(at), "residual": encode_value(res)}
+            {"label": label, "at": _encode(at, keys), "residual": _encode(res, keys)}
             for label, at, res in rep.violations
         ],
-        "extra": encode_value(rep.extra),
+        "extra": _encode(rep.extra, keys),
     }
 
 
@@ -243,5 +252,36 @@ def matrix_to_json(m) -> list:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering: sorted keys, fixed indentation, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) and a newline, in
+    one pass that renders a dict met again at the same depth once.  Anything but
+    plain JSON data (an exact str, int, finite float, bool, None, list, tuple or
+    str-keyed dict), or data too deep or cyclic, goes whole to json.dumps."""
+    try:
+        return _json_text(obj, "\n", {}) + "\n"
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _json_text(o, nl: str, done: dict) -> str:
+    """o's text, nl being the line break and indentation of its line; done
+    holds each dict's text by (id, nl).  Raises TypeError on other data."""
+    cls = o.__class__
+    if cls is str:
+        return _json_str(o)
+    if cls is dict:
+        key = id(o), nl
+        text = done.get(key)
+        if text is None:
+            inner = nl + "  "
+            parts = [_json_str(k) + ": " + _json_text(o[k], inner, done) for k in sorted(o)]
+            text = done[key] = "{" + inner + ("," + inner).join(parts) + nl + "}" if o else "{}"
+        return text
+    if cls is list or cls is tuple:
+        inner = nl + "  "
+        parts = [_json_text(v, inner, done) for v in o]
+        return "[" + inner + ("," + inner).join(parts) + nl + "]" if o else "[]"
+    if cls is int or cls is float and o - o == 0:  # a finite float
+        return repr(o)
+    if cls is bool or o is None:
+        return "true" if o is True else "false" if o is False else "null"
+    raise TypeError(f"{cls.__name__} is left to json.dumps")

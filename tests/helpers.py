@@ -1,10 +1,12 @@
 """Helpers shared by the tests: random basis changes of finite tables, a
-matrix-vector product, pattern evaluation and a template series as JSON.
-None of them is used by the package itself."""
+matrix-vector product, pattern evaluation, a template series as JSON and the
+probe bank of acceptance criterion 5.  None of them is used by the package
+itself."""
 
+import random
 from fractions import Fraction
 
-from permlie.families import mat_inv
+from permlie.families import mat_inv, random_table
 from permlie.kernel import ZERO, key_slots, with_slots
 from permlie.serialize import pattern_to_json
 
@@ -63,3 +65,26 @@ def series_to_json(ts) -> dict:
             for t in ts.templates
         ],
     }
+
+
+def criterion_5_bank(count: int):
+    """(product tables, coproduct tables): the first count candidates of each
+    direction of acceptance criterion 5, from its seed-7 generator, which
+    draws the 100 product tables before the coproduct tables."""
+    rng = random.Random(7)
+    tables = [random_table(rng, 2) for _ in range(100)]
+    deltas = []
+    for _ in range(count):
+        dt = {}
+        for src in range(2):
+            terms = tuple(
+                (i, j, Fraction(rng.randint(-2, 2)))
+                for i in range(2)
+                for j in range(2)
+                if rng.random() < 0.5
+            )
+            terms = tuple((i, j, c) for i, j, c in terms if c)
+            if terms:
+                dt[src] = terms
+        deltas.append(dt)
+    return tables[:count], deltas

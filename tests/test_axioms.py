@@ -43,7 +43,7 @@ from permlie.families import (
     wn_codelta_sym,
     wn_family,
 )
-from permlie import axioms
+from permlie import axioms, kernel
 from permlie.axioms import (
     FORM_PLANS,
     LawId,
@@ -72,7 +72,7 @@ from permlie.doubles import (
     dual_perm_algebra,
     restricted_dual_double,
 )
-from helpers import conjugated_table, mat_vec, random_invertible
+from helpers import conjugated_table, criterion_5_bank, mat_vec, random_invertible
 
 F = Fraction
 ONE = F(1)
@@ -536,7 +536,7 @@ class TestCoalgebraCollapse:
         names = ("coperm:permP", "coprelie:ats", "coprelie:w1", "neg:perturbed-ats")
         cases = [_coalgebra_case(name)[1:] for name in names]
         fam = ats_family()
-        for dt in _criterion_5_deltas(10):
+        for dt in criterion_5_bank(10)[1]:
             alg = FiniteAlgebra(
                 id="probe", space="PR", dim=2, labels=("a", "b"), kind="none", mul={}, delta=dt
             )
@@ -619,29 +619,6 @@ def _keys_only(delta):
     return call
 
 
-def _criterion_5_deltas(count):
-    """The first count co-direction coproduct tables of acceptance criterion
-    5: its seed-7 generator, after the 100 algebra tables."""
-    rng = random.Random(7)
-    for _ in range(100):
-        random_table(rng, 2)
-    out = []
-    for _ in range(count):
-        dt = {}
-        for src in range(2):
-            terms = tuple(
-                (i, j, F(rng.randint(-2, 2)))
-                for i in range(2)
-                for j in range(2)
-                if rng.random() < 0.5
-            )
-            terms = tuple((i, j, c) for i, j, c in terms if c)
-            if terms:
-                dt[src] = terms
-        out.append(dt)
-    return out
-
-
 class TestCoLawOracle:
     """check_coalgebra and the LieBiCocycle row, read off the lifted
     residuals, against the loop over input keys."""
@@ -674,7 +651,7 @@ class TestCoLawOracle:
         fam = ats_family()
         window = Window(3, 0)
         passed = 0
-        for dt in _criterion_5_deltas(40):
+        for dt in criterion_5_bank(40)[1]:
             alg = FiniteAlgebra(
                 id="probe", space="PR", dim=2, labels=("a", "b"), kind="none", mul={}, delta=dt
             )
@@ -704,7 +681,7 @@ class TestCoLawOracle:
             return box(series, bound)
 
         failing = 0
-        for dt in _criterion_5_deltas(10):
+        for dt in criterion_5_bank(10)[1]:
             alg = FiniteAlgebra(
                 id="probe", space="PR", dim=2, labels=("a", "b"), kind="none", mul={}, delta=dt
             )
@@ -726,6 +703,46 @@ class TestCoLawOracle:
             if failing == 2:
                 break
         assert failing == 2
+
+    def test_live_series_merged_once(self, monkeypatch):
+        # Each lifted series is merged into canonical forms once, by the
+        # collapsed() that _lifted tests it with; the box walk of a live one
+        # reads the forms that series kept instead of merging them again.
+        fam = ats_family()
+        window = Window(4, 0)
+        merges, collapses, walks = [], [], []
+        merge, collapse = kernel._merged_forms, TemplateSeries.collapsed
+        box = TemplateSeries.support_in_box
+
+        def counted_collapse(series):
+            collapses.append(len(series.templates))
+            return collapse(series)
+
+        def counted_box(series, bound):
+            walks.append(series._forms is not None)
+            return box(series, bound)
+
+        for dt in criterion_5_bank(10)[1]:
+            alg = FiniteAlgebra(
+                id="probe", space="PR", dim=2, labels=("a", "b"), kind="none", mul={}, delta=dt
+            )
+            delta, sym_co = delta_bullet_rule(alg, fam)
+            keys = pair_keys(alg, fam, window)
+            merges.clear(), collapses.clear(), walks.clear()
+            with monkeypatch.context() as m:
+                m.setattr(kernel, "_merged_forms", lambda ts: merges.append(1) or merge(ts))
+                m.setattr(TemplateSeries, "collapsed", counted_collapse)
+                m.setattr(TemplateSeries, "support_in_box", counted_box)
+                rep = check_coalgebra(
+                    LawId.CoLieJacobi, delta=delta, sym_co=sym_co, keys=keys, window=window,
+                    margin=0,
+                )
+            if not rep.passed:
+                break
+        assert not rep.passed and walks and all(walks), "not the live path"
+        assert len(merges) == len(collapses)
+        oracle = _colaw_oracle(LawId.CoLieJacobi, delta, sym_co, keys, window)
+        assert _fields(rep) == oracle
 
     @pytest.mark.parametrize("law", [LawId.CoPreLie, LawId.CoLieJacobi])
     def test_patterns_refused(self, law):

@@ -325,6 +325,17 @@ class TestCollapse:
         assert all(c.__class__ is Fraction for c in support.values())
         assert len(series.collapsed().templates) <= most
 
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_series())
+    def test_collapsed_series_walks_its_forms(self, drawn):
+        # a collapsed series walks the forms it was built from, not a merge
+        # of its own templates, and reads the same support
+        series, _ = drawn
+        collapsed = series.collapsed()
+        assert collapsed._forms is not None
+        assert collapsed.support_in_box(BOX) == support_by_solving(series, BOX)
+
     def test_mixed_slots_support(self):
         a, b = av("a"), av("b")
         t = Template(("a", "b"), Poly.const(F(1)), (pat_tee(a + b), pat_ess(a - b)))

@@ -1,10 +1,13 @@
 """JSON wire format: scalars, keys, tensors, reports, canonical output."""
 
+import contextlib
+import io
 import json
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permlie.kernel import (
     CheckReport,
@@ -20,7 +23,15 @@ from permlie.kernel import (
     tee,
     wn,
 )
-from permlie.families import TensorElement, finite_catalog, delta_a_family
+from permlie import cli
+from permlie.affinize import affinization_probe
+from permlie.families import (
+    FiniteAlgebra,
+    TensorElement,
+    ats_family,
+    delta_a_family,
+    finite_catalog,
+)
 from permlie.doubles import dual_perm_algebra
 from permlie.serialize import (
     algebra_to_json,
@@ -36,7 +47,12 @@ from permlie.serialize import (
     tensor_from_json,
     tensor_to_json,
 )
-from helpers import series_to_json
+from helpers import criterion_5_bank, series_to_json
+from serialize_reference import (
+    canonical_json_by_dumps,
+    encode_value_by_isinstance,
+    report_to_json_unshared,
+)
 
 F = Fraction
 
@@ -184,3 +200,159 @@ class TestCanonicalJson:
         out = encode_value({"q": F(1, 2), "t": (tee(1), F(3))})
         json.dumps(out)
         assert out["q"] == "1/2"
+
+
+# Plain JSON data for the one-pass writer: strings with non-ASCII and control
+# characters, big and negative ints, bools, None, finite and non-finite
+# floats, in nested lists, tuples and dicts, some of them empty or int-keyed.
+_LEAVES = st.one_of(
+    st.text(max_size=6),
+    st.text(st.characters(max_codepoint=0x1F), max_size=4),
+    st.text(st.characters(min_codepoint=0x80, max_codepoint=0x10FFFF), max_size=4),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+def _containers(obj, out):
+    """The ids of every list and dict inside obj, obj included."""
+    if isinstance(obj, (list, dict)):
+        out.add(id(obj))
+        for v in obj.values() if isinstance(obj, dict) else obj:
+            _containers(v, out)
+    return out
+
+
+class TestOnePassWriter:
+    """canonical_json writes json.dumps(obj, sort_keys=True, indent=2) and a
+    newline, and raises what json.dumps raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES, st.dictionaries(st.text(max_size=3), _VALUES, min_size=1, max_size=3))
+    def test_equals_json_dumps(self, value, shared):
+        # shared sits at two depths, and twice at one depth
+        for obj in (value, {"a": shared, "b": [shared, shared, [shared]], "c": value}):
+            assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "bad", [F(1, 2), {1, 2}, {"a": 1, 2: 3}], ids=["fraction", "set", "mixed-keys"]
+    )
+    def test_raises_as_json_dumps(self, bad):
+        for obj in (bad, {"x": [1, bad]}):
+            with pytest.raises(Exception) as want:
+                json.dumps(obj, sort_keys=True, indent=2)
+            with pytest.raises(want.type) as got:
+                canonical_json(obj)
+            assert str(got.value) == str(want.value)
+
+    def test_subclasses_as_json_dumps(self):
+        # json.dumps writes an int subclass with int.__repr__, not its own
+        class Flag(int):
+            def __repr__(self):
+                return "flag"
+
+        class Name(str):
+            pass
+
+        obj = {"a": Flag(3), "b": OrderedDict(z=1, y=Name("x")), "c": [True, Flag(0), 2.5]}
+        assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert '"a": 3' in canonical_json(obj)
+
+    def test_self_containing_list(self):
+        loop = [1]
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            json.dumps(loop, sort_keys=True, indent=2)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            canonical_json({"loop": loop})
+
+
+class TestSharedKeys:
+    """report_to_json encodes each distinct key tuple of one report as one
+    JSON object; the values are those of the unshared reference encoder."""
+
+    @staticmethod
+    def assert_as_reference(rep):
+        data = report_to_json(rep)
+        assert data == report_to_json_unshared(rep)
+        assert canonical_json(data) == canonical_json_by_dumps(report_to_json_unshared(rep))
+        assert encode_value(rep.extra) == encode_value_by_isinstance(rep.extra)
+        for _, at, res in rep.violations:
+            assert encode_value((at, res)) == encode_value_by_isinstance((at, res))
+
+    def test_verify_all_window_4(self, monkeypatch):
+        reports = []
+
+        def kept(rep):
+            reports.append(rep)
+            return report_to_json(rep)
+
+        monkeypatch.setattr(cli, "report_to_json", kept)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "all", "--window", "4", "--format", "json"]) == 0
+        assert len(reports) > 40 and any(rep.violations for rep in reports)
+        for rep in reports:
+            self.assert_as_reference(rep)
+
+    @pytest.mark.parametrize(
+        "direction, window", [("algebra", Window(5)), ("coalgebra", Window(4))]
+    )
+    def test_criterion_5_failing_probes(self, direction, window):
+        # the first two failing candidates of criterion 5's bank, whose window
+        # reports carry the witness lists
+        fam = ats_family()
+        tables, deltas = criterion_5_bank(10)
+        failing = 0
+        for table in tables if direction == "algebra" else deltas:
+            co = direction == "coalgebra"
+            alg = FiniteAlgebra(
+                id="probe", space="PR", dim=2, labels=("a", "b"), kind="none",
+                mul={} if co else table, delta=table if co else None,
+            )
+            v = affinization_probe(alg, fam, direction, window, delta_table=table if co else None)
+            if v.is_law:
+                continue
+            assert v.window_report.violations
+            self.assert_as_reference(v.window_report)
+            failing += 1
+            if failing == 2:
+                break
+        assert failing == 2
+
+    def test_equal_keys_are_one_object(self):
+        at = pair(fin("P1", 0), tee(2))
+        rep = CheckReport.build(
+            "X", Window(3, 1), 2,
+            [
+                ("a", (pair(fin("P1", 0), tee(2)),), (((tee(1),), F(2)),)),
+                ("b", (tee(1),), (((pair(fin("P1", 0), tee(2)),), F(1)),)),
+            ],
+            {"at": at},
+        )
+        data = report_to_json(rep)
+        assert data == report_to_json_unshared(rep)
+        a, b = data["violations"]
+        assert a["at"][0] is b["residual"][0][0][0] is data["extra"]["at"]
+        assert a["residual"][0][0][0] is b["at"][0]
+
+    def test_reports_share_no_object(self):
+        rep = CheckReport.build(
+            "X", Window(3, 1), 1, [("a", (tee(1),), (((tee(1),), F(2)),))], {"k": [tee(1)]}
+        )
+        one, two = report_to_json(rep), report_to_json(rep)
+        assert one == two
+        assert not _containers(one, set()) & _containers(two, set())
