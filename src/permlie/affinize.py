@@ -117,36 +117,28 @@ def _delta_bullet_sym(alg: FiniteAlgebra, family: GradedFamily):
 # Form-induced coproducts.
 
 
-def coproduct_from_form(family: GradedFamily, side: Optional[str] = None):
+def coproduct_from_form(family: GradedFamily):
     """Coproduct induced by the invariant form via the graded dual basis.
 
-    side="PreLie": delta(a) = -sum (a e_t) (x) f_t over dual pairs (e_t, f_t).
-    side="Perm":   delta(p) = sum (p e_t - e_t p) (x) f_t.
+    pre-Lie family: delta(a) = -sum (a e_t) (x) f_t over dual pairs (e_t, f_t).
+    perm family:    delta(p) = sum (p e_t - e_t p) (x) f_t.
     Both are finite template series because the products are single closed
     forms in the summation index.
     """
-    if side is None:
-        side = "Perm" if family.kind == "Perm" else "PreLie"
     if family.partner is None:
         raise ValueError(f"{family.name} has no form partner")
+    # (sign, whether the key is the left factor) for each word of the sum
+    words = ((1, True), (-1, False)) if family.kind == "Perm" else ((-1, True),)
 
     def delta(key) -> TemplateSeries:
         fresh = Fresh("j")
         tpls = []
         p = pat_const(key)
         for dvars, e_pat, f_pat, sign in family.dual_pairs(fresh):
-            if side == "PreLie":
-                for cy, py in family.sym_product(p, e_pat):
-                    tpls.append(
-                        Template(tuple(dvars), Poly.const(-1) * sign * cy, (py, f_pat))
-                    )
-            else:
-                for cy, py in family.sym_product(p, e_pat):
-                    tpls.append(Template(tuple(dvars), sign * cy, (py, f_pat)))
-                for cy, py in family.sym_product(e_pat, p):
-                    tpls.append(
-                        Template(tuple(dvars), Poly.const(-1) * sign * cy, (py, f_pat))
-                    )
+            for word_sign, key_left in words:
+                x, y = (p, e_pat) if key_left else (e_pat, p)
+                for cy, py in family.sym_product(x, y):
+                    tpls.append(Template(tuple(dvars), word_sign * sign * cy, (py, f_pat)))
         return TemplateSeries(2, tpls)
 
     return delta

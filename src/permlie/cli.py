@@ -105,7 +105,7 @@ from .serialize import (
     pattern_to_json,
     report_to_json,
     tensor_from_json,
-    three_tensor_to_json,
+    tensor_to_json,
 )
 
 MIN_WINDOW = 3
@@ -842,7 +842,7 @@ def cmd_residual(kind, algebra_id, input_path, cfg: SuiteConfig) -> int:
             "kind": kind,
             "algebra": algebra_id,
             "zero": res.is_zero(),
-            "residual": three_tensor_to_json(res),
+            "residual": tensor_to_json(res),
         }
         if cfg.fmt == "json":
             text = canonical_json(payload)
@@ -957,6 +957,9 @@ def _merge_config(args, suite=None) -> SuiteConfig:
             raise ValueError(f"bad config {args.config}: {err}") from None
         if not isinstance(fromfile, dict):
             raise ValueError(f"bad config {args.config}: not a JSON object")
+        unknown = sorted(set(fromfile) - {"window", "margin", "seed", "format", "out"})
+        if unknown:
+            raise ValueError(f"bad config {args.config}: unknown key {unknown[0]!r}")
 
     def pick(name, default, kind):
         # flags arrive typed by argparse; a config value must already be a

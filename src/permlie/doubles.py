@@ -168,9 +168,8 @@ class ManinData:
 
     level "PermKd": total is the finite double, sub1/sub2 its half key sets,
     form the skew pairing of the halves.  level "LieB": total is still the
-    finite double, bracket/sym_bracket give the lifted bracket on Pair keys,
-    form is the symmetric pairing, and sub1/sub2 hold one window's Pair keys
-    of each half.
+    finite double, bracket gives the lifted bracket on Pair keys, form is the
+    symmetric pairing, and sub1/sub2 hold one window's Pair keys of each half.
     """
 
     level: str
@@ -181,7 +180,6 @@ class ManinData:
     reports: dict = field(default_factory=dict)
     family: Optional[GradedFamily] = None
     bracket: Optional[Callable] = None
-    sym_bracket: Optional[Callable] = None
 
     @property
     def passed(self) -> bool:
@@ -305,7 +303,7 @@ def manin_lie_lift(data: ManinData, family: GradedFamily, window: Window) -> Man
         raise ValueError("manin_lie_lift needs a PermKd double and a family with a form")
     double = data.total
     d = len(data.sub1)
-    bracket, sym_bracket = induced_lie_bracket(double, family)
+    bracket, _ = induced_lie_bracket(double, family)
     kd = data.form
 
     def form_b(k1, k2) -> Fraction:
@@ -366,7 +364,6 @@ def manin_lie_lift(data: ManinData, family: GradedFamily, window: Window) -> Man
         reports=reports,
         family=family,
         bracket=bracket,
-        sym_bracket=sym_bracket,
     )
     if not lift.passed:
         raise ValueError("lift fails: " + ", ".join(lift.failing()))

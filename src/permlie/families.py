@@ -30,6 +30,7 @@ their structure constants are exact rationals.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -305,19 +306,8 @@ def delta_p_family(key) -> TemplateSeries:
 
 def _wn_keys_fn(n: int):
     def keys(bound: int):
-        ranges = [range(-bound, bound + 1)] * n
-        out = []
-
-        def rec(prefix):
-            if len(prefix) == n:
-                for d in range(1, n + 1):
-                    out.append(wn(prefix, d))
-                return
-            for e in ranges[len(prefix)]:
-                rec(prefix + (e,))
-
-        rec(())
-        return out
+        exps = itertools.product(range(-bound, bound + 1), repeat=n)
+        return [wn(e, d) for e in exps for d in range(1, n + 1)]
 
     return keys
 
@@ -530,19 +520,19 @@ def preperm_representation(alg: FiniteAlgebra) -> Representation:
 
 @dataclass(frozen=True)
 class TensorElement:
-    """Finite 2-tensor: terms (key_left, key_right, coeff)."""
+    """Finite tensor of any arity: canonically ordered zero-free terms
+    (key_1, ..., key_n, coeff).  flip, is_symmetric and series read a
+    2-tensor."""
 
     terms: tuple
 
     @staticmethod
     def of(terms) -> "TensorElement":
         acc = {}
-        for kl, kr, c in terms:
-            key = (kl, kr)
+        for *keys, c in terms:
+            key = tuple(keys)
             acc[key] = acc.get(key, ZERO) + Fraction(c)
-        return TensorElement(
-            tuple((kl, kr, c) for (kl, kr), c in sorted(acc.items()) if c)
-        )
+        return TensorElement(tuple((*key, c) for key, c in sorted(acc.items()) if c))
 
     def flip(self) -> "TensorElement":
         return TensorElement.of((kr, kl, c) for kl, kr, c in self.terms)
@@ -551,9 +541,7 @@ class TensorElement:
         return TensorElement.of(self.terms + other.terms)
 
     def __sub__(self, other):
-        return TensorElement.of(
-            self.terms + tuple((kl, kr, -c) for kl, kr, c in other.terms)
-        )
+        return TensorElement.of(self.terms + tuple((*t[:-1], -t[-1]) for t in other.terms))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -21,8 +21,6 @@ from functools import lru_cache
 from itertools import compress, repeat
 from typing import Iterable, Optional
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -771,9 +769,6 @@ class TemplateSeries:
         out._forms = forms
         return out
 
-    def equal_on_box(self, other: "TemplateSeries", bound: int) -> bool:
-        return (self - other).support_in_box(bound) == {}
-
     def __repr__(self):
         lines = []
         for t in self.templates:
@@ -1044,17 +1039,16 @@ def place_product(
     legs_a: tuple,
     legs_b: tuple,
     sym_prod,
-    nlegs: int = 3,
     fresh: Optional[Fresh] = None,
 ) -> TemplateSeries:
     """The leg-placement product for Yang-Baxter style expressions.
 
     Factor a sits on legs legs_a, factor b on legs_b (1-based, each of the
-    factor's arity).  A leg occupied by both factors carries the product
-    (a component) * (b component); a leg occupied by one factor carries that
-    component; every leg must be covered.
+    factor's arity) of a 3-tensor.  A leg occupied by both factors carries
+    the product (a component) * (b component); a leg occupied by one factor
+    carries that component; every leg must be covered.
     """
-    if (len(legs_a), len(legs_b), {*legs_a, *legs_b}) != (a.arity, b.arity, {*range(1, nlegs + 1)}):
+    if (len(legs_a), len(legs_b), {*legs_a, *legs_b}) != (a.arity, b.arity, {1, 2, 3}):
         raise ValueError(f"legs {legs_a} {legs_b} do not fit arities {a.arity}, {b.arity}")
     fresh = fresh or Fresh("q")
     out = []
@@ -1065,23 +1059,16 @@ def place_product(
             slot_of_b = {leg: tb.keys[i] for i, leg in enumerate(legs_b)}
             base_vars = ta.vars + tb.vars
             base_coeff = ta.coeff * tb.coeff
-            branches = [((), Poly.const(1), {})]
-            for leg in range(1, nlegs + 1):
+            branches = [(Poly.const(1), ())]  # (coefficient, keys of legs so far)
+            for leg in (1, 2, 3):
                 if leg in slot_of_a and leg in slot_of_b:
                     prods = sym_prod(slot_of_a[leg], slot_of_b[leg])
-                    branches = [
-                        (bv, bc * poly, {**bk, leg: p})
-                        for bv, bc, bk in branches
-                        for poly, p in prods
-                    ]
-                elif leg in slot_of_a:
-                    branches = [(bv, bc, {**bk, leg: slot_of_a[leg]}) for bv, bc, bk in branches]
+                    branches = [(bc * poly, bk + (p,)) for bc, bk in branches for poly, p in prods]
                 else:
-                    branches = [(bv, bc, {**bk, leg: slot_of_b[leg]}) for bv, bc, bk in branches]
-            for bv, bc, bk in branches:
-                keys = tuple(bk[leg] for leg in range(1, nlegs + 1))
-                out.append(Template(base_vars + bv, base_coeff * bc, keys))
-    return TemplateSeries(nlegs, out)
+                    p = slot_of_a[leg] if leg in slot_of_a else slot_of_b[leg]
+                    branches = [(bc, bk + (p,)) for bc, bk in branches]
+            out.extend(Template(base_vars, base_coeff * bc, bk) for bc, bk in branches)
+    return TemplateSeries(3, out)
 
 
 # ---------------------------------------------------------------------------

@@ -125,16 +125,8 @@ def pattern_to_json(p) -> dict:
 
 
 def tensor_to_json(t: TensorElement) -> list:
-    return [
-        [key_to_json(ka), key_to_json(kb), frac_str(c)] for ka, kb, c in t.terms
-    ]
-
-
-def three_tensor_to_json(t) -> list:
-    return [
-        [key_to_json(k1), key_to_json(k2), key_to_json(k3), frac_str(c)]
-        for k1, k2, k3, c in t.terms
-    ]
+    """[[key, ..., key, coeff], ...], one row per term, at any arity."""
+    return [[*map(key_to_json, term[:-1]), frac_str(term[-1])] for term in t.terms]
 
 
 def tensor_from_json(data, alg: FiniteAlgebra = None) -> TensorElement:
@@ -253,9 +245,10 @@ def matrix_to_json(m) -> list:
 
 def canonical_json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=2) and a newline, in
-    one pass that renders a dict met again at the same depth once.  Anything but
-    plain JSON data (an exact str, int, finite float, bool, None, list, tuple or
-    str-keyed dict), or data too deep or cyclic, goes whole to json.dumps."""
+    one pass that renders a key object met again at the same depth once.
+    Anything but plain JSON data (an exact str, int, finite float, bool, None,
+    list, tuple or str-keyed dict), or data too deep or cyclic, goes whole to
+    json.dumps."""
     try:
         return _json_text(obj, "\n", {}) + "\n"
     except (TypeError, ValueError, RecursionError):
@@ -264,17 +257,21 @@ def canonical_json(obj) -> str:
 
 def _json_text(o, nl: str, done: dict) -> str:
     """o's text, nl being the line break and indentation of its line; done
-    holds each dict's text by (id, nl).  Raises TypeError on other data."""
+    holds the text of each key object (a dict with a "t" field, the only
+    dicts report_to_json shares) by (id, nl).  Raises TypeError on other
+    data."""
     cls = o.__class__
     if cls is str:
         return _json_str(o)
     if cls is dict:
-        key = id(o), nl
-        text = done.get(key)
-        if text is None:
-            inner = nl + "  "
-            parts = [_json_str(k) + ": " + _json_text(o[k], inner, done) for k in sorted(o)]
-            text = done[key] = "{" + inner + ("," + inner).join(parts) + nl + "}" if o else "{}"
+        shared = "t" in o
+        if shared and (id(o), nl) in done:
+            return done[id(o), nl]
+        inner = nl + "  "
+        parts = [_json_str(k) + ": " + _json_text(o[k], inner, done) for k in sorted(o)]
+        text = "{" + inner + ("," + inner).join(parts) + nl + "}" if o else "{}"
+        if shared:
+            done[id(o), nl] = text
         return text
     if cls is list or cls is tuple:
         inner = nl + "  "

@@ -1,24 +1,23 @@
 """Yang-Baxter machinery.
 
-Finite side: the four leg placements of r against itself, residuals of the
-perm Yang-Baxter equation and of its pre-Lie mirror, coboundary coproducts,
-the dual-window map induced by r with its closure criterion, O-operator
-embeddings, and a small exhaustive search.  Graded side: affinizing a finite
-solution into a completed 2-tensor and the completed classical Yang-Baxter
-residual with its coboundary Lie cobracket.
+Finite side: residuals of the perm Yang-Baxter equation and of its pre-Lie
+mirror, coboundary coproducts, the dual-window map induced by r with its
+closure criterion, O-operator embeddings, and a small exhaustive search.
+Graded side: affinizing a finite solution into a completed 2-tensor and the
+completed classical Yang-Baxter residual with its coboundary Lie cobracket.
 
-Both sides use the kernel's template-series operators: place_product for
-leg placement and apply_product_slot for a product in one slot.  A finite
-2-tensor enters as r.series(); a finite result is read back exactly with
-support_in_box(0), since finite keys have no integer slots.
+Each Yang-Baxter style equation is a signed plan of leg placements of r
+against itself, summed by _plan_residual through the kernel's place_product;
+apply_product_slot puts a product in one slot.  A finite 2-tensor enters as
+r.series(); a finite result is read back exactly with support_in_box(0),
+since finite keys have no integer slots.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .kernel import (
     CheckReport,
@@ -49,31 +48,13 @@ from .doubles import dual_rep, semidirect_perm
 
 
 # ---------------------------------------------------------------------------
-# Finite three-tensors and the finite Yang-Baxter residuals.
+# Signed leg-placement plans and the finite Yang-Baxter residuals.
 
 
-@dataclass(frozen=True)
-class ThreeTensor:
-    """Finite 3-tensor: canonically ordered zero-free (k1, k2, k3, coeff)."""
-
-    terms: tuple
-
-    @staticmethod
-    def of(terms) -> "ThreeTensor":
-        acc = {}
-        for k1, k2, k3, c in terms:
-            key = (k1, k2, k3)
-            acc[key] = acc.get(key, ZERO) + Fraction(c)
-        return ThreeTensor(
-            tuple((k1, k2, k3, c) for (k1, k2, k3), c in sorted(acc.items()) if c)
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-# Signed placement plans: r12 r23 - r13 r23 + r12 r13 - r13 r12 for the perm
-# equation, -r12 r13 + r12 r23 + r13 r23 - r23 r13 for its pre-Lie mirror.
+# Each entry (sign, legs of the first r, legs of the second r): r12 r23 -
+# r13 r23 + r12 r13 - r13 r12 for the perm equation, -r12 r13 + r12 r23 +
+# r13 r23 - r23 r13 for its pre-Lie mirror, and [r12, r13] + [r12, r23] +
+# [r13, r23] for the classical equation.
 _PERM_PLAN = (
     (ONE, (1, 2), (2, 3)),
     (-ONE, (1, 3), (2, 3)),
@@ -86,25 +67,37 @@ _S_PLAN = (
     (ONE, (1, 3), (2, 3)),
     (-ONE, (2, 3), (1, 3)),
 )
+_CYBE_PLAN = (
+    (ONE, (1, 2), (1, 3)),
+    (-ONE, (1, 3), (1, 2)),
+    (ONE, (1, 2), (2, 3)),
+    (-ONE, (2, 3), (1, 2)),
+    (ONE, (1, 3), (2, 3)),
+    (-ONE, (2, 3), (1, 3)),
+)
 
 
-def _plan_residual(alg: FiniteAlgebra, r: TemplateSeries, plan) -> TemplateSeries:
+def _plan_residual(product: Callable, r: TemplateSeries, plan) -> TemplateSeries:
+    """The sum over the plan of sign * (r on legs_x) (r on legs_y), the shared
+    legs multiplied by the symbolic product."""
+    fresh = Fresh("y")
     total = TemplateSeries.zero(3)
     for sign, legs_x, legs_y in plan:
-        total = total + place_product(r, r, legs_x, legs_y, alg.sym_product).scale(sign)
+        total = total + place_product(r, r, legs_x, legs_y, product, fresh).scale(sign)
     return total
 
 
-def _three_tensor(series: TemplateSeries) -> ThreeTensor:
-    return ThreeTensor(tuple((*ks, c) for ks, c in _finite_terms(series)))
+def _finite_residual(alg: FiniteAlgebra, r: TensorElement, plan) -> TensorElement:
+    series = _plan_residual(alg.sym_product, r.series(), plan)
+    return TensorElement(tuple((*ks, c) for ks, c in _finite_terms(series)))
 
 
-def perm_ybe_residual(alg: FiniteAlgebra, r: TensorElement) -> ThreeTensor:
-    return _three_tensor(_plan_residual(alg, r.series(), _PERM_PLAN))
+def perm_ybe_residual(alg: FiniteAlgebra, r: TensorElement) -> TensorElement:
+    return _finite_residual(alg, r, _PERM_PLAN)
 
 
-def s_equation_residual(alg: FiniteAlgebra, r: TensorElement) -> ThreeTensor:
-    return _three_tensor(_plan_residual(alg, r.series(), _S_PLAN))
+def s_equation_residual(alg: FiniteAlgebra, r: TensorElement) -> TensorElement:
+    return _finite_residual(alg, r, _S_PLAN)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +152,7 @@ def coboundary_coalgebra_report(alg: FiniteAlgebra, r: TensorElement) -> CheckRe
         return place_product(x, y, legs_x, legs_y, alg.sym_product)
 
     rs = r.series()
-    ybe = _plan_residual(alg, rs, _PERM_PLAN).collapsed()
+    ybe = _plan_residual(alg.sym_product, rs, _PERM_PLAN).collapsed()
     m = rs.flip_hat() - rs
     n = -m
     rhs_ca = (
@@ -276,15 +269,12 @@ def grid_search_symmetric_r(alg: FiniteAlgebra, height: int = 1):
 # Affinization of finite solutions.
 
 
-def affinize_r(
-    r: TensorElement, family: GradedFamily, window: Optional[Window] = None
-) -> TemplateSeries:
+def affinize_r(r: TensorElement, family: GradedFamily) -> TemplateSeries:
     """Pair every finite term of r with the family's graded dual pairs:
 
         r = sum c p (x) q   ->   sum c sum_t (p e_t) (x) (q f_t)
 
-    emitted as a closed 2-leg template series.  When a window is given and r
-    is symmetric, the output is verified pointwise skew on that window."""
+    emitted as a closed 2-leg template series."""
     if family.form is None:
         raise ValueError("family has no invertible pairing")
     fresh = Fresh("i")
@@ -301,12 +291,7 @@ def affinize_r(
                     ),
                 )
             )
-    out = TemplateSeries(2, tpls)
-    if window is not None and r.is_symmetric():
-        bad = (out + out.flip_hat()).support_in_box(window.n)
-        if bad:
-            raise ValueError("affinized symmetric solution must be skew")
-    return out
+    return TemplateSeries(2, tpls)
 
 
 def lie_delta_from_r(sym_bracket: Callable, rtilde: TemplateSeries, key) -> TemplateSeries:
@@ -326,13 +311,7 @@ def cybe_residual(
     support certifies the identity for every output key inside the box."""
     if window.n < 1:
         raise InsufficientWindowError("CYBE", window.n, 1)
-    fresh = Fresh("y")
-    total = TemplateSeries.zero(3)
-    for legs_a, legs_b in (((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))):
-        t = place_product(rtilde, rtilde, legs_a, legs_b, sym_bracket, fresh=fresh)
-        u = place_product(rtilde, rtilde, legs_b, legs_a, sym_bracket, fresh=fresh)
-        total = total + (t - u)
-    res = total.support_in_box(window.n)
+    res = _plan_residual(sym_bracket, rtilde, _CYBE_PLAN).support_in_box(window.n)
     violations = [("cybe", ks, ((ks, c),)) for ks, c in sorted(res.items())]
     return CheckReport.build(
         "CYBE",

@@ -579,6 +579,18 @@ class TestMalformedInput:
         f.write_text(json.dumps(cfg))
         self.assert_usage_error(run("verify", "ybe", "--config", str(f)))
 
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [({"windw": 3}, "windw"), ({"suite": "ybe"}, "suite"), ({"window": 3, "Seed": 7}, "Seed")],
+        ids=["misspelt", "suite", "with-known-key"],
+    )
+    def test_config_unknown_key(self, tmp_path, cfg, key):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        p = run("verify", "ybe", "--config", str(f))
+        self.assert_usage_error(p)
+        assert p.stderr.strip() == f"permlie: bad config {f}: unknown key {key!r}"
+
     @pytest.mark.parametrize("coeff", ["1e4000000", "0.5", " 3", "1_0"])
     def test_residual_scalar_not_canonical(self, tmp_path, coeff):
         f = tmp_path / "r.json"

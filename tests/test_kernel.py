@@ -107,8 +107,8 @@ class TestTemplateSeries:
 
     def test_equal_on_box(self):
         d = delta_a_family(tee(2))
-        assert d.equal_on_box(d.scale(F(1)), 4)
-        assert not d.equal_on_box(d.scale(F(2)), 4)
+        assert (d - d.scale(F(1))).support_in_box(4) == {}
+        assert (d - d.scale(F(2))).support_in_box(4) != {}
 
     def test_support_respects_box(self):
         d = delta_a_family(tee(0))

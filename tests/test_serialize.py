@@ -23,7 +23,7 @@ from permlie.kernel import (
     tee,
     wn,
 )
-from permlie import cli
+from permlie import cli, serialize
 from permlie.affinize import affinization_probe
 from permlie.families import (
     FiniteAlgebra,
@@ -348,6 +348,32 @@ class TestSharedKeys:
         a, b = data["violations"]
         assert a["at"][0] is b["residual"][0][0][0] is data["extra"]["at"]
         assert a["residual"][0][0][0] is b["at"][0]
+
+    def test_writer_keeps_key_objects_only(self):
+        # the one-pass writer's memo holds the key objects, which a report
+        # shares, and not the report, violation or extra dicts around them
+        at = pair(fin("P1", 0), tee(2))
+        rep = CheckReport.build(
+            "X", Window(3, 1), 2,
+            [("a", (at,), (((tee(1),), F(2)),)), ("b", (tee(1),), (((at,), F(1)),))],
+            {"at": at},
+        )
+        data = report_to_json(rep)
+        dicts = []
+
+        def walk(x):
+            if isinstance(x, dict):
+                dicts.append(x)
+                x = list(x.values())
+            if isinstance(x, list):
+                for v in x:
+                    walk(v)
+
+        walk(data)
+        done = {}
+        assert serialize._json_text(data, "\n", done) + "\n" == canonical_json_by_dumps(data)
+        kept = {i for i, _ in done}
+        assert kept == {id(d) for d in dicts if "t" in d}
 
     def test_reports_share_no_object(self):
         rep = CheckReport.build(

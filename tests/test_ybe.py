@@ -2,12 +2,12 @@
 
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
-from permlie.kernel import Window, coproduct_at, ess, pair, tee
+from permlie.kernel import CheckReport, Window, coproduct_at, ess, pair, tee
 from permlie.families import (
     FiniteAlgebra,
     TensorElement,
@@ -29,7 +29,6 @@ from permlie.axioms import (
 from permlie.affinize import induced_lie_bracket
 from permlie.ybe import (
     OOperatorError,
-    ThreeTensor,
     affinize_r,
     coboundary_coalgebra_report,
     coboundary_delta_perm,
@@ -48,13 +47,13 @@ from permlie.serialize import (
     encode_value,
     report_to_json,
     tensor_to_json,
-    three_tensor_to_json,
 )
 from permlie.cli import _worked_cobracket_report
 
 from diagram_reference import worked_cobracket_by_points
 from finite_reference import r_sharp_closure
 from helpers import conjugated_table, random_invertible
+from ybe_reference import ThreeTensor, cybe_residual_by_loop, three_tensor_to_json
 
 F = Fraction
 
@@ -71,7 +70,7 @@ class TestPermYbeResidual:
         nilp = cat["ex-nilp2"]
         res = perm_ybe_residual(nilp, tensor_catalog()["r-nilp2"][1])
         k0, k1 = nilp.key(0), nilp.key(1)
-        assert res == ThreeTensor.of([(k0, k1, k0, F(1)), (k0, k0, k1, F(-1))])
+        assert res == TensorElement.of([(k0, k1, k0, F(1)), (k0, k0, k1, F(-1))])
 
     def test_empty_tensor_is_solution(self):
         cat = finite_catalog()
@@ -84,7 +83,7 @@ class TestSEquation:
         pl2 = cat["ex-prelie-n2"]
         res = s_equation_residual(pl2, tensor_catalog()["r-prelie-n2"][1])
         q0, q1 = pl2.key(0), pl2.key(1)
-        assert res == ThreeTensor.of([(q1, q0, q0, F(-1)), (q0, q1, q0, F(1))])
+        assert res == TensorElement.of([(q1, q0, q0, F(-1)), (q0, q1, q0, F(1))])
 
 
 class TestCoboundaryTables:
@@ -249,26 +248,31 @@ class TestGridSearch:
 class TestAffinizeR:
     def test_coefficients(self):
         onep = finite_catalog()["ex-1p"]
-        rt = affinize_r(tensor_catalog()["r-1p"][1], ats_family(), Window(4, 0))
+        rt = affinize_r(tensor_catalog()["r-1p"][1], ats_family())
         P = onep.key(0)
         assert rt.coefficient_at((pair(P, tee(2)), pair(P, ess(-2)))) == F(1)
         assert rt.coefficient_at((pair(P, ess(-2)), pair(P, tee(2)))) == F(-1)
         assert rt.coefficient_at((pair(P, tee(2)), pair(P, tee(-2)))) == F(0)
 
     def test_result_is_skew(self):
-        rt = affinize_r(tensor_catalog()["r-sd2"][1], ats_family())
-        assert (rt + rt.flip_hat()).support_in_box(4) == {}
+        tens = tensor_catalog()
+        for name in ("r-sd2", "r-1p", "r-nilp2"):
+            r = tens[name][1]
+            assert r.is_symmetric()
+            rt = affinize_r(r, ats_family())
+            assert (rt + rt.flip_hat()).support_in_box(4) == {}, name
 
     def test_family_without_pairing_rejected(self):
         with pytest.raises(ValueError):
-            affinize_r(tensor_catalog()["r-1p"][1], wn_family(1), Window(3, 0))
+            affinize_r(tensor_catalog()["r-1p"][1], wn_family(1))
 
     def test_symmetric_pairing_fails_the_skew_self_check(self):
-        # a symmetric family pairing affinizes a symmetric r to a symmetric tensor
+        # a symmetric family pairing affinizes a symmetric r to a symmetric
+        # tensor, which the skew check of ybe:affinized-skew reports
         fam = ats_family()
         bent = replace(fam, partner=lambda x: (1, fam.partner(x)[1]))
-        with pytest.raises(ValueError, match="must be skew"):
-            affinize_r(tensor_catalog()["r-1p"][1], bent, Window(3, 0))
+        rt = affinize_r(tensor_catalog()["r-1p"][1], bent)
+        assert (rt + rt.flip_hat()).support_in_box(3) != {}
 
 
 class TestWorkedCobracket:
@@ -332,6 +336,68 @@ class TestCybe:
         rt = affinize_r(tensor_catalog()["r-sd2"][1], fam)
         with pytest.raises(Exception):
             cybe_residual(sbr, rt, Window(0, 0))
+
+
+def _cybe_cases():
+    """(name, algebra, r): the catalog solution, the nilpotent non-solution
+    and seeded random r, symmetric or not, on the same two algebras."""
+    cat = finite_catalog()
+    tens = tensor_catalog()
+    sd2, nilp = cat["ex-sd2"], cat["ex-nilp2"]
+    cases = [("r-sd2", sd2, tens["r-sd2"][1]), ("r-nilp2", nilp, tens["r-nilp2"][1])]
+    rng = random.Random(31)
+    for i, alg in enumerate((sd2, nilp, sd2, nilp)):
+        cases.append((f"random-{i}", alg, _random_r(rng, alg, symmetric=i < 2)))
+    return cases
+
+
+class TestCybeAgainstLoop:
+    """cybe_residual, one signed plan through _plan_residual, against the
+    loop over the three brackets that it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_report_equals_loop(self, n):
+        fam = ats_family()
+        verdicts = {}
+        for name, alg, r in _cybe_cases():
+            _, sbr = induced_lie_bracket(alg, fam)
+            rt = affinize_r(r, fam)
+            got = cybe_residual(sbr, rt, Window(n, 0))
+            ref = cybe_residual_by_loop(sbr, rt, Window(n, 0))
+            for f in fields(CheckReport):
+                assert getattr(got, f.name) == getattr(ref, f.name), (name, f.name)
+            verdicts[name] = got.passed
+        assert verdicts["r-sd2"] and not verdicts["r-nilp2"]
+        assert not all(verdicts.values())
+
+
+class TestTensorAgainstThreeTensor:
+    """TensorElement at arity 3 against the three-tensor type it replaced:
+    the same canonical terms and the same JSON bytes."""
+
+    def test_random_terms(self):
+        cat = finite_catalog()
+        pool = [cat["ex-sd2"].key(0), cat["ex-sd2"].key(1), cat["ex-nilp2"].key(0)]
+        rng = random.Random(37)
+        for _ in range(300):
+            terms = [
+                (*(rng.choice(pool) for _ in range(3)), F(rng.randint(-2, 2), rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 10))
+            ]
+            got, ref = TensorElement.of(terms), ThreeTensor.of(terms)
+            assert got.terms == ref.terms
+            assert got.is_zero() == (not ref.terms)
+            assert canonical_json(tensor_to_json(got)) == canonical_json(three_tensor_to_json(ref))
+
+    def test_residuals(self):
+        rng = random.Random(41)
+        for alg in _pin_algebras():
+            for symmetric in (True, False, True, False):
+                r = _random_r(rng, alg, symmetric)
+                for res in (perm_ybe_residual(alg, r), s_equation_residual(alg, r)):
+                    ref = ThreeTensor.of(res.terms)
+                    assert res.terms == ref.terms
+                    assert tensor_to_json(res) == three_tensor_to_json(ref)
 
 
 class TestPreLieBi:
@@ -468,8 +534,8 @@ def _finite_outputs_payload():
                 [
                     alg.id,
                     tensor_to_json(r),
-                    three_tensor_to_json(perm_ybe_residual(alg, r)),
-                    three_tensor_to_json(s_equation_residual(alg, r)),
+                    tensor_to_json(perm_ybe_residual(alg, r)),
+                    tensor_to_json(s_equation_residual(alg, r)),
                     encode_value(coboundary_delta_perm(alg, r)),
                     encode_value(coboundary_delta_prelie(alg, r)),
                     report_to_json(coboundary_coalgebra_report(alg, r)),
