@@ -13,7 +13,9 @@ The algebra laws are written once, in LAW_PLANS, and the co-laws and the
 matched-pair conditions are read from them: a co-law row is a law row with
 the coproduct in place of the product (_CO_PLANS; only CoLieJacobi keeps a
 row of its own), and each matched-pair condition is one summand's part of a
-Perm row of the assembled product (_MATCHED_PAIR_PLAN).
+Perm row of the assembled product (_MATCHED_PAIR_PLAN).  The bialgebra laws
+are written once, in BI_PLANS, as sums of mixed words that one evaluator
+(bialgebra_residuals) reads at finite keys, at Pair keys and at patterns.
 
 Pattern proofs share one lift (_lifted): each input is a pattern of its key
 shape with a fresh variable in every slot, and the residual at a tuple of
@@ -33,6 +35,7 @@ proved on the same shape walk, with each pairing solved for its lone input
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import operator
 import re
@@ -165,16 +168,34 @@ LAW_PLANS = {
 }
 
 
+def _signed_terms(text: str, term: str) -> list:
+    """[(sign, groups of term)] for a sum 't1 - t2 + ...' whose terms match
+    the regex term, every term but the first signed; ValueError when the
+    terms do not take up the whole text."""
+    item = re.compile(r"\s*([+-]?)\s*" + term + r"\s*")
+    out, pos = [], 0
+    while pos < len(text) or not out:
+        m = item.match(text, pos)
+        if m is None or (out and not m[1]):
+            raise ValueError(f"cannot read {text!r} at character {pos}")
+        out.append((-1 if m[1] == "-" else 1, m.groups()[1:]))
+        pos = m.end()
+    return out
+
+
 def _bracketing(text: str):
     """'(ab)c' -> ((0, 1), 2): each input letter becomes its position."""
     text = text.translate(str.maketrans("abc", "012"))
     return ast.literal_eval("(" + re.sub(r"(?<=[\d)])(?=[\d(])", ",", text) + ")")
 
 
+@functools.cache
 def _side(text: str) -> tuple:
-    """'(ab)c - a(bc)' -> ((1, ((0, 1), 2)), (-1, (0, (1, 2))))."""
-    terms = re.findall(r"([+-]?)\s*([abc()]+)", text)
-    return tuple((-1 if sign == "-" else 1, _bracketing(t)) for sign, t in terms)
+    """'(ab)c - a(bc)' -> ((1, ((0, 1), 2)), (-1, (0, (1, 2)))); '0' -> ()."""
+    if text.strip() == "0":
+        return ()
+    term = r"(\([abc]{2}\)[abc]|[abc]\([abc]{2}\)|[abc]{1,2})"  # a bracketing of up to 3 letters
+    return tuple((s, _bracketing(t)) for s, (t,) in _signed_terms(text, term))
 
 
 def _pairs(v):
@@ -640,9 +661,59 @@ def check_coalgebra(
 
 
 # ---------------------------------------------------------------------------
-# Bialgebra laws.  A finite coproduct Delta(x) is the series
-# coproduct_at(sym_delta, x) over Fin keys; the rows act on it with the
-# kernel's slot action, as the cocycle row does on completed series.
+# Bialgebra laws.
+
+# Each bialgebra law once, as (label, identity) rows: a signed sum of mixed
+# words in the inputs a, b that vanishes at every input pair.  D(w) is the
+# coproduct of w (an input or a product such as ab), ~D(w) its flip, and L(u)
+# (u times the leg) or R(u) (the leg times u) acts on the first leg when
+# written before D, on the second when written after it.  The PreLieBi rows
+# ask _ZETA, zeta(a, b), to be symmetric in a, b and under the flip.  The
+# cocycle's product is the Lie bracket.
+_ZETA = "D(ab) - L(a)D(b) - D(b)L(a) - D(a)R(b)"
+BI_PLANS = {
+    LawId.PermBi: (
+        ("pb1", "D(ab) - L(a)D(b) + R(a)D(b) - D(a)R(b)"),
+        ("pb2", "~D(a)R(b) - R(a)D(b)"),
+        ("pb3", "D(ab) - D(b)L(a) - L(b)D(a) + R(b)D(a) + L(b)~D(a) - R(b)~D(a)"),
+    ),
+    LawId.PreLieBi: (
+        ("plb-sym", _ZETA + " - D(ba) + L(b)D(a) + D(a)L(b) + D(b)R(a)"),
+        ("plb-flip", _ZETA + " - ~D(ab) + ~D(b)L(a) + L(a)~D(b) + R(b)~D(a)"),
+    ),
+    LawId.LieBiCocycle: (("cocycle", "D(ab) - L(a)D(b) - D(b)L(a) + L(b)D(a) + D(a)L(b)"),),
+}
+# A word's groups: the multiplication before D (L, R or None) and its factor,
+# '~' or '', D's input, and the multiplication after D and its factor.
+_WORD = r"(?:([LR])\(([ab])\))?(~?)D\(([ab]{1,2})\)(?:([LR])\(([ab])\))?"
+_BI_ROWS = {
+    law: [(label, _signed_terms(text, _WORD)) for label, text in rows]
+    for law, rows in BI_PLANS.items()
+}
+
+
+def bialgebra_residuals(law: LawId, x, y, product: Callable, delta: Callable) -> list:
+    """(label, residual 2-tensor) for each row of BI_PLANS[law] at a = x and
+    b = y, keys or patterns, through the symbolic product(p, q) -> [(Poly,
+    pattern)] and the coproduct series delta(z); each D(w) is read once."""
+    ins = {"a": x, "b": y}
+    ds = {"a": delta(x), "b": delta(y)}
+    out = []
+    for label, words in _BI_ROWS[law]:
+        templates = []
+        for s, (lm, lu, flip, w, rm, ru) in words:
+            if w not in ds:  # D of a product: delta at each output, scaled
+                pq = product(ins[w[0]], ins[w[1]])
+                ts = [(h, t) for h, z in pq for t in delta(z).templates]
+                ds[w] = TemplateSeries(2, (Template(t.vars, h * t.coeff, t.keys) for h, t in ts))
+            t = ds[w].flip_hat() if flip else ds[w]
+            for leg, m, u in ((0, lm, lu), (1, rm, ru)):
+                if m:
+                    side = "left" if m == "L" else "right"
+                    t = apply_product_slot(t, leg, product, pat_const(ins[u]), side)
+            templates += (t if s > 0 else -t).templates
+        out.append((label, TemplateSeries(2, templates)))
+    return out
 
 
 def check_bialgebra(
@@ -657,97 +728,39 @@ def check_bialgebra(
     window: Optional[Window] = None,
     margin: Optional[int] = None,
 ) -> CheckReport:
-    """PermBi / PreLieBi on finite tables, LieBiCocycle on windowed series.
+    """The rows of BI_PLANS[law] (see bialgebra_residuals).  PermBi and
+    PreLieBi read every pair of alg's basis keys, with delta_table or alg's
+    coproduct, and locate a violation by basis indices.
 
     LieBiCocycle lifts the inputs (x, y) into slots 0 and 1 (see
-    _lifted_violations), with Delta([x, y]) read through sym_bracket and
-    delta at each output.  When the lifted residuals collapse to nothing,
-    the cocycle condition holds at every pair of keys of those shapes, for
-    every N, and the report is the window's pass report; otherwise they are
-    enumerated once on the box.  A delta that cannot run on patterns is read
-    pair by pair, through sym_bracket at the keys.  bracket, the same
+    _lifted_violations), with the product sym_bracket.  When the lifted
+    residuals collapse to nothing, the cocycle condition holds at every pair
+    of keys of those shapes, for every N, and the report is the window's
+    pass report; otherwise they are enumerated once on the box.  A delta
+    that cannot run on patterns is read pair by pair.  bracket, the same
     bracket on keys, is not read.  A missing input raises ValueError."""
+    if law not in BI_PLANS:
+        raise ValueError(f"not a bialgebra law: {law}")
     rec = _Recorder()
-    if law in (LawId.PermBi, LawId.PreLieBi):
-        if alg is None:
-            raise ValueError(f"{law.value} needs alg")
-        work = alg if delta_table is None else replace(alg, delta=delta_table)
-        window = window or Window(0, 0)
-        xs = work.basis_keys()
-        ds = [coproduct_at(work.sym_delta, x) for x in xs]
-
-        def act(t, slot, i, side):
-            return apply_product_slot(t, slot, work.sym_product, pat_const(xs[i]), side)
-
-        def lmr(t, slot, i):
-            return act(t, slot, i, "left") - act(t, slot, i, "right")
-
-        def d_prod(i, j):
-            out = TemplateSeries.zero(2)
-            for k, c in work.mul.get((i, j), ()):
-                out = out + ds[k].scale(c)
-            return out
-
-        def zeta(i, j):
-            """Pre-Lie compatibility defect of the pair (e_i, e_j)."""
-            return (
-                d_prod(i, j)
-                - act(ds[j], 0, i, "left")
-                - act(ds[j], 1, i, "left")
-                - act(ds[i], 1, j, "right")
-            )
-
-        checked = 0
-        for i in range(work.dim):
-            for j in range(work.dim):
-                checked += 1
-                if law == LawId.PermBi:
-                    # x = e_i, y = e_j:
-                    # Delta(xy) = ((L-R)(x) (x) id) Delta(y) + (id (x) R(y)) Delta(x),
-                    # flip((R(y) (x) id) Delta(x)) = (R(x) (x) id) Delta(y),
-                    # Delta(xy) = (id (x) L(x)) Delta(y) + ((L-R)(y) (x) id)(1 - flip) Delta(x)
-                    di, dj, dij = ds[i], ds[j], d_prod(i, j)
-                    rows = (
-                        ("pb1", dij - lmr(dj, 0, i) - act(di, 1, j, "right")),
-                        ("pb2", act(di, 0, j, "right").flip_hat() - act(dj, 0, i, "right")),
-                        ("pb3", dij - act(dj, 1, i, "left") - lmr(di - di.flip_hat(), 0, j)),
-                    )
-                else:
-                    zij = zeta(i, j)
-                    rows = (("plb-sym", zij - zeta(j, i)), ("plb-flip", zij - zij.flip_hat()))
-                for label, res in rows:
-                    terms = _finite_terms(res)
-                    if terms:
-                        rec.add(label, (i, j), tuple(((a[2], b[2]), c) for (a, b), c in terms))
-        return CheckReport.build(law.value, window, checked, rec.items, rec.extra())
-
     if law == LawId.LieBiCocycle:
         if delta is None or sym_bracket is None or keys is None or window is None:
             raise ValueError("LieBiCocycle needs delta, sym_bracket, keys and window")
-        if margin is None:
-            margin = default_margin(law, graded=True)
-        window = Window(window.n, margin)
+        window = Window(window.n, default_margin(law, graded=True) if margin is None else margin)
         ks = list(keys)
-
-        def ad(t, x):
-            """(ad(x) (x) id + id (x) ad(x)) t."""
-            p = pat_const(x)
-            left = apply_product_slot(t, 0, sym_bracket, p, "left")
-            return left + apply_product_slot(t, 1, sym_bracket, p, "left")
-
-        def cocycle(x, y):
-            """Delta([x, y]) - ad(x) Delta(y) + ad(y) Delta(x), at keys or at
-            patterns."""
-            lhs = TemplateSeries.zero(2)
-            for h, z in sym_bracket(x, y):
-                dz = delta(z).templates
-                lhs = lhs + TemplateSeries(2, (Template(t.vars, h * t.coeff, t.keys) for t in dz))
-            return [("cocycle", lhs - ad(delta(y), x) + ad(delta(x), y))]
-
-        _lifted_violations(ks, 2, cocycle, window.n, rec)
+        residuals = functools.partial(bialgebra_residuals, law, product=sym_bracket, delta=delta)
+        _lifted_violations(ks, 2, residuals, window.n, rec)
         return CheckReport.build(law.value, window, len(ks) ** 2, rec.items, rec.extra())
-
-    raise ValueError(f"not a bialgebra law: {law}")
+    if alg is None:
+        raise ValueError(f"{law.value} needs alg")
+    work = alg if delta_table is None else replace(alg, delta=delta_table)
+    xs = work.basis_keys()
+    ds = {x: coproduct_at(work.sym_delta, x) for x in xs}
+    for x, y in itertools.product(xs, repeat=2):
+        for label, res in bialgebra_residuals(law, x, y, work.sym_product, ds.__getitem__):
+            if terms := _finite_terms(res):
+                rec.add(label, (x[2], y[2]), tuple(((a[2], b[2]), c) for (a, b), c in terms))
+    window = window or Window(0, 0)
+    return CheckReport.build(law.value, window, work.dim**2, rec.items, rec.extra())
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +785,18 @@ def _int(c):
     return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
+@functools.cache
 def _pairings(text: str) -> tuple:
     """'(ab|c) - (a|bc)' -> ((1, 'ab', 'c'), (-1, 'a', 'bc'))."""
-    terms = re.findall(r"([+-]?)\s*\((\w+)\|(\w+)\)", text)
-    return tuple((-1 if sign == "-" else 1, x, y) for sign, x, y in terms)
+    return tuple((s, x, y) for s, (x, y) in _signed_terms(text, r"\(([abc]+)\|([abc]+)\)"))
+
+
+# Every plan text is parsed once, at import (the parsers keep what they read),
+# so a malformed row raises here and not in a check.
+for _row in itertools.chain(*LAW_PLANS.values(), *_CO_PLANS.values()):
+    _side(_row[1]), _side(_row[2])
+for _row in itertools.chain(*FORM_PLANS.values()):
+    _pairings(_row[1])
 
 
 def _form_residuals(row, keys, form: Callable, product: Callable, rec: _Recorder) -> int:

@@ -401,6 +401,15 @@ class FiniteAlgebra:
     tri_right: Optional[dict] = None  # pre-perm right action u < v
     delta: Optional[dict] = None
 
+    def __post_init__(self):
+        """Refuse a table with an index outside range(dim): the table's keys
+        and every term's basis indices (all entries but the coefficient)."""
+        for name in ("mul", "tri_left", "tri_right", "delta"):
+            for at, terms in (getattr(self, name) or {}).items():
+                ixs = [*at] if isinstance(at, tuple) else [at]
+                if not all(i in range(self.dim) for i in ixs + [i for t in terms for i in t[:-1]]):
+                    raise ValueError(f"{self.id}: {name}[{at!r}] leaves range({self.dim})")
+
     def key(self, i: int):
         return fin(self.space, i)
 

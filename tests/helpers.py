@@ -1,7 +1,7 @@
-"""Helpers shared by the tests: random basis changes of finite tables, a
-matrix-vector product, pattern evaluation, a template series as JSON and the
-probe bank of acceptance criterion 5.  None of them is used by the package
-itself."""
+"""Helpers shared by the tests: random basis changes of finite tables and
+coproducts, a matrix-vector product, pattern evaluation, a template series
+as JSON and the probe bank of acceptance criterion 5.  None of them is used
+by the package itself."""
 
 import random
 from fractions import Fraction
@@ -45,6 +45,39 @@ def conjugated_table(mul: dict, s, dim: int) -> dict:
             terms = tuple((k, v) for k, v in enumerate(acc) if v)
             if terms:
                 out[(i, j)] = terms
+    return out
+
+
+def conjugated_delta(delta: dict, s, dim: int) -> dict:
+    """Transport a coproduct table through the basis change of conjugated_table."""
+    sinv = mat_inv(s)
+    out: dict = {}
+    for i in range(dim):
+        acc = {}
+        for a in range(dim):
+            for p, q, c in delta.get(a, ()) if s[a][i] else ():
+                for k in range(dim):
+                    for m in range(dim):
+                        acc[(k, m)] = acc.get((k, m), ZERO) + s[a][i] * c * sinv[k][p] * sinv[m][q]
+        terms = tuple((k, m, v) for (k, m), v in sorted(acc.items()) if v)
+        if terms:
+            out[i] = terms
+    return out
+
+
+def random_delta(rng, dim, lo=-2, hi=2, density=3):
+    """Seeded coproduct table: each (i, j, k) carries a term with chance
+    1/density, with a nonzero integer coefficient in [lo, hi]."""
+    out = {}
+    for i in range(dim):
+        terms = tuple(
+            (j, k, Fraction(rng.choice([v for v in range(lo, hi + 1) if v])))
+            for j in range(dim)
+            for k in range(dim)
+            if rng.randrange(density) == 0
+        )
+        if terms:
+            out[i] = terms
     return out
 
 

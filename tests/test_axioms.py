@@ -1,6 +1,7 @@
 """Law checkers: algebra, coalgebra, form, matched pair, O-operator."""
 
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -39,12 +40,14 @@ from permlie.families import (
     mat_inv,
     perm_p_family,
     random_table,
+    tensor_catalog,
     wn_codelta,
     wn_codelta_sym,
     wn_family,
 )
 from permlie import axioms, kernel
 from permlie.axioms import (
+    BI_PLANS,
     FORM_PLANS,
     LawId,
     _assemble_matched_pair,
@@ -67,12 +70,21 @@ from box_reference import support_by_solving
 from finite_reference import preperm_by_chains
 from permlie.affinize import delta_bullet_rule, induced_lie_bracket, pair_keys
 from permlie.cli import _perturbed_ats_delta, _perturbed_ats_product, _perturbed_ats_sym_co
+from permlie.ybe import coboundary_delta_perm, coboundary_delta_prelie
 from permlie.doubles import (
     canonical_dual_actions,
     dual_perm_algebra,
     restricted_dual_double,
 )
-from helpers import conjugated_table, criterion_5_bank, mat_vec, random_invertible
+from bialgebra_reference import check_bialgebra_by_hand
+from helpers import (
+    conjugated_delta,
+    conjugated_table,
+    criterion_5_bank,
+    mat_vec,
+    random_delta,
+    random_invertible,
+)
 
 F = Fraction
 ONE = F(1)
@@ -608,6 +620,29 @@ def _cocycle_oracle(bracket, delta, sym_bracket, keys, window):
     return _recorded(found, len(keys) ** 2)
 
 
+def _cocycle_cases():
+    """(name, alg, family, passes): ex-1p with its coproduct scaled at
+    random, on the ats family and on ats with the coefficient (i - j) of
+    its second t-branch raised by 1."""
+
+    def bad_sym(p, fresh):
+        out = delta_a_sym(p, fresh)
+        if p[0] == "Tee":
+            v, poly, pats = out[1]
+            out[1] = (v, poly + Poly.const(ONE), pats)
+        return out
+
+    rng = random.Random(12)
+    one = finite_catalog()["ex-1p"]
+    fam = ats_family()
+    bad = dataclasses.replace(fam, sym_co=bad_sym)
+    for _ in range(3):
+        c = F(rng.choice([-2, -1, 1, 2]))
+        alg = dataclasses.replace(one, delta={0: ((0, 0, c),)})
+        yield f"ex-1p*{c}", alg, fam, True
+        yield f"ex-1p*{c}:perturbed", alg, bad, False
+
+
 def _keys_only(delta):
     """delta refusing patterns, as a rule that branches on a slot value does."""
 
@@ -754,31 +789,9 @@ class TestCoLawOracle:
             check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=Window(2))
         )
 
-    def _cocycle_cases(self):
-        """(name, alg, family, passes): ex-1p with its coproduct scaled at
-        random, on the ats family and on ats with the coefficient (i - j) of
-        its second t-branch raised by 1."""
-
-        def bad_sym(p, fresh):
-            out = delta_a_sym(p, fresh)
-            if p[0] == "Tee":
-                v, poly, pats = out[1]
-                out[1] = (v, poly + Poly.const(ONE), pats)
-            return out
-
-        rng = random.Random(12)
-        one = finite_catalog()["ex-1p"]
-        fam = ats_family()
-        bad = dataclasses.replace(fam, sym_co=bad_sym)
-        for _ in range(3):
-            c = F(rng.choice([-2, -1, 1, 2]))
-            alg = dataclasses.replace(one, delta={0: ((0, 0, c),)})
-            yield f"ex-1p*{c}", alg, fam, True
-            yield f"ex-1p*{c}:perturbed", alg, bad, False
-
     def test_cocycle(self):
         window = Window(3, 2)
-        for name, alg, fam, passes in self._cocycle_cases():
+        for name, alg, fam, passes in _cocycle_cases():
             delta, _ = delta_bullet_rule(alg, fam)
             br, sbr = induced_lie_bracket(alg, fam)
             keys = pair_keys(alg, fam, window)
@@ -796,6 +809,108 @@ class TestCoLawOracle:
                 window=window,
             )
             assert _fields(rep) == oracle, name
+
+
+class TestBialgebraPlans:
+    """check_bialgebra, every row read off BI_PLANS by one evaluator, against
+    the rows written by hand in bialgebra_reference, field for field."""
+
+    @staticmethod
+    def _finite_cases():
+        """(dim, product table, coproduct table): a perm and a pre-Lie
+        bialgebra of dimension 2, and each summed with the one-dimensional
+        e e = e, Delta(e) = e (x) e, in a seeded random basis, alone and with
+        a random coproduct added; then random product and coproduct tables."""
+        cat, tens = finite_catalog(), tensor_catalog()
+        sd2, n2 = cat["ex-sd2"], cat["ex-prelie-n2"]
+        bases = [
+            (2, sd2.mul, coboundary_delta_perm(sd2, tens["r-sd2"][1])),
+            (2, n2.mul, coboundary_delta_prelie(n2, tens["r-prelie-n2"][1])),
+        ]
+        for _, mul, dt in list(bases):
+            bases.append((3, {**mul, (2, 2): ((2, ONE),)}, {**dt, 2: ((2, 2, ONE),)}))
+        rng = random.Random(26)
+        for dim, mul, dt in bases * 2:
+            s = random_invertible(rng, dim)
+            mul, dt = conjugated_table(mul, s, dim), conjugated_delta(dt, s, dim)
+            yield dim, mul, dt
+            extra = random_delta(rng, dim)
+            yield dim, mul, {i: dt.get(i, ()) + extra.get(i, ()) for i in range(dim)}
+        for dim in (2, 3, 2, 3):
+            yield dim, random_table(rng, dim, density=F(1, 3)), random_delta(rng, dim)
+
+    def test_finite_rows(self):
+        seen = set()
+        for n, (dim, mul, dt) in enumerate(self._finite_cases()):
+            alg = FiniteAlgebra(
+                id=f"bi{n}", space=f"BI{n}", dim=dim, labels=tuple("abc"[:dim]), kind="none",
+                mul=mul,
+            )
+            for law in (LawId.PermBi, LawId.PreLieBi):
+                rep = check_bialgebra(law, alg=alg, delta_table=dt)
+                by_hand = check_bialgebra_by_hand(law, alg=alg, delta_table=dt)
+                assert _fields(rep) == _fields(by_hand), (law, mul, dt)
+                seen.add((law, dim, rep.passed))
+        assert len(seen) == 8, seen  # each law passes and fails in dimensions 2 and 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cocycle_on_ex_1p_ats(self, n):
+        alg, fam = finite_catalog()["ex-1p"], ats_family()
+        delta, _ = delta_bullet_rule(alg, fam)
+        _, sbr = induced_lie_bracket(alg, fam)
+        args = dict(sym_bracket=sbr, keys=pair_keys(alg, fam, Window(n)), window=Window(n))
+        for d in (delta, _keys_only(delta)):  # on patterns, and pair by pair
+            rep = check_bialgebra(LawId.LieBiCocycle, delta=d, **args)
+            assert rep.passed
+            assert _fields(rep) == _fields(
+                check_bialgebra_by_hand(LawId.LieBiCocycle, delta=d, **args)
+            )
+
+    def test_failing_cocycle(self):
+        name, alg, fam, passes = next(c for c in _cocycle_cases() if not c[3])
+        delta, _ = delta_bullet_rule(alg, fam)
+        _, sbr = induced_lie_bracket(alg, fam)
+        window = Window(3, 2)
+        args = dict(sym_bracket=sbr, keys=pair_keys(alg, fam, window), window=window)
+        for d in (delta, _keys_only(delta)):
+            rep = check_bialgebra(LawId.LieBiCocycle, delta=d, **args)
+            assert not rep.passed and rep.violations, name
+            assert all(label == "cocycle" and res for label, _, res in rep.violations)
+            assert _fields(rep) == _fields(
+                check_bialgebra_by_hand(LawId.LieBiCocycle, delta=d, **args)
+            )
+
+
+class TestPlanParsers:
+    """Each plan parser reads the whole text or raises ValueError: a term it
+    skipped would leave a weaker law that still passes."""
+
+    def test_side(self):
+        assert axioms._side("(ab)c - a(bc)") == ((1, ((0, 1), 2)), (-1, (0, (1, 2))))
+        for text in ("(ab)c - a(bc) * (ba)c", "(ab)c - a(bc) + [ba]c", "abc", "(ab)c (ba)c"):
+            with pytest.raises(ValueError, match="cannot read"):
+                axioms._side(text)
+
+    def test_pairings(self):
+        assert axioms._pairings("(ab|c) - (a|bc)") == ((1, "ab", "c"), (-1, "a", "bc"))
+        with pytest.raises(ValueError, match="cannot read"):
+            axioms._pairings("(ab|c) - (a|bc) + (a|c b)")
+
+    def test_words(self):
+        words = functools.partial(axioms._signed_terms, term=axioms._WORD)
+        assert words("D(ab) - R(a)~D(b)L(b)") == [
+            (1, (None, None, "", "ab", None, None)),
+            (-1, ("R", "a", "~", "b", "L", "b")),
+        ]
+        for text in ("D(ab) - L(a)D(b) * D(a)", "D(ab) - L(a)L(b)D(b)", "D(abc)", "D(ab) -"):
+            with pytest.raises(ValueError, match="cannot read"):
+                words(text)
+
+    def test_every_plan_row_appears_once(self):
+        texts = [text for rows in BI_PLANS.values() for _, text in rows]
+        labels = [label for rows in BI_PLANS.values() for label, _ in rows]
+        assert labels == ["pb1", "pb2", "pb3", "plb-sym", "plb-flip", "cocycle"]
+        assert len(set(texts)) == len(texts)
 
 
 def _missing_input_cases():

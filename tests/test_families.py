@@ -41,8 +41,8 @@ from permlie.families import (
     wn_codelta,
     wn_family,
 )
-from permlie.axioms import LawId, check_algebra, check_preperm
-from permlie.doubles import restricted_dual_double
+from permlie.axioms import LawId, check_algebra, check_bialgebra, check_preperm
+from permlie.doubles import manin_double_from_bialgebra, restricted_dual_double
 from helpers import conjugated_table, pat_eval, random_invertible
 
 F = Fraction
@@ -344,6 +344,43 @@ class TestFiniteInputChecks:
         ones = ((F(1), F(1)), (F(1), F(1)))
         with pytest.raises(ValueError, match="basis change is singular"):
             conjugated_table(finite_catalog()["ex-sd2"].mul, ones, 2)
+
+    # A table entry that leaves range(dim) is refused where the table is
+    # built, so no check reads it: before, the first call passed, the second
+    # ended in an IndexError and the third passed on a key the basis lacks.
+    def test_bialgebra_delta_table_outside_the_basis(self):
+        with pytest.raises(ValueError, match=r"ex-1p: delta\[3\] leaves range\(1\)"):
+            check_bialgebra(
+                LawId.PermBi, alg=finite_catalog()["ex-1p"], delta_table={3: ((0, 0, F(1)),)}
+            )
+
+    def test_manin_double_delta_outside_the_basis(self):
+        with pytest.raises(ValueError, match=r"delta\[3\] leaves range\(1\)"):
+            manin_double_from_bialgebra(finite_catalog()["ex-1p"], {3: ((0, 0, F(1)),)})
+
+    def test_product_outside_the_basis(self):
+        with pytest.raises(ValueError, match=r"one: mul\[\(0, 0\)\] leaves range\(1\)"):
+            check_algebra(
+                LawId.Perm,
+                alg=FiniteAlgebra(
+                    id="one", space="O", dim=1, labels=("e",), kind="Perm",
+                    mul={(0, 0): ((4, F(1)),)},
+                ),
+            )
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            {"mul": {(0, 2): ((0, F(1)),)}},
+            {"tri_left": {(0, 0): ((2, F(1)),)}},
+            {"tri_right": {(-1, 0): ((0, F(1)),)}},
+            {"delta": {0: ((0, 2, F(1)),)}},
+        ],
+        ids=["mul-input", "tri_left-output", "tri_right-negative", "delta-leg"],
+    )
+    def test_every_table_index_is_checked(self, tables):
+        with pytest.raises(ValueError, match="leaves range"):
+            FiniteAlgebra(id="two", space="T", dim=2, labels=("a", "b"), kind="none", **tables)
 
     def test_sym_product_check_survives_python_O(self):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

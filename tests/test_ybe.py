@@ -52,7 +52,7 @@ from permlie.cli import _worked_cobracket_report
 
 from diagram_reference import worked_cobracket_by_points
 from finite_reference import r_sharp_closure
-from helpers import conjugated_table, random_invertible
+from helpers import conjugated_table, random_delta, random_invertible
 from ybe_reference import ThreeTensor, cybe_residual_by_loop, three_tensor_to_json
 
 F = Fraction
@@ -421,22 +421,6 @@ class TestPreLieBi:
             assert res and all(isinstance(i, int) for (ij, _) in res for i in ij)
 
 
-def _random_delta(rng, dim, lo=-2, hi=2, density=3):
-    """Seeded coproduct table: each (i, j, k) carries a term with chance
-    1/density, with a nonzero integer coefficient in [lo, hi]."""
-    out = {}
-    for i in range(dim):
-        terms = tuple(
-            (j, k, F(rng.choice([v for v in range(lo, hi + 1) if v])))
-            for j in range(dim)
-            for k in range(dim)
-            if rng.randrange(density) == 0
-        )
-        if terms:
-            out[i] = terms
-    return out
-
-
 def _random_r(rng, alg, symmetric=False):
     terms = []
     for i in range(alg.dim):
@@ -461,7 +445,7 @@ class TestPermBiMatchedPairOracle:
         seen = {True: 0, False: 0}
         while sum(seen.values()) < 200:
             alg = rng.choice(algs)
-            delta = _random_delta(rng, alg.dim, -1, 1, density=2)
+            delta = random_delta(rng, alg.dim, -1, 1, density=2)
             dual = dual_perm_algebra(alg, delta)
             if not check_algebra(LawId.Perm, alg=dual).passed:
                 continue
@@ -516,7 +500,7 @@ def _finite_outputs_payload():
         deltas += [coboundary_delta_perm(alg, _random_r(rng, alg, True)) for _ in range(3)]
         deltas += [coboundary_delta_prelie(alg, _random_r(rng, alg)) for _ in range(3)]
         while len(deltas) < 24:
-            deltas.append(_random_delta(rng, alg.dim, density=rng.choice((2, 3, 5))))
+            deltas.append(random_delta(rng, alg.dim, density=rng.choice((2, 3, 5))))
         for delta in deltas:
             out["bialgebra"].append(
                 [
