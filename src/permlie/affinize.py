@@ -3,7 +3,10 @@
 A Pair key always stores the finite-dimensional component on the left and the
 graded component on the right, whichever side of the tensor product the
 finite algebra sits on mathematically.  The induced bracket, the cobracket,
-and the probes below are all expressed through that layout.
+and the probes below are all expressed through that layout.  The algebra
+probe's Jacobi sweep runs the law's slot program (axioms._program) on the
+bracket's commutator words, once per finite triple and once per graded
+triple.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ from .kernel import (
 )
 from .families import FiniteAlgebra, GradedFamily
 from .axioms import (
-    LAW_PLANS,
     LawId,
     check_algebra,
     check_coalgebra,
     _holds_on_patterns,
     _int,
-    _side,
-    _terms,
+    _program,
+    _run,
 )
 
 
@@ -243,32 +245,19 @@ def _pair_jacobi_report(alg: FiniteAlgebra, family: GradedFamily, window: Window
     shapes, and a proof holds at every graded triple, in any window.  When
     the proof does not close, the window is swept.  Each bracket expands into
     product words, and a word on Pair keys is the same word on the finite
-    keys tensored with it on the graded keys.  The words share their
-    sub-words as steps, run once per finite triple and once per graded
-    triple; the sweep is graded-major and stops at the first violation."""
+    keys tensored with it on the graded keys.  The words compile into one
+    slot program (axioms._program), run once per finite triple and once per
+    graded triple; the sweep is graded-major and stops at the first
+    violation."""
     law = LawId.LieJacobi.value
     _, sym_bracket = induced_lie_bracket(alg, family)
     pkeys = pair_keys(alg, family, window)
     if _holds_on_patterns(LawId.LieJacobi, sym_bracket, pkeys):
         return CheckReport.build(law, window, len(pkeys) ** 3, [], {"violations_total": 0})
-    ((label, lhs, rhs),) = LAW_PLANS[LawId.LieJacobi]
-    slot_of: dict = {}  # (left slot, right slot) -> slot; slots 0, 1, 2 hold the inputs
-
-    def slot(w):
-        if w.__class__ is int:
-            return w
-        return slot_of.setdefault((slot(w[0]), slot(w[1])), 3 + len(slot_of))
-
-    words = [
-        (s * r, slot(w))
-        for s, t in _terms(_side(lhs), _side(rhs))
-        for r, w in _commutator_words(t)
-    ]
+    steps, ((label, words),), _ = _program(LawId.LieJacobi, _commutator_words)
 
     def run(inputs, mul):
-        vals = list(inputs)
-        for i, j in slot_of:
-            vals.append(mul(vals[i], vals[j]))
+        vals = _run(steps, list(inputs) + [None] * len(steps), mul)
         return [vals[w] for _, w in words]
 
     def one(ka, kb):

@@ -9,13 +9,18 @@ Windowed identities between completed tensors are decided by accumulating the
 full template support inside the window box, so a pass certifies the law for
 every probed input and every output key inside the box.
 
-The algebra laws are written once, in LAW_PLANS, and the co-laws and the
-matched-pair conditions are read from them: a co-law row is a law row with
-the coproduct in place of the product (_CO_PLANS; only CoLieJacobi keeps a
-row of its own), and each matched-pair condition is one summand's part of a
-Perm row of the assembled product (_MATCHED_PAIR_PLAN).  The bialgebra laws
-are written once, in BI_PLANS, as sums of mixed words that one evaluator
-(bialgebra_residuals) reads at finite keys, at Pair keys and at patterns.
+The algebra laws are written once, in LAW_PLANS, and each law's rows compile
+once into a slot program (_program): slots 0..last hold the inputs, and each
+distinct product of two sub-bracketings is one step.  One program is run by
+the cube over key tuples (_law_residuals), by the pattern proof over shape
+tuples (_holds_on_patterns), and by affinize's Pair-key Jacobi sweep.  The
+co-laws and the matched-pair conditions are read from the same rows: a co-law
+row is a law row with the coproduct in place of the product (_CO_PLANS; only
+CoLieJacobi keeps a row of its own), and each matched-pair condition is one
+summand's part of a Perm row of the assembled product (_MATCHED_PAIR_PLAN).
+The bialgebra laws are written once, in BI_PLANS, as sums of mixed words that
+one evaluator (bialgebra_residuals) reads at finite keys, at Pair keys and at
+patterns.
 
 Pattern proofs share one lift (_lifted): each input is a pattern of its key
 shape with a fresh variable in every slot, and the residual at a tuple of
@@ -37,7 +42,6 @@ from __future__ import annotations
 import ast
 import functools
 import itertools
-import operator
 import re
 from dataclasses import replace
 from enum import Enum
@@ -198,36 +202,73 @@ def _side(text: str) -> tuple:
     return tuple((s, _bracketing(t)) for s, (t,) in _signed_terms(text, term))
 
 
-def _pairs(v):
-    return zip(v[::2], v[1::2])
-
-
-def _vector(acc: dict) -> tuple:
-    return tuple(x for kc in sorted(acc.items()) if kc[1] for x in kc)
-
-
-def _axpy(x, y, s):
-    """x + s y."""
-    acc = dict(_pairs(x))
-    for k, c in _pairs(y):
-        acc[k] = acc.get(k, 0) + s * c
-    return _vector(acc)
-
-
-def _plan(law: LawId):
-    """(rows, last): the (label, lhs, rhs) rows of LAW_PLANS[law] with both
-    sides parsed, and the position of the law's last input."""
-    plan = LAW_PLANS.get(law)
-    if plan is None:
-        raise ValueError(f"not an algebra law: {law}")
-    rows = [(label, _side(lhs), _side(rhs)) for label, lhs, rhs in plan]
-    last = max("abc".index(ch) for _, lhs, rhs in plan for ch in lhs + rhs if ch in "abc")
-    return rows, last
+def _int(c):
+    """An integral Fraction as an int: exact, and faster to add and multiply."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
 def _terms(lhs, rhs) -> tuple:
     """The signed bracketings of lhs - rhs."""
     return lhs + tuple((-s, t) for s, t in rhs)
+
+
+def _slot(t, steps: dict, last: int) -> int:
+    """The slot of bracketing t, adding a step for each product not yet in
+    steps ({(i, j): k}, slot k holding the product of slots i and j)."""
+    if t.__class__ is int:
+        return t
+    ij = (_slot(t[0], steps, last), _slot(t[1], steps, last))
+    return steps.setdefault(ij, last + 1 + len(steps))
+
+
+@functools.cache
+def _program(law: LawId, words: Optional[Callable] = None) -> tuple:
+    """(steps, rows, last): the rows of LAW_PLANS[law] compiled into one slot
+    program.  Slots 0..last hold the inputs, last being the position of the
+    law's last input.  Each distinct product of two sub-bracketings is one
+    step (k, i, j), slot k holding the product of slots i and j; the steps
+    are numbered in order, so a step reads only the slots before it.  rows
+    lists (label, ((sign, slot), ...)), the signed bracketings of lhs - rhs.
+    words(t), when given, first rewrites each bracketing t as a list of
+    signed bracketings."""
+    plan = LAW_PLANS.get(law)
+    if plan is None:
+        raise ValueError(f"not an algebra law: {law}")
+    last = max("abc".index(ch) for _, lhs, rhs in plan for ch in lhs + rhs if ch in "abc")
+    words = words or (lambda t: ((1, t),))
+    steps: dict = {}
+    rows = []
+    for label, lhs, rhs in plan:
+        terms = [(s * r, w) for s, t in _terms(_side(lhs), _side(rhs)) for r, w in words(t)]
+        rows.append((label, tuple((s, _slot(w, steps, last)) for s, w in terms)))
+    return tuple((k, i, j) for (i, j), k in steps.items()), tuple(rows), last
+
+
+def _run(steps, vals: list, mul: Callable) -> list:
+    """Fill the slots of vals by the steps (k, i, j) of a _program."""
+    for k, i, j in steps:
+        vals[k] = mul(vals[i], vals[j])
+    return vals
+
+
+def _mul(product: Callable, zero, x: dict, y: dict) -> dict:
+    """The product of vectors x and y, {key: coeff}, through product(p, q) ->
+    [(coeff, key)]; zero is the coefficients' zero."""
+    out: dict = {}
+    for p, f in x.items():
+        for q, g in y.items():
+            for h, z in product(p, q):
+                out[z] = out.get(z, zero) + f * g * h
+    return out
+
+
+def _signed_sum(terms, vals: list, zero) -> dict:
+    """The sum of sign times vals[slot] over the (sign, slot) terms of a row."""
+    acc: dict = {}
+    for s, k in terms:
+        for z, c in vals[k].items():
+            acc[z] = acc.get(z, zero) + c * s
+    return acc
 
 
 def _shape_walk(keys, arity: int):
@@ -277,36 +318,23 @@ def _holds_on_patterns(law: LawId, sym_product: Callable, keys) -> bool:
     """True when every row of LAW_PLANS[law] vanishes on patterns, so the law
     holds at every input tuple of the keys' shapes, whatever their slots.
 
-    Each row is evaluated at the input patterns of _lifted through
-    sym_product(p, q) -> [(Poly, pattern)] (a family's sym_product, or the
-    symbolic rule of an induced bracket), as a series of arity 1 with one
-    template per output pattern.  The walk stops at the first shape tuple
-    whose lifted rows do not collapse to nothing (the terms may still cancel
-    at the given keys).  False then, or when the rule cannot run on patterns
-    (TypeError).
+    The law's slot program (_program) runs at the input patterns of _lifted,
+    each value a vector {output pattern: Poly} and each step a product
+    through sym_product(p, q) -> [(Poly, pattern)] (a family's sym_product,
+    or the symbolic rule of an induced bracket); each row is then a series
+    of arity 1 with one template per output pattern.  The walk stops at the
+    first shape tuple whose lifted rows do not collapse to nothing (the
+    terms may still cancel at the given keys).  False then, or when the rule
+    cannot run on patterns (TypeError).
     """
-    rows, last = _plan(law)
-    rows = [(label, _terms(lhs, rhs)) for label, lhs, rhs in rows]
-
-    def ev(t, pats) -> dict:
-        """Bracketing t at the input patterns: {output pattern: Poly}."""
-        if t.__class__ is int:
-            return {pats[t]: Poly.const(1)}
-        out: dict = {}
-        right = ev(t[1], pats)
-        for p, f in ev(t[0], pats).items():
-            for q, g in right.items():
-                for h, z in sym_product(p, q):
-                    out[z] = out.get(z, Poly()) + f * g * h
-        return out
+    steps, rows, last = _program(law)
+    mul = functools.partial(_mul, sym_product, Poly())
 
     def residuals(*pats):
+        vals = _run(steps, [{p: Poly.const(1)} for p in pats] + [None] * len(steps), mul)
         out = []
         for label, terms in rows:
-            acc: dict = {}  # {output pattern: Poly}, so a cancelled row lifts to nothing
-            for s, t in terms:
-                for z, c in ev(t, pats).items():
-                    acc[z] = acc.get(z, Poly()) + c * s
+            acc = _signed_sum(terms, vals, Poly())  # a cancelled row lifts to nothing
             out.append((label, TemplateSeries(1, (Template((), c, (z,)) for z, c in acc.items()))))
         return out
 
@@ -317,160 +345,58 @@ def _holds_on_patterns(law: LawId, sym_product: Callable, keys) -> bool:
 
 
 def _law_residuals(law: LawId, keys, terms: Callable, rec: _Recorder) -> int:
-    """Evaluate every row of LAW_PLANS[law] on all input tuples over keys.
+    """Run the slot program of LAW_PLANS[law] (_program) on every input tuple
+    over keys, recording each row that does not vanish, in tuple order and
+    rows in plan order.
 
-    terms(ka, kb) lists the (key, coeff) terms of the product ka kb.  Every
-    input but the last is fixed in turn; each side then becomes a list over
-    the last input, built from memoised product rows and columns, and the
-    two lists are compared in one step.  Residuals are built only where they
-    differ.
-
-    A vector is the flat tuple k1, c1, k2, c2, ... of its key indices and
-    nonzero coefficients, sorted by index, so equal vectors compare equal.
-    Integer coefficients are kept as ints (still exact); residuals wrap them
-    back into Fractions.
+    terms(ka, kb) lists the (key, coeff) terms of the product ka kb.  A value
+    is a vector {key index: coeff}: input i is {i: 1}, the product of keys i
+    and j is memoised by (i, j), and an output off the key list is appended
+    to it.  Steps that omit the last input run once per prefix of the other
+    inputs, the rest once per tuple.  Integral coefficients are kept as ints
+    (still exact); residuals wrap them back into Fractions.
     """
-    rows, last = _plan(law)
+    steps, rows, last = _program(law)
     ks = list(keys)
     n = len(ks)
     index: dict = {}  # a repeated input key keeps its first index
     for i, k in enumerate(ks):
         index.setdefault(k, i)
-    prod_rows: dict = {}  # i -> [product of key i with input j, for each j]
-    prod_cols: dict = {}  # j -> [product of input i with key j, for each i]
-    prod_far: dict = {}  # (i, j) -> product, for j past the inputs
-    zeros = [()] * n
 
-    def vec(ka, kb):
-        acc = {}
-        for k, c in terms(ka, kb):
-            if c.__class__ is Fraction and c.denominator == 1:
-                c = c.numerator
-            i = index.get(k)
-            if i is None:
-                i = index[k] = len(ks)
-                ks.append(k)
-            acc[i] = c
-        return _vector(acc)
-
-    def row(i):
-        r = prod_rows.get(i)
-        if r is None:
-            ki = ks[i]
-            r = prod_rows[i] = [vec(ki, kj) for kj in ks[:n]]
-        return r
-
-    def col(j):
-        r = prod_cols.get(j)
-        if r is None:
-            r = prod_cols[j] = [prod(i, j) for i in range(n)]
-        return r
-
-    def prod(i, j):
-        if j < n:
-            return row(i)[j]
-        r = prod_far.get((i, j))
-        if r is None:
-            r = prod_far[(i, j)] = vec(ks[i], ks[j])
-        return r
-
-    def mul(x, y):
-        acc: dict = {}
-        for i, f in _pairs(x):
-            for j, g in _pairs(y):
-                for k, h in _pairs(prod(i, j)):
-                    acc[k] = acc.get(k, 0) + f * g * h
-        return _vector(acc)
-
-    # mul and _axpy over whole lists, with the single-term case inline:
-    # these loops run for every input tuple.
-    def times(x, vs, right=False):
-        """[x v for v in vs], or [v x for v in vs] when right."""
-        m = (lambda x, v: mul(v, x)) if right else mul
-        if len(x) != 2:
-            return [m(x, v) for v in vs]
-        i, f = x
-        r = col(i) if right else row(i)
+    @functools.cache
+    def product(i, j) -> tuple:
         out = []
-        for v in vs:
-            if len(v) != 2:
-                out.append(v and m(x, v))
-                continue
-            j, g = v
-            p = r[j] if j < n else (prod(j, i) if right else prod(i, j))
-            g *= f
-            if g != 1 and p:
-                p = (p[0], g * p[1]) if len(p) == 2 else m(x, v)
-            out.append(p)
-        return out
+        for k, c in terms(ks[i], ks[j]):
+            if c:
+                if k not in index:
+                    index[k] = len(ks)
+                    ks.append(k)
+                out.append((_int(c), index[k]))
+        return tuple(out)
 
-    def plus(us, vs, s):
-        if us is zeros and s == 1:
-            return vs
-        out = []
-        for u, v in zip(us, vs):
-            if not v:
-                out.append(u)
-            elif not u and len(v) == 2:
-                out.append(v if s == 1 else (v[0], s * v[1]))
-            elif len(u) == len(v) == 2 and u[0] == v[0]:
-                c = u[1] + s * v[1]
-                out.append((u[0], c) if c else ())
-            else:
-                out.append(_axpy(u, v, s))
-        return out
-
-    def ev(t, fixed):
-        """Bracketing t at the fixed inputs: a vector if t omits the last
-        input, else a list of vectors over it."""
-        if t.__class__ is int:
-            return (fixed[t], 1)
-        left, right = t
-        if right == last:
-            acc = zeros
-            for i, f in _pairs(ev(left, fixed)):
-                acc = plus(acc, row(i), f)
-            return acc
-        if left == last:
-            acc = zeros
-            for j, g in _pairs(ev(right, fixed)):
-                acc = plus(acc, col(j), g)
-            return acc
-        x, y = ev(left, fixed), ev(right, fixed)
-        if x.__class__ is list:
-            return times(y, x, right=True)
-        if y.__class__ is list:
-            return times(x, y)
-        return mul(x, y)
-
-    def side(summands, fixed):
-        acc = zeros
-        for s, t in summands:
-            acc = plus(acc, ev(t, fixed), s)
-        return acc
-
-    checked = 0
-    for fixed in itertools.product(range(n), repeat=last):
-        checked += n
-        found = []
-        for r, (label, lhs, rhs) in enumerate(rows):
-            lv, rv = side(lhs, fixed), side(rhs, fixed)
-            if lv == rv:
-                continue
-            if len(rec.items) == rec.cap:  # nothing more is kept: count only
-                rec.total += sum(map(operator.ne, lv, rv))
-            else:
-                found.extend((c, r, label, lv[c], rv[c]) for c in range(n) if lv[c] != rv[c])
-        if len(rows) > 1:
-            found.sort(key=lambda f: f[:2])
-        for c, _, label, lc, rc in found:
-            at = tuple(ks[i] for i in fixed) + (ks[c],)
-            diff = _pairs(_axpy(lc, rc, -1))
-            rec.add(label, at, tuple(sorted((ks[k], Fraction(v)) for k, v in diff)))
-    # ev reaches itself through its closure: unbinding it frees the product
-    # memo now, not at the next full garbage collection.
-    del ev
-    return checked
+    mul = functools.partial(_mul, product, 0)
+    reads_last = {last}  # the slots whose value reads the last input
+    for k, i, j in steps:
+        if i in reads_last or j in reads_last:
+            reads_last.add(k)
+    head, tail = ([st for st in steps if (st[0] in reads_last) == t] for t in (False, True))
+    vals: list = [None] * (last + 1 + len(steps))
+    for prefix in itertools.product(range(n), repeat=last):
+        vals[:last] = ({i: 1} for i in prefix)
+        _run(head, vals, mul)
+        for c in range(n):
+            vals[last] = {c: 1}
+            _run(tail, vals, mul)
+            for label, row in rows:
+                res = _signed_sum(row, vals, 0)
+                if not any(res.values()):
+                    continue
+                if len(rec.items) == rec.cap:  # nothing more is kept: count only
+                    rec.total += 1
+                    continue
+                at = tuple(ks[i] for i in prefix) + (ks[c],)
+                rec.add(label, at, tuple(sorted((ks[k], Fraction(v)) for k, v in res.items() if v)))
+    return n ** (last + 1)
 
 
 def check_algebra(
@@ -498,13 +424,12 @@ def check_algebra(
             return () if r is None else ((r[1], r[0]),)
 
     else:
-        if alg is not None:
+        if alg is not None:  # the call with product=alg.product, keys=alg.basis_keys()
             product = alg.product
-            if keys is None:
-                keys = alg.basis_keys()
-        elif product is None or keys is None:
+            keys = alg.basis_keys() if keys is None else keys
+        if product is None or keys is None:
             raise ValueError("need family, alg, or product+keys")
-        elif margin is not None:
+        if margin is not None:
             window = Window((window or Window(0, 0)).n, margin)
         window = window or Window(0, 0)
 
@@ -513,7 +438,7 @@ def check_algebra(
 
     rec = _Recorder()
     if family is not None and _holds_on_patterns(law, family.sym_product, keys):
-        checked = len(keys) ** (_plan(law)[1] + 1)
+        checked = len(keys) ** (_program(law)[2] + 1)
     else:
         checked = _law_residuals(law, keys, terms, rec)
     return CheckReport.build(law.value, window, checked, rec.items, rec.extra())
@@ -778,11 +703,6 @@ FORM_PLANS = {
     LawId.ManinLieB: (("symmetric", "(a|b) - (b|a)"), ("invariance", "(ab|c) - (a|bc)")),
     LawId.SymplecticLie: (_SKEW, ("closed", "(ab|c) + (bc|a) + (ca|b)")),
 }
-
-
-def _int(c):
-    """An integral Fraction as an int: exact, and faster to add and multiply."""
-    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
 @functools.cache

@@ -61,6 +61,7 @@ from .axioms import (
     LawId,
     _assemble_matched_pair,
     _gram_rank,
+    _Recorder,
     _int,
     _pairings,
     check_algebra,
@@ -192,7 +193,7 @@ class ManinData:
 def _halves_report(label, keys1, keys2, product, form, member1, window):
     """Each half closed under the product and isotropic for the form; member1
     tells the first half's keys, the second half holds every other key."""
-    violations = []
+    rec = _Recorder()
     checked = 0
     member2 = lambda k: not member1(k)
     for keys, member, name in ((keys1, member1, "half1"), (keys2, member2, "half2")):
@@ -201,13 +202,11 @@ def _halves_report(label, keys1, keys2, product, form, member1, window):
                 checked += 2
                 for k, c in product(x, y).items():
                     if not member(k):
-                        violations.append((f"{name}-closure", (x, y), ((k, c),)))
+                        rec.add(f"{name}-closure", (x, y), ((k, c),))
                 v = form(x, y)
                 if v:
-                    violations.append((f"{name}-isotropy", (x, y), ((("scalar",), v),)))
-    return CheckReport.build(
-        label, window, checked, violations, {"violations_total": len(violations)}
-    )
+                    rec.add(f"{name}-isotropy", (x, y), ((("scalar",), v),))
+    return CheckReport.build(label, window, checked, rec.items, rec.extra())
 
 
 def dual_perm_algebra(alg: FiniteAlgebra, delta: Optional[dict] = None) -> FiniteAlgebra:

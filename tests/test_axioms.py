@@ -24,6 +24,7 @@ from permlie.kernel import (
     key_shape,
     key_slots,
     mono,
+    pair,
     pat_const,
     tee,
     with_slots,
@@ -74,9 +75,11 @@ from permlie.ybe import coboundary_delta_perm, coboundary_delta_prelie
 from permlie.doubles import (
     canonical_dual_actions,
     dual_perm_algebra,
+    manin_double_from_bialgebra,
     restricted_dual_double,
 )
 from bialgebra_reference import check_bialgebra_by_hand
+from law_cube_reference import law_residuals_by_cube
 from helpers import (
     conjugated_delta,
     conjugated_table,
@@ -102,6 +105,15 @@ class TestAlgebraPaths:
     def test_alg_path(self):
         rep = check_algebra(LawId.Perm, alg=finite_catalog()["ex-sd2"])
         assert rep.passed
+
+    @pytest.mark.parametrize("margin", [None, 0, 2])
+    def test_alg_path_is_the_product_keys_call(self, margin):
+        for alg in (finite_catalog()["ex-sd2"], finite_catalog()["ex-bad2"]):
+            rep = check_algebra(LawId.Perm, alg=alg, margin=margin)
+            by_keys = check_algebra(
+                LawId.Perm, product=alg.product, keys=alg.basis_keys(), margin=margin
+            )
+            assert rep == by_keys and rep.margin == (margin or 0), alg.id
 
     def test_product_keys_path(self):
         fam = ats_family()
@@ -348,6 +360,92 @@ def _perturbations(draw):
     skew = draw(st.booleans())
     law = draw(st.sampled_from(ALGEBRA_LAWS))
     return law, _shape_perturbed(fam, signs, scale, offsets, moved, skew)
+
+
+def _lift_bracket_cases():
+    """(window, law, bracket, keys) for the Manin lift of ex-1p's double
+    through ats at Window(3) and Window(4): its Pair-key bracket, whose
+    products have several terms, on the interior keys of each algebra law
+    at its default margin (LieSkew and LieJacobi pass, the others fail)."""
+    fam = ats_family()
+    double = manin_double_from_bialgebra(finite_catalog()["ex-1p"]).total
+    bracket, _ = induced_lie_bracket(double, fam)
+    out = []
+    for n in (3, 4):
+        for law in ALGEBRA_LAWS:
+            window = Window(n, axioms.default_margin(law, graded=True))
+            keys = [pair(f, g) for f in double.basis_keys() for g in fam.interior_keys(window, law.value)]
+            out.append((window, law, bracket, keys))
+    return out
+
+
+class TestLawCubeReference:
+    """check_algebra and check_matched_pair against the hand-vectorized cube
+    they ran before the slot program (law_cube_reference), field for field,
+    including violations_total and truncation."""
+
+    @pytest.fixture
+    def same(self, monkeypatch):
+        def check(call):
+            rep = call()
+            with monkeypatch.context() as m:
+                m.setattr(axioms, "_law_residuals", law_residuals_by_cube)
+                assert rep == call()
+            return rep
+
+        return check
+
+    def test_random_tables(self, same):
+        # every third table is a random basis change of a perm or a pre-Lie
+        # table (plus e e = e in dimension 3), the others are random
+        rng = random.Random(2707)
+        cat = finite_catalog()
+        laws = [cat["ex-sd2"].mul, cat["ex-prelie-n2"].mul]
+        bases = {2: laws, 3: [{**mul, (2, 2): ((2, ONE),)} for mul in laws]}
+        seen = set()
+        for t in range(30):
+            d = 2 + t % 2
+            if t % 3 == 0:
+                mul = conjugated_table(rng.choice(bases[d]), random_invertible(rng, d), d)
+            else:
+                mul = random_table(rng, d)
+            alg = FiniteAlgebra(
+                id=f"rand{t}", space=f"R{t}", dim=d, labels=tuple("abc"[:d]), kind="none", mul=mul
+            )
+            for law in ALGEBRA_LAWS:
+                seen.add((d, same(lambda: check_algebra(law, alg=alg)).passed))
+        assert seen == {(2, True), (2, False), (3, True), (3, False)}
+
+    @pytest.mark.parametrize("law", ALGEBRA_LAWS)
+    def test_perturbed_ats_product_past_the_cap(self, same, law):
+        # 18 interior keys, whose products leave the key list
+        keys = ats_family().interior_keys(Window(4), LawId.PreLie.value)
+        assert len(keys) == 18
+        rep = same(lambda: check_algebra(law, product=_perturbed_ats_product, keys=keys))
+        assert rep.extra["violations_total"] > 25 and rep.extra["violations_truncated"]
+
+    def test_lift_bracket(self, same):
+        passed = set()
+        for window, law, bracket, keys in _lift_bracket_cases():
+            rep = same(lambda: check_algebra(law, product=bracket, keys=keys, window=window))
+            if rep.passed:
+                passed.add(law)
+        assert passed == {LawId.LieSkew, LawId.LieJacobi}
+
+    def test_repeated_keys(self, same):
+        ats = ats_family()
+        for alg in finite_catalog().values():
+            keys = alg.basis_keys()
+            for law in ALGEBRA_LAWS:
+                same(lambda: check_algebra(law, product=alg.product, keys=keys + keys[:1]))
+        keys = ats.keys(Window(1))
+        for law in ALGEBRA_LAWS:
+            rep = same(lambda: check_algebra(law, product=_perturbed_ats_product, keys=keys + keys[::2]))
+            assert not rep.passed
+
+    def test_matched_pairs(self, same):
+        for name, alg1, alg2, actions in _matched_pair_inputs():
+            same(lambda: check_matched_pair(alg1, alg2, *actions))
 
 
 class TestPatternCertificate:

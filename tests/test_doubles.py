@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from permlie.kernel import (
+    CheckReport,
     Window,
     fin,
     forced_zero_columns,
@@ -493,6 +494,27 @@ class TestLieLift:
         ref = diagram_by_points(md, bad, 3)
         assert not fast.passed and len(fast.violations) > 1
         assert canonical_json(report_to_json(fast)) == canonical_json(report_to_json(ref))
+
+
+    def test_halves_keep_the_first_25_violations(self):
+        # ats at N=3 split by the parity of the exponent: neither half is
+        # closed, and the odd half is not isotropic
+        fam = ats_family()
+        keys = fam.keys(Window(3))
+        even = lambda k: k[1] % 2 == 0
+        halves = ([k for k in keys if even(k)], [k for k in keys if not even(k)])
+        found = []
+        for name, half, member in (("half1", halves[0], even), ("half2", halves[1], lambda k: not even(k))):
+            for x, y in itertools.product(half, repeat=2):
+                found += [(f"{name}-closure", (x, y), ((k, c),)) for k, c in fam.product(x, y).items() if not member(k)]
+                if v := fam.form(x, y):
+                    found.append((f"{name}-isotropy", (x, y), ((("scalar",), v),)))
+        assert len(found) == 35
+        rep = D._halves_report("split", *halves, fam.product, fam.form, even, Window(3))
+        assert rep == CheckReport.build(
+            "split", Window(3), 2 * sum(len(h) ** 2 for h in halves),
+            found[:25], {"violations_total": 35, "violations_truncated": True},
+        )
 
 
 class TestRestrictedDual:
