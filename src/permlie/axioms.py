@@ -147,6 +147,14 @@ class _Recorder:
         if len(self.items) < self.cap:
             self.items.append((label, at, residual))
 
+    def past_cap(self) -> bool:
+        """True, counting one more violation, when the cap is reached: the
+        caller then builds nothing for it (add would only count it)."""
+        if len(self.items) < self.cap:
+            return False
+        self.total += 1
+        return True
+
     def extra(self) -> dict:
         out = {"violations_total": self.total}
         if self.total > len(self.items):
@@ -391,8 +399,7 @@ def _law_residuals(law: LawId, keys, terms: Callable, rec: _Recorder) -> int:
                 res = _signed_sum(row, vals, 0)
                 if not any(res.values()):
                     continue
-                if len(rec.items) == rec.cap:  # nothing more is kept: count only
-                    rec.total += 1
+                if rec.past_cap():
                     continue
                 at = tuple(ks[i] for i in prefix) + (ks[c],)
                 rec.add(label, at, tuple(sorted((ks[k], Fraction(v)) for k, v in res.items() if v)))
@@ -512,7 +519,7 @@ def _lifted_violations(keys: list, arity: int, residuals: Callable, box: int, re
     lifted series that does not is enumerated once on the box, when the
     walk over the tuples first reaches its shapes, and its points are
     grouped in one pass by their leading input slots, as one list of (other
-    slots, coefficient) per input tuple that is sorted when it is recorded;
+    slots, coefficient) per input tuple that is sorted when rec keeps it;
     the groups are dropped after the last tuple of those shapes.  When the
     rule cannot run on patterns (TypeError), or a live series meets a key
     with a slot outside the box, the residuals are read at the keys, tuple
@@ -527,7 +534,7 @@ def _lifted_violations(keys: list, arity: int, residuals: Callable, box: int, re
         for xs in itertools.product(keys, repeat=arity):
             for label, res in residuals(*xs):
                 support = res.support_in_box(box)
-                if support:
+                if support and not rec.past_cap():
                     rec.add(label, xs, tuple(sorted(support.items())))
         return
     shape = [key_shape(k) for k in keys]
@@ -547,7 +554,7 @@ def _lifted_violations(keys: list, arity: int, residuals: Callable, box: int, re
         xs = tuple(keys[i] for i in at)
         for label, by_input in rows:
             support = by_input.get(xs)
-            if support:
+            if support and not rec.past_cap():
                 support.sort()
                 rec.add(label, xs, tuple(support))
         if last[shapes] == n:

@@ -18,6 +18,8 @@ forms on derivation families.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import math
 import os
@@ -638,43 +640,59 @@ def _form_search_blocks(fam: GradedFamily, keys, weight, mirrors=()) -> tuple:
     """(skipped triples, built, blocks) of the triple row of
     FORM_PLANS[QuadPreLieForm] on the skew form values over keys.  built maps
     the least triple weight W of each mirror orbit, in order, to its count of
-    triples before those leaving keys; blocks(ws) yields (W, rows sorted by
-    length, one key permutation per distinct image of W) for each W of ws
-    that has rows (see invariant_form_search).
+    triples before those leaving keys; blocks(ws) yields (W, rows, one key
+    permutation per distinct image of W) for each W of ws that has rows (see
+    invariant_form_search).  Weights are tuples; inside, each is packed into
+    one int for the table and block lookups.
 
     The value w(keys[i], keys[j]), i < j, is unknown i m + j; w(y, x) is
-    -w(x, y) and w(x, x) is 0.  A row is divided by its gcd, signed so that its
-    lead entry is positive, and kept once.  The split needs the product to be
-    homogeneous for weight (tuples): ValueError where it is not.  A mirror
-    (s, key map) is kept only where it permutes keys, maps the products on and
-    off keys, and maps each key's weight w to w o s."""
+    -w(x, y) and w(x, x) is 0, no term.  A triple (a, b, c) off the skipped
+    ones gives the row {unknown: int} of its pairings, read off the tables
+    with c the outer loop.  A row of one term is {unknown: 1}.  A longer row
+    is divided by the gcd of its entries, signed so that its least unknown's
+    entry is positive, and kept by its set of items.  Each distinct row is
+    kept once: a block's rows are its one-term rows, then its longer rows by
+    length, each in the order first built, so each one-term row kills its
+    column at once in the reduction.  The split needs the product to be
+    homogeneous for weight: ValueError where it is not.  A mirror (s, key
+    map) is kept only where it permutes keys, maps the products on and off
+    keys, and maps each key's weight w to w o s."""
     _, text = FORM_PLANS[LawId.QuadPreLieForm][1]
     index = {k: i for i, k in enumerate(keys)}
     m, full = len(keys), (1 << len(keys)) - 1
     wt = [weight(k) for k in keys]
-    plus = lambda u, v, s=1: tuple(x + s * y for x, y in zip(u, v))
-    # table[i, j]: ((index, int coeff),) of keys[i] keys[j] where on keys, a product
-    # table.  Bit c of off[i] (off[m + i]): keys[i] keys[c] (keys[c] keys[i]) leaves keys.
-    table, off = {}, [0] * (2 * m)
+    plus = lambda u, v: tuple(x + y for x, y in zip(u, v))
+    # pw[i]: wt[i] packed as the sum of w[i] base^(n-1-i).  No entry of a key weight
+    # exceeds base / 8, so two signed sums of up to four key weights pack alike only
+    # where they are equal: a pair weight, and a triple weight less a key weight.
+    base = 8 * max(abs(x) for u in wt for x in u) + 1
+    pack = lambda u: sum(x * base**i for i, x in enumerate(reversed(u)))
+    pw = [pack(u) for u in wt]
+    # table[i, j]: ((index, int coeff),) of keys[i] keys[j] where on keys, a product table;
+    # outside: the (i, j) where it leaves keys.  Bit c of off[i] (off[m + i]): keys[i] keys[c]
+    # (keys[c] keys[i]) leaves keys.
+    table, outside, off = {}, set(), [0] * (2 * m)
     for i, a in enumerate(keys):
         for j, b in enumerate(keys):
             if (p := fam.product_one(a, b)) is None:
                 continue
-            if weight(p[1]) != plus(wt[i], wt[j]):
+            k = index.get(p[1])
+            if not (weight(p[1]) == plus(wt[i], wt[j]) if k is None else pw[k] == pw[i] + pw[j]):
                 raise ValueError(f"not graded: {key_str(a)} {key_str(b)} = {key_str(p[1])}")
-            if p[1] in index:
-                table[i, j] = ((index[p[1]], _int(p[0])),)
-            else:
+            if k is None:
+                outside.add((i, j))
                 off[i], off[m + j] = off[i] | 1 << j, off[m + j] | 1 << i
+            else:
+                table[i, j] = ((k, _int(p[0])),)
     perms = [(range(len(wt[0])), range(m))]  # the identity, then each mirror kept
     for s, move in mirrors:
         to = [index.get(move(k)) for k in keys]
-        bits = lambda x: sum(1 << to[c] for c in range(m) if x >> c & 1)
-        if set(to) == set(range(m)) and all(
-            wt[to[k]] == tuple(wt[k][i] for i in s)
-            and (off[to[k]], off[m + to[k]]) == (bits(off[k]), bits(off[m + k]))
-            for k in range(m)
-        ) and table == {(to[u], to[v]): ((to[k], f),) for (u, v), ((k, f),) in table.items()}:
+        if (
+            set(to) == set(range(m))
+            and all(wt[to[k]] == tuple(wt[k][i] for i in s) for k in range(m))
+            and outside == {(to[u], to[v]) for u, v in outside}
+            and table == {(to[u], to[v]): ((to[k], f),) for (u, v), ((k, f),) in table.items()}
+        ):
             perms.append((s, to))
     # The row is multilinear: each pairing holds a, b, c (0, 1, 2) once.  As (sign, bare
     # letter x, word), (yz|x) being -(x|yz), the pairings of one x sum to one table tab[x][u][v]
@@ -682,57 +700,89 @@ def _form_search_blocks(fam: GradedFamily, keys, weight, mirrors=()) -> tuple:
     # unknown of w(keys[u], keys[k]) and its sign (0 at u = k).
     plan = [(s, x, y) if len(x) == 1 else (-s, y, x) for s, x, y in _pairings(text)]
     plan = [(s, "abc".index(x), tuple(map("abc".index, y))) for s, x, y in plan]
-    words = {True: table, False: {(v, u): t for (u, v), t in table.items()}}  # by p < q
     tab, share = {}, {}  # share: one object per distinct cell
     for x in {r[1] for r in plan}:
-        t = combine_tables(*[(s, words[p < q]) for s, y, (p, q) in plan if y == x])
-        t = {uv: share.setdefault(cell, cell) for uv, cell in t.items()}
-        tab[x] = [[t.get((u, v), ()) for v in range(m)] for u in range(m)]
+        cells: dict = {}  # (u, v) -> {index: coeff}
+        for s, y, (p, q) in plan:
+            if y == x:
+                for (u, v), ((k, f),) in table.items():
+                    terms = cells.setdefault((u, v) if p < q else (v, u), {})
+                    terms[k] = terms.get(k, 0) + s * f
+        tab[x] = [[()] * m for _ in range(m)]
+        for (u, v), terms in cells.items():
+            cell = tuple(sorted([kf for kf in terms.items() if kf[1]]))
+            tab[x][u][v] = share.setdefault(cell, cell)
     col = [[(min(u, k) * m + max(u, k), (u < k) - (k < u)) for k in range(m)] for u in range(m)]
-    pairs, skipped = {}, 0  # pair weight -> [(bits of the c whose (a, b, c) leaves keys, tables)]
+    # c stands in a word at most once.  Bit c of near[x][u]: the word of c and the
+    # letter x leaves keys at x = keys[u]; bit b of far[a]: a word of a and b leaves keys.
+    near, far = ([0] * m, [0] * m), [0] * m
+    for _, _, (p, q) in plan:
+        to = near[p + q - 2] if 2 in (p, q) else far
+        for u in range(m):
+            to[u] |= off[u] if p < q else off[m + u]
+    bare = [x for x in (0, 1) if x in tab]
+    # pairs: packed pair weight -> [(bits of the c whose (a, b, c) leaves keys, tables)];
+    # named: packed pair weight -> the pair weight
+    pairs, named, skipped = {}, {}, 0
     for t in itertools.product(range(m), repeat=2):
-        out = 0
-        for _, _, (p, q) in plan:  # c stands in a word at most once
-            if 2 in (p, q):
-                out |= off[m + t[q]] if p == 2 else off[t[p]]
-            elif off[t[p]] >> t[q] & 1:
-                out = full
+        a, b = t
+        out = full if far[a] >> b & 1 else near[0][a] | near[1][b]
         skipped += out.bit_count()
         if out != full:
-            head = tab[2][t[0]][t[1]] if 2 in tab else ()
-            rest = tuple((col[t[x]], tab[x][t[1 - x]]) for x in tab if x < 2)
-            pairs.setdefault(plus(wt[t[0]], wt[t[1]]), []).append((out, head, rest))
+            head = tab[2][a][b] if 2 in tab else ()
+            rest = tuple([(col[t[x]], tab[x][t[1 - x]]) for x in bare])
+            if (pw_ab := pw[a] + pw[b]) not in pairs:
+                pairs[pw_ab], named[pw_ab] = [], plus(wt[a], wt[b])
+            pairs[pw_ab].append((out, head, rest))
 
-    tri, mult = {}, {v: wt.count(v) for v in set(wt)}  # triple weight -> its triples
-    for p, v in itertools.product(pairs, mult):
-        w = plus(p, v)
-        tri[w] = tri.get(w, 0) + mult[v] * len(pairs[p])
-    built = {w: tri[w] for w in sorted(tri) if min(tuple(w[i] for i in s) for s, _ in perms) == w}
+    tri, mult = {}, {}  # packed W -> [W, triples]; packed key weight -> [it, keys]
+    for v, u in zip(pw, wt):
+        mult.setdefault(v, [u, 0])[1] += 1
+    for (p, ps), (v, (u, k)) in itertools.product(pairs.items(), mult.items()):
+        if p + v not in tri:
+            tri[p + v] = [plus(named[p], u), 0]
+        tri[p + v][1] += k * len(ps)
+    packed = {w: p for p, (w, _) in tri.items()}
+    built = {
+        w: tri[packed[w]][1]
+        for w in sorted(packed)
+        if min(tuple(w[i] for i in s) for s, _ in perms) == w
+    }
 
     def blocks(ws):
         for w in ws:
+            if (p := packed.get(w)) is None:
+                continue
             images = {tuple(w[i] for i in s): to for s, to in perms}
-            rows: dict = {}
+            ones, longer = {}, {}  # by the unknown of a singleton row; by a longer row's items
             for c in range(m):
                 cc = col[c]
-                for out, head, rest in pairs.get(plus(w, wt[c], -1), ()):
+                for out, head, rest in pairs.get(p - pw[c], ()):
                     if out >> c & 1:
                         continue
                     row = {}
                     for k, f in head:
                         j, g = cc[k]
-                        row[j] = g * f
+                        if g:
+                            row[j] = g * f
                     for cu, tc in rest:
                         for k, f in tc[c]:
                             j, g = cu[k]
-                            row[j] = row.get(j, 0) + g * f
-                    if items := sorted([it for it in row.items() if it[1]]):
-                        if (f := items[0][1]) != 1:  # a lead 1 or a lone entry needs no gcd
-                            d = math.gcd(*[g for _, g in items]) * (f // abs(f)) if items[1:] else f
-                            items = [(j, g // d) for j, g in items]
-                        rows[tuple(items)] = None
-            if rows:  # short rows first: a singleton row kills its column at once
-                yield w, sorted((dict(r) for r in rows), key=len), list(images.values())
+                            if g and (f := row.pop(j, 0) + g * f):
+                                row[j] = f
+                    if len(row) == 1:
+                        ones.update(row)
+                    elif row:
+                        d = math.gcd(*row.values())
+                        if row[min(row)] < 0:
+                            d = -d
+                        if d != 1:
+                            for j in row:
+                                row[j] //= d
+                        longer.setdefault(frozenset(row.items()), row)
+            if ones or longer:
+                rows = [{j: 1} for j in ones] + sorted(longer.values(), key=len)
+                yield w, rows, list(images.values())
 
     return skipped, built, blocks
 
@@ -770,13 +820,28 @@ def _fork_map(fn, shares) -> list:
             os.waitpid(pid, 0)
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off, and leave it as the
+    caller had it, also when the block raises."""
+    collect = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collect:
+            gc.enable()
+
+
 def invariant_form_search(n: int, window: Window) -> dict:
     """Solve for all skew forms on the window of the n-variable derivation
     family satisfying the invariance row of FORM_PLANS[QuadPreLieForm].
 
     Unknowns are the form values on window key pairs.  ``skipped_triples``
     counts the key triples with a product off the window; each other triple
-    gives one linear row, and ``rows`` counts the distinct rows up to scale.
+    gives one linear row, and ``rows`` counts the distinct rows up to scale:
+    each is an int row divided by its gcd and signed by its least unknown,
+    and a block lists its one-term rows first (see _form_search_blocks).
     w_n is Z^n-graded, wt(x^e d_i) = e - eps_i, so a row's unknowns share the
     pair weight wt(a) + wt(b) + wt(c): each weight block is built, reduced and
     dropped in turn.  Permuting the n variables maps the window, its products
@@ -787,7 +852,10 @@ def invariant_form_search(n: int, window: Window) -> dict:
     may run on, balanced by triple count: this process builds one share, and a
     worker forked once the tables are built builds each other share.  Rows and
     rank add and forced zeros unite, so the report does not depend on the
-    split; on one CPU every block is built here.  Returns the rank, solution
+    split; on one CPU every block is built here.  The cyclic garbage collector
+    is off from the tables to the last share, the rows being many small
+    containers in no cycle, and is left as the caller had it, also when the
+    search raises (in a worker too).  Returns the rank, solution
     dimension, how many pair values every solution kills, and whether all
     pairs against the probe key x1 d1 are among them (the degeneracy witness)."""
     if n not in (1, 2):
@@ -799,9 +867,8 @@ def invariant_form_search(n: int, window: Window) -> dict:
     fam = wn_family(n)
     keys = fam.keys(window)
     m = len(keys)
-    skipped, built, blocks = _form_search_blocks(fam, keys, _wn_weight, _wn_mirrors(n))
 
-    def share(ws) -> tuple:
+    def share(ws) -> tuple:  # the rows, rank and forced zeros of the blocks at ws
         rows, rank, forced = 0, 0, set()
         for _, block, images in blocks(ws):
             basis = sparse_rref(block)
@@ -811,11 +878,13 @@ def invariant_form_search(n: int, window: Window) -> dict:
         return rows, rank, forced
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    shares = [[0] for _ in range(max(1, min(cpus, len(built))))]  # [triples, W, ...]
-    for w in sorted(built, key=built.get, reverse=True):  # each to the lightest share
-        (least := min(shares)).append(w)
-        least[0] += built[w]
-    rows, rank, forced = zip(*_fork_map(share, [sorted(s[1:]) for s in shares]))
+    with _collector_paused():
+        skipped, built, blocks = _form_search_blocks(fam, keys, _wn_weight, _wn_mirrors(n))
+        shares = [[0] for _ in range(max(1, min(cpus, len(built))))]  # [triples, W, ...]
+        for w in sorted(built, key=built.get, reverse=True):  # each to the lightest share
+            (least := min(shares)).append(w)
+            least[0] += built[w]
+        rows, rank, forced = zip(*_fork_map(share, [sorted(s[1:]) for s in shares]))
     rows, rank, forced = sum(rows), sum(rank), set().union(*forced)
     probe = wn((1,) + (0,) * (n - 1), 1)
     p = keys.index(probe)

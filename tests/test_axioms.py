@@ -887,6 +887,25 @@ class TestCoLawOracle:
             check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=Window(2))
         )
 
+    @pytest.mark.parametrize("patterns", [True, False], ids=["lifted", "key-by-key"])
+    def test_cap_keeps_the_first_sorted_supports(self, patterns):
+        # both branches of _lifted_violations sort a support only when the
+        # recorder keeps it: the kept ones, in loop order, are still sorted,
+        # and every violation past the cap is still counted
+        law, delta, sym_co, keys = _coalgebra_case("neg:perturbed-ats")
+        found = []
+        for x in keys:
+            for label, res in _co_identities(law, delta(x), sym_co):
+                if support := res.support_in_box(2):
+                    found.append((label, (x,), tuple(sorted(support.items()))))
+        read = delta if patterns else _keys_only(delta)
+        rec = axioms._Recorder(cap=3)
+        axioms._lifted_violations(
+            keys, 1, lambda x: coalgebra_residuals(law, read(x), sym_co), 2, rec
+        )
+        assert len(found) > 3
+        assert (rec.items, rec.total) == (found[:3], len(found))
+
     def test_cocycle(self):
         window = Window(3, 2)
         for name, alg, fam, passes in _cocycle_cases():

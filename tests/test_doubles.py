@@ -1,5 +1,6 @@
 """Doubling constructions: semidirect products, Manin assembly, duals."""
 
+import gc
 import itertools
 import os
 import random
@@ -833,6 +834,26 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+# w2 with one product scaled; each keeps the grading but breaks the swap of the variables
+_BENT_SWAPS = [
+    # x1 d1 x1 d2 = 3 x1 d2 on the window; its mirror x2 d2 x2 d1 = x2 d1
+    pytest.param(wn((1, 0), 1), wn((1, 0), 2), 3, 21157, id="scaled-on-window"),
+    # x1^2 d1 x1^2 d1 = 0 where it left the window; its mirror still leaves
+    pytest.param(wn((2, 0), 1), wn((2, 0), 1), 0, 21156, id="zeroed-off-window"),
+]
+
+
+def _bent_w2(a, b, scale):
+    """wn_family(2) with the product a b multiplied by scale."""
+    fam = wn_family(2)
+
+    def rule(x, y):
+        r = fam.rule(x, y)
+        return (scale * r[0], r[1]) if (x, y) == (a, b) else r
+
+    return replace(fam, rule=rule)
+
+
 class TestFormSearchOrbits:
     """One block per mirror orbit of the variable permutations of w_n,
     against every block built and against the plan read triple by triple."""
@@ -856,25 +877,10 @@ class TestFormSearchOrbits:
         assert same(wn((2, 1), 1)) == wn((2, 1), 1)
         assert swap(wn((2, 1), 1)) == wn((1, 2), 2) and swap(wn((0, 3), 2)) == wn((3, 0), 1)
 
-    @pytest.mark.parametrize(
-        "a, b, scale, rows",
-        [
-            # x1 d1 x1 d2 = 3 x1 d2 on the window; its mirror x2 d2 x2 d1 = x2 d1
-            (wn((1, 0), 1), wn((1, 0), 2), 3, 21157),
-            # x1^2 d1 x1^2 d1 = 0 where it left the window; its mirror still leaves
-            (wn((2, 0), 1), wn((2, 0), 1), 0, 21156),
-        ],
-        ids=["scaled-on-window", "zeroed-off-window"],
-    )
+    @pytest.mark.parametrize("a, b, scale, rows", _BENT_SWAPS)
     def test_broken_swap_is_dropped(self, monkeypatch, tmp_path, a, b, scale, rows):
         # both keep the grading but break the swap, which must not be used
-        fam = wn_family(2)
-
-        def rule(x, y):
-            r = fam.rule(x, y)
-            return (scale * r[0], r[1]) if (x, y) == (a, b) else r
-
-        bent = replace(fam, rule=rule)
+        bent = _bent_w2(a, b, scale)
         monkeypatch.setattr(D, "wn_family", lambda n: bent)
         lines = _counting_blocks(monkeypatch, tmp_path / "blocks")
         report = D.invariant_form_search(2, Window(2))
@@ -908,6 +914,20 @@ class TestFormSearchOrbits:
         by_weight = dict(expected[1])
         for w, rows, _ in blocks(built):
             assert rows == by_weight[w]
+
+    @pytest.mark.parametrize("a, b, scale, rows", _BENT_SWAPS)
+    def test_bent_blocks_match_plan_reference(self, a, b, scale, rows):
+        # each block's rows, in order, on a family with a scaled coefficient;
+        # the broken swap is dropped, so every block is built, alone in its orbit
+        fam = _bent_w2(a, b, scale)
+        keys = fam.keys(Window(2))
+        expected = blocks_by_plan(fam, keys, D._wn_weight)
+        for mirrors in ([], D._wn_mirrors(2)):
+            skipped, built, blocks = D._form_search_blocks(fam, keys, D._wn_weight, mirrors)
+            got = list(blocks(built))
+            assert (skipped, [(w, rows) for w, rows, _ in got]) == expected
+            assert [len(images) for _, _, images in got] == [1] * len(got)
+        assert sum(len(block) for _, block in expected[1]) == rows
 
     def test_ats_blocks_match_plan_reference(self):
         fam = ats_family()
@@ -975,6 +995,36 @@ class TestFormSearchSplit:
             D.invariant_form_search(2, Window(3))
         _assert_no_children()
         assert len(forks) == 2
+
+    @pytest.mark.parametrize("collect", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize("fails", [None, "worker", "here"])
+    def test_collector_is_left_as_found(self, monkeypatch, collect, fails):
+        # the collector is off while the shares are built, and is left as the
+        # caller had it: on a return, on a worker's error and on an error here
+        here, rref, seen = os.getpid(), D.sparse_rref, []
+
+        def reduce(rows):
+            if os.getpid() == here:
+                seen.append(gc.isenabled())
+            if fails == ("here" if os.getpid() == here else "worker"):
+                raise ZeroDivisionError(fails)
+            return rref(rows)
+
+        _patch_cpus(monkeypatch, 2)
+        monkeypatch.setattr(D, "sparse_rref", reduce)
+        was = gc.isenabled()
+        (gc.enable if collect else gc.disable)()
+        try:
+            if fails:
+                with pytest.raises(ZeroDivisionError, match=fails):
+                    D.invariant_form_search(2, Window(2))
+            else:
+                assert D.invariant_form_search(2, Window(2))["rows"] == 21156
+            assert gc.isenabled() is collect
+        finally:
+            (gc.enable if was else gc.disable)()
+        _assert_no_children()
+        assert seen and not any(seen)
 
     def test_cpus_cap_at_built_blocks(self, monkeypatch):
         _patch_cpus(monkeypatch, 1000)
