@@ -18,7 +18,6 @@ forms on derivation families.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import itertools
 import math
@@ -820,19 +819,6 @@ def _fork_map(fn, shares) -> list:
             os.waitpid(pid, 0)
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Run the block with the cyclic garbage collector off, and leave it as the
-    caller had it, also when the block raises."""
-    collect = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collect:
-            gc.enable()
-
-
 def invariant_form_search(n: int, window: Window) -> dict:
     """Solve for all skew forms on the window of the n-variable derivation
     family satisfying the invariance row of FORM_PLANS[QuadPreLieForm].
@@ -878,13 +864,18 @@ def invariant_form_search(n: int, window: Window) -> dict:
         return rows, rank, forced
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with _collector_paused():
+    collect = gc.isenabled()
+    gc.disable()
+    try:
         skipped, built, blocks = _form_search_blocks(fam, keys, _wn_weight, _wn_mirrors(n))
         shares = [[0] for _ in range(max(1, min(cpus, len(built))))]  # [triples, W, ...]
         for w in sorted(built, key=built.get, reverse=True):  # each to the lightest share
             (least := min(shares)).append(w)
             least[0] += built[w]
         rows, rank, forced = zip(*_fork_map(share, [sorted(s[1:]) for s in shares]))
+    finally:
+        if collect:
+            gc.enable()
     rows, rank, forced = sum(rows), sum(rank), set().union(*forced)
     probe = wn((1,) + (0,) * (n - 1), 1)
     p = keys.index(probe)
