@@ -648,14 +648,15 @@ def _form_search_blocks(fam: GradedFamily, keys, weight, mirrors=()) -> tuple:
     -w(x, y) and w(x, x) is 0, no term.  A triple (a, b, c) off the skipped
     ones gives the row {unknown: int} of its pairings, read off the tables
     with c the outer loop.  A row of one term is {unknown: 1}.  A longer row
-    is divided by the gcd of its entries, signed so that its least unknown's
-    entry is positive, and kept by its set of items.  Each distinct row is
-    kept once: a block's rows are its one-term rows, then its longer rows by
-    length, each in the order first built, so each one-term row kills its
-    column at once in the reduction.  The split needs the product to be
-    homogeneous for weight: ValueError where it is not.  A mirror (s, key
-    map) is kept only where it permutes keys, maps the products on and off
-    keys, and maps each key's weight w to w o s."""
+    is divided by the gcd of its entries and signed so that its least
+    unknown's entry is positive; one flat tuple, its unknowns in order then
+    their entries, tells it apart.  Each distinct row is kept once: a block's
+    rows are its one-term rows, then its longer rows by length, each in the
+    order first built, so each one-term row kills its column at once in the
+    reduction.  The split needs the product to be homogeneous for weight:
+    ValueError where it is not.  A mirror (s, key map) is kept only where it
+    permutes keys, maps the products on and off keys, and maps each key's
+    weight w to w o s."""
     _, text = FORM_PLANS[LawId.QuadPreLieForm][1]
     index = {k: i for i, k in enumerate(keys)}
     m, full = len(keys), (1 << len(keys)) - 1
@@ -753,7 +754,7 @@ def _form_search_blocks(fam: GradedFamily, keys, weight, mirrors=()) -> tuple:
             if (p := packed.get(w)) is None:
                 continue
             images = {tuple(w[i] for i in s): to for s, to in perms}
-            ones, longer = {}, {}  # by the unknown of a singleton row; by a longer row's items
+            ones, longer = {}, {}  # rows by their unknown; by their flat tuple
             for c in range(m):
                 cc = col[c]
                 for out, head, rest in pairs.get(p - pw[c], ()):
@@ -772,13 +773,14 @@ def _form_search_blocks(fam: GradedFamily, keys, weight, mirrors=()) -> tuple:
                     if len(row) == 1:
                         ones.update(row)
                     elif row:
+                        js = sorted(row)
                         d = math.gcd(*row.values())
-                        if row[min(row)] < 0:
+                        if row[js[0]] < 0:
                             d = -d
                         if d != 1:
-                            for j in row:
+                            for j in js:
                                 row[j] //= d
-                        longer.setdefault(frozenset(row.items()), row)
+                        longer.setdefault((*js, *map(row.__getitem__, js)), row)
             if ones or longer:
                 rows = [{j: 1} for j in ones] + sorted(longer.values(), key=len)
                 yield w, rows, list(images.values())
