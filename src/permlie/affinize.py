@@ -18,17 +18,16 @@ from typing import Optional
 
 from .kernel import (
     CheckReport,
-    FormalVector,
     Fresh,
     Poly,
     Template,
     TemplateSeries,
     Window,
     ZERO,
+    add_term,
     coproduct_at,
     pair,
     pat_const,
-    pat_pair,
 )
 from .families import FiniteAlgebra, GradedFamily
 from .axioms import (
@@ -70,10 +69,10 @@ def induced_lie_bracket(alg: FiniteAlgebra, family: GradedFamily):
                 for k, c in mul:
                     yield s * c, r[0], pair(alg.key(k), r[1])
 
-    def bracket(k1, k2) -> FormalVector:
-        out = FormalVector()
+    def bracket(k1, k2) -> dict:
+        out = {}
         for c, g, k in terms(k1, k2):
-            out.add_term(k, c * g)
+            add_term(out, k, c * g)
         return out
 
     def sym_bracket(p1, p2):
@@ -107,7 +106,7 @@ def _delta_bullet_sym(alg: FiniteAlgebra, family: GradedFamily):
         out = []
         for _, c, (fl, fr) in alg.sym_delta(pf, fresh):
             for new_vars, poly, (pl, pr) in family.sym_co(pa, fresh):
-                kl, kr = pat_pair(fl, pl), pat_pair(fr, pr)
+                kl, kr = pair(fl, pl), pair(fr, pr)
                 out.append((new_vars, c * poly, (kl, kr)))
                 out.append((new_vars, -c * poly, (kr, kl)))
         return out

@@ -416,7 +416,11 @@ def check_algebra(
     window: Optional[Window] = None,
     margin: Optional[int] = None,
 ) -> CheckReport:
-    """Quantify an algebra law over key triples (pairs for LieSkew)."""
+    """Quantify an algebra law over key triples (pairs for LieSkew).
+
+    product(ka, kb), given alone or read as alg.product, returns the product
+    of two keys as a {key: Fraction} dict with no zero entries; only its
+    items() are read."""
     if family is not None:
         if window is None:
             raise ValueError("graded family checks need a window")
@@ -729,7 +733,8 @@ for _row in itertools.chain(*FORM_PLANS.values()):
 def _form_residuals(row, keys, form: Callable, product: Callable, rec: _Recorder) -> int:
     """Evaluate a triple row of FORM_PLANS on all input triples over keys.
 
-    product(ka, kb) is a FormalVector.  With a and b fixed, each pairing is
+    product(ka, kb) is a {key: Fraction} dict with no zero entries, read
+    through items().  With a and b fixed, each pairing is
     nonzero at a few c only:
 
     - (xy|c) or (c|xy), x and y fixed: each key of x y pairs with the c that
@@ -911,8 +916,9 @@ def check_form(
     equation is not unimodular in the lone input, or the row does not
     collapse, runs its window loop and reports that loop's witnesses.  A
     window without interior raises InsufficientWindowError either way.
-    Finite forms (form=, product= and keys=) always run the loops.  A
-    missing input raises ValueError."""
+    Finite forms (form=, product= and keys=) always run the loops; there
+    product(ka, kb) returns a {key: Fraction} dict with no zero entries, as
+    FiniteAlgebra.product does.  A missing input raises ValueError."""
     plan = FORM_PLANS.get(law)
     if plan is None:
         raise ValueError(f"not a form law: {law}")

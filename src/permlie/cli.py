@@ -25,6 +25,7 @@ from .kernel import (
     TemplateSeries,
     Window,
     ZERO,
+    add_term,
     av,
     coproduct_at,
     ess,
@@ -33,14 +34,11 @@ from .kernel import (
     pair,
     pat_const,
     pat_ess,
-    pat_fin,
-    pat_pair,
     pat_tee,
     tee,
 )
 from .families import (
     FiniteAlgebra,
-    FormalVector,
     adjoint_representation,
     ats_family,
     combine_tables,
@@ -206,10 +204,10 @@ def _bracket_table_report(bound: int) -> CheckReport:
 
 def _expected_cobracket(space: str, key) -> TemplateSeries:
     """The closed-form cobracket rows of the 1-dim idempotent affinization."""
-    e, k, i = pat_fin(space, 0), av("k"), key[1]
-    s = pat_pair(e, pat_ess(-k))
+    e, k, i = fin(space, 0), av("k"), key[1]
+    s = pair(e, pat_ess(-k))
     if key[0] == "Tee":
-        t = pat_pair(e, pat_tee(k + (i - 1)))
+        t = pair(e, pat_tee(k + (i - 1)))
         return TemplateSeries(
             2,
             (
@@ -217,7 +215,7 @@ def _expected_cobracket(space: str, key) -> TemplateSeries:
                 Template(("k",), Poly.of(-i), (t, s)),
             ),
         )
-    s_out = pat_pair(e, pat_ess(k + (i - 1)))
+    s_out = pair(e, pat_ess(k + (i - 1)))
     return TemplateSeries(2, (Template(("k",), Poly.of(2 * k + (i - 1)), (s, s_out)),))
 
 
@@ -404,11 +402,11 @@ def _perturbed_ats_sym_co(p, fresh):
 _ATS = ats_family()
 
 
-def _perturbed_ats_product(k1, k2) -> FormalVector:
+def _perturbed_ats_product(k1, k2) -> dict:
     # t^i . t^j gains a spurious t^(i+j) term
     out = _ATS.product(k1, k2)
     if k1[0] == "Tee" and k2[0] == "Tee":
-        out.add_term(tee(k1[1] + k2[1]), Fraction(1))
+        add_term(out, tee(k1[1] + k2[1]), Fraction(1))
     return out
 
 
@@ -817,7 +815,7 @@ def cmd_residual(kind, algebra_id, input_path, cfg: SuiteConfig) -> int:
             file=sys.stderr,
         )
         return 2
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
 
@@ -870,7 +868,7 @@ def _delta_template_payload(which: str) -> dict:
     fam = ats_family()
     _, sym_co = delta_bullet_rule(p1, fam)
     slot = pat_tee(av("i")) if which == "t" else pat_ess(av("i"))
-    inp = pat_pair(pat_fin(p1.space, 0), slot)
+    inp = pair(fin(p1.space, 0), slot)
     templates = [
         {
             "vars": list(v),
@@ -953,7 +951,7 @@ def _merge_config(args, suite=None) -> SuiteConfig:
         try:
             with open(args.config) as f:
                 fromfile = json.load(f)
-        except (OSError, ValueError) as err:
+        except (OSError, ValueError, RecursionError) as err:
             raise ValueError(f"bad config {args.config}: {err}") from None
         if not isinstance(fromfile, dict):
             raise ValueError(f"bad config {args.config}: not a JSON object")

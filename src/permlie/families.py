@@ -37,12 +37,12 @@ from typing import Callable, Optional
 
 from .kernel import (
     Fresh,
-    FormalVector,
     ONE,
     Poly,
     TemplateSeries,
     Window,
     ZERO,
+    add_term,
     av,
     coproduct_at,
     ess,
@@ -50,7 +50,6 @@ from .kernel import (
     key_slots,
     mono,
     pat_ess,
-    pat_fin,
     pat_mono,
     pat_tee,
     pat_wn,
@@ -121,11 +120,9 @@ class GradedFamily:
         bound = hi  # symmetric box
         return self.keys_fn(bound)
 
-    def product(self, k1, k2) -> FormalVector:
+    def product(self, k1, k2) -> dict:
         r = self.product_one(k1, k2)
-        if r is None:
-            return FormalVector()
-        return FormalVector.single(r[1], r[0])
+        return {} if r is None else {r[1]: r[0]}
 
     def sym_product(self, p1, p2):
         """The rule on patterns: [(Poly, pattern)], or [] where it has no term."""
@@ -416,17 +413,17 @@ class FiniteAlgebra:
     def basis_keys(self):
         return [fin(self.space, i) for i in range(self.dim)]
 
-    def product(self, k1, k2) -> FormalVector:
-        out = FormalVector()
+    def product(self, k1, k2) -> dict:
+        out = {}
         for k, c in self.mul.get((k1[2], k2[2]), ()):
-            out.add_term(fin(self.space, k), c)
+            add_term(out, fin(self.space, k), c)
         return out
 
     def sym_product(self, p1, p2):
         if p1[0] != "Fin" or p2[0] != "Fin":
             raise ValueError(f"{self.id} has only Fin keys: {p1!r} {p2!r}")
         return [
-            (Poly.const(c), pat_fin(self.space, k))
+            (Poly.const(c), fin(self.space, k))
             for k, c in self.mul.get((p1[2], p2[2]), ())
         ]
 
@@ -456,7 +453,7 @@ class FiniteAlgebra:
         if p[0] != "Fin":
             raise ValueError(f"{self.id} has only Fin keys: {p!r}")
         return [
-            ((), Poly.const(c), (pat_fin(self.space, i), pat_fin(self.space, j)))
+            ((), Poly.const(c), (fin(self.space, i), fin(self.space, j)))
             for i, j, c in (self.delta or {}).get(p[2], ())
         ]
 

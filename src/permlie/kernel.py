@@ -145,85 +145,25 @@ def key_str(key) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Formal vectors: finite rational linear combinations of keys.
+# Formal vectors: finite rational linear combinations of keys, as
+# {key: Fraction} dicts with no zero entries.
 
 
-class FormalVector:
-    """Finite map key -> nonzero Fraction with exact arithmetic."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        self.c = {}
-        if coeffs:
-            for k, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                self.add_term(k, v)
-
-    @staticmethod
-    def single(key, coeff=ONE) -> "FormalVector":
-        v = FormalVector()
-        v.add_term(key, coeff)
-        return v
-
-    def add_term(self, key, coeff) -> None:
-        if not coeff:
-            return
-        cur = self.c.get(key)
-        if cur is None:
-            self.c[key] = Fraction(coeff)
+def add_term(vec: dict, key, coeff) -> None:
+    """Add coeff * key to the vector vec, a {key: Fraction} dict, in place.
+    A zero coeff is skipped, a new entry is stored as Fraction(coeff), and
+    an entry that cancels is deleted, so vec never holds a zero."""
+    if not coeff:
+        return
+    cur = vec.get(key)
+    if cur is None:
+        vec[key] = Fraction(coeff)
+    else:
+        cur = cur + coeff
+        if cur:
+            vec[key] = cur
         else:
-            cur = cur + coeff
-            if cur:
-                self.c[key] = cur
-            else:
-                del self.c[key]
-
-    def add_vec(self, other: "FormalVector", scale=ONE) -> None:
-        for k, v in other.c.items():
-            self.add_term(k, v * scale)
-
-    def __add__(self, other):
-        out = FormalVector(dict(self.c))
-        out.add_vec(other)
-        return out
-
-    def __sub__(self, other):
-        out = FormalVector(dict(self.c))
-        out.add_vec(other, -ONE)
-        return out
-
-    def __rmul__(self, scalar):
-        out = FormalVector()
-        s = Fraction(scalar)
-        for k, v in self.c.items():
-            out.add_term(k, v * s)
-        return out
-
-    def __neg__(self):
-        return -ONE * self
-
-    def __eq__(self, other):
-        return isinstance(other, FormalVector) and self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def items(self):
-        return self.c.items()
-
-    def sorted_items(self):
-        return sorted(self.c.items())
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(f"{v}*{key_str(k)}" for k, v in self.sorted_items())
+            del vec[key]
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +227,6 @@ class Aff:
         return Aff(self.const * k, tuple((v, c * k) for v, c in self.terms))
 
     __rmul__ = __mul__
-
-    def vars(self):
-        return tuple(v for v, _ in self.terms)
 
     def eval(self, env: dict) -> int:
         return self.const + sum(c * env[v] for v, c in self.terms)
@@ -429,7 +366,8 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# Key patterns: keys whose integer slots are Aff expressions.
+# Key patterns: keys whose integer slots are Aff expressions.  A Fin key has
+# no slots, so fin and pair build Fin and Pair patterns as they build keys.
 
 
 def pat_tee(i):
@@ -446,14 +384,6 @@ def pat_mono(i1, i2, d: int):
 
 def pat_wn(exps, d: int):
     return ("Wn", tuple(Aff.of(e) for e in exps), d)
-
-
-def pat_fin(space: str, idx: int):
-    return ("Fin", space, idx)
-
-
-def pat_pair(left, right):
-    return ("Pair", left, right)
 
 
 def with_slots(key, slots):

@@ -31,9 +31,8 @@ from .kernel import (
     ZERO,
     _finite_terms,
     apply_product_slot,
+    pair,
     pat_const,
-    pat_fin,
-    pat_pair,
     place_product,
 )
 from .families import (
@@ -285,10 +284,7 @@ def affinize_r(r: TensorElement, family: GradedFamily) -> TemplateSeries:
                 Template(
                     tuple(dvars),
                     Poly.const(c) * sign,
-                    (
-                        pat_pair(pat_fin(ka[1], ka[2]), e_pat),
-                        pat_pair(pat_fin(kb[1], kb[2]), f_pat),
-                    ),
+                    (pair(ka, e_pat), pair(kb, f_pat)),
                 )
             )
     return TemplateSeries(2, tpls)

@@ -7,7 +7,8 @@ the closure criterion of r# written out for the dual adjoint representation
 from permlie.axioms import LawId, _Recorder
 from permlie.doubles import dual_rep
 from permlie.families import adjoint_representation
-from permlie.kernel import ZERO, CheckReport, FormalVector, Window
+from permlie.kernel import ONE, ZERO, CheckReport, Window, add_term
+from helpers import signed_sum
 
 
 def preperm_by_chains(alg) -> CheckReport:
@@ -16,14 +17,14 @@ def preperm_by_chains(alg) -> CheckReport:
     dim = alg.dim
 
     def vec(i):
-        return FormalVector.single(alg.key(i))
+        return {alg.key(i): ONE}
 
     def table_apply(table, va, vb):
-        out = FormalVector()
+        out = {}
         for ka, ca in va.items():
             for kb, cb in vb.items():
                 for k, c in table.get((ka[2], kb[2]), ()):
-                    out.add_term(alg.key(k), ca * cb * c)
+                    add_term(out, alg.key(k), ca * cb * c)
         return out
 
     def tri_l(a, b):
@@ -38,12 +39,12 @@ def preperm_by_chains(alg) -> CheckReport:
             for k in range(dim):
                 checked += 1
                 p1, p2, p3 = vec(i), vec(j), vec(k)
-                both23 = tri_r(p2, p3) + tri_l(p2, p3)
+                both23 = signed_sum((1, tri_r(p2, p3)), (1, tri_l(p2, p3)))
                 a = tri_r(p1, both23)  # p1 < (p2 < p3 + p2 > p3)
                 b = tri_r(tri_r(p1, p2), p3)  # (p1 < p2) < p3
                 c = tri_r(tri_l(p2, p1), p3)  # (p2 > p1) < p3
                 d = tri_l(p2, tri_r(p1, p3))  # p2 > (p1 < p3)
-                both12 = tri_r(p1, p2) + tri_l(p1, p2)
+                both12 = signed_sum((1, tri_r(p1, p2)), (1, tri_l(p1, p2)))
                 e = tri_l(both12, p3)  # (p1 < p2 + p1 > p2) > p3
                 f = tri_l(p1, tri_l(p2, p3))  # p1 > (p2 > p3)
                 g = tri_l(p2, tri_l(p1, p3))  # p2 > (p1 > p3)
@@ -54,9 +55,9 @@ def preperm_by_chains(alg) -> CheckReport:
                     ("pp-left-1", e, f),
                     ("pp-left-2", f, g),
                 ):
-                    res = x - y
+                    res = signed_sum((1, x), (-1, y))
                     if res:
-                        rec.add(label, (i, j, k), tuple(res.sorted_items()))
+                        rec.add(label, (i, j, k), tuple(sorted(res.items())))
     return CheckReport.build(
         LawId.PrePerm.value, Window(0, 0), checked, rec.items, rec.extra()
     )

@@ -1,13 +1,14 @@
 """Helpers shared by the tests: random basis changes of finite tables and
-coproducts, a matrix-vector product, pattern evaluation, a template series
-as JSON and the probe bank of acceptance criterion 5.  None of them is used
+coproducts, a matrix-vector product, a signed sum of vectors, pattern
+evaluation, a template series as JSON and the probe bank of acceptance
+criterion 5.  None of them is used
 by the package itself."""
 
 import random
 from fractions import Fraction
 
 from permlie.families import mat_inv, random_table
-from permlie.kernel import ZERO, key_slots, with_slots
+from permlie.kernel import ZERO, add_term, key_slots, with_slots
 from permlie.serialize import pattern_to_json
 
 
@@ -78,6 +79,16 @@ def random_delta(rng, dim, lo=-2, hi=2, density=3):
         )
         if terms:
             out[i] = terms
+    return out
+
+
+def signed_sum(*terms) -> dict:
+    """sum scale * vec over the (scale, vec) pairs, each vec a {key: coeff}
+    dict, as a {key: Fraction} dict with no zero entries."""
+    out = {}
+    for scale, vec in terms:
+        for k, c in vec.items():
+            add_term(out, k, scale * c)
     return out
 
 

@@ -6,26 +6,26 @@ key, pair by pair, over the window."""
 from fractions import Fraction
 
 from permlie.cli import _equality_report
-from permlie.families import FormalVector, ats_family, finite_catalog
-from permlie.kernel import ZERO, Window, ess, pair, tee
+from permlie.families import ats_family, finite_catalog
+from permlie.kernel import ZERO, Window, add_term, ess, pair, tee
 
 
 def bracket_by_keys(alg, family):
     """[x1 (x) y1, x2 (x) y2] = x1 x2 (x) y1 y2 - x2 x1 (x) y2 y1 on Pair keys,
     from the finite product and the family's product_one."""
 
-    def bracket(k1, k2) -> FormalVector:
+    def bracket(k1, k2) -> dict:
         _, x1, y1 = k1
         _, x2, y2 = k2
-        out = FormalVector()
+        out = {}
         g = family.product_one(y1, y2)
         if g is not None:
             for xk, xc in alg.product(x1, x2).items():
-                out.add_term(pair(xk, g[1]), xc * g[0])
+                add_term(out, pair(xk, g[1]), xc * g[0])
         g = family.product_one(y2, y1)
         if g is not None:
             for xk, xc in alg.product(x2, x1).items():
-                out.add_term(pair(xk, g[1]), -xc * g[0])
+                add_term(out, pair(xk, g[1]), -xc * g[0])
         return out
 
     return bracket

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from permlie import affinize
-from permlie.kernel import FormalVector, Window, av, ess, fin, pair, pat_const, tee, with_slots
+from permlie.kernel import Window, add_term, av, ess, fin, pair, pat_const, tee, with_slots
 from permlie.families import (
     FiniteAlgebra,
     ats_family,
@@ -69,7 +69,7 @@ class TestInducedBracket:
         alg = finite_catalog()["ex-1p"]
         br, _ = induced_lie_bracket(alg, ats_family())
         e = _e()
-        assert br(pair(e, ess(2)), pair(e, ess(-2))).is_zero()
+        assert br(pair(e, ess(2)), pair(e, ess(-2))) == {}
 
     def test_bracket_skew(self):
         alg = finite_catalog()["ex-sd2"]
@@ -107,10 +107,10 @@ class TestBracketAgainstKeyReference:
                 want = ref(x, y)
                 got = br(x, y)
                 assert list(got.items()) == list(want.items()), (x, y)
-                read = FormalVector()
+                read = {}
                 for c, p in sbr(pat_const(x), pat_const(y)):
-                    read.add_term(pat_eval(p, {}), c.eval({}))
-                assert read.sorted_items() == want.sorted_items(), (x, y)
+                    add_term(read, pat_eval(p, {}), c.eval({}))
+                assert sorted(read.items()) == sorted(want.items()), (x, y)
                 nonzero += bool(want)
         assert nonzero >= 100, nonzero
 

@@ -16,6 +16,7 @@ from permlie.kernel import (
     Template,
     TemplateSeries,
     Window,
+    add_term,
     apply_product_slot,
     av,
     ess,
@@ -31,7 +32,6 @@ from permlie.kernel import (
 )
 from permlie.families import (
     FiniteAlgebra,
-    FormalVector,
     adjoint_representation,
     ats_family,
     delta_a_family,
@@ -87,6 +87,7 @@ from helpers import (
     mat_vec,
     random_delta,
     random_invertible,
+    signed_sum,
 )
 
 F = Fraction
@@ -120,9 +121,9 @@ class TestAlgebraPaths:
 
         def product(a, b):
             r = fam.product_one(a, b)
-            out = FormalVector()
+            out = {}
             if r is not None:
-                out.add_term(r[1], r[0])
+                add_term(out, r[1], r[0])
             return out
 
         w = Window(3)
@@ -155,12 +156,12 @@ class TestAlgebraNegatives:
         fam = ats_family()
 
         def bad(a, b):
-            out = FormalVector()
+            out = {}
             r = fam.product_one(a, b)
             if r is not None:
-                out.add_term(r[1], r[0])
+                add_term(out, r[1], r[0])
             if a[0] == "Tee" and b[0] == "Tee":
-                out.add_term(tee(a[1] + b[1]), ONE)
+                add_term(out, tee(a[1] + b[1]), ONE)
             return out
 
         w = Window(4)
@@ -173,42 +174,47 @@ class TestAlgebraNegatives:
 
 
 def _oracle(law, keys, product):
-    """A law checked straight from its textbook identity, with plain
-    FormalVector sums: (passed, checked, extra, violations) as check_algebra
-    reports them, keeping the first 25 violations in (a, b, c, label) order."""
+    """A law checked straight from its textbook identity, with plain signed
+    sums of {key: coeff} dicts: (passed, checked, extra, violations) as
+    check_algebra reports them, keeping the first 25 violations in
+    (a, b, c, label) order."""
     memo = {}
 
+    def prod(ka, kb):
+        if (ka, kb) not in memo:
+            memo[(ka, kb)] = product(ka, kb)
+        return memo[(ka, kb)]
+
     def mul(u, v):
-        out = FormalVector()
-        for ka, ca in u.items():
-            for kb, cb in v.items():
-                if (ka, kb) not in memo:
-                    memo[(ka, kb)] = product(ka, kb)
-                out.add_vec(memo[(ka, kb)], ca * cb)
-        return out
+        return signed_sum(
+            *((ca * cb, prod(ka, kb)) for ka, ca in u.items() for kb, cb in v.items())
+        )
 
     def identities(a, b, c=None):
         if law == LawId.LieSkew:
-            return [("skew", mul(a, b) + mul(b, a))]
+            return [("skew", signed_sum((1, mul(a, b)), (1, mul(b, a))))]
         abc = mul(mul(a, b), c)
         if law == LawId.LieJacobi:
-            return [("jacobi", abc + mul(mul(b, c), a) + mul(mul(c, a), b))]
+            return [("jacobi", signed_sum((1, abc), (1, mul(mul(b, c), a)), (1, mul(mul(c, a), b))))]
         if law == LawId.Perm:
             return [
-                ("assoc", abc - mul(a, mul(b, c))),
-                ("left-comm", abc - mul(mul(b, a), c)),
+                ("assoc", signed_sum((1, abc), (-1, mul(a, mul(b, c))))),
+                ("left-comm", signed_sum((1, abc), (-1, mul(mul(b, a), c)))),
             ]
-        rows = [("pre-lie", abc - mul(a, mul(b, c)) - mul(mul(b, a), c) + mul(b, mul(a, c)))]
+        prelie = signed_sum(
+            (1, abc), (-1, mul(a, mul(b, c))), (-1, mul(mul(b, a), c)), (1, mul(b, mul(a, c)))
+        )
+        rows = [("pre-lie", prelie)]
         if law == LawId.Novikov:
-            rows.append(("right-comm", abc - mul(mul(a, c), b)))
+            rows.append(("right-comm", signed_sum((1, abc), (-1, mul(mul(a, c), b)))))
         return rows
 
     arity = 2 if law == LawId.LieSkew else 3
     found = []
     for at in itertools.product(keys, repeat=arity):
-        for label, res in identities(*(FormalVector.single(k) for k in at)):
+        for label, res in identities(*({k: ONE} for k in at)):
             if res:
-                found.append((label, at, tuple(res.sorted_items())))
+                found.append((label, at, tuple(sorted(res.items()))))
     extra = {"violations_total": len(found)}
     if len(found) > 25:
         extra["violations_truncated"] = True
@@ -219,7 +225,7 @@ def _oracle(law, keys, product):
 def _vector_product(one):
     def product(a, b):
         r = one(a, b)
-        return FormalVector() if r is None else FormalVector.single(r[1], r[0])
+        return {} if r is None else {r[1]: r[0]}
 
     return product
 
@@ -1075,7 +1081,7 @@ FORM_LAWS = [
 
 def _form_oracle(law, box, inner, form, product, weight=None):
     """A form law checked straight from its textbook identities, with plain
-    FormalVector sums: (passed, checked, extra, violations) as check_form
+    {key: coeff} dicts: (passed, checked, extra, violations) as check_form
     reports them without the Gram rank, keeping the first 25 violations in
     pair order, then (a, b, c) order."""
     memo = {}
@@ -1103,15 +1109,15 @@ def _form_oracle(law, box, inner, form, product, weight=None):
         if v and weight is not None and key_degree(a) + key_degree(b) != weight:
             found.append(("graded-weight", (a, b), ((("scalar",), v),)))
     for a, b, c in itertools.product(inner, repeat=3):
-        ea, eb, ec = (FormalVector.single(k) for k in (a, b, c))
+        ea, eb, ec = ({k: ONE} for k in (a, b, c))
         ab, bc, cb, ac, ca = mul(a, b), mul(b, c), mul(c, b), mul(a, c), mul(c, a)
         label = "invariance"
         if law in (LawId.QuadPermForm, LawId.ManinPermKd):
             # B(ab, c) = B(a, bc - cb)
-            res = pairing(ab, ec) - pairing(ea, bc - cb)
+            res = pairing(ab, ec) - pairing(ea, signed_sum((1, bc), (-1, cb)))
         elif law == LawId.QuadPreLieForm:
             # B(ab, c) = -B(b, [a, c])
-            res = pairing(ab, ec) + pairing(eb, ac - ca)
+            res = pairing(ab, ec) + pairing(eb, signed_sum((1, ac), (-1, ca)))
         elif law == LawId.ManinLieB:
             # B([a, b], c) = B(a, [b, c])
             res = pairing(ab, ec) - pairing(ea, bc)

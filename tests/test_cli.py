@@ -563,6 +563,21 @@ class TestMalformedInput:
         cfg.write_text('{"window": Infinity}')
         self.assert_usage_error(run("verify", "ybe", "--config", str(cfg)))
 
+    def test_config_nested_too_deep(self, tmp_path):
+        # the decoder's recursion limit is a parse error, not a failed check
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        p = run("verify", "ybe", "--config", str(cfg))
+        self.assert_usage_error(p)
+        assert p.stderr.startswith(f"permlie: bad config {cfg}: ")
+
+    def test_residual_nested_too_deep(self, tmp_path):
+        f = tmp_path / "r.json"
+        f.write_text("[" * 100_000)
+        p = run("residual", "perm-ybe", "--algebra", "ex-1p", "--input", str(f))
+        self.assert_usage_error(p)
+        assert p.stderr.startswith("parse error: ")
+
     def test_residual_zero_denominator(self, tmp_path):
         f = tmp_path / "r.json"
         f.write_text('[[0, 1, "1/0"]]')

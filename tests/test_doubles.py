@@ -488,7 +488,7 @@ class TestLieLift:
 
         def scaled(a, b):
             out = lift.bracket(a, b)
-            return F(2) * out if a == ku else out
+            return {k: 2 * c for k, c in out.items()} if a == ku else out
 
         bad = replace(lift, bracket=scaled)
         fast = cli._doubles_diagram_report(md, bad, 3)

@@ -14,8 +14,10 @@ from permlie.kernel import (
     Template,
     TemplateSeries,
     Window,
+    add_term,
     av,
     ess,
+    fin,
     key_degree,
     key_slots,
     mono,
@@ -27,7 +29,6 @@ from permlie.kernel import (
 )
 from permlie.families import (
     FiniteAlgebra,
-    FormalVector,
     ats_family,
     delta_a_family,
     delta_p_family,
@@ -41,7 +42,9 @@ from permlie.families import (
     wn_codelta,
     wn_family,
 )
+from permlie.affinize import induced_lie_bracket, pair_keys
 from permlie.axioms import LawId, check_algebra, check_bialgebra, check_preperm
+from permlie.cli import _perturbed_ats_product
 from permlie.doubles import manin_double_from_bialgebra, restricted_dual_double
 from helpers import conjugated_table, pat_eval, random_invertible
 
@@ -194,11 +197,11 @@ class TestConcreteMatchesSymbolic:
         keys = fam.keys(Window(2))
         for a in keys:
             for b in keys:
-                want = FormalVector()
+                want = {}
                 for poly, p in fam.sym_product(pat_const(a), pat_const(b)):
-                    want.add_term(pat_eval(p, {}), poly.eval({}))
+                    add_term(want, pat_eval(p, {}), poly.eval({}))
                 r = fam.product_one(a, b)
-                got = FormalVector() if r is None else FormalVector.single(r[1], r[0])
+                got = {} if r is None else {r[1]: r[0]}
                 assert got == want, (a, b)
 
     @pytest.mark.parametrize("fam", _cross_check_families(), ids=lambda f: f.name)
@@ -214,12 +217,12 @@ class TestConcreteMatchesSymbolic:
             sym = fam.sym_product(px, py)
             for vals in itertools.product(range(-2, 3), repeat=len(xs) + len(ys)):
                 env = dict(zip(xs + ys, vals))
-                want = FormalVector()
+                want = {}
                 for poly, p in sym:
-                    want.add_term(pat_eval(p, env), poly.eval(env))
+                    add_term(want, pat_eval(p, env), poly.eval(env))
                 a, b = pat_eval(px, env), pat_eval(py, env)
                 r = fam.product_one(a, b)
-                got = FormalVector() if r is None else FormalVector.single(r[1], r[0])
+                got = {} if r is None else {r[1]: r[0]}
                 assert got == want, (a, b)
 
     @pytest.mark.parametrize(
@@ -288,6 +291,83 @@ class TestCatalog:
         assert len(alg.basis_keys()) == 2
         v = alg.product(alg.key(0), alg.key(1))
         assert dict(v.items()) == {alg.key(1): F(1)}
+
+
+def _assert_vector(v):
+    """The contract of a product on keys: a dict with no zero entry whose
+    every value is a Fraction (the JSON writer prints an int as a number)."""
+    assert type(v) is dict, type(v)
+    assert all(type(c) is Fraction and c for c in v.values()), v
+
+
+# int coefficients, and cells whose repeated terms cancel in part or in full
+_INT_TABLE = FiniteAlgebra(
+    id="ints",
+    space="I",
+    dim=2,
+    labels=("a", "b"),
+    kind="none",
+    mul={
+        (0, 0): ((0, 2), (1, 3)),
+        (0, 1): ((1, 1), (0, 5), (1, -1)),
+        (1, 0): ((0, 1), (0, 1)),
+        (1, 1): ((0, 1), (0, -1)),
+    },
+)
+
+
+class TestKeyProducts:
+    """Every product on keys returns a plain {key: Fraction} dict with no
+    zero entries, built term by term in table order."""
+
+    def test_finite_table_with_int_coefficients(self):
+        e0, e1 = _INT_TABLE.basis_keys()
+        want = {
+            (0, 0): [(e0, F(2)), (e1, F(3))],
+            (0, 1): [(e0, F(5))],
+            (1, 0): [(e0, F(2))],
+            (1, 1): [],
+        }
+        for (i, j), items in want.items():
+            v = _INT_TABLE.product(fin("I", i), fin("I", j))
+            _assert_vector(v)
+            assert list(v.items()) == items, (i, j)
+
+    @pytest.mark.parametrize("fam", _cross_check_families(), ids=lambda f: f.name)
+    def test_graded_family(self, fam):
+        keys = fam.keys(Window(2))
+        nonzero = 0
+        for a in keys:
+            for b in keys:
+                v = fam.product(a, b)
+                _assert_vector(v)
+                nonzero += bool(v)
+        assert nonzero
+
+    @pytest.mark.parametrize("alg_id", ["ex-1p", "ex-sd2", "ints"])
+    def test_induced_bracket(self, alg_id):
+        # ats's rule carries int coefficients, and so does the ints table
+        alg = _INT_TABLE if alg_id == "ints" else finite_catalog()[alg_id]
+        fam = ats_family()
+        br, _ = induced_lie_bracket(alg, fam)
+        keys = pair_keys(alg, fam, Window(2))
+        nonzero = 0
+        for x in keys:
+            assert br(x, x) == {}, x  # xx (x) ff - xx (x) ff cancels
+            for y in keys:
+                v = br(x, y)
+                _assert_vector(v)
+                nonzero += bool(v)
+        assert nonzero
+
+    def test_perturbed_ats_product(self):
+        keys = ats_family().keys(Window(2))
+        for a in keys:
+            for b in keys:
+                _assert_vector(_perturbed_ats_product(a, b))
+        # t^2 t^0 has no term of its own: only the spurious t^2 is left
+        assert _perturbed_ats_product(tee(2), tee(0)) == {tee(2): F(1)}
+        assert _perturbed_ats_product(tee(2), tee(3)) == {tee(4): F(3), tee(5): F(1)}
 
 
 class TestRandomTables:

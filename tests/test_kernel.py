@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from permlie.kernel import (
     Aff,
     CheckReport,
-    FormalVector,
     IllPosedTemplateError,
     InsufficientWindowError,
     Poly,
@@ -18,6 +17,7 @@ from permlie.kernel import (
     TemplateSeries,
     Window,
     _solve_affine,
+    add_term,
     av,
     ess,
     fin,
@@ -27,9 +27,7 @@ from permlie.kernel import (
     pair,
     pat_const,
     pat_ess,
-    pat_fin,
     pat_mono,
-    pat_pair,
     pat_subst,
     pat_tee,
     place_product,
@@ -136,7 +134,7 @@ def _pattern(tag, slots):
     the Fin key ("A", 0) or ("A", 1)."""
     if ":" in tag:
         fin_tag, tag = tag.split(":")
-        return pat_pair(pat_fin("A", "AB".index(fin_tag)), _pattern(tag, slots))
+        return pair(fin("A", "AB".index(fin_tag)), _pattern(tag, slots))
     if tag == "Mono":
         return pat_mono(slots[0], slots[1], 1)
     return (pat_tee if tag == "Tee" else pat_ess)(slots[0])
@@ -245,7 +243,7 @@ def _reshape(p):
     """p on another slot shape: Tee and Ess swapped, Mono d1 made d2, the
     Fin key of a Pair kept."""
     if p[0] == "Pair":
-        return pat_pair(p[1], _reshape(p[2]))
+        return pair(p[1], _reshape(p[2]))
     return pat_mono(p[1], p[2], 2) if p[0] == "Mono" else _pattern(SWAP[p[0]], [p[1]])
 
 
@@ -398,7 +396,7 @@ class TestBoxWalk:
         t = Template(
             ("a", "b", "c"),
             Poly.var("a") * Poly.var("b") * Poly.var("b") * Poly.var("b") + Poly.const(F(1, 2)),
-            (pat_pair(pat_fin("A", 0), pat_mono(a, c, 1)), pat_mono(b, a - b - c, 2)),
+            (pair(fin("A", 0), pat_mono(a, c, 1)), pat_mono(b, a - b - c, 2)),
         )
         series = TemplateSeries(2, (t,))
         (form,) = series.collapsed().templates
@@ -410,11 +408,11 @@ class TestBoxWalk:
         # j^2 at (t^j, A1 s^(2-3j)): j = 0 and 1 are in the box, and j = 1
         # meets the constant term
         j = av("j")
-        a1 = pat_fin("A", 1)
+        a1 = fin("A", 1)
         squared = Poly.var("j") * Poly.var("j")
         series = TemplateSeries(2, (
-            Template((), Poly.const(F(3)), (pat_tee(1), pat_pair(a1, pat_ess(-1)))),
-            Template(("j",), squared, (pat_tee(j), pat_pair(a1, pat_ess(2 - 3 * j)))),
+            Template((), Poly.const(F(3)), (pat_tee(1), pair(a1, pat_ess(-1)))),
+            Template(("j",), squared, (pat_tee(j), pair(a1, pat_ess(2 - 3 * j)))),
         ))
         assert self._check(series, 2) == {(tee(1), pair(fin("A", 1), ess(-1))): F(4)}
 
@@ -489,16 +487,67 @@ class TestCheckReport:
         assert rep.passed and "pass" in rep.summary()
 
 
-class TestFormalVector:
+class TestAddTerm:
     def test_add_and_zero(self):
-        v = FormalVector()
-        v.add_term(tee(1), F(2))
-        v.add_term(tee(1), F(-2))
-        assert v.is_zero()
+        v = {}
+        add_term(v, tee(1), F(2))
+        add_term(v, tee(1), F(-2))
+        assert v == {}
 
     def test_single(self):
-        v = FormalVector.single(tee(1), F(3))
-        assert dict(v.items()) == {tee(1): F(3)}
+        v = {}
+        add_term(v, tee(1), 3)
+        assert v == {tee(1): F(3)} and type(v[tee(1)]) is Fraction
+
+    def test_zero_coefficient_is_skipped(self):
+        v = {}
+        for c in (0, F(0)):
+            add_term(v, tee(1), c)
+        assert v == {}
+
+    def test_merges_in_place_in_first_insert_order(self):
+        v = {}
+        terms = ((tee(2), 1), (ess(0), F(1, 2)), (tee(2), 2), (tee(1), -1), (ess(0), -F(1, 2)))
+        for key, c in terms:
+            add_term(v, key, c)
+        assert list(v.items()) == [(tee(2), F(3)), (tee(1), F(-1))]
+        assert all(type(c) is Fraction for c in v.values())
+
+    def test_coerces_on_first_insert_only(self, monkeypatch):
+        # a later sum is cur + coeff, already a Fraction: no second call
+        from permlie import kernel
+
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return Fraction(x)
+
+        monkeypatch.setattr(kernel, "Fraction", counted)
+        v = {}
+        for key, c in ((tee(0), 2), (tee(0), F(5)), (tee(1), F(1, 2)), (tee(0), 3)):
+            add_term(v, key, c)
+        assert v == {tee(0): F(10), tee(1): F(1, 2)}
+        assert calls == [2, F(1, 2)]
+
+
+class TestPublicNames:
+    def test_every_listed_name_resolves(self):
+        import permlie
+
+        assert sorted(permlie.__all__) == permlie.__all__
+        assert all(hasattr(permlie, name) for name in permlie.__all__)
+
+    @pytest.mark.parametrize("name", ["FormalVector", "pat_fin", "pat_pair"])
+    def test_retired_names_are_gone(self, name):
+        import permlie
+        from permlie import kernel
+
+        assert name not in permlie.__all__
+        assert not hasattr(permlie, name) and not hasattr(kernel, name)
+
+    def test_aff_has_no_vars(self):
+        assert not hasattr(Aff, "vars")
 
 
 class TestLinearAlgebra:

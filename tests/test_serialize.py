@@ -18,7 +18,6 @@ from permlie.kernel import (
     mono,
     pair,
     pat_ess,
-    pat_pair,
     pat_tee,
     tee,
     wn,
@@ -107,7 +106,7 @@ class TestKeys:
 
 class TestPatterns:
     def test_affine_slots_become_strings(self):
-        p = pat_pair(pat_tee(av("i")), pat_ess(-av("k") + 1))
+        p = pair(pat_tee(av("i")), pat_ess(-av("k") + 1))
         data = pattern_to_json(p)
         assert data["l"]["i"] == "i"
         json.dumps(data)
