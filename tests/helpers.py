@@ -1,8 +1,7 @@
 """Helpers shared by the tests: random basis changes of finite tables and
 coproducts, a matrix-vector product, a signed sum of vectors, pattern
 evaluation, a template series as JSON and the probe bank of acceptance
-criterion 5.  None of them is used
-by the package itself."""
+criterion 5.  None of them is used by the package itself."""
 
 import random
 from fractions import Fraction

@@ -195,7 +195,8 @@ def _oracle(law, keys, product):
             return [("skew", signed_sum((1, mul(a, b)), (1, mul(b, a))))]
         abc = mul(mul(a, b), c)
         if law == LawId.LieJacobi:
-            return [("jacobi", signed_sum((1, abc), (1, mul(mul(b, c), a)), (1, mul(mul(c, a), b))))]
+            jacobi = signed_sum((1, abc), (1, mul(mul(b, c), a)), (1, mul(mul(c, a), b)))
+            return [("jacobi", jacobi)]
         if law == LawId.Perm:
             return [
                 ("assoc", signed_sum((1, abc), (-1, mul(a, mul(b, c))))),
