@@ -36,6 +36,7 @@ from .axioms import (
     check_coalgebra,
     _holds_on_patterns,
     _int,
+    _mul,
     _program,
     _run,
 )
@@ -269,10 +270,13 @@ def _pair_jacobi_report(alg: FiniteAlgebra, family: GradedFamily, window: Window
         p = u and v and prod(u[1], v[1])
         return p and (u[0] * v[0] * p[0], p[1])
 
-    e = [alg.unit(i) for i in range(alg.dim)]
+    def fin_product(p, q):
+        return [(c, k) for k, c in alg.product(p, q).items()]
+
+    fin_mul = functools.partial(_mul, fin_product, 0)
     fin_triples = [
-        (xyz, [[kc for kc in enumerate(f) if kc[1]] for f in run([e[i] for i in xyz], alg.times)])
-        for xyz in itertools.product(range(alg.dim), repeat=3)
+        (xyz, [[kc for kc in f.items() if kc[1]] for f in run([{x: 1} for x in xyz], fin_mul)])
+        for xyz in itertools.product(alg.basis_keys(), repeat=3)
     ]
     checked = 0
     for gs in itertools.product(family.keys(window), repeat=3):
@@ -288,8 +292,8 @@ def _pair_jacobi_report(alg: FiniteAlgebra, family: GradedFamily, window: Window
                 for k, c in fvals[f]:
                     acc[k, gk] = acc.get((k, gk), ZERO) + s * c
             if any(acc.values()):
-                at = tuple(pair(alg.key(x), g) for x, g in zip(xyz, gs))
-                res = tuple((pair(alg.key(k), g), v) for (k, g), v in sorted(acc.items()) if v)
+                at = tuple(pair(x, g) for x, g in zip(xyz, gs))
+                res = tuple((pair(k, g), v) for (k, g), v in sorted(acc.items()) if v)
                 extra = {"early_exit": True, "violations_total": 1}
                 return CheckReport.build(law, window, checked, [(label, at, res)], extra)
     return CheckReport.build(law, window, checked, [], {"violations_total": 0})

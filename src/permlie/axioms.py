@@ -18,6 +18,10 @@ co-laws and the matched-pair conditions are read from the same rows: a co-law
 row is a law row with the coproduct in place of the product (_CO_PLANS; only
 CoLieJacobi keeps a row of its own), and each matched-pair condition is one
 summand's part of a Perm row of the assembled product (_MATCHED_PAIR_PLAN).
+Representations, pre-perm chains and O-operators are read off the semidirect
+table A + V (_semidirect): the representation identities are LAW_PLANS rows,
+read by one uncapped cube at inputs with one in V (_module_residuals), and
+an O-operator's graph vectors multiply in that table.
 The bialgebra laws are written once, in BI_PLANS, as sums of mixed words that
 one evaluator (bialgebra_residuals) reads at finite keys, at Pair keys and at
 patterns.
@@ -52,6 +56,7 @@ from .kernel import (
     Aff,
     CheckReport,
     Fresh,
+    ONE,
     Poly,
     Template,
     TemplateSeries,
@@ -77,8 +82,6 @@ from .families import (
     Representation,
     combine_tables,
     mat_inv,
-    mat_mul,
-    mat_sub,
     preperm_representation,
 )
 
@@ -177,6 +180,17 @@ LAW_PLANS = {
     ),
     LawId.LieJacobi: (("jacobi", "(ab)c + (bc)a + (ca)b", "0"),),
     LawId.LieSkew: (("skew", "ab + ba", "0"),),
+    # A representation (l, r) of A on V: rows of the semidirect table A + V
+    # read with one input in V, a in r's rows and c in l's.  At a pre-perm
+    # split's own actions, r's rows are its chains pp-right-1..3 and l's its
+    # chains pp-left-1..2, in this order (see _module_residuals).
+    LawId.Representation: (
+        ("rep-r-antihom", "a(bc)", "(ab)c"),
+        ("rep-r-lmix", "(ab)c", "(ba)c"),
+        ("rep-r-commute", "(ba)c", "b(ac)"),
+        ("rep-l-hom", "(ab)c", "a(bc)"),
+        ("rep-l-swap", "a(bc)", "b(ac)"),
+    ),
 }
 
 
@@ -1010,59 +1024,7 @@ def _gram_rank(keys, form, partners: Optional[Callable] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Representations of finite perm algebras.
-
-
-def _representation_residuals(mul, l, r, dim):
-    """(label, i, j, D) for each identity of a representation (l, r) of the
-    product table mul on dim basis vectors whose residual matrix D at
-    (e_i, e_j) is nonzero: l(e_i e_j) = l(e_i) l(e_j) = l(e_j) l(e_i) and
-    r(e_i e_j) = r(e_j) r(e_i) = r(e_j) l(e_i) = l(e_i) r(e_j)."""
-
-    def act(mats, terms):
-        """The sum of c mats[k] over the terms (k, c)."""
-        out = [[ZERO] * len(row) for row in mats[0]]
-        for k, c in terms:
-            for ro, rm in zip(out, mats[k]):
-                for col, y in enumerate(rm):
-                    ro[col] += c * y
-        return out
-
-    for i in range(dim):
-        for j in range(dim):
-            terms = mul.get((i, j), ())
-            li_lj = mat_mul(l[i], l[j])
-            rj_ri = mat_mul(r[j], r[i])
-            rj_li = mat_mul(r[j], l[i])
-            for label, x, y in (
-                ("rep-l-hom", act(l, terms), li_lj),
-                ("rep-l-swap", li_lj, mat_mul(l[j], l[i])),
-                ("rep-r-antihom", act(r, terms), rj_ri),
-                ("rep-r-lmix", rj_ri, rj_li),
-                ("rep-r-commute", rj_li, mat_mul(l[i], r[j])),
-            ):
-                d = mat_sub(x, y)
-                if any(any(row) for row in d):
-                    yield label, i, j, d
-
-
-def check_representation(alg: FiniteAlgebra, rep: Representation) -> CheckReport:
-    rec = _Recorder()
-    for label, i, j, d in _representation_residuals(alg.mul, rep.l, rep.r, alg.dim):
-        rec.add(label, (i, j), _mat_items(d))
-    return CheckReport.build(
-        LawId.Representation.value, Window(0, 0), alg.dim**2, rec.items, rec.extra()
-    )
-
-
-def _mat_items(d):
-    return tuple(
-        ((r, c), v) for r, row in enumerate(d) for c, v in enumerate(row) if v
-    )
-
-
-# ---------------------------------------------------------------------------
-# Matched pairs of finite perm algebras.
+# Matched pairs and semidirect tables of finite perm algebras.
 
 
 def _assemble_matched_pair(alg1, alg2, l12, r12, l21, r21, space="MP"):
@@ -1075,26 +1037,19 @@ def _assemble_matched_pair(alg1, alg2, l12, r12, l21, r21, space="MP"):
         if terms:
             mul[(i, j)] = terms
 
-    for i in range(d1):
-        for j in range(d1):
-            put(i, j, alg1.mul.get((i, j), ()))
-    for i in range(d2):
-        for j in range(d2):
-            put(
-                d1 + i,
-                d1 + j,
-                tuple((d1 + k, c) for k, c in alg2.mul.get((i, j), ())),
-            )
-    for i in range(d1):
-        for j in range(d2):
-            # e_i * f_j = l1(e_i) f_j  +  r2(f_j) e_i
-            terms = [(d1 + k, l12[i][k][j]) for k in range(d2)]
-            terms += [(k, r21[j][k][i]) for k in range(d1)]
-            put(i, d1 + j, terms)
-            # f_j * e_i = l2(f_j) e_i  +  r1(e_i) f_j
-            terms = [(k, l21[j][k][i]) for k in range(d1)]
-            terms += [(d1 + k, r12[i][k][j]) for k in range(d2)]
-            put(d1 + j, i, terms)
+    for i, j in itertools.product(range(d1), repeat=2):
+        put(i, j, alg1.mul.get((i, j), ()))
+    for i, j in itertools.product(range(d2), repeat=2):
+        put(d1 + i, d1 + j, [(d1 + k, c) for k, c in alg2.mul.get((i, j), ())])
+    for i, j in itertools.product(range(d1), range(d2)):
+        # e_i * f_j = l1(e_i) f_j  +  r2(f_j) e_i
+        terms = [(d1 + k, l12[i][k][j]) for k in range(d2)]
+        terms += [(k, r21[j][k][i]) for k in range(d1)]
+        put(i, d1 + j, terms)
+        # f_j * e_i = l2(f_j) e_i  +  r1(e_i) f_j
+        terms = [(k, l21[j][k][i]) for k in range(d1)]
+        terms += [(d1 + k, r12[i][k][j]) for k in range(d2)]
+        put(d1 + j, i, terms)
     return FiniteAlgebra(
         id=f"{alg1.id}|{alg2.id}",
         space=space,
@@ -1102,6 +1057,58 @@ def _assemble_matched_pair(alg1, alg2, l12, r12, l21, r21, space="MP"):
         labels=tuple(alg1.labels) + tuple(alg2.labels),
         kind="Perm",
         mul=mul,
+    )
+
+
+def _semidirect(alg: FiniteAlgebra, l, r, labels, space="MP") -> FiniteAlgebra:
+    """The table of alg + V, (x + u)(y + v) = xy + l(x)v + r(y)u, for one
+    matrix l(e_i), r(e_i) per basis index of alg acting on V, whose basis
+    has the given labels: the matched pair (alg, V, l, r, 0, 0), V a
+    zero-product summand acting by zero."""
+    labels = tuple(labels)
+    module = FiniteAlgebra(id="0", space="0", dim=len(labels), labels=labels, kind="none")
+    zero = (((ZERO,) * alg.dim,) * alg.dim,) * len(labels)
+    return _assemble_matched_pair(alg, module, l, r, zero, zero, space)
+
+
+def _module_residuals(alg: FiniteAlgebra, rep: Representation) -> dict:
+    """{(label, i, j, c): ((k, coeff), ...)} for each row of
+    LAW_PLANS[Representation] that does not vanish on the semidirect table
+    alg + V of rep (_semidirect) at the inputs e_i, e_j of alg, in this
+    order, and v_c of V in the row's module input; k runs over V's basis,
+    where every product with an input in V lies.
+
+    The rows run in one uncapped cube (_law_residuals) over every basis
+    triple of alg + V, and the triples whose one input in V is not the
+    row's module input are dropped."""
+    sd = _semidirect(alg, rep.l, rep.r, (f"v{c}" for c in range(rep.module_dim)))
+    cube = _Recorder(cap=len(LAW_PLANS[LawId.Representation]) * sd.dim**3)
+    keys = sd.basis_keys()
+    _law_residuals(LawId.Representation, keys, lambda a, b: sd.product(a, b).items(), cube)
+    d = alg.dim
+    out = {}
+    for label, at, res in cube.items:
+        i, j, c = (k[2] for k in (at if label.startswith("rep-l") else at[1:] + at[:1]))
+        if i < d and j < d and c >= d:
+            out[label, i, j, c - d] = tuple((k[2] - d, v) for k, v in res)
+    return out
+
+
+def check_representation(alg: FiniteAlgebra, rep: Representation) -> CheckReport:
+    """The rows of LAW_PLANS[Representation] (see _module_residuals), each a
+    matrix identity at (e_i, e_j): a violation at (i, j) lists the nonzero
+    entries ((k, c), coeff) of its residual matrix, column c being the row
+    at v_c.  Recorded by (i, j), l's rows before r's."""
+    found = _module_residuals(alg, rep)
+    labels = sorted((row[0] for row in LAW_PLANS[LawId.Representation]), key=lambda s: s[:5])
+    rec = _Recorder()
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        for label in labels:
+            cols = ((c, found.get((label, i, j, c), ())) for c in range(rep.module_dim))
+            if res := sorted(((k, c), v) for c, col in cols for k, v in col):
+                rec.add(label, (i, j), tuple(res))
+    return CheckReport.build(
+        LawId.Representation.value, Window(0, 0), alg.dim**2, rec.items, rec.extra()
     )
 
 
@@ -1174,68 +1181,46 @@ def check_matched_pair(
 
 
 def check_o_operator(alg: FiniteAlgebra, rep: Representation, t) -> CheckReport:
-    """t: matrix (alg.dim rows x rep.module_dim cols) mapping module to algebra."""
+    """t: matrix (alg.dim rows x rep.module_dim cols) mapping module to algebra.
+
+    T is an O-operator exactly when its graph {T(v) + v} is closed in the
+    semidirect table alg + V (_semidirect): the residual at (a, b) is the
+    part in alg of the product of the graph vectors of v_a and v_b, less T
+    of its part in V."""
+    d, m = alg.dim, rep.module_dim
+    sd = _semidirect(alg, rep.l, rep.r, (f"v{c}" for c in range(m)))
+
+    def product(p, q):
+        return [(c, k) for k, c in sd.mul.get((p, q), ())]
+
+    graph = [{**{k: t[k][a] for k in range(d) if t[k][a]}, d + a: ONE} for a in range(m)]
     rec = _Recorder()
-    m = rep.module_dim
-    dim = alg.dim
-    checked = 0
-    tcols = [tuple(t[r][c] for r in range(dim)) for c in range(m)]
-    for a in range(m):
-        for b in range(m):
-            checked += 1
-            ta, tb = tcols[a], tcols[b]
-            lhs = alg.times(ta, tb)
-            w = [ZERO] * m
-            for k in range(dim):
-                if ta[k]:
-                    col = tuple(rep.l[k][r][b] for r in range(m))
-                    w = [x + ta[k] * y for x, y in zip(w, col)]
-                if tb[k]:
-                    col = tuple(rep.r[k][r][a] for r in range(m))
-                    w = [x + tb[k] * y for x, y in zip(w, col)]
-            rhs = [ZERO] * dim
-            for c_idx in range(m):
-                if w[c_idx]:
-                    rhs = [x + w[c_idx] * y for x, y in zip(rhs, tcols[c_idx])]
-            d = tuple(x - y for x, y in zip(lhs, rhs))
-            if any(d):
-                rec.add("o-op", (a, b), tuple(((k,), v) for k, v in enumerate(d) if v))
-    return CheckReport.build(
-        LawId.OOperator.value, Window(0, 0), checked, rec.items, rec.extra()
-    )
-
-
-# The five pre-perm chains, in their order at one input (p1, p2, p3), as the
-# representation identities they are, read one column at a time: a pp-right
-# chain is column p1 of its identity at (p2, p3), a pp-left chain column p3
-# of its identity at (p1, p2).
-_PREPERM_CHAINS = (
-    ("rep-r-antihom", "pp-right-1"),
-    ("rep-r-lmix", "pp-right-2"),
-    ("rep-r-commute", "pp-right-3"),
-    ("rep-l-hom", "pp-left-1"),
-    ("rep-l-swap", "pp-left-2"),
-)
+    for a, b in itertools.product(range(m), repeat=2):
+        x = _mul(product, ZERO, graph[a], graph[b])
+        w = {u - d: c for u, c in x.items() if u >= d}
+        res = [x.get(k, ZERO) - sum((c * t[k][u] for u, c in w.items()), ZERO) for k in range(d)]
+        if any(res):
+            rec.add("o-op", (a, b), tuple(((k,), v) for k, v in enumerate(res) if v))
+    return CheckReport.build(LawId.OOperator.value, Window(0, 0), m * m, rec.items, rec.extra())
 
 
 def check_preperm(alg: FiniteAlgebra) -> CheckReport:
-    """Five defining chains of the splitting of a perm product: the
-    representation identities of l(e_i) v = e_i > v and r(e_i) v = v < e_i
-    (preperm_representation) for the product > + <."""
+    """Five defining chains (p1, p2, p3) of the splitting of a perm product:
+    the rows of LAW_PLANS[Representation] (see _module_residuals) for the
+    actions l(e_i) v = e_i > v, r(e_i) v = v < e_i of the product > + < on
+    its own space (preperm_representation), p1 in V for r's rows and p3 for
+    l's.  Recorded by triple, in the chains' order."""
     rep = preperm_representation(alg)
-    mul = combine_tables((1, alg.tri_left), (1, alg.tri_right))
-    chains = {ident: (n, label) for n, (ident, label) in enumerate(_PREPERM_CHAINS)}
-    found = []
-    for ident, i, j, d in _representation_residuals(mul, rep.l, rep.r, alg.dim):
-        n, label = chains[ident]
-        for col in range(alg.dim):
-            res = tuple((alg.key(k), row[col]) for k, row in enumerate(d) if row[col])
-            if res:
-                at = (col, i, j) if label.startswith("pp-right") else (i, j, col)
-                found.append((at, n, label, res))
+    split = replace(alg, mul=combine_tables((1, alg.tri_left), (1, alg.tri_right)))
+    found = _module_residuals(split, rep)
+    labels = [row[0] for row in LAW_PLANS[LawId.Representation]]
+    chains = ("pp-right-1", "pp-right-2", "pp-right-3", "pp-left-1", "pp-left-2")
     rec = _Recorder()
-    for at, _, label, res in sorted(found, key=lambda v: v[:2]):
-        rec.add(label, at, res)
+    for at in itertools.product(range(alg.dim), repeat=3):
+        for label, chain in zip(labels, chains):
+            ijc = at[1:] + at[:1] if chain.startswith("pp-right") else at
+            if res := found.get((label, *ijc)):
+                rec.add(chain, at, tuple((alg.key(k), v) for k, v in res))
     return CheckReport.build(
         LawId.PrePerm.value, Window(0, 0), alg.dim**3, rec.items, rec.extra()
     )

@@ -102,6 +102,7 @@ from .serialize import (
     matrix_to_json,
     pattern_to_json,
     report_to_json,
+    short_repr,
     tensor_from_json,
     tensor_to_json,
 )
@@ -957,7 +958,7 @@ def _merge_config(args, suite=None) -> SuiteConfig:
             raise ValueError(f"bad config {args.config}: not a JSON object")
         unknown = sorted(set(fromfile) - {"window", "margin", "seed", "format", "out"})
         if unknown:
-            raise ValueError(f"bad config {args.config}: unknown key {unknown[0]!r}")
+            raise ValueError(f"bad config {args.config}: unknown key {short_repr(unknown[0])}")
 
     def pick(name, default, kind):
         # flags arrive typed by argparse; a config value must already be a
@@ -969,9 +970,8 @@ def _merge_config(args, suite=None) -> SuiteConfig:
             return default
         v = fromfile[name]
         if not isinstance(v, kind) or isinstance(v, bool):
-            raise ValueError(
-                f"bad {name}: {v!r} (must be a JSON {'integer' if kind is int else 'string'})"
-            )
+            kind_name = "integer" if kind is int else "string"
+            raise ValueError(f"bad {name}: {short_repr(v)} (must be a JSON {kind_name})")
         return v
 
     cfg = SuiteConfig(
@@ -985,7 +985,7 @@ def _merge_config(args, suite=None) -> SuiteConfig:
     if cfg.margin is not None and cfg.margin < 0:
         raise ValueError(f"bad margin: {cfg.margin} (must be at least 0)")
     if cfg.fmt not in ("text", "json"):
-        raise ValueError(f"bad format: {cfg.fmt!r}")
+        raise ValueError(f"bad format: {short_repr(cfg.fmt)}")
     return cfg
 
 

@@ -4,16 +4,16 @@ Finite side: every finite double is one matched-pair assembly on a direct
 sum A + B (``axioms._assemble_matched_pair``); each construction supplies
 only its two summands and its four actions.  The transposed actions L*, R*
 come from ``dual_rep`` of an adjoint representation, and a module or an
-abelian half enters as a zero-product algebra acting by zero.  Built this
-way: the semidirect extension of a perm algebra by a module, the double of
-a perm bialgebra with its skew pairing, the restricted dual of a finite
-pre-Lie table, the pre-Lie double with its symplectic split, and the Lie
-algebra A + A* of a pre-Lie table.  Graded side: lifting a finite double
-through a quadratic graded family into a completed Lie algebra with a
-symmetric invariant pairing, reading the cobracket back off that pairing,
-the restricted graded dual of the rank-one derivation family, finite
-symplectic <-> pre-Lie conversions, and an exact search for invariant skew
-forms on derivation families.
+abelian half enters as a zero-product algebra acting by zero
+(``axioms._semidirect``).  Built this way: the semidirect extension of a
+perm algebra by a module, the double of a perm bialgebra with its skew
+pairing, the restricted dual of a finite pre-Lie table, the pre-Lie double
+with its symplectic split, and the Lie algebra A + A* of a pre-Lie table.
+Graded side: lifting a finite double through a quadratic graded family into
+a completed Lie algebra with a symmetric invariant pairing, reading the
+cobracket back off that pairing, the restricted graded dual of the rank-one
+derivation family, finite symplectic <-> pre-Lie conversions, and an exact
+search for invariant skew forms on derivation families.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .axioms import (
     LawId,
     _assemble_matched_pair,
     _gram_rank,
+    _semidirect,
     _Recorder,
     _int,
     _pairings,
@@ -94,16 +95,6 @@ def dual_rep(rep: Representation) -> Representation:
     )
 
 
-def _zero_product(dim: int, labels) -> FiniteAlgebra:
-    """A module as a trivial algebra: the summand that acts by zero."""
-    return FiniteAlgebra(id="0", space="0", dim=dim, labels=tuple(labels), kind="none")
-
-
-def _no_action(alg: FiniteAlgebra, count: int) -> tuple:
-    """count zero matrices on alg's space."""
-    return (((ZERO,) * alg.dim,) * alg.dim,) * count
-
-
 def _prelie_actions(alg: FiniteAlgebra) -> tuple:
     """(R* - L*, R*): the transposed actions of a pre-Lie algebra on its dual."""
     star = dual_rep(adjoint_representation(alg))
@@ -131,12 +122,8 @@ def semidirect_perm(
     if not ok.passed:
         bad = ", ".join(sorted({v[0] for v in ok.violations}))
         raise ValueError(f"not a representation of {alg.id}: {bad}")
-    m = rep.module_dim
-    module = _zero_product(m, module_labels or (f"v{b}" for b in range(m)))
-    zero = _no_action(alg, m)
-    out = _assemble_matched_pair(
-        alg, module, rep.l, rep.r, zero, zero, space=space or f"{alg.space}V"
-    )
+    labels = module_labels or (f"v{b}" for b in range(rep.module_dim))
+    out = _semidirect(alg, rep.l, rep.r, labels, space=space or f"{alg.space}V")
     out = replace(out, id=f"{alg.id}+mod", kind="Perm")
     perm = check_algebra(LawId.Perm, alg=out)
     if not perm.passed:
@@ -490,13 +477,9 @@ def _w1_restricted_double() -> GradedFamily:
 def _finite_restricted_double(alg: FiniteAlgebra):
     """2d-dim quadratic pre-Lie table on e_0..e_(d-1), e_0°..e_(d-1)°: the
     matched pair (A, A°, R* - L*, R*, 0, 0) with A° of zero product."""
-    d = alg.dim
-    dual = _zero_product(d, (f"{x}°" for x in alg.labels))
-    zero = _no_action(alg, d)
-    out = _assemble_matched_pair(
-        alg, dual, *_prelie_actions(alg), zero, zero, space=f"{alg.space}D"
-    )
-    return replace(out, id=f"{alg.id}+dual", kind="PreLie"), dual_half_form(d)
+    labels = (f"{x}°" for x in alg.labels)
+    out = _semidirect(alg, *_prelie_actions(alg), labels, space=f"{alg.space}D")
+    return replace(out, id=f"{alg.id}+dual", kind="PreLie"), dual_half_form(alg.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -556,18 +539,9 @@ def prelie_to_symplectic(alg: FiniteAlgebra):
     pairing, which the bracket keeps symplectic."""
     d = alg.dim
     lie = replace(alg, mul=alg.commutator())
-    dual = _zero_product(d, (f"{x}*" for x in alg.labels))
     lstar = dual_rep(adjoint_representation(alg)).l
-    zero = _no_action(alg, d)
-    out = _assemble_matched_pair(
-        lie,
-        dual,
-        tuple(mat_scale(-ONE, m) for m in lstar),
-        lstar,
-        zero,
-        zero,
-        space=f"{alg.space}T",
-    )
+    lminus = tuple(mat_scale(-ONE, m) for m in lstar)
+    out = _semidirect(lie, lminus, lstar, (f"{x}*" for x in alg.labels), space=f"{alg.space}T")
     out = replace(out, id=f"{alg.id}+cot", kind="Lie")
     form = dual_half_form(d)
     jac = check_algebra(LawId.LieJacobi, alg=out)

@@ -432,23 +432,6 @@ class FiniteAlgebra:
         flipped = {(j, i): terms for (i, j), terms in self.mul.items()}
         return combine_tables((1, self.mul), (-1, flipped))
 
-    # Coefficient tuples: u stands for sum_i u[i] e_i.
-    def unit(self, i: int) -> tuple:
-        return tuple(ONE if k == i else ZERO for k in range(self.dim))
-
-    def times(self, u, v) -> tuple:
-        out = [ZERO] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                f = a * b
-                if not f:
-                    continue
-                for k, c in self.mul.get((i, j), ()):
-                    out[k] += f * c
-        return tuple(out)
-
     def sym_delta(self, p, fresh: Fresh):
         if p[0] != "Fin":
             raise ValueError(f"{self.id} has only Fin keys: {p!r}")

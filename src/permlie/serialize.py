@@ -7,6 +7,7 @@ and reports are export-only.
 
 import json
 import re
+import reprlib
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -34,6 +35,17 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def short_repr(x, limit: int = 80) -> str:
+    """repr(x) for a one-line message that echoes outside input: cut to limit
+    characters, ending in '...', when longer.  A value nested too deep for
+    repr is abbreviated by reprlib first."""
+    try:
+        text = repr(x)
+    except RecursionError:
+        text = reprlib.repr(x)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 SCALAR_STR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -42,17 +54,17 @@ def parse_scalar(s) -> Fraction:
     Other spellings Fraction would take ("1e4000000", "0.5") are refused:
     an exponent can ask for an arbitrarily large integer."""
     if isinstance(s, bool):
-        raise ValueError(f"not a scalar: {s!r}")
+        raise ValueError(f"not a scalar: {short_repr(s)}")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
         if not SCALAR_STR.fullmatch(s):
-            raise ValueError(f"not a scalar: {s!r}")
+            raise ValueError(f"not a scalar: {short_repr(s)}")
         try:
             return Fraction(s)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {s!r}") from None
-    raise ValueError(f"not a scalar: {s!r}")
+            raise ValueError(f"zero denominator: {short_repr(s)}") from None
+    raise ValueError(f"not a scalar: {short_repr(s)}")
 
 
 # ---------------------------------------------------------------------------
@@ -77,16 +89,17 @@ def key_to_json(key) -> dict:
 def _field(data: dict, name: str, kind=int):
     """data[name], which must be present and of the given JSON kind."""
     if name not in data:
-        raise ValueError(f"key object lacks {name!r}: {data!r}")
+        raise ValueError(f"key object lacks {name!r}: {short_repr(data)}")
     v = data[name]
     if not isinstance(v, kind) or isinstance(v, bool):
-        raise ValueError(f"key field {name!r} must be a JSON {kind.__name__}: {data!r}")
+        kind_name = kind.__name__
+        raise ValueError(f"key field {name!r} must be a JSON {kind_name}: {short_repr(data)}")
     return v
 
 
 def key_from_json(data) -> tuple:
     if not isinstance(data, dict) or "t" not in data:
-        raise ValueError(f"not a key object: {data!r}")
+        raise ValueError(f"not a key object: {short_repr(data)}")
     tag = data["t"]
     if tag == "Tee":
         return tee(_field(data, "i"))
@@ -97,13 +110,13 @@ def key_from_json(data) -> tuple:
     if tag == "Wn":
         e = _field(data, "e", list)
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in e):
-            raise ValueError(f"Wn exponents must be JSON ints: {data!r}")
+            raise ValueError(f"Wn exponents must be JSON ints: {short_repr(data)}")
         return wn(e, _field(data, "d"))
     if tag == "Fin":
         return fin(_field(data, "space", str), _field(data, "idx"))
     if tag == "Pair":
         return pair(key_from_json(_field(data, "l", dict)), key_from_json(_field(data, "r", dict)))
-    raise ValueError(f"unknown key tag: {tag!r}")
+    raise ValueError(f"unknown key tag: {short_repr(tag)}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +152,21 @@ def tensor_from_json(data, alg: FiniteAlgebra = None) -> TensorElement:
     terms = []
     for row in data:
         if not isinstance(row, list) or len(row) != 3:
-            raise ValueError(f"tensor term must be [key, key, coeff]: {row!r}")
+            raise ValueError(f"tensor term must be [key, key, coeff]: {short_repr(row)}")
         keys = []
         for cell in row[:2]:
             if isinstance(cell, bool):
-                raise ValueError(f"not a key: {cell!r}")
+                raise ValueError(f"not a key: {short_repr(cell)}")
             if isinstance(cell, int):
                 if alg is None:
                     raise ValueError("bare index keys need an algebra")
                 if not 0 <= cell < alg.dim:
-                    raise ValueError(f"basis index out of range: {cell}")
+                    raise ValueError(f"basis index out of range: {short_repr(cell)}")
                 keys.append(alg.key(cell))
             else:
                 key = key_from_json(cell)
                 if basis is not None and key not in basis:
-                    raise ValueError(f"not a basis key of {alg.id}: {cell!r}")
+                    raise ValueError(f"not a basis key of {alg.id}: {short_repr(cell)}")
                 keys.append(key)
         terms.append((keys[0], keys[1], parse_scalar(row[2])))
     return TensorElement.of(terms)

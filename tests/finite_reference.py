@@ -1,14 +1,87 @@
 """References for the finite layer's shared evaluators, used by the axioms and
-ybe tests: the five pre-perm chains composed product by product on formal
-vectors (axioms.check_preperm reads them as representation identities), and
-the closure criterion of r# written out for the dual adjoint representation
-(ybe.r_sharp reads it through axioms.check_o_operator)."""
+ybe tests.  axioms reads representations, pre-perm chains and O-operators off
+the semidirect table A + V; these write them out directly: the five
+representation identities as matrix products, the five pre-perm chains
+composed product by product on formal vectors, the O-operator identity on
+coefficient tuples, and the closure criterion of r# written out for the
+dual adjoint representation (ybe.r_sharp reads it through
+axioms.check_o_operator)."""
 
 from permlie.axioms import LawId, _Recorder
 from permlie.doubles import dual_rep
-from permlie.families import adjoint_representation
+from permlie.families import adjoint_representation, mat_mul, mat_sub
 from permlie.kernel import ONE, ZERO, CheckReport, Window, add_term
-from helpers import signed_sum
+from helpers import signed_sum, times
+
+
+def _matrix_residuals(mul, l, r, dim):
+    """(label, i, j, D) for each identity of a representation (l, r) of the
+    product table mul on dim basis vectors whose residual matrix D at
+    (e_i, e_j) is nonzero: l(e_i e_j) = l(e_i) l(e_j) = l(e_j) l(e_i) and
+    r(e_i e_j) = r(e_j) r(e_i) = r(e_j) l(e_i) = l(e_i) r(e_j)."""
+
+    def act(mats, terms):
+        """The sum of c mats[k] over the terms (k, c)."""
+        out = [[ZERO] * len(row) for row in mats[0]]
+        for k, c in terms:
+            for ro, rm in zip(out, mats[k]):
+                for col, y in enumerate(rm):
+                    ro[col] += c * y
+        return out
+
+    for i in range(dim):
+        for j in range(dim):
+            terms = mul.get((i, j), ())
+            li_lj = mat_mul(l[i], l[j])
+            rj_ri = mat_mul(r[j], r[i])
+            rj_li = mat_mul(r[j], l[i])
+            for label, x, y in (
+                ("rep-l-hom", act(l, terms), li_lj),
+                ("rep-l-swap", li_lj, mat_mul(l[j], l[i])),
+                ("rep-r-antihom", act(r, terms), rj_ri),
+                ("rep-r-lmix", rj_ri, rj_li),
+                ("rep-r-commute", rj_li, mat_mul(l[i], r[j])),
+            ):
+                d = mat_sub(x, y)
+                if any(any(row) for row in d):
+                    yield label, i, j, d
+
+
+def representation_by_matrices(alg, rep) -> CheckReport:
+    """check_representation's report, each identity a product of matrices."""
+    rec = _Recorder()
+    for label, i, j, d in _matrix_residuals(alg.mul, rep.l, rep.r, alg.dim):
+        items = tuple(((r, c), v) for r, row in enumerate(d) for c, v in enumerate(row) if v)
+        rec.add(label, (i, j), items)
+    return CheckReport.build(
+        LawId.Representation.value, Window(0, 0), alg.dim**2, rec.items, rec.extra()
+    )
+
+
+def o_operator_by_tuples(alg, rep, t) -> CheckReport:
+    """check_o_operator's report from T(a) T(b) = T(l(T a) b + r(T b) a) at
+    the module's basis vectors (a, b), on coefficient tuples."""
+    rec = _Recorder()
+    m, dim = rep.module_dim, alg.dim
+    tcols = [tuple(t[r][c] for r in range(dim)) for c in range(m)]
+    for a in range(m):
+        for b in range(m):
+            ta, tb = tcols[a], tcols[b]
+            lhs = times(alg, ta, tb)
+            w = [ZERO] * m
+            for k in range(dim):
+                if ta[k]:
+                    w = [x + ta[k] * rep.l[k][r][b] for r, x in enumerate(w)]
+                if tb[k]:
+                    w = [x + tb[k] * rep.r[k][r][a] for r, x in enumerate(w)]
+            rhs = [ZERO] * dim
+            for c, wc in enumerate(w):
+                if wc:
+                    rhs = [x + wc * y for x, y in zip(rhs, tcols[c])]
+            d = tuple(x - y for x, y in zip(lhs, rhs))
+            if any(d):
+                rec.add("o-op", (a, b), tuple(((k,), v) for k, v in enumerate(d) if v))
+    return CheckReport.build(LawId.OOperator.value, Window(0, 0), m * m, rec.items, rec.extra())
 
 
 def preperm_by_chains(alg) -> CheckReport:
@@ -74,7 +147,7 @@ def r_sharp_closure(alg, mat) -> list:
         xa = tuple(mat[k][a] for k in range(d))
         for b in range(d):
             xb = tuple(mat[k][b] for k in range(d))
-            lhs = alg.times(xa, xb)
+            lhs = times(alg, xa, xb)
             arg = [ZERO] * d
             for i in range(d):
                 if xa[i]:

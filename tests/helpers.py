@@ -1,7 +1,8 @@
 """Helpers shared by the tests: random basis changes of finite tables and
-coproducts, a matrix-vector product, a signed sum of vectors, pattern
-evaluation, a template series as JSON and the probe bank of acceptance
-criterion 5.  None of them is used by the package itself."""
+coproducts, a matrix-vector product, the product of coefficient tuples
+through a finite table, a signed sum of vectors, pattern evaluation, a
+template series as JSON and the probe bank of acceptance criterion 5.  None
+of them is used by the package itself."""
 
 import random
 from fractions import Fraction
@@ -13,6 +14,22 @@ from permlie.serialize import pattern_to_json
 
 def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def unit(dim: int, i: int) -> tuple:
+    """e_i as a coefficient tuple on dim basis vectors."""
+    return tuple(Fraction(k == i) for k in range(dim))
+
+
+def times(alg, u, v) -> tuple:
+    """The product of coefficient tuples, u standing for sum_i u[i] e_i:
+    (uv)_k = sum over (i, j) of u_i v_j c_ij^k, with e_i e_j = sum_k c_ij^k
+    e_k read off alg.mul."""
+    out = [ZERO] * alg.dim
+    for (i, j), terms in alg.mul.items():
+        for k, c in terms:
+            out[k] += u[i] * v[j] * c
+    return tuple(out)
 
 
 def random_invertible(rng, dim: int):

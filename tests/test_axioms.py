@@ -32,14 +32,17 @@ from permlie.kernel import (
 )
 from permlie.families import (
     FiniteAlgebra,
+    Representation,
     adjoint_representation,
     ats_family,
+    combine_tables,
     delta_a_family,
     delta_a_sym,
     delta_p_family,
     finite_catalog,
     mat_inv,
     perm_p_family,
+    preperm_representation,
     random_table,
     tensor_catalog,
     wn_codelta,
@@ -68,13 +71,14 @@ from permlie.axioms import (
 )
 from permlie.serialize import canonical_json, report_to_json
 from box_reference import support_by_solving
-from finite_reference import preperm_by_chains
+from finite_reference import o_operator_by_tuples, preperm_by_chains, representation_by_matrices
 from permlie.affinize import delta_bullet_rule, induced_lie_bracket, pair_keys
 from permlie.cli import _perturbed_ats_delta, _perturbed_ats_product, _perturbed_ats_sym_co
 from permlie.ybe import coboundary_delta_perm, coboundary_delta_prelie
 from permlie.doubles import (
     canonical_dual_actions,
     dual_perm_algebra,
+    dual_rep,
     manin_double_from_bialgebra,
     restricted_dual_double,
 )
@@ -88,6 +92,8 @@ from helpers import (
     random_delta,
     random_invertible,
     signed_sum,
+    times,
+    unit,
 )
 
 F = Fraction
@@ -1406,7 +1412,8 @@ class TestMatchedPair:
 
 def _matched_pair_oracle(alg1, alg2, l12, r12, l21, r21):
     """check_matched_pair from the paper's ten equations, written with
-    mat_vec and times: (passed, checked, extra, violations).  pmp3, 4, 6, 8
+    mat_vec and the product of coefficient tuples (helpers.times): (passed,
+    checked, extra, violations).  pmp3, 4, 6, 8
     and 10 are pmp1, 2, 5, 7 and 9 with the two algebras' roles swapped."""
 
     def on(mats, x, v):
@@ -1430,25 +1437,25 @@ def _matched_pair_oracle(alg1, alg2, l12, r12, l21, r21):
     for A, B, lA, rA, lB, rB, labels in halves:
         for i, a, b in itertools.product(range(A.dim), range(B.dim), range(B.dim)):
             checked += 1
-            p, q, q2 = A.unit(i), B.unit(a), B.unit(b)
-            qq = B.times(q, q2)
+            p, q, q2 = unit(A.dim, i), unit(B.dim, a), unit(B.dim, b)
+            qq = times(B, q, q2)
             sides = (
                 # lA(p)(q q') = (lA(p) q) q' + lA(rB(q) p) q'
-                (on(lA, p, qq), plus(B.times(on(lA, p, q), q2), on(lA, on(rB, q, p), q2))),
+                (on(lA, p, qq), plus(times(B, on(lA, p, q), q2), on(lA, on(rB, q, p), q2))),
                 # rA(p)(q q') = q (rA(p) q') + rA(lB(q') p) q
-                (on(rA, p, qq), plus(B.times(q, on(rA, p, q2)), on(rA, on(lB, q2, p), q))),
+                (on(rA, p, qq), plus(times(B, q, on(rA, p, q2)), on(rA, on(lB, q2, p), q))),
                 # (rA(p) q) q' + lA(lB(q) p) q' = q (lA(p) q') + rA(rB(q') p) q
                 (
-                    plus(B.times(on(rA, p, q), q2), on(lA, on(lB, q, p), q2)),
-                    plus(B.times(q, on(lA, p, q2)), on(rA, on(rB, q2, p), q)),
+                    plus(times(B, on(rA, p, q), q2), on(lA, on(lB, q, p), q2)),
+                    plus(times(B, q, on(lA, p, q2)), on(rA, on(rB, q2, p), q)),
                 ),
                 # (lA(p) q) q' + lA(rB(q) p) q' = (rA(p) q) q' + lA(lB(q) p) q'
                 (
-                    plus(B.times(on(lA, p, q), q2), on(lA, on(rB, q, p), q2)),
-                    plus(B.times(on(rA, p, q), q2), on(lA, on(lB, q, p), q2)),
+                    plus(times(B, on(lA, p, q), q2), on(lA, on(rB, q, p), q2)),
+                    plus(times(B, on(rA, p, q), q2), on(lA, on(lB, q, p), q2)),
                 ),
                 # rA(p)(q q') = rA(p)(q' q)
-                (on(rA, p, qq), on(rA, p, B.times(q2, q))),
+                (on(rA, p, qq), on(rA, p, times(B, q2, q))),
             )
             for label, (lhs, rhs) in zip(labels, sides):
                 d = [x - y for x, y in zip(lhs, rhs)]
@@ -1619,3 +1626,84 @@ class TestPrePerm:
             assert got == canonical_json(report_to_json(preperm_by_chains(alg))), trial
             truncated += rep.extra["violations_total"] > 25
         assert truncated
+
+
+def _module_inputs():
+    """(alg, rep, t): 320 seeded inputs of dimension 1-3, four kinds in turn.
+    A random basis change of a catalog perm algebra, with its adjoint or its
+    dual adjoint representation: a representation.  A random table with its
+    adjoint representation.  A random pre-perm split, whose own actions are
+    its left and right products; a scalar multiple of the identity is then an
+    O-operator.  Random actions on a module of dimension 1-6.  T is random,
+    or zero in every fifth input."""
+    rng = random.Random(3030)
+    cat = finite_catalog()
+    perms = [cat[name] for name in ("ex-1p", "ex-sd2", "ex-nilp2")]
+
+    def mats(count, dim):
+        return tuple(
+            tuple(tuple(F(rng.choice((0, 0, 1, -1, 2))) for _ in range(dim)) for _ in range(dim))
+            for _ in range(count)
+        )
+
+    out = []
+    for trial in range(320):
+        d = rng.randint(1, 3)
+        alg = FiniteAlgebra(
+            id=f"m{trial}", space="M", dim=d, labels=tuple("abc"[:d]), kind="Perm",
+            mul=random_table(rng, d),
+        )
+        kind = trial % 4
+        if kind == 0:
+            base = perms[trial // 4 % 3]
+            mul = conjugated_table(base.mul, random_invertible(rng, base.dim), base.dim)
+            alg = dataclasses.replace(alg, dim=base.dim, labels=base.labels, mul=mul)
+            rep = adjoint_representation(alg)
+            rep = dual_rep(rep) if trial % 8 else rep
+        elif kind == 1:
+            rep = adjoint_representation(alg)
+        elif kind == 2:
+            left, right = random_table(rng, d), random_table(rng, d)
+            alg = dataclasses.replace(
+                alg, kind="PrePerm", mul=combine_tables((1, left), (1, right)),
+                tri_left=left, tri_right=right,
+            )
+            rep = preperm_representation(alg)
+        else:
+            m = rng.randint(1, 6)
+            rep = Representation(alg.id, m, mats(alg.dim, m), mats(alg.dim, m))
+        m = rep.module_dim
+        if trial % 5 == 0:
+            t = ((F(0),) * m,) * alg.dim
+        elif kind == 2:
+            c = F(rng.choice((1, -1, 2)))
+            t = tuple(tuple(c * (k == u) for u in range(m)) for k in range(alg.dim))
+        else:
+            t = tuple(tuple(F(rng.choice((0, 0, 1, -1))) for _ in range(m)) for _ in range(alg.dim))
+        out.append((alg, rep, t))
+    return out
+
+
+class TestModuleReferences:
+    """check_representation and check_o_operator, read off the semidirect
+    table's cube, against the identities written out directly."""
+
+    @staticmethod
+    def _compare(check, reference, inputs):
+        seen = {"passed": 0, "failed": 0, "truncated": 0}
+        for n, args in enumerate(inputs):
+            rep = check(*args)
+            got = canonical_json(report_to_json(rep))
+            assert got == canonical_json(report_to_json(reference(*args))), n
+            seen["passed" if rep.passed else "failed"] += 1
+            seen["truncated"] += rep.extra.get("violations_truncated", False)
+        return seen
+
+    def test_representation_matches_matrix_identities(self):
+        inputs = [(alg, rep) for alg, rep, _ in _module_inputs()]
+        seen = self._compare(check_representation, representation_by_matrices, inputs)
+        assert seen["passed"] >= 100 and seen["failed"] >= 150 and seen["truncated"] >= 50, seen
+
+    def test_o_operator_matches_coefficient_tuples(self):
+        seen = self._compare(check_o_operator, o_operator_by_tuples, _module_inputs())
+        assert seen["passed"] >= 150 and seen["failed"] >= 120 and seen["truncated"] >= 10, seen

@@ -463,11 +463,28 @@ class TestResidual:
         assert p.returncode == 2
 
     def test_stdin_and_s_eq(self):
+        # e1 (x) e0 + e0 (x) e1 - e1 (x) e1 solves the S-equation on ex-prelie-n2
         p = run(
             "residual", "s-eq", "--algebra", "ex-prelie-n2", "--input", "-",
             stdin='[[1, 0, "1"], [0, 1, "1"], [1, 1, "-1"]]',
         )
-        assert p.returncode in (0, 1)
+        assert (p.returncode, p.stdout, p.stderr) == (0, "zero\n", "")
+
+    def test_s_eq_json_residual(self, tmp_path):
+        # e0 (x) e0 does not: its residual is e0 (x) e1 (x) e0 - e1 (x) e0 (x) e0
+        f = tmp_path / "r.json"
+        f.write_text('[[0, 0, "1"]]')
+        p = run(
+            "residual", "s-eq", "--algebra", "ex-prelie-n2", "--input", str(f),
+            "--format", "json",
+        )
+        assert p.returncode == 1
+        payload = json.loads(p.stdout)
+        assert (payload["kind"], payload["algebra"], payload["zero"]) == (
+            "s-eq", "ex-prelie-n2", False
+        )
+        terms = [[k["idx"] for k in row[:3]] + row[3:] for row in payload["residual"]]
+        assert terms == [[0, 1, 0, "1"], [1, 0, 0, "-1"]]
 
     def test_cybe_json_report(self, tmp_path):
         f = tmp_path / "r.json"
@@ -577,6 +594,32 @@ class TestMalformedInput:
         p = run("residual", "perm-ybe", "--algebra", "ex-1p", "--input", str(f))
         self.assert_usage_error(p)
         assert p.stderr.startswith("parse error: ")
+
+    @pytest.mark.parametrize(
+        "argv, name, text",
+        [
+            (("verify", "ybe", "--config"), "cfg.json", '{"window": ' + "[" * 900 + "]" * 900 + "}"),
+            (
+                ("residual", "perm-ybe", "--algebra", "ex-1p", "--input"),
+                "r.json",
+                "[" + "[" * 900 + "]" * 900 + "]",
+            ),
+            (
+                ("residual", "perm-ybe", "--algebra", "ex-1p", "--input"),
+                "r.json",
+                '[[0, 0, "' + "1" * 99_999 + 'x"]]',
+            ),
+        ],
+        ids=["config-window-nested", "residual-term-nested", "long-coefficient"],
+    )
+    def test_echoed_value_is_cut(self, tmp_path, argv, name, text):
+        # the message echoes the bad value in at most 80 characters
+        f = tmp_path / name
+        f.write_text(text)
+        p = run(*argv, str(f))
+        self.assert_usage_error(p)
+        assert len(p.stderr.encode()) < 300
+        assert p.stderr.rstrip("\n").endswith(("...", "... (must be a JSON integer)"))
 
     def test_residual_zero_denominator(self, tmp_path):
         f = tmp_path / "r.json"

@@ -33,6 +33,7 @@ from permlie.families import (
 from permlie.axioms import (
     LawId,
     _assemble_matched_pair,
+    _mul,
     check_algebra,
     check_form,
     check_representation,
@@ -297,18 +298,27 @@ def _assert_table(out, want):
 
 
 class TestDoubleTables:
-    def test_times_is_the_bilinear_product(self):
+    def test_product_is_the_table(self):
+        # alg.product on basis keys is the table e_i e_j = sum_k c_ij^k e_k,
+        # and _mul through it is the bilinear product
+        # (sum_i u_i e_i)(sum_j v_j e_j) = sum_(i, j) u_i v_j e_i e_j
         rng = random.Random(61)
         for alg, _ in _double_inputs():
-            p = _table(alg)
-            for (i, j), row in p.items():
-                assert alg.times(alg.unit(i), alg.unit(j)) == tuple(row)
-            u = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)]
-            v = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)]
+            keys = alg.basis_keys()
+            for i, j in itertools.product(range(alg.dim), repeat=2):
+                want = {}
+                for k, c in alg.mul.get((i, j), ()):
+                    want[keys[k]] = want.get(keys[k], 0) + c
+                got = alg.product(keys[i], keys[j])
+                assert got == {k: c for k, c in want.items() if c}, alg.id
+                assert all(type(c) is Fraction for c in got.values())
+            u = {k: F(rng.randint(-3, 3), rng.randint(1, 2)) for k in keys}
+            v = {k: F(rng.randint(-3, 3), rng.randint(1, 2)) for k in keys}
             want = [F(0)] * alg.dim
-            for (i, j), row in p.items():
-                want = [w + u[i] * v[j] * c for w, c in zip(want, row)]
-            assert alg.times(u, v) == tuple(want), alg.id
+            for (i, j), row in _table(alg).items():
+                want = [w + u[keys[i]] * v[keys[j]] * c for w, c in zip(want, row)]
+            got = _mul(lambda p, q: [(c, k) for k, c in alg.product(p, q).items()], F(0), u, v)
+            assert [got.get(k, 0) for k in keys] == want, alg.id
 
     def test_prelie_double(self):
         for alg, delta in _double_inputs():
