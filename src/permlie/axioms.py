@@ -180,18 +180,20 @@ LAW_PLANS = {
     ),
     LawId.LieJacobi: (("jacobi", "(ab)c + (bc)a + (ca)b", "0"),),
     LawId.LieSkew: (("skew", "ab + ba", "0"),),
-    # A representation (l, r) of A on V: rows of the semidirect table A + V
-    # read with one input in V, a in r's rows and c in l's.  At a pre-perm
-    # split's own actions, r's rows are its chains pp-right-1..3 and l's its
-    # chains pp-left-1..2, in this order (see _module_residuals).
-    LawId.Representation: (
-        ("rep-r-antihom", "a(bc)", "(ab)c"),
-        ("rep-r-lmix", "(ab)c", "(ba)c"),
-        ("rep-r-commute", "(ba)c", "b(ac)"),
-        ("rep-l-hom", "(ab)c", "a(bc)"),
-        ("rep-l-swap", "a(bc)", "b(ac)"),
-    ),
 }
+
+# A representation (l, r) of A on V: (label, chain, module, lhs, rhs) rows
+# of the semidirect table A + V, read with the input in slot module (a is 0
+# in r's rows, c is 2 in l's) in V and the other two in A.  At a pre-perm
+# split's own actions each row is the named chain (see _module_residuals).
+_MODULE_ROWS = (
+    ("rep-r-antihom", "pp-right-1", 0, "a(bc)", "(ab)c"),
+    ("rep-r-lmix", "pp-right-2", 0, "(ab)c", "(ba)c"),
+    ("rep-r-commute", "pp-right-3", 0, "(ba)c", "b(ac)"),
+    ("rep-l-hom", "pp-left-1", 2, "(ab)c", "a(bc)"),
+    ("rep-l-swap", "pp-left-2", 2, "a(bc)", "b(ac)"),
+)
+LAW_PLANS[LawId.Representation] = tuple((lab, lhs, rhs) for lab, _, _, lhs, rhs in _MODULE_ROWS)
 
 
 def _signed_terms(text: str, term: str) -> list:
@@ -1072,40 +1074,42 @@ def _semidirect(alg: FiniteAlgebra, l, r, labels, space="MP") -> FiniteAlgebra:
 
 
 def _module_residuals(alg: FiniteAlgebra, rep: Representation) -> dict:
-    """{(label, i, j, c): ((k, coeff), ...)} for each row of
-    LAW_PLANS[Representation] that does not vanish on the semidirect table
-    alg + V of rep (_semidirect) at the inputs e_i, e_j of alg, in this
-    order, and v_c of V in the row's module input; k runs over V's basis,
-    where every product with an input in V lies.
+    """{(label, at): ((k, coeff), ...)} for each row of _MODULE_ROWS that
+    does not vanish on the semidirect table alg + V of rep (_semidirect) at
+    a triple with the row's module input v_c in V and the other two inputs
+    e_i, e_j in alg; at lists the three basis indices in input order, each
+    within its summand (i, j, c or c, i, j).  k runs over V's basis, where
+    every product with an input in V lies.
 
     The rows run in one uncapped cube (_law_residuals) over every basis
-    triple of alg + V, and the triples whose one input in V is not the
-    row's module input are dropped."""
+    triple of alg + V, and the triples not of the row's type are dropped."""
     sd = _semidirect(alg, rep.l, rep.r, (f"v{c}" for c in range(rep.module_dim)))
-    cube = _Recorder(cap=len(LAW_PLANS[LawId.Representation]) * sd.dim**3)
+    cube = _Recorder(cap=len(_MODULE_ROWS) * sd.dim**3)
     keys = sd.basis_keys()
     _law_residuals(LawId.Representation, keys, lambda a, b: sd.product(a, b).items(), cube)
+    module = {label: slot for label, _, slot, _, _ in _MODULE_ROWS}
     d = alg.dim
     out = {}
     for label, at, res in cube.items:
-        i, j, c = (k[2] for k in (at if label.startswith("rep-l") else at[1:] + at[:1]))
-        if i < d and j < d and c >= d:
-            out[label, i, j, c - d] = tuple((k[2] - d, v) for k, v in res)
+        at = tuple(k[2] for k in at)
+        if all((n >= d) == (s == module[label]) for s, n in enumerate(at)):
+            at = tuple(n - d if n >= d else n for n in at)
+            out[label, at] = tuple((k[2] - d, v) for k, v in res)
     return out
 
 
 def check_representation(alg: FiniteAlgebra, rep: Representation) -> CheckReport:
-    """The rows of LAW_PLANS[Representation] (see _module_residuals), each a
-    matrix identity at (e_i, e_j): a violation at (i, j) lists the nonzero
-    entries ((k, c), coeff) of its residual matrix, column c being the row
-    at v_c.  Recorded by (i, j), l's rows before r's."""
-    found = _module_residuals(alg, rep)
-    labels = sorted((row[0] for row in LAW_PLANS[LawId.Representation]), key=lambda s: s[:5])
+    """The rows of _MODULE_ROWS (see _module_residuals), each a matrix
+    identity at (e_i, e_j): a violation at (i, j) lists the nonzero entries
+    ((k, c), coeff) of its residual matrix, column c being the row at v_c.
+    Recorded by (i, j), l's rows (module slot 2) before r's."""
+    found, m = _module_residuals(alg, rep), rep.module_dim
+    rows = sorted(_MODULE_ROWS, key=lambda row: -row[2])
     rec = _Recorder()
     for i, j in itertools.product(range(alg.dim), repeat=2):
-        for label in labels:
-            cols = ((c, found.get((label, i, j, c), ())) for c in range(rep.module_dim))
-            if res := sorted(((k, c), v) for c, col in cols for k, v in col):
+        for label, _, s, _, _ in rows:
+            cols = [found.get((label, (i, j)[:s] + (c,) + (i, j)[s:]), ()) for c in range(m)]
+            if res := sorted(((k, c), v) for c, col in enumerate(cols) for k, v in col):
                 rec.add(label, (i, j), tuple(res))
     return CheckReport.build(
         LawId.Representation.value, Window(0, 0), alg.dim**2, rec.items, rec.extra()
@@ -1206,20 +1210,17 @@ def check_o_operator(alg: FiniteAlgebra, rep: Representation, t) -> CheckReport:
 
 def check_preperm(alg: FiniteAlgebra) -> CheckReport:
     """Five defining chains (p1, p2, p3) of the splitting of a perm product:
-    the rows of LAW_PLANS[Representation] (see _module_residuals) for the
-    actions l(e_i) v = e_i > v, r(e_i) v = v < e_i of the product > + < on
-    its own space (preperm_representation), p1 in V for r's rows and p3 for
-    l's.  Recorded by triple, in the chains' order."""
+    the rows of _MODULE_ROWS (see _module_residuals) for the actions
+    l(e_i) v = e_i > v, r(e_i) v = v < e_i of the product > + < on its own
+    space (preperm_representation), each under its chain's name.  Recorded
+    by triple, in the chains' order."""
     rep = preperm_representation(alg)
     split = replace(alg, mul=combine_tables((1, alg.tri_left), (1, alg.tri_right)))
     found = _module_residuals(split, rep)
-    labels = [row[0] for row in LAW_PLANS[LawId.Representation]]
-    chains = ("pp-right-1", "pp-right-2", "pp-right-3", "pp-left-1", "pp-left-2")
     rec = _Recorder()
     for at in itertools.product(range(alg.dim), repeat=3):
-        for label, chain in zip(labels, chains):
-            ijc = at[1:] + at[:1] if chain.startswith("pp-right") else at
-            if res := found.get((label, *ijc)):
+        for label, chain, _, _, _ in _MODULE_ROWS:
+            if res := found.get((label, at)):
                 rec.add(chain, at, tuple((alg.key(k), v) for k, v in res))
     return CheckReport.build(
         LawId.PrePerm.value, Window(0, 0), alg.dim**3, rec.items, rec.extra()

@@ -35,15 +35,15 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def short_repr(x, limit: int = 80) -> str:
-    """repr(x) for a one-line message that echoes outside input: cut to limit
+def short_repr(x) -> str:
+    """repr(x) for a one-line message that echoes outside input: cut to 80
     characters, ending in '...', when longer.  A value nested too deep for
     repr is abbreviated by reprlib first."""
     try:
         text = repr(x)
     except RecursionError:
         text = reprlib.repr(x)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 SCALAR_STR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
