@@ -600,10 +600,12 @@ def check_coalgebra(
     Otherwise each lifted residual is enumerated once on the box and its
     points grouped by input key; the violations are those of the loop over
     keys.  A delta or sym_co that cannot run on patterns (TypeError) is read
-    key by key."""
+    key by key.  A margin that leaves no interior raises
+    InsufficientWindowError."""
     if margin is None:
         margin = default_margin(law, graded=True)
     window = Window(window.n, margin)
+    window.require_interior(law.value)
     keys = list(keys)
     rec = _Recorder()
     _lifted_violations(
@@ -689,7 +691,8 @@ def check_bialgebra(
     residuals collapse to nothing, the cocycle condition holds at every pair
     of keys of those shapes, for every N, and the report is the window's
     pass report; otherwise they are enumerated once on the box.  A delta
-    that cannot run on patterns is read pair by pair.  bracket, the same
+    that cannot run on patterns is read pair by pair, and a margin that
+    leaves no interior raises InsufficientWindowError.  bracket, the same
     bracket on keys, is not read.  A missing input raises ValueError."""
     if law not in BI_PLANS:
         raise ValueError(f"not a bialgebra law: {law}")
@@ -698,6 +701,7 @@ def check_bialgebra(
         if delta is None or sym_bracket is None or keys is None or window is None:
             raise ValueError("LieBiCocycle needs delta, sym_bracket, keys and window")
         window = Window(window.n, default_margin(law, graded=True) if margin is None else margin)
+        window.require_interior(law.value)
         ks = list(keys)
         residuals = functools.partial(bialgebra_residuals, law, product=sym_bracket, delta=delta)
         _lifted_violations(ks, 2, residuals, window.n, rec)

@@ -122,8 +122,10 @@ class SuiteConfig:
 
 # ---------------------------------------------------------------------------
 # Row helpers.  A row is one named check with a pass flag and its report.
-# A suite writes each group of rows that repeats one call as a table of the
-# parts that vary, looped through that call.
+# A suite is a generator of entries: a (name, report) pair for a check with a
+# report, or a finished _row where no report exists.  _run_rows turns each
+# entry into its row; a row whose name starts with "neg:" is a negative
+# control, which passes when its report fails with witnesses.
 
 
 def _row(name, law, passed, note="", report=None):
@@ -146,9 +148,20 @@ def _report_row(name, rep: CheckReport, expect_pass: bool = True):
     return _row(name, rep.law, ok, note, report_to_json(rep))
 
 
-def _report_rows(prefix, reports: dict):
-    """One row per named report, in name order."""
-    return [_report_row(f"{prefix}:{name}", reports[name]) for name in sorted(reports)]
+def _run_rows(entries):
+    """The row of each suite entry, in order."""
+    for entry in entries:
+        if isinstance(entry, dict):
+            yield entry
+        else:
+            name, rep = entry
+            yield _report_row(name, rep, expect_pass=not name.startswith("neg:"))
+
+
+def _named(prefix, reports: dict):
+    """A (name, report) entry per named report, in name order."""
+    for name in sorted(reports):
+        yield f"{prefix}:{name}", reports[name]
 
 
 def _equality_report(law, window, checked, mismatches) -> CheckReport:
@@ -245,16 +258,14 @@ def suite_paper_examples(cfg: SuiteConfig):
     W, m = cfg.window, cfg.margin
     pfam, afam, w1, w2 = perm_p_family(), ats_family(), wn_family(1), wn_family(2)
 
-    rows = [
-        _report_row(name, check_algebra(law, family=fam, window=Window(W), margin=m))
-        for name, law, fam in (
-            ("law:perm:graded-p", LawId.Perm, pfam),
-            ("law:prelie:w1", LawId.PreLie, w1),
-            ("law:novikov:w1", LawId.Novikov, w1),
-            ("law:prelie:w2", LawId.PreLie, w2),
-            ("law:prelie:ats", LawId.PreLie, afam),
-        )
-    ]
+    for name, law, fam in (
+        ("law:perm:graded-p", LawId.Perm, pfam),
+        ("law:prelie:w1", LawId.PreLie, w1),
+        ("law:novikov:w1", LawId.Novikov, w1),
+        ("law:prelie:w2", LawId.PreLie, w2),
+        ("law:prelie:ats", LawId.PreLie, afam),
+    ):
+        yield name, check_algebra(law, family=fam, window=Window(W), margin=m)
     wc = Window(min(4, W))
     for name, law, fam, delta, sym_co in (
         ("colaw:coperm:graded-p", LawId.CoPerm, pfam, delta_p_family, pfam.sym_co),
@@ -262,57 +273,36 @@ def suite_paper_examples(cfg: SuiteConfig):
         ("colaw:coprelie:w1", LawId.CoPreLie, w1, partial(wn_codelta, 1), wn_codelta_sym(1)),
     ):
         keys = fam.interior_keys(wc, law)
-        rep = check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=wc, margin=m)
-        rows.append(_report_row(name, rep))
-    rows += [
-        _report_row(name, check_form(law, family=fam, window=Window(W), margin=m))
-        for name, law, fam in (
-            ("form:prelie:ats", LawId.QuadPreLieForm, afam),
-            ("form:perm:graded-p", LawId.QuadPermForm, pfam),
-        )
-    ]
+        yield name, check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=wc, margin=m)
+    for name, law, fam in (
+        ("form:prelie:ats", LawId.QuadPreLieForm, afam),
+        ("form:perm:graded-p", LawId.QuadPermForm, pfam),
+    ):
+        yield name, check_form(law, family=fam, window=Window(W), margin=m)
 
-    rows.append(_report_row("affinize:bracket-table", _bracket_table_report(W)))
+    yield "affinize:bracket-table", _bracket_table_report(W)
     alg = finite_catalog()["ex-1p"]
     probe = affinization_probe(alg, afam, "algebra", Window(min(5, W)))
-    rows.append(
-        _row(
-            "affinize:lie-jacobi",
-            probe.window_report.law,
-            probe.is_law and probe.direct_report.passed and probe.agree,
-            probe.note,
-            report_to_json(probe.window_report),
-        )
-    )
+    ok = probe.is_law and probe.direct_report.passed and probe.agree
+    report = report_to_json(probe.window_report)
+    yield _row("affinize:lie-jacobi", probe.window_report.law, ok, probe.note, report)
 
     wp = Window(min(5, W))
-    rows += [
-        _report_row(f"pipeline:cobracket-table:{shape}", _cobracket_table_report(wp.n, shape))
-        for shape in ("t", "s")
-    ]
+    for shape in ("t", "s"):
+        yield f"pipeline:cobracket-table:{shape}", _cobracket_table_report(wp.n, shape)
     delta, sym_co = delta_bullet_rule(alg, afam)
-    br, sbr = induced_lie_bracket(alg, afam)
+    _, sbr = induced_lie_bracket(alg, afam)
     pk = pair_keys(alg, afam, wp)
-    rep = check_bialgebra(
-        LawId.LieBiCocycle, bracket=br, delta=delta, sym_bracket=sbr, keys=pk, window=wp, margin=m
+    yield "pipeline:lie-bicocycle", check_bialgebra(
+        LawId.LieBiCocycle, delta=delta, sym_bracket=sbr, keys=pk, window=wp, margin=m
     )
-    rows.append(_report_row("pipeline:lie-bicocycle", rep))
-    rows += [
-        _report_row(
-            f"pipeline:colie-{tag}",
-            check_coalgebra(law, delta=delta, sym_co=sym_co, keys=pk, window=wp, margin=m),
-        )
-        for tag, law in (("skew", LawId.CoLieSkew), ("jacobi", LawId.CoLieJacobi))
-    ]
+    for tag, law in (("skew", LawId.CoLieSkew), ("jacobi", LawId.CoLieJacobi)):
+        rep = check_coalgebra(law, delta=delta, sym_co=sym_co, keys=pk, window=wp, margin=m)
+        yield f"pipeline:colie-{tag}", rep
 
     we = min(6, W)
-    rows += [
-        _report_row(
-            f"remark:coproduct-from-form:{tag}", _coproduct_from_form_report(fam, named, we)
-        )
-        for tag, fam, named in (("ats", afam, delta_a_family), ("graded-p", pfam, delta_p_family))
-    ]
-    return rows
+    for tag, fam, named in (("ats", afam, delta_a_family), ("graded-p", pfam, delta_p_family)):
+        yield f"remark:coproduct-from-form:{tag}", _coproduct_from_form_report(fam, named, we)
 
 
 # ---------------------------------------------------------------------------
@@ -415,85 +405,47 @@ def suite_ybe(cfg: SuiteConfig):
     W, m = cfg.window, cfg.margin
     cat, tens, fam = finite_catalog(), tensor_catalog(), ats_family()
     sd2, r_sd2 = cat["ex-sd2"], tens["r-sd2"][1]
-    rows = [
-        _report_row(
-            "ybe:residual-zero:semidirect", _residual_zero_report(sd2, r_sd2, "PermYbeZero")
-        ),
-        _report_row(
-            "ybe:coboundary-bialgebra",
-            check_bialgebra(
-                LawId.PermBi, alg=sd2, delta_table=coboundary_delta_perm(sd2, r_sd2)
-            ),
-        ),
-    ]
+    yield "ybe:residual-zero:semidirect", _residual_zero_report(sd2, r_sd2, "PermYbeZero")
+    dt = coboundary_delta_perm(sd2, r_sd2)
+    yield "ybe:coboundary-bialgebra", check_bialgebra(LawId.PermBi, alg=sd2, delta_table=dt)
 
     rt = affinize_r(r_sd2, fam)
     ws = min(4, W)
     skew_bad = (rt + rt.flip_hat()).support_in_box(ws)
     skew = [((k,), ((k, c),)) for k, c in sorted(skew_bad.items())]
-    rows.append(
-        _report_row(
-            "ybe:affinized-skew", _equality_report("AffinizedSkew", Window(ws, 0), 1, skew)
-        )
-    )
+    yield "ybe:affinized-skew", _equality_report("AffinizedSkew", Window(ws, 0), 1, skew)
 
     _, sbr = induced_lie_bracket(sd2, fam)
-    rows.append(_report_row("ybe:cybe", cybe_residual(sbr, rt, Window(min(5, W), 0))))
-    rows.append(_report_row("ybe:worked-cobracket", _worked_cobracket_report(min(3, W))))
-    rows.append(_report_row("ybe:diagram", _ybe_diagram_report(min(4, W))))
-
-    nilp, r_n = cat["ex-nilp2"], tens["r-nilp2"][1]
-    onep = cat["ex-1p"]
-    wc = Window(min(4, W))
-
-    def o_operator_report():
-        # the O-operator's failing report, or None when it is accepted
-        try:
-            o_to_ybe(((Fraction(1),),), onep, adjoint_representation(onep))
-        except OOperatorError as err:
-            return err.report
-        return None
+    yield "ybe:cybe", cybe_residual(sbr, rt, Window(min(5, W), 0))
+    yield "ybe:worked-cobracket", _worked_cobracket_report(min(3, W))
+    yield "ybe:diagram", _ybe_diagram_report(min(4, W))
 
     # negative controls: each must fail with a nonempty witness list
-    for name, build in (
-        ("neg:perm-ybe:nilpotent", lambda: _residual_zero_report(nilp, r_n, "PermYbeZero")),
-        (
-            "neg:cybe:nilpotent",
-            lambda: cybe_residual(
-                induced_lie_bracket(nilp, fam)[1],
-                affinize_r(r_n, fam),
-                Window(min(3, W), 0),
-            ),
-        ),
-        (
-            "neg:coprelie:perturbed-ats",
-            lambda: check_coalgebra(
-                LawId.CoPreLie,
-                delta=_perturbed_ats_delta,
-                sym_co=_perturbed_ats_sym_co,
-                keys=fam.interior_keys(wc, LawId.CoPreLie),
-                window=wc,
-                margin=m,
-            ),
-        ),
-        (
-            "neg:prelie:perturbed-ats-product",
-            lambda: check_algebra(
-                LawId.PreLie,
-                product=_perturbed_ats_product,
-                keys=fam.interior_keys(wc, LawId.PreLie),
-            ),
-        ),
-        ("neg:preperm:broken", lambda: check_preperm(cat["ex-preperm-bad"])),
-        ("neg:o-operator:adjoint", o_operator_report),
-        ("neg:perm:broken-table", lambda: check_algebra(LawId.Perm, alg=cat["ex-bad2"])),
-    ):
-        rep = build()
-        if rep is None:
-            rows.append(_row(name, "OOperator", False, "did not raise"))
-        else:
-            rows.append(_report_row(name, rep, expect_pass=False))
-    return rows
+    nilp, r_n, onep = cat["ex-nilp2"], tens["r-nilp2"][1], cat["ex-1p"]
+    yield "neg:perm-ybe:nilpotent", _residual_zero_report(nilp, r_n, "PermYbeZero")
+    _, nilp_sbr = induced_lie_bracket(nilp, fam)
+    yield "neg:cybe:nilpotent", cybe_residual(nilp_sbr, affinize_r(r_n, fam), Window(min(3, W), 0))
+    wc = Window(min(4, W))
+    keys = fam.keys(wc)
+    yield "neg:coprelie:perturbed-ats", check_coalgebra(
+        LawId.CoPreLie,
+        delta=_perturbed_ats_delta,
+        sym_co=_perturbed_ats_sym_co,
+        keys=keys,
+        window=wc,
+        margin=m,
+    )
+    yield "neg:prelie:perturbed-ats-product", check_algebra(
+        LawId.PreLie, product=_perturbed_ats_product, keys=keys
+    )
+    yield "neg:preperm:broken", check_preperm(cat["ex-preperm-bad"])
+    try:
+        o_to_ybe(((Fraction(1),),), onep, adjoint_representation(onep))
+    except OOperatorError as err:
+        yield "neg:o-operator:adjoint", err.report
+    else:
+        yield _row("neg:o-operator:adjoint", "OOperator", False, "did not raise")
+    yield "neg:perm:broken-table", check_algebra(LawId.Perm, alg=cat["ex-bad2"])
 
 
 # ---------------------------------------------------------------------------
@@ -525,41 +477,31 @@ def suite_doubles(cfg: SuiteConfig):
     p1 = cat["ex-1p"]
     # each double is built from the algebra's own coproduct and from zero
     tags = (("delta-ee", None), ("delta-zero", {}))
-    rows = []
 
     manin = {}
     for tag, delta in tags:
         try:
             manin[tag] = manin_double_from_bialgebra(p1, delta)
         except ValueError as err:
-            rows.append(_row(f"doubles:manin:{tag}", "ManinAssembly", False, str(err)))
-            continue
-        rows += _report_rows(f"doubles:manin:{tag}", manin[tag].reports)
+            yield _row(f"doubles:manin:{tag}", "ManinAssembly", False, str(err))
+        else:
+            yield from _named(f"doubles:manin:{tag}", manin[tag].reports)
 
     md = manin.get("delta-ee")
     if md is not None:
         wl = min(4, cfg.window)
         lift = manin_lie_lift(md, ats_family(), Window(wl))
-        rows += _report_rows("doubles:lie-triple", lift.reports)
-        rows.append(_report_row("doubles:diagram", _doubles_diagram_report(md, lift, wl)))
+        yield from _named("doubles:lie-triple", lift.reports)
+        yield "doubles:diagram", _doubles_diagram_report(md, lift, wl)
 
     for tag, delta in tags:
         reports = para_kahler_reports(*prelie_double(cat["ex-prelie-1"], delta))
-        rows += _report_rows(f"doubles:para-kahler:{tag}", reports)
+        yield from _named(f"doubles:para-kahler:{tag}", reports)
 
     dual = dual_perm_algebra(p1, p1.delta)
     l12, r12, l21, r21 = canonical_dual_actions(p1, dual)
-    bad_l12 = tuple(
-        tuple(tuple(v + Fraction(1) for v in row) for row in mtx) for mtx in l12
-    )
-    rows.append(
-        _report_row(
-            "neg:matched-pair:perturbed-action",
-            check_matched_pair(p1, dual, bad_l12, r12, l21, r21),
-            expect_pass=False,
-        )
-    )
-    return rows
+    bad_l12 = tuple(tuple(tuple(v + Fraction(1) for v in row) for row in mtx) for mtx in l12)
+    yield "neg:matched-pair:perturbed-action", check_matched_pair(p1, dual, bad_l12, r12, l21, r21)
 
 
 # ---------------------------------------------------------------------------
@@ -607,48 +549,34 @@ def suite_appendix(cfg: SuiteConfig):
     cat = finite_catalog()
     w1d = restricted_dual_double(wn_family(1))
     fd, fform = restricted_dual_double(cat["ex-prelie-1"])
-    rows = [
-        _report_row(
-            "appendix:restricted-dual:w1-equals-ats",
-            _restricted_dual_equality_report(min(6, W)),
-        ),
-        _report_row(
-            "appendix:restricted-dual:w1-form",
-            check_form(
-                LawId.QuadPreLieForm, family=w1d, window=Window(min(4, W)), margin=cfg.margin
-            ),
-        ),
-        _report_row(
-            "appendix:restricted-dual:finite-prelie", check_algebra(LawId.PreLie, alg=fd)
-        ),
-        _report_row(
-            "appendix:restricted-dual:finite-form",
-            check_form(
-                LawId.QuadPreLieForm, form=fform, product=fd.product, keys=fd.basis_keys()
-            ),
-        ),
-    ]
+    yield "appendix:restricted-dual:w1-equals-ats", _restricted_dual_equality_report(min(6, W))
+    yield "appendix:restricted-dual:w1-form", check_form(
+        LawId.QuadPreLieForm, family=w1d, window=Window(min(4, W)), margin=cfg.margin
+    )
+    yield "appendix:restricted-dual:finite-prelie", check_algebra(LawId.PreLie, alg=fd)
+    yield "appendix:restricted-dual:finite-form", check_form(
+        LawId.QuadPreLieForm, form=fform, product=fd.product, keys=fd.basis_keys()
+    )
 
     for n in (1, 2):
         search = invariant_form_search(n, Window(3))
-        rows.append(
-            _row(
-                f"appendix:form-search:w{n}",
-                "InvariantFormSearch",
-                search["probe_vanishes"],
-                f"rank {search['rank']} of {search['unknowns']} unknowns, "
-                f"{search['forced_zero_count']} forced zero",
-                {k: search[k] for k in _FORM_SEARCH_FIELDS},
-            )
+        yield _row(
+            f"appendix:form-search:w{n}",
+            "InvariantFormSearch",
+            search["probe_vanishes"],
+            f"rank {search['rank']} of {search['unknowns']} unknowns, "
+            f"{search['forced_zero_count']} forced zero",
+            {k: search[k] for k in _FORM_SEARCH_FIELDS},
         )
 
     for aid in sorted(a.id for a in cat.values() if a.kind == "PreLie"):
         name = f"appendix:symplectic-roundtrip:{aid}"
         try:
-            rows.append(_report_row(name, _roundtrip_report(cat[aid])))
+            rep = _roundtrip_report(cat[aid])
         except ValueError as err:
-            rows.append(_row(name, "SymplecticRoundTrip", False, str(err)))
-    return rows
+            yield _row(name, "SymplecticRoundTrip", False, str(err))
+        else:
+            yield name, rep
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +617,6 @@ def suite_probes(cfg: SuiteConfig):
         w = Window(min(4, cfg.window))
         return affinization_probe(candidate({}, dt), fam, "coalgebra", w, delta_table=dt)
 
-    rows = []
     for name, law, count, probe in (
         ("probe:algebra-batch", "PairJacobiProbe", 8, algebra_probe),
         ("probe:coalgebra-batch", "CoLieJacobiProbe", 4, coalgebra_probe),
@@ -698,8 +625,7 @@ def suite_probes(cfg: SuiteConfig):
         agree = sum(1 for v in verdicts if v.agree)
         laws = sum(1 for v in verdicts if v.is_law)
         note = f"{agree}/{count} verdicts agree, {laws} satisfy the law"
-        rows.append(_row(name, law, agree == count, note))
-    return rows
+        yield _row(name, law, agree == count, note)
 
 
 SUITES = {
@@ -759,9 +685,7 @@ def cmd_verify(cfg: SuiteConfig) -> int:
     if reason:
         return _cannot_write(cfg.out, reason)
     try:
-        rows = []
-        for builder in SUITES[cfg.suite]:
-            rows.extend(builder(cfg))
+        rows = [row for suite in SUITES[cfg.suite] for row in _run_rows(suite(cfg))]
     except InsufficientWindowError as err:
         print(str(err), file=sys.stderr)
         return 3

@@ -793,6 +793,22 @@ class TestCoLawOracle:
             rep = check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=window)
             assert _fields(rep) == _colaw_oracle(law, delta, sym_co, keys, window), name
 
+    def test_no_interior_raises(self):
+        # a margin past the window leaves no interior, as in check_algebra and
+        # check_form; the keys are given, so nothing else would refuse them
+        law, delta, sym_co, keys = _coalgebra_case("coprelie:ats")
+        with pytest.raises(InsufficientWindowError, match="law CoPreLie .margin 3."):
+            check_coalgebra(law, delta=delta, sym_co=sym_co, keys=keys, window=Window(2), margin=3)
+        _, alg, fam, _ = next(_cocycle_cases())
+        delta, _ = delta_bullet_rule(alg, fam)
+        _, sbr = induced_lie_bracket(alg, fam)
+        keys = pair_keys(alg, fam, Window(2))
+        with pytest.raises(InsufficientWindowError, match="law LieBiCocycle .margin 3."):
+            check_bialgebra(
+                LawId.LieBiCocycle, delta=delta, sym_bracket=sbr, keys=keys, window=Window(2),
+                margin=3,
+            )
+
     def test_criterion_5_probes(self):
         fam = ats_family()
         window = Window(3, 0)

@@ -26,7 +26,7 @@ from permlie.families import (
     tensor_catalog,
     wn_family,
 )
-from permlie.kernel import TemplateSeries, Window, key_shape, key_slots, pair
+from permlie.kernel import CheckReport, TemplateSeries, Window, key_shape, key_slots, pair
 from permlie.serialize import report_to_json
 from permlie.ybe import affinize_r, coboundary_delta_perm, lie_delta_from_r
 from key_loop_reference import bracket_table_by_keys, restricted_dual_by_keys
@@ -67,6 +67,17 @@ class TestVerifyExitCodes:
     def test_unknown_suite(self):
         p = run("verify", "bogus")
         assert p.returncode == 2
+
+    @pytest.mark.parametrize(
+        "suite, law", [("paper-examples", "CoPerm"), ("ybe", "CoPreLie")], ids=["paper", "ybe"]
+    )
+    def test_coalgebra_row_without_interior(self, suite, law):
+        # The colaw:* and neg:coprelie rows read a window capped at 4; margin
+        # 5 leaves it no interior, and the row is refused, not read.
+        p = run("verify", suite, "--window", "6", "--margin", "5")
+        assert p.returncode == 3
+        assert p.stdout == ""
+        assert p.stderr == f"window N=4 too small for law {law} (margin 5)\n"
 
     def test_ybe_suite_passes(self):
         p = run("verify", "ybe", "--window", "3")
@@ -127,6 +138,26 @@ class TestFailureRows:
             "FAIL  neg:o-operator:adjoint  [OOperator]  (did not raise)"
         ]
 
+    def test_passing_control_fails(self, monkeypatch, capsys):
+        # a neg: row's expected verdict comes from its name alone
+        passing = CheckReport.build("PrePerm", Window(0, 0), 1, [])
+        monkeypatch.setattr(cli, "check_preperm", lambda alg: passing)
+        lines = self.verify(capsys, "ybe")
+        assert [line for line in lines if line.startswith("FAIL  ")] == [
+            "FAIL  neg:preperm:broken  [PrePerm]  (expected to fail with witnesses)"
+        ]
+
+    def test_only_neg_rows_expect_failure(self, capsys):
+        assert cli.main(["verify", "all", "--window", "4", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr()[0])["rows"]
+        negs = [r["name"] for r in rows if r["name"].startswith("neg:")]
+        expected = [
+            r["name"]
+            for r in rows
+            if r["note"].startswith("expected to fail") or r["note"] == "did not raise"
+        ]
+        assert len(negs) == 8 and expected == negs
+
 
 class TestCanonicalDigests:
     # The bytes of `verify all --window 4`, pinned in both formats, and of
@@ -143,6 +174,21 @@ class TestCanonicalDigests:
         assert cli.main(["verify", "all", "--window", "4", "--format", fmt]) == 0
         out, _ = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_suites_compose(self, capsys):
+        # verify all is each suite's rows in turn, then the two probe rows
+        def rows(suite):
+            assert cli.main(["verify", suite, "--window", "4", "--format", "json"]) == 0
+            return json.loads(capsys.readouterr()[0])["rows"]
+
+        suites = ("paper-examples", "ybe", "doubles", "appendix")
+        alone = [row for suite in suites for row in rows(suite)]
+        every = rows("all")
+        assert [r["name"] for r in every[len(alone) :]] == [
+            "probe:algebra-batch",
+            "probe:coalgebra-batch",
+        ]
+        assert every[: len(alone)] == alone
 
     @pytest.mark.parametrize(
         "obj, digest",
