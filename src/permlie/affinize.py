@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional
 
 from .kernel import (
@@ -23,7 +24,7 @@ from .kernel import (
     Template,
     TemplateSeries,
     Window,
-    ZERO,
+    _int,
     add_term,
     coproduct_at,
     pair,
@@ -35,7 +36,6 @@ from .axioms import (
     check_algebra,
     check_coalgebra,
     _holds_on_patterns,
-    _int,
     _mul,
     _program,
     _run,
@@ -271,7 +271,7 @@ def _pair_jacobi_report(alg: FiniteAlgebra, family: GradedFamily, window: Window
         return p and (u[0] * v[0] * p[0], p[1])
 
     def fin_product(p, q):
-        return [(c, k) for k, c in alg.product(p, q).items()]
+        return [(_int(c), k) for k, c in alg.product(p, q).items()]
 
     fin_mul = functools.partial(_mul, fin_product, 0)
     fin_triples = [
@@ -290,10 +290,10 @@ def _pair_jacobi_report(alg: FiniteAlgebra, family: GradedFamily, window: Window
             acc = {}
             for f, s, gk in live:
                 for k, c in fvals[f]:
-                    acc[k, gk] = acc.get((k, gk), ZERO) + s * c
+                    acc[k, gk] = acc.get((k, gk), 0) + s * c
             if any(acc.values()):
                 at = tuple(pair(x, g) for x, g in zip(xyz, gs))
-                res = tuple((pair(k, g), v) for (k, g), v in sorted(acc.items()) if v)
+                res = tuple((pair(k, g), Fraction(v)) for (k, g), v in sorted(acc.items()) if v)
                 extra = {"early_exit": True, "violations_total": 1}
                 return CheckReport.build(law, window, checked, [(label, at, res)], extra)
     return CheckReport.build(law, window, checked, [], {"violations_total": 0})

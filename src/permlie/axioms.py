@@ -50,6 +50,7 @@ import re
 from dataclasses import replace
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .kernel import (
@@ -63,6 +64,7 @@ from .kernel import (
     Window,
     ZERO,
     _finite_terms,
+    _int,
     apply_product_slot,
     av,
     coproduct_at,
@@ -224,11 +226,6 @@ def _side(text: str) -> tuple:
         return ()
     term = r"(\([abc]{2}\)[abc]|[abc]\([abc]{2}\)|[abc]{1,2})"  # a bracketing of up to 3 letters
     return tuple((s, _bracketing(t)) for s, (t,) in _signed_terms(text, term))
-
-
-def _int(c):
-    """An integral Fraction as an int: exact, and faster to add and multiply."""
-    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
 def _terms(lhs, rhs) -> tuple:
@@ -436,7 +433,8 @@ def check_algebra(
 
     product(ka, kb), given alone or read as alg.product, returns the product
     of two keys as a {key: Fraction} dict with no zero entries; only its
-    items() are read."""
+    items() are read.  A margin that leaves no interior raises
+    InsufficientWindowError, on every path."""
     if family is not None:
         if window is None:
             raise ValueError("graded family checks need a window")
@@ -458,6 +456,7 @@ def check_algebra(
             raise ValueError("need family, alg, or product+keys")
         if margin is not None:
             window = Window((window or Window(0, 0)).n, margin)
+            window.require_interior(law.value)
         window = window or Window(0, 0)
 
         def terms(ka, kb):
@@ -575,7 +574,7 @@ def _lifted_violations(keys: list, arity: int, residuals: Callable, box: int, re
         for label, by_input in rows:
             support = by_input.get(xs)
             if support and not rec.past_cap():
-                support.sort()
+                support.sort(key=itemgetter(0))  # distinct slot tuples
                 rec.add(label, xs, tuple(support))
         if last[shapes] == n:
             del groups[shapes]

@@ -33,6 +33,7 @@ from .kernel import (
     ONE,
     Window,
     ZERO,
+    _int,
     ess,
     fin,
     forced_zero_columns,
@@ -64,7 +65,6 @@ from .axioms import (
     _gram_rank,
     _semidirect,
     _Recorder,
-    _int,
     _pairings,
     check_algebra,
     check_bialgebra,

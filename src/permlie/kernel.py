@@ -1,6 +1,11 @@
 """Exact-arithmetic foundation: basis keys, formal vectors, index polynomials,
 affine key patterns, and template series.
 
+Coefficients inside the kernel are exact: an int when integral (ints add and
+multiply faster than Fractions) and a Fraction otherwise.  Every value that
+leaves it, through Poly.eval, coefficient_at, support_in_box or collapsed(),
+is a Fraction.
+
 A template series is a finite list of summation templates, each carrying free
 integer variables, a polynomial coefficient in those variables, and a tuple of
 key patterns whose integer slots are affine expressions in the same variables.
@@ -23,6 +28,15 @@ from typing import Iterable, Optional
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _int(c):
+    """c as an exact coefficient: an int when it is integral, else a Fraction."""
+    if c.__class__ is not Fraction:
+        if c.__class__ is int:
+            return c
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class IllPosedTemplateError(ValueError):
@@ -260,12 +274,13 @@ def av(name: str) -> Aff:
 
 # ---------------------------------------------------------------------------
 # Polynomials with rational coefficients in named integer variables.
-# Monomials are sorted tuples of (var, exponent).
+# Monomials are sorted tuples of (var, exponent); coefficients are exact, int
+# or Fraction (see _int), and eval gives back a Fraction.
 
 
 @dataclass(frozen=True)
 class Poly:
-    m: tuple = ()  # sorted tuple of (monomial, Fraction) with nonzero coeffs
+    m: tuple = ()  # sorted tuple of (monomial, int or Fraction) with nonzero coeffs
 
     @staticmethod
     def _norm(acc: dict) -> "Poly":
@@ -273,21 +288,21 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
+        c = _int(c)
         return Poly((((), c),)) if c else Poly()
 
     @staticmethod
     def var(v: str) -> "Poly":
-        return Poly(((((v, 1),), ONE),))
+        return Poly(((((v, 1),), 1),))
 
     @staticmethod
     def of(x) -> "Poly":
         if isinstance(x, Poly):
             return x
         if isinstance(x, Aff):
-            acc = {(): Fraction(x.const)}
+            acc = {(): x.const}
             for v, c in x.terms:
-                acc[((v, 1),)] = Fraction(c)
+                acc[((v, 1),)] = c
             return Poly._norm(acc)
         if isinstance(x, str):
             return Poly.var(x)
@@ -297,7 +312,7 @@ class Poly:
         other = Poly.of(other)
         acc = dict(self.m)
         for mo, co in other.m:
-            acc[mo] = acc.get(mo, ZERO) + co
+            acc[mo] = acc.get(mo, 0) + co
         return Poly._norm(acc)
 
     __radd__ = __add__
@@ -325,7 +340,7 @@ class Poly:
                 for v, e in mo2:
                     ex[v] = ex.get(v, 0) + e
                 mo = tuple(sorted(ex.items()))
-                acc[mo] = acc.get(mo, ZERO) + co1 * co2
+                acc[mo] = acc.get(mo, 0) + co1 * co2
         return Poly._norm(acc)
 
     __rmul__ = __mul__
@@ -426,7 +441,7 @@ def poly_rename(poly: Poly, ren: dict) -> Poly:
     acc = {}
     for mo, co in poly.m:
         nm = tuple(sorted((ren.get(v, v), e) for v, e in mo))
-        acc[nm] = acc.get(nm, ZERO) + co
+        acc[nm] = acc.get(nm, 0) + co
     return Poly._norm(acc)
 
 
@@ -525,10 +540,10 @@ class TemplateSeries:
         return TemplateSeries(self.arity, self.templates + other.templates)
 
     def __sub__(self, other: "TemplateSeries") -> "TemplateSeries":
-        return self + other.scale(-ONE)
+        return self + other.scale(-1)
 
     def scale(self, c) -> "TemplateSeries":
-        c = Fraction(c)
+        c = _int(c)
         if not c:
             return TemplateSeries.zero(self.arity)
         return TemplateSeries(
@@ -537,7 +552,7 @@ class TemplateSeries:
         )
 
     def __neg__(self) -> "TemplateSeries":
-        return self.scale(-ONE)
+        return self.scale(-1)
 
     def permuted(self, perm) -> "TemplateSeries":
         """Slot permutation: out slot i carries the old slot perm[i]."""
@@ -797,7 +812,7 @@ def _canonical_form(t: Template):
     one = (0,) * nv
     coeff: dict = {}
     for mo, co in t.coeff.m:
-        terms = {one: co.numerator if co.denominator == 1 else co}
+        terms = {one: _int(co)}
         for v, e in mo:
             i = vpos.get(v)
             if i is None:

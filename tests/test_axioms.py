@@ -72,9 +72,9 @@ from permlie.axioms import (
 from permlie.serialize import canonical_json, report_to_json
 from box_reference import support_by_solving
 from finite_reference import o_operator_by_tuples, preperm_by_chains, representation_by_matrices
-from permlie.affinize import delta_bullet_rule, induced_lie_bracket, pair_keys
+from permlie.affinize import affinization_probe, delta_bullet_rule, induced_lie_bracket, pair_keys
 from permlie.cli import _perturbed_ats_delta, _perturbed_ats_product, _perturbed_ats_sym_co
-from permlie.ybe import coboundary_delta_perm, coboundary_delta_prelie
+from permlie.ybe import affinize_r, coboundary_delta_perm, coboundary_delta_prelie, cybe_residual
 from permlie.doubles import (
     canonical_dual_actions,
     dual_perm_algebra,
@@ -115,12 +115,28 @@ class TestAlgebraPaths:
 
     @pytest.mark.parametrize("margin", [None, 0, 2])
     def test_alg_path_is_the_product_keys_call(self, margin):
+        # a window of N = margin, so that the margin leaves an interior
+        window = Window(margin or 0)
         for alg in (finite_catalog()["ex-sd2"], finite_catalog()["ex-bad2"]):
-            rep = check_algebra(LawId.Perm, alg=alg, margin=margin)
+            rep = check_algebra(LawId.Perm, alg=alg, window=window, margin=margin)
             by_keys = check_algebra(
-                LawId.Perm, product=alg.product, keys=alg.basis_keys(), margin=margin
+                LawId.Perm, product=alg.product, keys=alg.basis_keys(), window=window,
+                margin=margin,
             )
             assert rep == by_keys and rep.margin == (margin or 0), alg.id
+
+    @pytest.mark.parametrize("how", ["alg", "product"])
+    def test_finite_margin_without_interior_raises(self, how):
+        # a margin past the window leaves no interior on the finite path too,
+        # as on the graded path: the report would claim a margin no window holds
+        alg = finite_catalog()["ex-1p"]
+        kw = {"alg": alg} if how == "alg" else {"product": alg.product, "keys": alg.basis_keys()}
+        with pytest.raises(InsufficientWindowError) as err:
+            check_algebra(LawId.Perm, margin=3, **kw)
+        assert (err.value.n, err.value.margin) == (0, 3)
+        with pytest.raises(InsufficientWindowError):
+            check_algebra(LawId.Perm, window=Window(2), margin=3, **kw)
+        assert check_algebra(LawId.Perm, window=Window(3), margin=3, **kw).passed
 
     def test_product_keys_path(self):
         fam = ats_family()
@@ -253,6 +269,44 @@ def _random_algebras():
         )
         for t in range(40)
     ]
+
+
+class TestResidualsAreFractions:
+    """Coefficients stay ints inside the kernel and the law cube; every
+    residual coefficient a failing report carries is a Fraction, which
+    serialize writes as a string, where a bare int would be a JSON number."""
+
+    @staticmethod
+    def _assert_fractions(rep):
+        assert not rep.passed and rep.violations
+        coeffs = [c for _, _, res in rep.violations for _, c in res]
+        assert coeffs and all(c.__class__ is Fraction for c in coeffs)
+
+    def test_check_coalgebra(self):
+        window = Window(4)
+        self._assert_fractions(check_coalgebra(
+            LawId.CoPreLie, delta=_perturbed_ats_delta, sym_co=_perturbed_ats_sym_co,
+            keys=ats_family().keys(window), window=window, margin=0,
+        ))
+
+    def test_check_algebra(self):
+        self._assert_fractions(check_algebra(LawId.Perm, alg=finite_catalog()["ex-bad2"]))
+        keys = ats_family().keys(Window(4))
+        self._assert_fractions(
+            check_algebra(LawId.PreLie, product=_perturbed_ats_product, keys=keys)
+        )
+
+    def test_cybe_residual(self):
+        nilp = finite_catalog()["ex-nilp2"]
+        fam = ats_family()
+        _, sym_bracket = induced_lie_bracket(nilp, fam)
+        rtilde = affinize_r(tensor_catalog()["r-nilp2"][1], fam)
+        self._assert_fractions(cybe_residual(sym_bracket, rtilde, Window(3)))
+
+    def test_pair_jacobi(self):
+        bad2 = finite_catalog()["ex-bad2"]
+        verdict = affinization_probe(bad2, ats_family(), "algebra", Window(2))
+        self._assert_fractions(verdict.window_report)
 
 
 class TestLawOracle:

@@ -38,6 +38,7 @@ from permlie.kernel import (
 )
 from permlie.families import delta_a_family
 from box_reference import support_by_solving
+import poly_reference
 
 F = Fraction
 
@@ -460,6 +461,89 @@ class TestIllPosed:
             s.support_in_box(2)
         with pytest.raises(IllPosedTemplateError, match="stray variable k"):
             s.coefficient_at((tee(1), ess(-1)))
+
+
+_exact = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+_monomial = st.dictionaries(st.sampled_from("abc"), st.integers(1, 2), max_size=3).map(
+    lambda ex: tuple(sorted(ex.items()))
+)
+
+
+@st.composite
+def _poly(draw, coeffs=_exact):
+    """(Poly built through const, var, of and +, its Fraction reference)."""
+    poly, ref = Poly(), ()
+    for mo, c in draw(st.lists(st.tuples(_monomial, coeffs), max_size=4)):
+        term = Poly.const(c)
+        for v, e in mo:
+            for _ in range(e):
+                term = term * Poly.var(v)
+        poly, ref = poly + term, poly_reference.add(ref, ((mo, F(c)),))
+    const, a = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    aff = Poly.of(Aff.of(const) + a * av("a"))
+    ref = poly_reference.add(ref, (((), F(const)), ((("a", 1),), F(a))))
+    return poly + aff, ref
+
+
+def _fraction_only(series):
+    """series with every template coefficient a Fraction (poly_reference)."""
+    return TemplateSeries(
+        series.arity,
+        (Template(t.vars, Poly(poly_reference.of(t.coeff)), t.keys) for t in series.templates),
+    )
+
+
+class TestIntCoefficients:
+    """Poly and TemplateSeries keep integral coefficients as ints, and give
+    back Fractions: each operation agrees with the Fraction-only reference
+    (poly_reference), and every value leaving the kernel is a Fraction, which
+    is what serialize writes as a string (a bare int would be a JSON number)."""
+
+    def test_integral_coefficients_are_ints(self):
+        ((_, two),) = Poly.const(F(4, 2)).m
+        assert two == 2 and two.__class__ is int
+        assert Poly.const(F(1, 2)).m[0][1].__class__ is F
+        assert Poly.var("a").m[0][1].__class__ is int
+        assert all(co.__class__ is int for _, co in Poly.of(av("a") - 3).m)
+        t = Template(("j",), Poly.var("j"), (pat_tee(av("j")),))
+        (scaled,) = TemplateSeries(1, (t,)).scale(F(-6, 3)).templates
+        assert all(co.__class__ is int for _, co in scaled.coeff.m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_poly(), _poly(), st.dictionaries(st.sampled_from("abc"), st.integers(-3, 3),
+                                             min_size=3, max_size=3))
+    def test_arithmetic_matches_reference(self, a, b, env):
+        (pa, ra), (pb, rb) = a, b
+        assert pa.m == ra
+        assert (pa + pb).m == poly_reference.add(ra, rb)
+        assert (pa * pb).m == poly_reference.mul(ra, rb)
+        assert (pa - pb).m == poly_reference.add(ra, tuple((mo, -co) for mo, co in rb))
+        for p, r in ((pa, ra), (pa * pb, poly_reference.mul(ra, rb))):
+            value = p.eval(env)
+            assert value == poly_reference.evaluate(r, env) and value.__class__ is F
+
+    @settings(max_examples=100, deadline=None)
+    @given(_poly(st.integers(-4, 4)), _poly(st.integers(-4, 4)))
+    def test_int_arithmetic_stays_int(self, a, b):
+        (pa, _), (pb, _) = a, b
+        for p in (pa, pb, pa + pb, pa - pb, pa * pb, -pa):
+            assert all(co.__class__ is int for _, co in p.m)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_series())
+    def test_series_matches_reference(self, drawn):
+        series, _ = drawn
+        ref = _fraction_only(series)
+        support = series.support_in_box(BOX)
+        assert support == ref.support_in_box(BOX)
+        assert all(c.__class__ is F for c in support.values())
+        collapsed = series.collapsed()
+        assert collapsed.templates == ref.collapsed().templates
+        assert all(co.__class__ is F for t in collapsed.templates for _, co in t.coeff.m)
+        for keys in list(support)[:5] + [(tee(0), ess(0)), (mono(1, -1, 1), tee(2))]:
+            c = series.coefficient_at(keys)
+            assert c == ref.coefficient_at(keys) and c.__class__ is F
 
 
 class TestWindow:
