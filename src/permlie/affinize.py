@@ -153,19 +153,10 @@ def coproduct_from_form(family: GradedFamily):
 @dataclass
 class ProbeVerdict:
     is_law: bool
-    witness: Optional[tuple]
     direct_report: CheckReport
     window_report: CheckReport
     agree: bool
     note: str
-
-    def summary(self) -> str:
-        state = "pass" if self.is_law else "FAIL"
-        return (
-            f"probe {self.window_report.law}: {state}, direct "
-            f"{'pass' if self.direct_report.passed else 'FAIL'}, "
-            f"agree={self.agree}"
-        )
 
 
 def affinization_probe(
@@ -205,9 +196,6 @@ def affinization_probe(
         )
     else:
         raise ValueError(f"unknown probe direction {direction!r}")
-    witness = None
-    if window_report.violations:
-        witness = window_report.violations[0][1]
     agree = window_report.passed == direct_report.passed
     note = (
         f"consistent with law up to N={window.n}"
@@ -216,7 +204,6 @@ def affinization_probe(
     )
     return ProbeVerdict(
         is_law=window_report.passed,
-        witness=witness,
         direct_report=direct_report,
         window_report=window_report,
         agree=agree,

@@ -419,6 +419,16 @@ def _law_residuals(law: LawId, keys, terms: Callable, rec: _Recorder) -> int:
     return n ** (last + 1)
 
 
+def _finite_window(law: LawId, window: Optional[Window], margin: Optional[int]) -> Window:
+    """The caller's window (N=0 without one), with margin= in place of its
+    margin when given; a margin that leaves no interior raises."""
+    window = window or Window(0, 0)
+    if margin is not None:
+        window = Window(window.n, margin)
+    window.require_interior(law.value)
+    return window
+
+
 def check_algebra(
     law: LawId,
     *,
@@ -454,10 +464,7 @@ def check_algebra(
             keys = alg.basis_keys() if keys is None else keys
         if product is None or keys is None:
             raise ValueError("need family, alg, or product+keys")
-        if margin is not None:
-            window = Window((window or Window(0, 0)).n, margin)
-            window.require_interior(law.value)
-        window = window or Window(0, 0)
+        window = _finite_window(law, window, margin)
 
         def terms(ka, kb):
             return product(ka, kb).items()
@@ -683,16 +690,17 @@ def check_bialgebra(
 ) -> CheckReport:
     """The rows of BI_PLANS[law] (see bialgebra_residuals).  PermBi and
     PreLieBi read every pair of alg's basis keys, with delta_table or alg's
-    coproduct, and locate a violation by basis indices.
+    coproduct, and locate a violation by basis indices (see _finite_window).
 
     LieBiCocycle lifts the inputs (x, y) into slots 0 and 1 (see
     _lifted_violations), with the product sym_bracket.  When the lifted
     residuals collapse to nothing, the cocycle condition holds at every pair
     of keys of those shapes, for every N, and the report is the window's
     pass report; otherwise they are enumerated once on the box.  A delta
-    that cannot run on patterns is read pair by pair, and a margin that
-    leaves no interior raises InsufficientWindowError.  bracket, the same
-    bracket on keys, is not read.  A missing input raises ValueError."""
+    that cannot run on patterns is read pair by pair.  A margin that leaves
+    no interior raises InsufficientWindowError, on every path.  bracket,
+    the same bracket on keys, is not read.  A missing input raises
+    ValueError."""
     if law not in BI_PLANS:
         raise ValueError(f"not a bialgebra law: {law}")
     rec = _Recorder()
@@ -707,6 +715,7 @@ def check_bialgebra(
         return CheckReport.build(law.value, window, len(ks) ** 2, rec.items, rec.extra())
     if alg is None:
         raise ValueError(f"{law.value} needs alg")
+    window = _finite_window(law, window, margin)
     work = alg if delta_table is None else replace(alg, delta=delta_table)
     xs = work.basis_keys()
     ds = {x: coproduct_at(work.sym_delta, x) for x in xs}
@@ -714,7 +723,6 @@ def check_bialgebra(
         for label, res in bialgebra_residuals(law, x, y, work.sym_product, ds.__getitem__):
             if terms := _finite_terms(res):
                 rec.add(label, (x[2], y[2]), tuple(((a[2], b[2]), c) for (a, b), c in terms))
-    window = window or Window(0, 0)
     return CheckReport.build(law.value, window, work.dim**2, rec.items, rec.extra())
 
 
@@ -934,7 +942,7 @@ def check_form(
     proved, because a rule or the partner branches on a slot, the partner
     equation is not unimodular in the lone input, or the row does not
     collapse, runs its window loop and reports that loop's witnesses.  A
-    window without interior raises InsufficientWindowError either way.
+    window without interior raises InsufficientWindowError, on every path.
     Finite forms (form=, product= and keys=) always run the loops; there
     product(ka, kb) returns a {key: Fraction} dict with no zero entries, as
     FiniteAlgebra.product does.  A missing input raises ValueError."""
@@ -957,6 +965,7 @@ def check_form(
     if margin is None:
         margin = default_margin(law, graded)
     window = Window(window.n, margin)
+    window.require_interior(law.value)
     rec = _Recorder()
 
     (pair_label, pair_text), triple_row = plan

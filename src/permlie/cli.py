@@ -311,9 +311,7 @@ def suite_paper_examples(cfg: SuiteConfig):
 
 def _residual_zero_report(alg, r, law: str) -> CheckReport:
     res = perm_ybe_residual(alg, r)
-    violations = [
-        ("nonzero", (k1, k2, k3), (((k1, k2, k3), c),)) for k1, k2, k3, c in res.terms
-    ]
+    violations = [("nonzero", ks, ((ks, c),)) for ks, c in res.items()]
     return CheckReport.build(law, Window(0, 0), 1, violations, {})
 
 
@@ -764,22 +762,16 @@ def cmd_residual(kind, algebra_id, input_path, cfg: SuiteConfig) -> int:
         payload = {
             "kind": kind,
             "algebra": algebra_id,
-            "zero": res.is_zero(),
+            "zero": not res,
             "residual": tensor_to_json(res),
         }
         if cfg.fmt == "json":
             text = canonical_json(payload)
-        elif res.is_zero():
+        elif not res:
             text = "zero\n"
         else:
-            text = (
-                "\n".join(
-                    f"{key_str(k1)} | {key_str(k2)} | {key_str(k3)} : {c}"
-                    for k1, k2, k3, c in res.terms
-                )
-                + "\n"
-            )
-        ok = res.is_zero()
+            text = "".join(f"{' | '.join(map(key_str, ks))} : {c}\n" for ks, c in res.items())
+        ok = not res
     return _emit(cfg, text, 0 if ok else 1)
 
 
@@ -859,13 +851,27 @@ def cmd_export(object_id: str, cfg: SuiteConfig) -> int:
 # argument plumbing.
 
 
-def _add_common(p):
-    p.add_argument("--window", type=int, default=None, help="window bound N")
-    p.add_argument("--margin", type=int, default=None, help="margin override")
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized rows")
-    p.add_argument("--format", choices=("text", "json"), default=None)
-    p.add_argument("--out", default=None, help="write the report to this file")
-    p.add_argument("--config", default=None, help="JSON config file; flags win")
+_FLAGS = {
+    "window": {"type": int, "help": "window bound N"},
+    "margin": {"type": int, "help": "margin override"},
+    "seed": {"type": int, "help": "seed for randomized rows"},
+    "format": {"choices": ("text", "json")},
+    "out": {"help": "write the report to this file"},
+    "config": {"help": "JSON config file; flags win"},
+}
+
+
+def _add_flags(p, *names):
+    """Register the flags a subcommand reads; any other is a usage error."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one line and exit 2, as any malformed input is."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _merge_config(args, suite=None) -> SuiteConfig:
@@ -914,7 +920,7 @@ def _merge_config(args, suite=None) -> SuiteConfig:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permlie",
         description="Exact window verification of perm/pre-Lie structures "
         "and their affinizations.",
@@ -923,7 +929,7 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    _add_common(p_verify)
+    _add_flags(p_verify, "window", "margin", "seed", "format", "out", "config")
 
     p_res = sub.add_parser("residual", help="evaluate a quadratic-equation residual")
     p_res.add_argument("kind", choices=("perm-ybe", "s-eq", "cybe"))
@@ -933,11 +939,11 @@ def main(argv=None) -> int:
     p_res.add_argument(
         "--input", required=True, help="JSON tensor file, or - for stdin"
     )
-    _add_common(p_res)
+    _add_flags(p_res, "window", "format", "out", "config")
 
     p_exp = sub.add_parser("export", help="export an object as canonical JSON")
     p_exp.add_argument("object_id")
-    _add_common(p_exp)
+    _add_flags(p_exp, "out", "config")
 
     args = parser.parse_args(argv)
     try:

@@ -88,7 +88,6 @@ def dual_rep(rep: Representation) -> Representation:
     lt = tuple(mat_transpose(m) for m in rep.l)
     rt = tuple(mat_transpose(m) for m in rep.r)
     return Representation(
-        alg_id=rep.alg_id,
         module_dim=rep.module_dim,
         l=lt,
         r=tuple(mat_sub(a, b) for a, b in zip(lt, rt)),

@@ -479,7 +479,6 @@ def combine_tables(*signed) -> dict:
 class Representation:
     """Module with exact action matrices l(e_i), r(e_i)."""
 
-    alg_id: str
     module_dim: int
     l: tuple  # tuple of matrices, one per algebra basis index
     r: tuple
@@ -487,7 +486,6 @@ class Representation:
 
 def adjoint_representation(alg: FiniteAlgebra) -> Representation:
     return Representation(
-        alg_id=alg.id,
         module_dim=alg.dim,
         l=tuple(alg.left_matrix(i) for i in range(alg.dim)),
         r=tuple(alg.right_matrix(i) for i in range(alg.dim)),
@@ -500,48 +498,10 @@ def preperm_representation(alg: FiniteAlgebra) -> Representation:
     if alg.tri_left is None or alg.tri_right is None:
         raise ValueError(f"{alg.id} has no pre-perm tables")
     return Representation(
-        alg_id=alg.id,
         module_dim=alg.dim,
         l=adjoint_representation(replace(alg, mul=alg.tri_left)).l,
         r=adjoint_representation(replace(alg, mul=alg.tri_right)).r,
     )
-
-
-@dataclass(frozen=True)
-class TensorElement:
-    """Finite tensor of any arity: canonically ordered zero-free terms
-    (key_1, ..., key_n, coeff).  flip, is_symmetric and series read a
-    2-tensor."""
-
-    terms: tuple
-
-    @staticmethod
-    def of(terms) -> "TensorElement":
-        acc = {}
-        for *keys, c in terms:
-            key = tuple(keys)
-            acc[key] = acc.get(key, ZERO) + Fraction(c)
-        return TensorElement(tuple((*key, c) for key, c in sorted(acc.items()) if c))
-
-    def flip(self) -> "TensorElement":
-        return TensorElement.of((kr, kl, c) for kl, kr, c in self.terms)
-
-    def __add__(self, other):
-        return TensorElement.of(self.terms + other.terms)
-
-    def __sub__(self, other):
-        return TensorElement.of(self.terms + tuple((*t[:-1], -t[-1]) for t in other.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_symmetric(self) -> bool:
-        return (self - self.flip()).is_zero()
-
-    def series(self) -> TemplateSeries:
-        return TemplateSeries.from_terms(
-            2, (((kl, kr), c) for kl, kr, c in self.terms)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -689,23 +649,18 @@ def random_table(rng, dim: int, lo: int = -2, hi: int = 2, density=Fraction(1, 2
 
 
 def tensor_catalog() -> dict:
-    """Named finite 2-tensors over catalog algebras: id -> (alg id, tensor)."""
+    """Named finite 2-tensors over catalog algebras: id -> (alg id, tensor),
+    each tensor a {(key, key): Fraction} dict of e_i (x) e_j terms."""
     cat = finite_catalog()
     out = {}
-    sd2 = cat["ex-sd2"]
-    out["r-sd2"] = (
-        "ex-sd2",
-        TensorElement.of(
-            [(sd2.key(0), sd2.key(1), ONE), (sd2.key(1), sd2.key(0), ONE)]
-        ),
-    )
-    p1 = cat["ex-1p"]
-    out["r-1p"] = ("ex-1p", TensorElement.of([(p1.key(0), p1.key(0), ONE)]))
-    n2 = cat["ex-nilp2"]
-    out["r-nilp2"] = ("ex-nilp2", TensorElement.of([(n2.key(0), n2.key(0), ONE)]))
-    pl2 = cat["ex-prelie-n2"]
-    out["r-prelie-n2"] = (
-        "ex-prelie-n2",
-        TensorElement.of([(pl2.key(0), pl2.key(0), ONE)]),
-    )
+    for name, alg_id, cells in (
+        ("r-sd2", "ex-sd2", ((0, 1), (1, 0))),
+        ("r-1p", "ex-1p", ((0, 0),)),
+        ("r-nilp2", "ex-nilp2", ((0, 0),)),
+        ("r-prelie-n2", "ex-prelie-n2", ((0, 0),)),
+    ):
+        alg, r = cat[alg_id], {}
+        for i, j in cells:
+            add_term(r, (alg.key(i), alg.key(j)), ONE)
+        out[name] = (alg_id, r)
     return out

@@ -165,8 +165,9 @@ def key_str(key) -> str:
 
 def add_term(vec: dict, key, coeff) -> None:
     """Add coeff * key to the vector vec, a {key: Fraction} dict, in place.
-    A zero coeff is skipped, a new entry is stored as Fraction(coeff), and
-    an entry that cancels is deleted, so vec never holds a zero."""
+    The key may be a key tuple, which makes vec a finite tensor.  A zero
+    coeff is skipped, a new entry is stored as Fraction(coeff), and an entry
+    that cancels is deleted, so vec never holds a zero."""
     if not coeff:
         return
     cur = vec.get(key)

@@ -14,6 +14,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .kernel import (
     Aff,
     CheckReport,
+    add_term,
     ess,
     fin,
     key_slots,
@@ -23,7 +24,7 @@ from .kernel import (
     with_slots,
     wn,
 )
-from .families import FiniteAlgebra, TensorElement
+from .families import FiniteAlgebra
 
 KEY_TAGS = ("Tee", "Ess", "Mono", "Wn", "Fin", "Pair")
 
@@ -137,19 +138,20 @@ def pattern_to_json(p) -> dict:
 # Tensors: arrays of [key..., coeff].
 
 
-def tensor_to_json(t: TensorElement) -> list:
-    """[[key, ..., key, coeff], ...], one row per term, at any arity."""
-    return [[*map(key_to_json, term[:-1]), frac_str(term[-1])] for term in t.terms]
+def tensor_to_json(t: dict) -> list:
+    """[[key, ..., key, coeff], ...], one row per term in key order, at any
+    arity: t is a {key tuple: Fraction} dict."""
+    return [[*map(key_to_json, keys), frac_str(c)] for keys, c in sorted(t.items())]
 
 
-def tensor_from_json(data, alg: FiniteAlgebra = None) -> TensorElement:
-    """Decode [[key, key, coeff], ...]; bare integers index alg's basis.
-
-    With an algebra, every key must be one of its basis keys."""
+def tensor_from_json(data, alg: FiniteAlgebra = None) -> dict:
+    """Decode [[key, key, coeff], ...] into a {(key, key): Fraction} dict;
+    bare integers index alg's basis, repeated rows add up and a zero sum is
+    dropped.  With an algebra, every key must be one of its basis keys."""
     if not isinstance(data, list):
         raise ValueError("tensor must be a JSON array of terms")
     basis = None if alg is None else set(alg.basis_keys())
-    terms = []
+    r = {}
     for row in data:
         if not isinstance(row, list) or len(row) != 3:
             raise ValueError(f"tensor term must be [key, key, coeff]: {short_repr(row)}")
@@ -168,8 +170,8 @@ def tensor_from_json(data, alg: FiniteAlgebra = None) -> TensorElement:
                 if basis is not None and key not in basis:
                     raise ValueError(f"not a basis key of {alg.id}: {short_repr(cell)}")
                 keys.append(key)
-        terms.append((keys[0], keys[1], parse_scalar(row[2])))
-    return TensorElement.of(terms)
+        add_term(r, tuple(keys), parse_scalar(row[2]))
+    return r
 
 
 # ---------------------------------------------------------------------------

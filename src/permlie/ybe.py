@@ -8,15 +8,15 @@ completed classical Yang-Baxter residual with its coboundary Lie cobracket.
 
 Each Yang-Baxter style equation is a signed plan of leg placements of r
 against itself, summed by _plan_residual through the kernel's place_product;
-apply_product_slot puts a product in one slot.  A finite 2-tensor enters as
-r.series(); a finite result is read back exactly with support_in_box(0),
-since finite keys have no integer slots.
+apply_product_slot puts a product in one slot.  A finite tensor is a
+{(key, ..., key): Fraction} dict with no zero entries; a 2-tensor enters the
+plans through _lift, and a finite result is read back exactly with
+support_in_box(0), since finite keys have no integer slots.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable
 
 from .kernel import (
@@ -30,6 +30,7 @@ from .kernel import (
     Window,
     ZERO,
     _finite_terms,
+    add_term,
     apply_product_slot,
     pair,
     pat_const,
@@ -39,7 +40,6 @@ from .families import (
     FiniteAlgebra,
     GradedFamily,
     Representation,
-    TensorElement,
     adjoint_representation,
 )
 from .axioms import check_o_operator
@@ -86,16 +86,21 @@ def _plan_residual(product: Callable, r: TemplateSeries, plan) -> TemplateSeries
     return total
 
 
-def _finite_residual(alg: FiniteAlgebra, r: TensorElement, plan) -> TensorElement:
-    series = _plan_residual(alg.sym_product, r.series(), plan)
-    return TensorElement(tuple((*ks, c) for ks, c in _finite_terms(series)))
+def _lift(r: dict) -> TemplateSeries:
+    """The finite 2-tensor r as a series of constant templates."""
+    return TemplateSeries.from_terms(2, r.items())
 
 
-def perm_ybe_residual(alg: FiniteAlgebra, r: TensorElement) -> TensorElement:
+def _finite_residual(alg: FiniteAlgebra, r: dict, plan) -> dict:
+    """The residual 3-tensor, its terms in key order."""
+    return dict(_finite_terms(_plan_residual(alg.sym_product, _lift(r), plan)))
+
+
+def perm_ybe_residual(alg: FiniteAlgebra, r: dict) -> dict:
     return _finite_residual(alg, r, _PERM_PLAN)
 
 
-def s_equation_residual(alg: FiniteAlgebra, r: TensorElement) -> TensorElement:
+def s_equation_residual(alg: FiniteAlgebra, r: dict) -> dict:
     return _finite_residual(alg, r, _S_PLAN)
 
 
@@ -103,10 +108,10 @@ def s_equation_residual(alg: FiniteAlgebra, r: TensorElement) -> TensorElement:
 # Coboundary coproducts.
 
 
-def _coboundary_table(alg: FiniteAlgebra, r: TensorElement, actions) -> dict:
+def _coboundary_table(alg: FiniteAlgebra, r: dict, actions) -> dict:
     """Coproduct table Delta(e_i) = sum of sign * (e_i multiplied into the
     given slot of r, on the given side)."""
-    rs = r.series()
+    rs = _lift(r)
     delta = {}
     for i, key in enumerate(alg.basis_keys()):
         p = pat_const(key)
@@ -119,12 +124,12 @@ def _coboundary_table(alg: FiniteAlgebra, r: TensorElement, actions) -> dict:
     return delta
 
 
-def coboundary_delta_perm(alg: FiniteAlgebra, r: TensorElement) -> dict:
+def coboundary_delta_perm(alg: FiniteAlgebra, r: dict) -> dict:
     """Coproduct table Delta(p) = (id (x) R(p) - (L - R)(p) (x) id)(r)."""
     return _coboundary_table(alg, r, ((1, 1, "right"), (-1, 0, "left"), (1, 0, "right")))
 
 
-def coboundary_delta_prelie(alg: FiniteAlgebra, r: TensorElement) -> dict:
+def coboundary_delta_prelie(alg: FiniteAlgebra, r: dict) -> dict:
     """Coproduct table Delta(a) = (L(a) (x) id + id (x) (L - R)(a))(r)."""
     return _coboundary_table(alg, r, ((1, 0, "left"), (1, 1, "left"), (-1, 1, "right")))
 
@@ -133,7 +138,7 @@ def coboundary_delta_prelie(alg: FiniteAlgebra, r: TensorElement) -> dict:
 # The coalgebra conditions for a coboundary coproduct from arbitrary r.
 
 
-def coboundary_coalgebra_report(alg: FiniteAlgebra, r: TensorElement) -> CheckReport:
+def coboundary_coalgebra_report(alg: FiniteAlgebra, r: dict) -> CheckReport:
     """Two residuals, per basis element, that vanish exactly when the
     coboundary coproduct is a perm coalgebra (r need not be symmetric):
 
@@ -150,7 +155,7 @@ def coboundary_coalgebra_report(alg: FiniteAlgebra, r: TensorElement) -> CheckRe
     def place(x, y, legs_x, legs_y):
         return place_product(x, y, legs_x, legs_y, alg.sym_product)
 
-    rs = r.series()
+    rs = _lift(r)
     ybe = _plan_residual(alg.sym_product, rs, _PERM_PLAN).collapsed()
     m = rs.flip_hat() - rs
     n = -m
@@ -196,7 +201,7 @@ def coboundary_coalgebra_report(alg: FiniteAlgebra, r: TensorElement) -> CheckRe
 # The dual-window map induced by r and its closure criterion.
 
 
-def r_sharp(alg: FiniteAlgebra, r: TensorElement):
+def r_sharp(alg: FiniteAlgebra, r: dict):
     """Matrix of p* -> sum <p*, p_a> q_a over r = sum p_a (x) q_a, plus the
     report of check_o_operator on it for the dual representation
     (L*, L* - R*): r# is an O-operator exactly when
@@ -206,7 +211,7 @@ def r_sharp(alg: FiniteAlgebra, r: TensorElement):
     which, for symmetric r, holds exactly when r solves the perm equation."""
     d = alg.dim
     m = [[ZERO] * d for _ in range(d)]
-    for ka, kb, c in r.terms:
+    for (ka, kb), c in r.items():
         m[kb[2]][ka[2]] += c
     mat = tuple(tuple(row) for row in m)
     return mat, check_o_operator(alg, dual_rep(adjoint_representation(alg)), mat)
@@ -235,13 +240,13 @@ def o_to_ybe(t, alg: FiniteAlgebra, rep: Representation):
         labels = tuple(f"{x}*" for x in alg.labels)
     double = semidirect_perm(alg, dual_rep(rep), module_labels=labels)
     d = alg.dim
-    terms = []
+    r = {}
     for i in range(d):
         for u in range(rep.module_dim):
-            if t[i][u]:
-                terms.append((double.key(i), double.key(d + u), t[i][u]))
-    half = TensorElement.of(terms)
-    return double, half + half.flip()
+            x, y = double.key(i), double.key(d + u)
+            add_term(r, (x, y), t[i][u])
+            add_term(r, (y, x), t[i][u])
+    return double, r
 
 
 def grid_search_symmetric_r(alg: FiniteAlgebra, height: int = 1):
@@ -253,13 +258,11 @@ def grid_search_symmetric_r(alg: FiniteAlgebra, height: int = 1):
     cells = [(i, j) for i in range(alg.dim) for j in range(i, alg.dim)]
     out = []
     for vals in itertools.product(range(-height, height + 1), repeat=len(cells)):
-        r = TensorElement.of(
-            (ks[a], ks[b], Fraction(v))
-            for (i, j), v in zip(cells, vals)
-            if v
-            for a, b in {(i, j), (j, i)}
-        )
-        if perm_ybe_residual(alg, r).is_zero():
+        r = {}
+        for (i, j), v in zip(cells, vals):
+            for a, b in {(i, j), (j, i)}:
+                add_term(r, (ks[a], ks[b]), v)
+        if not perm_ybe_residual(alg, r):
             out.append(r)
     return out
 
@@ -268,7 +271,7 @@ def grid_search_symmetric_r(alg: FiniteAlgebra, height: int = 1):
 # Affinization of finite solutions.
 
 
-def affinize_r(r: TensorElement, family: GradedFamily) -> TemplateSeries:
+def affinize_r(r: dict, family: GradedFamily) -> TemplateSeries:
     """Pair every finite term of r with the family's graded dual pairs:
 
         r = sum c p (x) q   ->   sum c sum_t (p e_t) (x) (q f_t)
@@ -278,7 +281,7 @@ def affinize_r(r: TensorElement, family: GradedFamily) -> TemplateSeries:
         raise ValueError("family has no invertible pairing")
     fresh = Fresh("i")
     tpls = []
-    for ka, kb, c in r.terms:
+    for (ka, kb), c in r.items():
         for dvars, e_pat, f_pat, sign in family.dual_pairs(fresh):
             tpls.append(
                 Template(

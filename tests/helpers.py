@@ -1,8 +1,9 @@
 """Helpers shared by the tests: random basis changes of finite tables and
 coproducts, a matrix-vector product, the product of coefficient tuples
-through a finite table, a signed sum of vectors, pattern evaluation, a
-template series as JSON and the probe bank of acceptance criterion 5.  None
-of them is used by the package itself."""
+through a finite table, a signed sum of vectors, finite tensors built from
+terms and their symmetry, pattern evaluation, a template series as JSON and
+the probe bank of acceptance criterion 5.  None of them is used by the
+package itself."""
 
 import random
 from fractions import Fraction
@@ -106,6 +107,21 @@ def signed_sum(*terms) -> dict:
         for k, c in vec.items():
             add_term(out, k, scale * c)
     return out
+
+
+def tensor(terms) -> dict:
+    """The finite tensor of (key, ..., key, coeff) terms: a {key tuple:
+    Fraction} dict built through add_term, so repeated keys add up and a
+    zero sum is dropped."""
+    out = {}
+    for *keys, c in terms:
+        add_term(out, tuple(keys), c)
+    return out
+
+
+def is_symmetric(r: dict) -> bool:
+    """Whether the 2-tensor r equals its flip."""
+    return r == {(b, a): c for (a, b), c in r.items()}
 
 
 def pat_eval(p, env: dict):

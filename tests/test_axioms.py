@@ -125,18 +125,36 @@ class TestAlgebraPaths:
             )
             assert rep == by_keys and rep.margin == (margin or 0), alg.id
 
-    @pytest.mark.parametrize("how", ["alg", "product"])
+    @pytest.mark.parametrize("how", ["alg", "product", "form", "perm-bi", "prelie-bi"])
     def test_finite_margin_without_interior_raises(self, how):
         # a margin past the window leaves no interior on the finite path too,
         # as on the graded path: the report would claim a margin no window holds
-        alg = finite_catalog()["ex-1p"]
-        kw = {"alg": alg} if how == "alg" else {"product": alg.product, "keys": alg.basis_keys()}
+        cat = finite_catalog()
+        alg = cat["ex-1p"]
+        if how == "form":
+            fd, fform = restricted_dual_double(cat["ex-prelie-1"])
+            kw = {"form": fform, "product": fd.product, "keys": fd.basis_keys()}
+            check = functools.partial(check_form, LawId.QuadPreLieForm, **kw)
+        elif how.endswith("-bi"):
+            law, alg = (LawId.PermBi, alg) if how == "perm-bi" else (LawId.PreLieBi, cat["ex-prelie-1"])
+            check = functools.partial(check_bialgebra, law, alg=alg)
+        else:
+            kw = {"alg": alg} if how == "alg" else {"product": alg.product, "keys": alg.basis_keys()}
+            check = functools.partial(check_algebra, LawId.Perm, **kw)
         with pytest.raises(InsufficientWindowError) as err:
-            check_algebra(LawId.Perm, margin=3, **kw)
+            check(margin=3)
         assert (err.value.n, err.value.margin) == (0, 3)
         with pytest.raises(InsufficientWindowError):
-            check_algebra(LawId.Perm, window=Window(2), margin=3, **kw)
-        assert check_algebra(LawId.Perm, window=Window(3), margin=3, **kw).passed
+            check(window=Window(2), margin=3)
+        with pytest.raises(InsufficientWindowError):
+            check(window=Window(5), margin=9)
+        if how == "form":  # check_form takes its margin from margin= alone
+            assert check(window=Window(2, 5)).margin == 0
+        else:
+            with pytest.raises(InsufficientWindowError):
+                check(window=Window(2, 5))
+        rep = check(window=Window(3), margin=3)
+        assert rep.passed and (rep.n, rep.margin) == (3, 3)
 
     def test_product_keys_path(self):
         fam = ats_family()
@@ -1741,7 +1759,7 @@ def _module_inputs():
             rep = preperm_representation(alg)
         else:
             m = rng.randint(1, 6)
-            rep = Representation(alg.id, m, mats(alg.dim, m), mats(alg.dim, m))
+            rep = Representation(m, mats(alg.dim, m), mats(alg.dim, m))
         m = rep.module_dim
         if trial % 5 == 0:
             t = ((F(0),) * m,) * alg.dim

@@ -18,7 +18,6 @@ from permlie import cli
 from permlie.affinize import coproduct_from_form, delta_bullet_rule, induced_lie_bracket, pair_keys
 from permlie.doubles import restricted_dual_double
 from permlie.families import (
-    TensorElement,
     ats_family,
     delta_p_family,
     finite_catalog,
@@ -32,6 +31,7 @@ from permlie.ybe import affinize_r, coboundary_delta_perm, lie_delta_from_r
 from key_loop_reference import bracket_table_by_keys, restricted_dual_by_keys
 from series_equality_reference import series_equality_by_keys
 from test_axioms import _keys_only
+from helpers import tensor
 
 CMD = [sys.executable, "-m", "permlie.cli"]
 # The CLI runs from this checkout's src, installed or not.
@@ -239,7 +239,7 @@ def _failing_equality(name, bound):
         return "CobracketTable", keys, delta, rhs
     # ybe:diagram with the tensor e0 (x) e1 + e1 (x) e0 read as e0 (x) e1 + 2 e1 (x) e0
     r = tensor_catalog()["r-sd2"][1]
-    bad = TensorElement.of([(alg.key(0), alg.key(1), 1), (alg.key(1), alg.key(0), 2)])
+    bad = tensor([(alg.key(0), alg.key(1), 1), (alg.key(1), alg.key(0), 2)])
     delta, _ = delta_bullet_rule(replace(alg, delta=coboundary_delta_perm(alg, r)), fam)
     _, sbr = induced_lie_bracket(alg, fam)
     rt = affinize_r(bad, fam)
@@ -736,6 +736,26 @@ class TestMalformedInput:
         assert "Traceback" not in err.getvalue()
         assert len(lines) == 1 and lines[0].startswith(f"permlie: cannot write {out}: ")
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("export", "ex-1p", "--window", "2"),
+            ("export", "ex-1p", "--margin", "7"),
+            ("export", "ex-1p", "--seed", "9"),
+            ("export", "ex-1p", "--format", "text"),
+            ("residual", "perm-ybe", "--algebra", "ex-1p", "--input", "-", "--margin", "3"),
+            ("residual", "perm-ybe", "--algebra", "ex-1p", "--input", "-", "--seed", "3"),
+        ],
+        ids=["export-window", "export-margin", "export-seed", "export-format",
+             "residual-margin", "residual-seed"],
+    )
+    def test_unread_flag_refused(self, argv):
+        # a subcommand takes only the flags it reads; any other is a usage error
+        p = run(*argv, stdin='[[0, 0, "1"]]')
+        self.assert_usage_error(p)
+        assert p.stdout == ""
+        assert p.stderr == f"permlie: error: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
     def test_negative_margin_flag(self):
         self.assert_usage_error(run("verify", "ybe", "--window", "3", "--margin", "-3"))

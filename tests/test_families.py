@@ -282,8 +282,10 @@ class TestCatalog:
         cat = finite_catalog()
         for name, (aid, r) in tens.items():
             assert aid in cat, name
-            for k1, k2, c in r.terms:
-                assert c != 0
+            assert r and type(r) is dict, name
+            for (k1, k2), c in r.items():
+                assert type(c) is Fraction and c != 0
+                assert {k1, k2} <= set(cat[aid].basis_keys()), name
 
     def test_algebra_accessors(self):
         alg = finite_catalog()["ex-sd2"]

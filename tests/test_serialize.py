@@ -26,7 +26,6 @@ from permlie import cli, serialize
 from permlie.affinize import affinization_probe
 from permlie.families import (
     FiniteAlgebra,
-    TensorElement,
     ats_family,
     delta_a_family,
     finite_catalog,
@@ -46,7 +45,7 @@ from permlie.serialize import (
     tensor_from_json,
     tensor_to_json,
 )
-from helpers import criterion_5_bank, series_to_json
+from helpers import criterion_5_bank, series_to_json, tensor
 from serialize_reference import (
     canonical_json_by_dumps,
     encode_value_by_isinstance,
@@ -116,18 +115,39 @@ class TestTensors:
     def test_round_trip_with_keys(self):
         cat = finite_catalog()
         alg = cat["ex-sd2"]
-        t = TensorElement.of(
-            [(alg.key(0), alg.key(1), F(2)), (alg.key(1), alg.key(0), F(-1, 3))]
-        )
+        t = tensor([(alg.key(0), alg.key(1), F(2)), (alg.key(1), alg.key(0), F(-1, 3))])
         data = tensor_to_json(t)
         assert tensor_from_json(data, alg) == t
 
     def test_bare_int_rows(self):
         alg = finite_catalog()["ex-sd2"]
         t = tensor_from_json([[0, 1, "1"], [1, 0, "1"]], alg)
-        assert t == TensorElement.of(
-            [(alg.key(0), alg.key(1), F(1)), (alg.key(1), alg.key(0), F(1))]
-        )
+        assert t == tensor([(alg.key(0), alg.key(1), F(1)), (alg.key(1), alg.key(0), F(1))])
+
+    def test_rows_written_in_key_order(self):
+        # a dict filled in reverse key order is written as the sorted rows
+        alg = finite_catalog()["ex-sd2"]
+        ks = [(alg.key(i), alg.key(j), alg.key(k)) for i in range(2) for j in range(2) for k in range(2)]
+        t = {}
+        for n, key in enumerate(reversed(ks)):
+            t[key] = F(n + 1, 2)
+        want = tensor((*key, t[key]) for key in ks)
+        assert list(t) != sorted(t) and list(want) == sorted(want)
+        assert canonical_json(tensor_to_json(t)) == canonical_json(tensor_to_json(want))
+        assert [row[-1] for row in tensor_to_json(t)] == [frac_str(F(8 - n, 2)) for n in range(8)]
+
+    def test_repeated_rows_merge(self):
+        # repeated rows add up and a zero sum is dropped, with no zero entry left
+        alg = finite_catalog()["ex-sd2"]
+        rows = [[0, 1, "1/2"], [1, 1, "3"], [0, 1, "1/2"], [1, 0, "2"], [1, 0, "-2"], [0, 0, "0"]]
+        t = tensor_from_json(rows, alg)
+        assert t == {(alg.key(0), alg.key(1)): F(1), (alg.key(1), alg.key(1)): F(3)}
+        assert all(type(c) is F for c in t.values())
+        assert tensor_to_json(t) == [
+            [key_to_json(alg.key(0)), key_to_json(alg.key(1)), "1"],
+            [key_to_json(alg.key(1)), key_to_json(alg.key(1)), "3"],
+        ]
+        assert tensor_from_json([[0, 1, "1"], [0, 1, "-1"]], alg) == {}
 
     def test_range_check(self):
         alg = finite_catalog()["ex-sd2"]

@@ -10,7 +10,6 @@ import pytest
 from permlie.kernel import CheckReport, Window, coproduct_at, ess, pair, tee
 from permlie.families import (
     FiniteAlgebra,
-    TensorElement,
     adjoint_representation,
     ats_family,
     finite_catalog,
@@ -52,7 +51,7 @@ from permlie.cli import _worked_cobracket_report
 
 from diagram_reference import worked_cobracket_by_points
 from finite_reference import r_sharp_closure
-from helpers import conjugated_table, random_delta, random_invertible
+from helpers import conjugated_table, is_symmetric, random_delta, random_invertible, tensor
 from ybe_reference import ThreeTensor, cybe_residual_by_loop, three_tensor_to_json
 
 F = Fraction
@@ -62,19 +61,19 @@ class TestPermYbeResidual:
     def test_catalog_solutions_are_zero(self):
         cat = finite_catalog()
         tens = tensor_catalog()
-        assert perm_ybe_residual(cat["ex-sd2"], tens["r-sd2"][1]).is_zero()
-        assert perm_ybe_residual(cat["ex-1p"], tens["r-1p"][1]).is_zero()
+        assert perm_ybe_residual(cat["ex-sd2"], tens["r-sd2"][1]) == {}
+        assert perm_ybe_residual(cat["ex-1p"], tens["r-1p"][1]) == {}
 
     def test_nilpotent_nonsolution_residual(self):
         cat = finite_catalog()
         nilp = cat["ex-nilp2"]
         res = perm_ybe_residual(nilp, tensor_catalog()["r-nilp2"][1])
         k0, k1 = nilp.key(0), nilp.key(1)
-        assert res == TensorElement.of([(k0, k1, k0, F(1)), (k0, k0, k1, F(-1))])
+        assert res == tensor([(k0, k1, k0, F(1)), (k0, k0, k1, F(-1))])
 
     def test_empty_tensor_is_solution(self):
         cat = finite_catalog()
-        assert perm_ybe_residual(cat["ex-sd2"], TensorElement.of([])).is_zero()
+        assert perm_ybe_residual(cat["ex-sd2"], {}) == {}
 
 
 class TestSEquation:
@@ -83,7 +82,7 @@ class TestSEquation:
         pl2 = cat["ex-prelie-n2"]
         res = s_equation_residual(pl2, tensor_catalog()["r-prelie-n2"][1])
         q0, q1 = pl2.key(0), pl2.key(1)
-        assert res == TensorElement.of([(q1, q0, q0, F(-1)), (q0, q1, q0, F(1))])
+        assert res == tensor([(q1, q0, q0, F(-1)), (q0, q1, q0, F(1))])
 
 
 class TestCoboundaryTables:
@@ -97,7 +96,7 @@ class TestCoboundaryTables:
 
     def test_prelie_table(self):
         pl1 = finite_catalog()["ex-prelie-1"]
-        r = TensorElement.of([(pl1.key(0), pl1.key(0), F(1))])
+        r = tensor([(pl1.key(0), pl1.key(0), F(1))])
         assert coboundary_delta_prelie(pl1, r) == {0: ((0, 0, F(1)),)}
 
     def test_pb1_automatic_for_any_r(self):
@@ -112,7 +111,7 @@ class TestCoboundaryTables:
                     v = rng.randint(-3, 3)
                     if v:
                         terms.append((alg.key(i), alg.key(j), F(v)))
-            dt = coboundary_delta_perm(alg, TensorElement.of(terms))
+            dt = coboundary_delta_perm(alg, tensor(terms))
             rep = check_bialgebra(LawId.PermBi, alg=alg, delta_table=dt)
             assert not [v for v in rep.violations if v[0] == "pb1"]
 
@@ -121,7 +120,7 @@ class TestCoboundaryTables:
         tens = tensor_catalog()
         for nm, rnm in (("ex-sd2", "r-sd2"), ("ex-1p", "r-1p")):
             alg, r = cat[nm], tens[rnm][1]
-            assert r.is_symmetric()
+            assert is_symmetric(r)
             dt = coboundary_delta_perm(alg, r)
             assert check_bialgebra(LawId.PermBi, alg=alg, delta_table=dt).passed
 
@@ -144,7 +143,7 @@ class TestCoalgebraCriterion:
                     v = rng.randint(-2, 2)
                     if v:
                         terms.append((alg.key(i), alg.key(j), F(v)))
-            r = TensorElement.of(terms)
+            r = tensor(terms)
             work = FiniteAlgebra(
                 id=alg.id, space=alg.space, dim=alg.dim, labels=alg.labels,
                 kind=alg.kind, mul=alg.mul, delta=coboundary_delta_perm(alg, r),
@@ -186,10 +185,10 @@ class TestRSharp:
                         terms.append((alg.key(i), alg.key(j), F(v)))
                         if i != j:
                             terms.append((alg.key(j), alg.key(i), F(v)))
-            r = TensorElement.of(terms)
-            assert r.is_symmetric()
+            r = tensor(terms)
+            assert is_symmetric(r)
             rep = _r_sharp_matches_closure(alg, r)
-            assert rep.passed == perm_ybe_residual(alg, r).is_zero(), trial
+            assert rep.passed == (perm_ybe_residual(alg, r) == {}), trial
 
     def test_catalog_tensors_match_closure(self):
         cat = finite_catalog()
@@ -216,13 +215,14 @@ class TestOOperatorRoute:
         double, r = o_to_ybe(((F(1),),), pp, rep)
         assert double.dim == 2
         e, es = double.key(0), double.key(1)
-        assert r == TensorElement.of([(e, es, F(1)), (es, e, F(1))])
-        assert perm_ybe_residual(double, r).is_zero()
+        assert r == tensor([(e, es, F(1)), (es, e, F(1))])
+        assert perm_ybe_residual(double, r) == {}
 
     def test_scaled_map_still_works_here(self):
         pp = finite_catalog()["ex-preperm-1"]
         d2, r2 = o_to_ybe(((F(2),),), pp, preperm_representation(pp))
-        assert perm_ybe_residual(d2, r2).is_zero()
+        assert r2 == tensor([(d2.key(0), d2.key(1), F(2)), (d2.key(1), d2.key(0), F(2))])
+        assert perm_ybe_residual(d2, r2) == {}
 
     def test_identity_on_adjoint_raises(self):
         onep = finite_catalog()["ex-1p"]
@@ -242,7 +242,8 @@ class TestGridSearch:
         sols = grid_search_symmetric_r(nilp, 1)
         assert len(sols) == 9
         for s in sols:
-            assert perm_ybe_residual(nilp, s).is_zero()
+            assert is_symmetric(s) and all(s.values())
+            assert perm_ybe_residual(nilp, s) == {}
 
 
 class TestAffinizeR:
@@ -258,7 +259,7 @@ class TestAffinizeR:
         tens = tensor_catalog()
         for name in ("r-sd2", "r-1p", "r-nilp2"):
             r = tens[name][1]
-            assert r.is_symmetric()
+            assert is_symmetric(r)
             rt = affinize_r(r, ats_family())
             assert (rt + rt.flip_hat()).support_in_box(4) == {}, name
 
@@ -371,9 +372,15 @@ class TestCybeAgainstLoop:
         assert not all(verdicts.values())
 
 
+def _sorted_terms(t: dict) -> tuple:
+    """A {key tuple: Fraction} tensor as ThreeTensor's (k1, k2, k3, coeff) terms."""
+    return tuple((*keys, c) for keys, c in sorted(t.items()))
+
+
 class TestTensorAgainstThreeTensor:
-    """TensorElement at arity 3 against the three-tensor type it replaced:
-    the same canonical terms and the same JSON bytes."""
+    """A finite tensor built with add_term, at arity 3, against the
+    three-tensor type it replaced: the same canonical terms and the same
+    JSON bytes."""
 
     def test_random_terms(self):
         cat = finite_catalog()
@@ -384,9 +391,10 @@ class TestTensorAgainstThreeTensor:
                 (*(rng.choice(pool) for _ in range(3)), F(rng.randint(-2, 2), rng.randint(1, 3)))
                 for _ in range(rng.randint(0, 10))
             ]
-            got, ref = TensorElement.of(terms), ThreeTensor.of(terms)
-            assert got.terms == ref.terms
-            assert got.is_zero() == (not ref.terms)
+            got, ref = tensor(terms), ThreeTensor.of(terms)
+            assert _sorted_terms(got) == ref.terms
+            assert all(type(c) is F and c for c in got.values())
+            assert (not got) == (not ref.terms)
             assert canonical_json(tensor_to_json(got)) == canonical_json(three_tensor_to_json(ref))
 
     def test_residuals(self):
@@ -395,8 +403,9 @@ class TestTensorAgainstThreeTensor:
             for symmetric in (True, False, True, False):
                 r = _random_r(rng, alg, symmetric)
                 for res in (perm_ybe_residual(alg, r), s_equation_residual(alg, r)):
-                    ref = ThreeTensor.of(res.terms)
-                    assert res.terms == ref.terms
+                    ref = ThreeTensor.of(_sorted_terms(res))
+                    # already in key order, with no zero entry
+                    assert tuple((*keys, c) for keys, c in res.items()) == ref.terms
                     assert tensor_to_json(res) == three_tensor_to_json(ref)
 
 
@@ -430,7 +439,7 @@ def _random_r(rng, alg, symmetric=False):
                 terms.append((alg.key(i), alg.key(j), F(v)))
                 if symmetric and i != j:
                     terms.append((alg.key(j), alg.key(i), F(v)))
-    return TensorElement.of(terms)
+    return tensor(terms)
 
 
 class TestPermBiMatchedPairOracle:
